@@ -36,19 +36,21 @@
 //! only slot `i` and outbox `i` (up-messages to the parent and down fan-out
 //! are queued at the *sender's* outbox and travel through the fabric).
 //! Combined with commutative/associative ops, this makes the engine safe to
-//! shard spatially: [`CollRange`] gives each worker domain exclusive slices
-//! and buffers the shared counters/active-list edits in a [`CollDelta`],
-//! replayed in domain order — bit-identical to the serial ascending-node
-//! schedule, the same contract as `DeliveryRange`.
+//! shard spatially. The protocol is written once against [`CollView`]: the
+//! [`Collective`] applies its effects in place (the one-domain cycle), and
+//! a [`CollRange`] gives each worker domain exclusive slices and buffers
+//! the shared counters/active-set edits in a [`CollDelta`], replayed in
+//! domain order — bit-identical to the ascending-node schedule, the same
+//! contract as `DeliveryRange`.
 //!
 //! Over a faulty fabric the engine has no resilience of its own; it relies
 //! on the end-to-end delivery layer (enable both) for exactly-once in-order
 //! edges, exactly as the paper's point-to-point programs do.
 
-use std::collections::VecDeque;
-
 use tcni_core::{CollMsg, CollPhase, CollectiveOp, Message, NodeId, WireFormat};
 use tcni_net::{CombiningTree, InjectError};
+
+use crate::outbox::{Outbox, OutboxDelta, OutboxRange, OutboxView};
 
 /// A completed collective round, as observed by one member node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +101,7 @@ impl CollectiveStats {
 
 /// One node's combining slot.
 #[derive(Debug, Clone, Copy, Default)]
-struct Slot {
+pub(crate) struct Slot {
     /// A round is in progress at this node.
     busy: bool,
     /// The node's own contribution arrived (vs. a slot opened early by a
@@ -131,10 +133,7 @@ pub struct Collective {
     rounds_done: Vec<u32>,
     /// Per-node queues of outgoing collective wire messages (to the parent
     /// or to children). Drained by the machine's injection phase.
-    outbox: Vec<VecDeque<Message>>,
-    /// Sorted list of nodes with a non-empty outbox.
-    outbox_active: Vec<u32>,
-    outbox_msgs: u64,
+    outbox: Outbox,
     /// Slots currently busy (machine-wide), for quiescence checks.
     busy_slots: u64,
     stats: CollectiveStats,
@@ -149,9 +148,7 @@ impl Collective {
             format,
             slots: vec![Slot::default(); n],
             rounds_done: vec![0; n],
-            outbox: vec![VecDeque::new(); n],
-            outbox_active: Vec::new(),
-            outbox_msgs: 0,
+            outbox: Outbox::new(n),
             busy_slots: 0,
             stats: CollectiveStats::default(),
         }
@@ -175,12 +172,12 @@ impl Collective {
     /// Whether any collective state is live: queued wire messages or open
     /// combining slots. Machine quiescence requires `!active()`.
     pub fn active(&self) -> bool {
-        self.outbox_msgs > 0 || self.busy_slots > 0
+        self.outbox.msgs() > 0 || self.busy_slots > 0
     }
 
     /// Queued outgoing collective messages across all nodes.
     pub fn outgoing(&self) -> u64 {
-        self.outbox_msgs
+        self.outbox.msgs()
     }
 
     /// Contributes `value` to the current round at `node`. On a leaf-only
@@ -203,33 +200,24 @@ impl Collective {
         contribute_at(self, node, op, value)
     }
 
-    /// Routes an ejected [`COLLECTIVE`](tcni_isa::MsgType::COLLECTIVE)
-    /// arrival at `node` into the engine; returns the round result if this
-    /// arrival completed the round at `node`.
-    pub(crate) fn on_message(&mut self, node: usize, msg: &Message) -> Option<CollDone> {
-        on_message_at(self, node, msg)
-    }
-
-    /// The sorted list of nodes with queued outgoing collective messages
+    /// The nodes with queued outgoing collective messages, ascending
     /// (merged into the machine's injection scan like the delivery outbox).
-    pub(crate) fn outbox_nodes(&self) -> &[u32] {
-        &self.outbox_active
+    pub(crate) fn outbox_nodes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.outbox.nodes()
     }
 
-    pub(crate) fn outbox_front(&self, node: usize) -> Option<&Message> {
-        self.outbox[node].front()
-    }
-
-    pub(crate) fn outbox_pop(&mut self, node: usize) {
-        if self.outbox[node].pop_front().is_none() {
-            return;
+    /// Checks the outbox bookkeeping and the busy-slot total against the
+    /// slots.
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        self.outbox.check("collective")?;
+        let busy = self.slots.iter().filter(|s| s.busy).count() as u64;
+        if busy != self.busy_slots {
+            return Err(format!(
+                "busy-slot total {} but {busy} slots are open",
+                self.busy_slots
+            ));
         }
-        self.outbox_msgs -= 1;
-        if self.outbox[node].is_empty() {
-            let pos = self.outbox_active.partition_point(|&x| (x as usize) < node);
-            debug_assert_eq!(self.outbox_active.get(pos), Some(&(node as u32)));
-            self.outbox_active.remove(pos);
-        }
+        Ok(())
     }
 
     /// Splits the engine into per-domain views for the parallel cycle.
@@ -243,47 +231,37 @@ impl Collective {
         let mut out = Vec::with_capacity(bounds.len().saturating_sub(1));
         let mut slots: &mut [Slot] = self.slots.as_mut_slice();
         let mut rounds: &mut [u32] = self.rounds_done.as_mut_slice();
-        let mut outbox: &mut [VecDeque<Message>] = self.outbox.as_mut_slice();
-        for w in bounds.windows(2) {
+        for (w, outbox) in bounds.windows(2).zip(self.outbox.split(bounds)) {
             let span = w[1] - w[0];
             let (s_head, s_tail) = slots.split_at_mut(span);
             slots = s_tail;
             let (r_head, r_tail) = rounds.split_at_mut(span);
             rounds = r_tail;
-            let (o_head, o_tail) = outbox.split_at_mut(span);
-            outbox = o_tail;
             out.push(CollRange {
                 tree,
                 format,
                 lo: w[0],
                 slots: s_head,
                 rounds_done: r_head,
-                outbox: o_head,
-                delta: CollDelta::default(),
+                outbox,
+                stats: CollectiveStats::default(),
+                busy_slots: 0,
             });
         }
         out
     }
 
     /// Replays per-domain deltas in domain order — the concatenation is the
-    /// serial ascending-node edit sequence, so the sorted active list and
-    /// the counters end up byte-identical to a serial cycle.
+    /// ascending-node edit sequence the one-domain cycle applies in place,
+    /// so the active set and the counters end up identical.
     pub(crate) fn absorb_deltas(&mut self, deltas: impl IntoIterator<Item = CollDelta>) {
         for d in deltas {
             self.stats.add(&d.stats);
-            self.outbox_msgs = u64::try_from(self.outbox_msgs as i64 + d.outbox_msgs)
-                .expect("collective outbox total cannot go negative");
-            self.busy_slots = u64::try_from(self.busy_slots as i64 + d.busy_slots)
+            self.busy_slots = self
+                .busy_slots
+                .checked_add_signed(d.busy_slots)
                 .expect("busy-slot total cannot go negative");
-            for &node in &d.active_remove {
-                let pos = self.outbox_active.partition_point(|&x| x < node);
-                debug_assert_eq!(self.outbox_active.get(pos), Some(&node));
-                self.outbox_active.remove(pos);
-            }
-            for &node in &d.active_add {
-                let pos = self.outbox_active.partition_point(|&x| x < node);
-                self.outbox_active.insert(pos, node);
-            }
+            self.outbox.absorb(d.outbox);
         }
     }
 }
@@ -293,134 +271,129 @@ impl Collective {
 #[derive(Debug, Default)]
 pub(crate) struct CollDelta {
     stats: CollectiveStats,
-    outbox_msgs: i64,
     busy_slots: i64,
-    active_add: Vec<u32>,
-    active_remove: Vec<u32>,
+    outbox: OutboxDelta,
 }
 
 /// Exclusive access to one spatial domain's collective state, produced by
-/// [`Collective::split_ranges`]. Mirrors the serial entry points bit for
-/// bit, with shared-state edits buffered into a [`CollDelta`].
+/// [`Collective::split_ranges`], with shared-state edits buffered.
 pub(crate) struct CollRange<'a> {
     tree: &'a CombiningTree,
     format: WireFormat,
     lo: usize,
     slots: &'a mut [Slot],
     rounds_done: &'a mut [u32],
-    outbox: &'a mut [VecDeque<Message>],
-    delta: CollDelta,
+    outbox: OutboxRange<'a>,
+    stats: CollectiveStats,
+    busy_slots: i64,
 }
 
 impl CollRange<'_> {
-    /// See [`Collective::on_message`]; `node` is a global index inside this
-    /// range.
-    pub(crate) fn on_message(&mut self, node: usize, msg: &Message) -> Option<CollDone> {
-        on_message_at(self, node, msg)
-    }
-
-    pub(crate) fn outbox_front(&self, node: usize) -> Option<&Message> {
-        self.outbox[node - self.lo].front()
-    }
-
-    pub(crate) fn outbox_pop(&mut self, node: usize) {
-        if self.outbox[node - self.lo].pop_front().is_none() {
-            return;
-        }
-        self.delta.outbox_msgs -= 1;
-        if self.outbox[node - self.lo].is_empty() {
-            self.delta.active_remove.push(node as u32);
-        }
-    }
-
     pub(crate) fn into_delta(self) -> CollDelta {
-        self.delta
+        CollDelta {
+            stats: self.stats,
+            busy_slots: self.busy_slots,
+            outbox: self.outbox.into_delta(),
+        }
     }
 }
 
-/// The state surface the protocol body needs, implemented by the serial
-/// engine (direct mutation) and the sharded range (node-local slices plus
-/// buffered shared-state edits). One protocol body, two access disciplines —
-/// they cannot diverge.
-trait CollView {
+/// The state surface the protocol body needs, implemented by the
+/// whole-machine engine (direct mutation) and the sharded range (node-local
+/// slices plus buffered shared-state edits). One protocol body, two access
+/// disciplines — they cannot diverge.
+pub(crate) trait CollView {
+    /// The outbox discipline matching the view.
+    type Outbox: OutboxView;
     fn tree(&self) -> &CombiningTree;
     fn format(&self) -> WireFormat;
     fn slot_mut(&mut self, node: usize) -> &mut Slot;
     fn round_of(&self, node: usize) -> u32;
     fn bump_round(&mut self, node: usize);
-    /// Queues an outgoing wire message at `node`'s outbox.
-    fn push(&mut self, node: usize, msg: Message);
+    /// Outgoing wire messages, queued at the sending node.
+    fn outbox(&mut self) -> &mut Self::Outbox;
     fn note_open(&mut self);
     fn note_close(&mut self);
     fn stats_mut(&mut self) -> &mut CollectiveStats;
 }
 
 impl CollView for Collective {
+    type Outbox = Outbox;
+    #[inline]
     fn tree(&self) -> &CombiningTree {
         &self.tree
     }
+    #[inline]
     fn format(&self) -> WireFormat {
         self.format
     }
+    #[inline]
     fn slot_mut(&mut self, node: usize) -> &mut Slot {
         &mut self.slots[node]
     }
+    #[inline]
     fn round_of(&self, node: usize) -> u32 {
         self.rounds_done[node]
     }
+    #[inline]
     fn bump_round(&mut self, node: usize) {
         self.rounds_done[node] += 1;
     }
-    fn push(&mut self, node: usize, msg: Message) {
-        self.outbox[node].push_back(msg);
-        self.outbox_msgs += 1;
-        if self.outbox[node].len() == 1 {
-            let pos = self.outbox_active.partition_point(|&x| (x as usize) < node);
-            self.outbox_active.insert(pos, node as u32);
-        }
+    #[inline]
+    fn outbox(&mut self) -> &mut Outbox {
+        &mut self.outbox
     }
+    #[inline]
     fn note_open(&mut self) {
         self.busy_slots += 1;
     }
+    #[inline]
     fn note_close(&mut self) {
         self.busy_slots -= 1;
     }
+    #[inline]
     fn stats_mut(&mut self) -> &mut CollectiveStats {
         &mut self.stats
     }
 }
 
-impl CollView for CollRange<'_> {
+impl<'a> CollView for CollRange<'a> {
+    type Outbox = OutboxRange<'a>;
+    #[inline]
     fn tree(&self) -> &CombiningTree {
         self.tree
     }
+    #[inline]
     fn format(&self) -> WireFormat {
         self.format
     }
+    #[inline]
     fn slot_mut(&mut self, node: usize) -> &mut Slot {
         &mut self.slots[node - self.lo]
     }
+    #[inline]
     fn round_of(&self, node: usize) -> u32 {
         self.rounds_done[node - self.lo]
     }
+    #[inline]
     fn bump_round(&mut self, node: usize) {
         self.rounds_done[node - self.lo] += 1;
     }
-    fn push(&mut self, node: usize, msg: Message) {
-        self.outbox[node - self.lo].push_back(msg);
-        self.delta.outbox_msgs += 1;
-        if self.outbox[node - self.lo].len() == 1 {
-            self.delta.active_add.push(node as u32);
-        }
+    #[inline]
+    fn outbox(&mut self) -> &mut OutboxRange<'a> {
+        &mut self.outbox
     }
+    #[inline]
     fn note_open(&mut self) {
-        self.delta.busy_slots += 1;
+        self.busy_slots += 1;
     }
+    #[inline]
     fn note_close(&mut self) {
-        self.delta.busy_slots -= 1;
+        self.busy_slots -= 1;
     }
+    #[inline]
     fn stats_mut(&mut self) -> &mut CollectiveStats {
-        &mut self.delta.stats
+        &mut self.stats
     }
 }
 
@@ -489,7 +462,10 @@ fn contribute_at<V: CollView>(
     Ok(try_complete(v, node))
 }
 
-fn on_message_at<V: CollView>(v: &mut V, node: usize, msg: &Message) -> Option<CollDone> {
+/// Routes an ejected [`COLLECTIVE`](tcni_isa::MsgType::COLLECTIVE) arrival
+/// at `node` into the engine; returns the round result if this arrival
+/// completed the round at `node`.
+pub(crate) fn on_message<V: CollView>(v: &mut V, node: usize, msg: &Message) -> Option<CollDone> {
     let Some(cm) = CollMsg::parse(msg) else {
         v.stats_mut().stray += 1;
         return None;
@@ -566,7 +542,7 @@ fn try_complete<V: CollView>(v: &mut V, node: usize) -> Option<CollDone> {
                 sender: NodeId::from_index(node),
             }
             .into_message(v.format(), NodeId::from_index(parent));
-            v.push(node, m);
+            v.outbox().push(node, m);
             v.slot_mut(node).sent_up = true;
             v.stats_mut().forwarded_up += 1;
             None
@@ -603,7 +579,7 @@ fn finish<V: CollView>(
             sender: NodeId::from_index(node),
         }
         .into_message(v.format(), NodeId::from_index(child));
-        v.push(node, m);
+        v.outbox().push(node, m);
     }
     v.stats_mut().fanned_down += children as u64;
     *v.slot_mut(node) = Slot::default();
@@ -621,13 +597,13 @@ mod tests {
         // Deliver every queued message directly to its destination, like a
         // zero-latency fabric, until the engine drains.
         while c.outgoing() > 0 {
-            let node = c.outbox_nodes()[0] as usize;
-            let msg = *c.outbox_front(node).expect("active node has a message");
-            c.outbox_pop(node);
+            let node = c.outbox_nodes().next().expect("a queued message");
+            let msg = c.outbox().pop(node).expect("active node has a message");
             let dst = msg.dest().index();
-            if let Some(d) = c.on_message(dst, &msg) {
+            if let Some(d) = on_message(c, dst, &msg) {
                 done.push((dst, d));
             }
+            c.check_invariants().unwrap();
         }
     }
 
@@ -718,7 +694,7 @@ mod tests {
     fn stray_messages_are_counted_and_dropped() {
         let mut c = Collective::new(CombiningTree::star(2), WireFormat::Compact);
         let plain = Message::new([0; 5], tcni_isa::MsgType::new(3).unwrap());
-        assert_eq!(c.on_message(0, &plain), None);
+        assert_eq!(on_message(&mut c, 0, &plain), None);
         // A down-message nobody is waiting for.
         let down = CollMsg {
             phase: CollPhase::Down,
@@ -728,7 +704,7 @@ mod tests {
             sender: NodeId::new(0),
         }
         .into_message(WireFormat::Compact, NodeId::new(1));
-        assert_eq!(c.on_message(1, &down), None);
+        assert_eq!(on_message(&mut c, 1, &down), None);
         assert_eq!(c.stats().stray, 2);
         assert!(!c.active());
     }
@@ -746,15 +722,13 @@ mod tests {
             sharded.contribute(i, CollectiveOp::Sum, i as u32).unwrap();
         }
         // Collect the queued up-messages (leaves toward interior nodes).
-        for node in serial.outbox_nodes().to_vec() {
-            let node = node as usize;
-            while let Some(m) = serial.outbox_front(node) {
-                ups.push(*m);
-                serial.outbox_pop(node);
+        for node in serial.outbox_nodes().collect::<Vec<_>>() {
+            while let Some(m) = serial.outbox().pop(node) {
+                ups.push(m);
             }
         }
         for m in &ups {
-            serial.on_message(m.dest().index(), m);
+            on_message(&mut serial, m.dest().index(), m);
         }
         {
             let bounds = [0, 4, 8];
@@ -765,22 +739,23 @@ mod tests {
             for r in &mut ranges {
                 let lo = r.lo;
                 for node in lo..lo + r.slots.len() {
-                    while let Some(m) = r.outbox_front(node) {
-                        pend.push(*m);
-                        r.outbox_pop(node);
+                    while let Some(m) = r.outbox().pop(node) {
+                        pend.push(m);
                     }
                 }
             }
             for m in &pend {
                 let dst = m.dest().index();
                 let d = usize::from(dst >= 4);
-                ranges[d].on_message(dst, m);
+                on_message(&mut ranges[d], dst, m);
             }
             let deltas: Vec<CollDelta> = ranges.into_iter().map(CollRange::into_delta).collect();
             sharded.absorb_deltas(deltas);
         }
-        assert_eq!(serial.outbox_active, sharded.outbox_active);
-        assert_eq!(serial.outbox_msgs, sharded.outbox_msgs);
+        assert!(serial.outbox_nodes().eq(sharded.outbox_nodes()));
+        assert_eq!(serial.outgoing(), sharded.outgoing());
+        serial.check_invariants().unwrap();
+        sharded.check_invariants().unwrap();
         assert_eq!(serial.busy_slots, sharded.busy_slots);
         assert_eq!(serial.stats(), sharded.stats());
     }

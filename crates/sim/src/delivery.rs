@@ -36,11 +36,9 @@
 //! invariant a real NIC lives under, its per-flow state bounded by scarce
 //! NIC memory — instead of the dense `nodes²` table a wide-format machine
 //! could never afford. An absent entry reads as a default flow, so the
-//! layout is invisible to behaviour, and the pre-sparse row-lazy dense
-//! layout survives as a build-time cross-check
-//! ([`MachineBuilder::dense_flows`](crate::MachineBuilder::dense_flows),
-//! capped at [`DENSE_FLOWS_MAX_NODES`]): both storages are bit-identical
-//! wherever both can run.
+//! layout is invisible to behaviour. The store's oracle lives in this
+//! module's tests: a `BTreeMap` model driven through the same random
+//! insert/get/remove/iterate sequences.
 //!
 //! **Eviction semantics.** A tx flow is *never* evicted: its `next_psn`
 //! seeds every future stamp and its `rounds` budget must not silently
@@ -55,11 +53,11 @@
 //! **Determinism.** Table lookups are metered (`ScanStats::flow_probes`),
 //! and the meter is invariant under the sharded tick: every metered lookup
 //! is driven by its major node's own phase work in per-node program order,
-//! serial and sharded alike, and a linear-probe lookup of an existing key
+//! whichever view runs it, and a linear-probe lookup of an existing key
 //! is unaffected by later inserts (they only fill cells off its probe
 //! path). Timeout-list maintenance, whose neighbour lookups replay at a
 //! different point of the cycle under the sharded tick, is excluded from
-//! the meter (see [`flow_quiet`]), as are resize rehashes.
+//! the meter (see [`Delivery::link_tail`]), as are resize rehashes.
 //!
 //! ## Hot-set scheduling
 //!
@@ -77,20 +75,24 @@
 //! pending?") is a per-flow `pending_copies` counter maintained at outbox
 //! push/pop. The dense scan survives as a cross-check behind
 //! [`Machine::set_dense_scan`](crate::Machine::set_dense_scan), examining
-//! the dense `nodes²` cost regardless of storage.
+//! the dense `nodes²` cost.
 //!
-//! ## Parallel cycle
+//! ## One protocol body, two views
 //!
-//! Under the machine's sharded tick, each spatial domain operates on its
-//! own per-node tables through a [`DeliveryRange`]: `tx`/`outbox` are
-//! source-major and `rx` destination-major, so a domain's CPU-side sends
-//! and NI-side receives touch only its slice. Whatever is *not* sliceable —
-//! the aggregate counters, the active-outbox set, and the intrusive
-//! timeout list — is buffered as a [`DeliveryDelta`] and replayed by
+//! The protocol is written once, as free functions over the
+//! [`DeliveryView`] trait, and runs against one of two views. The
+//! whole-machine [`Delivery`] applies every effect in place: the machine's
+//! one-domain cycle. Under the sharded cycle each spatial domain works
+//! through a [`DeliveryRange`]: `tx`/outbox tables are source-major and
+//! `rx` destination-major, so a domain's CPU-side sends and NI-side
+//! receives touch only its own tables. Whatever is *not* sliceable — the
+//! aggregate counters, the active-outbox set, and the intrusive timeout
+//! list — is buffered as a [`DeliveryDelta`] and replayed by
 //! [`Delivery::absorb_deltas`] in domain order, which is ascending node
-//! order, i.e. exactly the serial walk. The timeout pump keeps its
-//! due-flow *collection* serial (the list walk is global and meters
-//! `scanned_flows`), then fires due flows per-domain in parallel.
+//! order, i.e. exactly the order the one-domain cycle applies it in. The
+//! timeout pump keeps its due-flow *collection* global (the list walk
+//! meters `scanned_flows`), then fires the due flows in place or, given
+//! enough of them and several domains, per domain in parallel.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -100,6 +102,8 @@ use tcni_isa::MsgType;
 use tcni_net::ScanStats;
 use tcni_util::par::run_tasks;
 
+use crate::outbox::{Outbox, OutboxDelta, OutboxRange, OutboxView};
+
 /// Minimum due flows before the pump's fire phase goes parallel; below
 /// this, per-task bookkeeping costs more than it saves.
 const PAR_FIRE_MIN: usize = 8;
@@ -108,13 +112,6 @@ const PAR_FIRE_MIN: usize = 8;
 /// to `u64`: the widest legal pair key (65535, 65535) is `u32::MAX`, so a
 /// 32-bit sentinel would collide with a real flow on a 65536-node machine.
 const NONE_LINK: u64 = u64::MAX;
-
-/// Ceiling on machines using the dense cross-check flow layout
-/// ([`MachineBuilder::dense_flows`](crate::MachineBuilder::dense_flows)):
-/// dense rows are `nodes` slots each, quadratic in the machine. The
-/// default sparse store has no ceiling below the wire format's 65536-node
-/// address space.
-pub(crate) const DENSE_FLOWS_MAX_NODES: usize = 32_768;
 
 /// Vacant cell of a [`NodeFlows`] probe index.
 const EMPTY_SLOT: u32 = u32::MAX;
@@ -244,7 +241,7 @@ pub(crate) enum RxAction {
 }
 
 #[derive(Debug)]
-struct FlowTx {
+pub(crate) struct FlowTx {
     /// Next sequence number to assign.
     next_psn: u32,
     /// Sent but unacknowledged, ascending psn.
@@ -280,7 +277,7 @@ impl Default for FlowTx {
 }
 
 #[derive(Debug, Default)]
-struct FlowRx {
+pub(crate) struct FlowRx {
     /// Next sequence number expected (everything below is delivered).
     expected: u32,
     /// Whether an ack for this flow is already waiting in the receiver's
@@ -297,7 +294,7 @@ struct FlowRx {
 /// allocates its first 8-cell index on the first insert, so a silent node
 /// costs a few pointers.
 #[derive(Debug)]
-struct NodeFlows<T> {
+pub(crate) struct NodeFlows<T> {
     /// Probe index: slab slot numbers, [`EMPTY_SLOT`] for vacant cells.
     /// Power-of-two length, load factor at most 1/2.
     index: Box<[u32]>,
@@ -330,16 +327,20 @@ impl<T: Default> NodeFlows<T> {
         }
     }
 
-    /// Index cell holding `pr`, metering one probe per cell examined. An
-    /// empty table answers without probing.
-    fn find_pos(&self, pr: u32) -> Option<usize> {
+    /// Index cell holding `pr`, metering one probe per cell examined when
+    /// `METER` (unmetered lookups serve timeout-list maintenance and
+    /// checks; see [`Delivery::link_tail`]). An empty table answers without
+    /// probing.
+    fn find<const METER: bool>(&self, pr: u32) -> Option<usize> {
         if self.index.is_empty() {
             return None;
         }
         let mask = self.index.len() - 1;
         let mut i = (splitmix64(u64::from(pr)) as usize) & mask;
         loop {
-            self.probes.set(self.probes.get() + 1);
+            if METER {
+                self.probes.set(self.probes.get() + 1);
+            }
             let slot = self.index[i];
             if slot == EMPTY_SLOT {
                 return None;
@@ -351,58 +352,34 @@ impl<T: Default> NodeFlows<T> {
         }
     }
 
-    /// [`find_pos`](Self::find_pos) without touching the probe meter
-    /// (timeout-list maintenance; see [`flow_quiet`]).
-    fn find_quiet(&self, pr: u32) -> Option<usize> {
-        if self.index.is_empty() {
-            return None;
-        }
-        let mask = self.index.len() - 1;
-        let mut i = (splitmix64(u64::from(pr)) as usize) & mask;
-        loop {
-            let slot = self.index[i];
-            if slot == EMPTY_SLOT {
-                return None;
-            }
-            if self.pair_of[slot as usize] == u64::from(pr) {
-                return Some(i);
-            }
-            i = (i + 1) & mask;
-        }
+    fn entry<const METER: bool>(&self, pr: u32) -> Option<&T> {
+        let i = self.find::<METER>(pr)?;
+        Some(&self.slab[self.index[i] as usize])
+    }
+
+    fn entry_mut<const METER: bool>(&mut self, pr: u32) -> Option<&mut T> {
+        let slot = self.index[self.find::<METER>(pr)?] as usize;
+        Some(&mut self.slab[slot])
     }
 
     fn get(&self, pr: u32) -> Option<&T> {
-        self.find_pos(pr)
-            .map(|i| &self.slab[self.index[i] as usize])
+        self.entry::<true>(pr)
     }
 
     fn get_mut(&mut self, pr: u32) -> Option<&mut T> {
-        match self.find_pos(pr) {
-            Some(i) => {
-                let slot = self.index[i] as usize;
-                Some(&mut self.slab[slot])
-            }
-            None => None,
-        }
+        self.entry_mut::<true>(pr)
     }
 
     fn get_quiet(&mut self, pr: u32) -> Option<&mut T> {
-        match self.find_quiet(pr) {
-            Some(i) => {
-                let slot = self.index[i] as usize;
-                Some(&mut self.slab[slot])
-            }
-            None => None,
-        }
+        self.entry_mut::<false>(pr)
     }
 
     fn peek(&self, pr: u32) -> Option<&T> {
-        self.find_quiet(pr)
-            .map(|i| &self.slab[self.index[i] as usize])
+        self.entry::<false>(pr)
     }
 
     fn get_or_insert(&mut self, pr: u32) -> &mut T {
-        if let Some(i) = self.find_pos(pr) {
+        if let Some(i) = self.find::<true>(pr) {
             let slot = self.index[i] as usize;
             return &mut self.slab[slot];
         }
@@ -459,7 +436,7 @@ impl<T: Default> NodeFlows<T> {
     /// the probe chain by backward-shift deletion (no tombstones, so probe
     /// lengths never degrade).
     fn remove(&mut self, pr: u32) {
-        let Some(pos) = self.find_pos(pr) else {
+        let Some(pos) = self.find::<true>(pr) else {
             debug_assert!(false, "remove of an absent flow");
             return;
         };
@@ -508,95 +485,6 @@ impl<T: Default> NodeFlows<T> {
     }
 }
 
-/// One major node's flow storage: the sparse table, or the pre-sparse
-/// row-lazy dense row kept as a build-time cross-check
-/// ([`MachineBuilder::dense_flows`](crate::MachineBuilder::dense_flows)).
-/// An absent dense row — like an absent sparse entry — reads as all
-/// defaults, so the two layouts are bit-identical in behaviour.
-#[derive(Debug)]
-enum FlowRow<T> {
-    Dense(Option<Box<[T]>>),
-    Sparse(NodeFlows<T>),
-}
-
-impl<T: Default> FlowRow<T> {
-    fn account(&self, s: &mut ScanStats) {
-        if let FlowRow::Sparse(map) = self {
-            map.account(s);
-        }
-    }
-}
-
-// --- flow accessors ----------------------------------------------------------
-//
-// Free functions rather than methods so call sites borrow only the table
-// field, leaving the rest of the struct (counters, outboxes) free. All
-// take the *global* pair key plus the local row index (`major` for the
-// whole-machine [`Delivery`], `major - lo` inside a [`DeliveryRange`]):
-// hashing the global key keeps serial and sharded probe sequences equal.
-
-/// Metered read.
-fn flow_ref<T: Default>(rows: &[FlowRow<T>], local: usize, pr: u32) -> Option<&T> {
-    match &rows[local] {
-        FlowRow::Dense(row) => row.as_deref().map(|r| &r[pair_minor(pr)]),
-        FlowRow::Sparse(map) => map.get(pr),
-    }
-}
-
-/// Unmetered read (debug assertions only — the probe meter must not move
-/// between debug and release builds).
-fn flow_peek<T: Default>(rows: &[FlowRow<T>], local: usize, pr: u32) -> Option<&T> {
-    match &rows[local] {
-        FlowRow::Dense(row) => row.as_deref().map(|r| &r[pair_minor(pr)]),
-        FlowRow::Sparse(map) => map.peek(pr),
-    }
-}
-
-/// Metered creating lookup: materialises the flow (and, under the dense
-/// cross-check, its whole row) on first touch.
-fn flow_mut<T: Default>(rows: &mut [FlowRow<T>], nodes: usize, local: usize, pr: u32) -> &mut T {
-    match &mut rows[local] {
-        FlowRow::Dense(row) => {
-            let r = row.get_or_insert_with(|| (0..nodes).map(|_| T::default()).collect());
-            &mut r[pair_minor(pr)]
-        }
-        FlowRow::Sparse(map) => map.get_or_insert(pr),
-    }
-}
-
-/// Metered non-creating lookup. Under the dense cross-check an allocated
-/// row answers `Some` for every pair (the slot reads as default state),
-/// which is observationally the same as the sparse `None`: every caller
-/// either proves the flow live or treats a default flow as a no-op.
-fn flow_edit<T: Default>(rows: &mut [FlowRow<T>], local: usize, pr: u32) -> Option<&mut T> {
-    match &mut rows[local] {
-        FlowRow::Dense(row) => row.as_deref_mut().map(|r| &mut r[pair_minor(pr)]),
-        FlowRow::Sparse(map) => map.get_mut(pr),
-    }
-}
-
-/// Unmetered non-creating lookup, for timeout-list maintenance only.
-/// Under the sharded tick, list operations replay in [`Delivery::absorb_deltas`]
-/// after the phase that recorded them, when neighbouring tables may have
-/// grown past the state a serial tick saw inline — metering these lookups
-/// would make `flow_probes` depend on the worker count.
-fn flow_quiet<T: Default>(rows: &mut [FlowRow<T>], local: usize, pr: u32) -> Option<&mut T> {
-    match &mut rows[local] {
-        FlowRow::Dense(row) => row.as_deref_mut().map(|r| &mut r[pair_minor(pr)]),
-        FlowRow::Sparse(map) => map.get_quiet(pr),
-    }
-}
-
-/// Releases a flow slot (metered). The dense cross-check keeps its slot —
-/// eviction only ever fires on default-state flows, which a dense slot
-/// already reads as.
-fn flow_evict<T: Default>(rows: &mut [FlowRow<T>], local: usize, pr: u32) {
-    match &mut rows[local] {
-        FlowRow::Dense(_) => {}
-        FlowRow::Sparse(map) => map.remove(pr),
-    }
-}
-
 /// Protocol state for a whole machine. Driven by [`crate::Machine`]; exposed
 /// read-only through [`Machine::delivery_stats`](crate::Machine::delivery_stats).
 #[derive(Debug)]
@@ -606,28 +494,17 @@ pub struct Delivery {
     nodes: usize,
     /// The machine's wire format: protocol-originated messages (acks) are
     /// composed under it. [`E2eHeader`] carries full [`NodeId`]s, so no flow
-    /// key is ever narrowed through a `u8` on its way into a header — the
-    /// type system retired that cast family along with the 256-node builder
-    /// ceiling.
+    /// key is ever narrowed through a `u8` on its way into a header.
     format: WireFormat,
     /// Sender state, source-major: `tx[src]` holds flows keyed
     /// `pair(src, dst)`.
-    tx: Vec<FlowRow<FlowTx>>,
+    tx: Vec<NodeFlows<FlowTx>>,
     /// Receiver state, destination-major: `rx[dst]` holds flows keyed
     /// `pair(dst, src)`.
-    rx: Vec<FlowRow<FlowRx>>,
+    rx: Vec<NodeFlows<FlowRx>>,
     /// Per-node protocol traffic (acks, retransmits) awaiting injection.
     /// Drains at one message per node per cycle, ahead of fresh NI sends.
-    outbox: Vec<VecDeque<Message>>,
-    /// Nodes with a non-empty outbox, *unsorted* (swap-remove set; the
-    /// machine sorts its per-cycle snapshot). O(1) in and out via
-    /// `outbox_pos`.
-    outbox_active: Vec<u32>,
-    /// Each node's position in `outbox_active` ([`EMPTY_SLOT`] when
-    /// inactive).
-    outbox_pos: Vec<u32>,
-    /// Total messages across all outboxes (O(1) `active`/`residency`).
-    outbox_msgs: u64,
+    outbox: Outbox,
     /// Total unacked messages across all flows.
     unacked_msgs: u64,
     /// Head/tail of the intrusive timeout list: flows with unacked data,
@@ -649,52 +526,20 @@ pub struct Delivery {
 }
 
 impl Delivery {
-    pub(crate) fn new(
-        nodes: usize,
-        config: DeliveryConfig,
-        format: WireFormat,
-        dense_flows: bool,
-    ) -> Delivery {
+    pub(crate) fn new(nodes: usize, config: DeliveryConfig, format: WireFormat) -> Delivery {
         assert!(config.window >= 1, "delivery window must be at least 1");
         assert!(
             nodes <= 1 << 16,
             "pair keys pack two 16-bit node indices ({nodes} nodes requested)"
         );
-        if dense_flows {
-            assert!(
-                nodes <= DENSE_FLOWS_MAX_NODES,
-                "dense flow tables support at most {DENSE_FLOWS_MAX_NODES} nodes"
-            );
-        }
-        let tx = (0..nodes)
-            .map(|_| {
-                if dense_flows {
-                    FlowRow::Dense(None)
-                } else {
-                    FlowRow::Sparse(NodeFlows::new())
-                }
-            })
-            .collect();
-        let rx = (0..nodes)
-            .map(|_| {
-                if dense_flows {
-                    FlowRow::Dense(None)
-                } else {
-                    FlowRow::Sparse(NodeFlows::new())
-                }
-            })
-            .collect();
         Delivery {
             config,
             stats: DeliveryStats::default(),
             nodes,
             format,
-            tx,
-            rx,
-            outbox: vec![VecDeque::new(); nodes],
-            outbox_active: Vec::new(),
-            outbox_pos: vec![EMPTY_SLOT; nodes],
-            outbox_msgs: 0,
+            tx: (0..nodes).map(|_| NodeFlows::new()).collect(),
+            rx: (0..nodes).map(|_| NodeFlows::new()).collect(),
+            outbox: Outbox::new(nodes),
             unacked_msgs: 0,
             to_head: NONE_LINK,
             to_tail: NONE_LINK,
@@ -714,11 +559,11 @@ impl Delivery {
     /// sparse tables, live entries, high-water marks, and probe steps.
     pub(crate) fn scan_stats(&self) -> ScanStats {
         let mut s = self.scan;
-        for row in &self.tx {
-            row.account(&mut s);
+        for t in &self.tx {
+            t.account(&mut s);
         }
-        for row in &self.rx {
-            row.account(&mut s);
+        for t in &self.rx {
+            t.account(&mut s);
         }
         s
     }
@@ -732,21 +577,32 @@ impl Delivery {
     /// traffic or unacknowledged data. While true, the machine cannot be
     /// quiescent and must not fast-forward past timeouts.
     pub fn active(&self) -> bool {
-        self.outbox_msgs > 0 || self.unacked_msgs > 0
+        self.outbox.msgs() > 0 || self.unacked_msgs > 0
     }
 
     /// Messages buffered inside the protocol (unacked + outbox) — the
     /// protocol's contribution to queue residency.
     pub fn residency(&self) -> u64 {
-        self.outbox_msgs + self.unacked_msgs
+        self.outbox.msgs() + self.unacked_msgs
+    }
+
+    /// The nodes whose outbox is non-empty, ascending.
+    pub(crate) fn outbox_nodes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.outbox.nodes()
     }
 
     // --- timeout list ---------------------------------------------------------
+    //
+    // List maintenance looks flows up without metering them: under the
+    // sharded cycle these operations replay in `absorb_deltas` after the
+    // phase that recorded them, when neighbouring tables may have grown past
+    // the state the one-domain cycle saw inline — metering them would make
+    // `flow_probes` depend on the worker count.
 
     /// Appends flow `pr` at the tail (it has the newest `last_send`).
     fn link_tail(&mut self, pr: u32) {
         let tail = self.to_tail;
-        let flow = flow_quiet(&mut self.tx, pair_major(pr), pr).expect(LIVE);
+        let flow = self.tx[pair_major(pr)].get_quiet(pr).expect(LIVE);
         debug_assert!(!flow.linked, "double link");
         flow.linked = true;
         flow.prev = tail;
@@ -755,14 +611,14 @@ impl Delivery {
             self.to_head = u64::from(pr);
         } else {
             let t = tail as u32;
-            flow_quiet(&mut self.tx, pair_major(t), t).expect(LIVE).next = u64::from(pr);
+            self.tx[pair_major(t)].get_quiet(t).expect(LIVE).next = u64::from(pr);
         }
         self.to_tail = u64::from(pr);
     }
 
     /// Removes flow `pr` from the list.
     fn unlink(&mut self, pr: u32) {
-        let flow = flow_quiet(&mut self.tx, pair_major(pr), pr).expect(LIVE);
+        let flow = self.tx[pair_major(pr)].get_quiet(pr).expect(LIVE);
         debug_assert!(flow.linked, "unlink of an unlinked flow");
         let (prev, next) = (flow.prev, flow.next);
         flow.linked = false;
@@ -772,168 +628,33 @@ impl Delivery {
             self.to_head = next;
         } else {
             let p = prev as u32;
-            flow_quiet(&mut self.tx, pair_major(p), p).expect(LIVE).next = next;
+            self.tx[pair_major(p)].get_quiet(p).expect(LIVE).next = next;
         }
         if next == NONE_LINK {
             self.to_tail = prev;
         } else {
             let n = next as u32;
-            flow_quiet(&mut self.tx, pair_major(n), n).expect(LIVE).prev = prev;
-        }
-    }
-
-    /// Re-appends `pr` at the tail after a `last_send` refresh, keeping the
-    /// list sorted (the new stamp is the maximum so far).
-    fn move_to_tail(&mut self, pr: u32) {
-        self.unlink(pr);
-        self.link_tail(pr);
-    }
-
-    // --- sender side ---------------------------------------------------------
-
-    pub(crate) fn outbox_front(&self, node: usize) -> Option<&Message> {
-        self.outbox[node].front()
-    }
-
-    /// The nodes whose outbox is non-empty, in no particular order (O(1)
-    /// activation/deactivation). The machine's injection phase sorts its
-    /// snapshot before merging with its running/draining lists.
-    pub(crate) fn outbox_nodes(&self) -> &[u32] {
-        &self.outbox_active
-    }
-
-    /// Marks `node`'s outbox non-empty: O(1) append plus position record.
-    fn activate(&mut self, node: usize) {
-        debug_assert_eq!(self.outbox_pos[node], EMPTY_SLOT, "double activate");
-        self.outbox_pos[node] = self.outbox_active.len() as u32;
-        self.outbox_active.push(node as u32);
-    }
-
-    /// Marks `node`'s outbox empty: O(1) swap-remove via the position map.
-    fn deactivate(&mut self, node: usize) {
-        let pos = self.outbox_pos[node] as usize;
-        debug_assert_eq!(self.outbox_active.get(pos), Some(&(node as u32)));
-        self.outbox_active.swap_remove(pos);
-        self.outbox_pos[node] = EMPTY_SLOT;
-        if let Some(&moved) = self.outbox_active.get(pos) {
-            self.outbox_pos[moved as usize] = pos as u32;
-        }
-    }
-
-    /// Appends a protocol message to `node`'s outbox, maintaining the
-    /// active-node set and the message total.
-    fn outbox_push(&mut self, node: usize, msg: Message) {
-        self.outbox[node].push_back(msg);
-        self.outbox_msgs += 1;
-        if self.outbox[node].len() == 1 {
-            self.activate(node);
-        }
-    }
-
-    pub(crate) fn outbox_pop(&mut self, node: usize) {
-        let Some(m) = self.outbox[node].pop_front() else {
-            return;
-        };
-        self.outbox_msgs -= 1;
-        if self.outbox[node].is_empty() {
-            self.deactivate(node);
-        }
-        match m.e2e {
-            // A retransmit copy left the outbox: credit the flow's pending
-            // counter (tx flows are never evicted, so the slot is live).
-            Some(h) if h.kind == E2eKind::Data => {
-                let pr = pair(node, m.dest().index());
-                let flow = flow_edit(&mut self.tx, node, pr).expect("pending copy's flow is live");
-                debug_assert!(flow.pending_copies > 0, "pop without a push");
-                flow.pending_copies -= 1;
-            }
-            // The flow's pending ack left: the next arrival queues a fresh
-            // one instead of coalescing. An rx flow whose state is all
-            // defaults again (nothing ever delivered in order, no ack
-            // pending) is evicted — its slot reads back identically.
-            Some(h) if h.kind == E2eKind::Ack => {
-                let pr = pair(node, m.dest().index());
-                let flow = flow_edit(&mut self.rx, node, pr).expect("pending ack's flow is live");
-                flow.ack_pending = false;
-                if flow.expected == 0 {
-                    flow_evict(&mut self.rx, node, pr);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Whether flow (src, dst) can take another first transmission.
-    pub(crate) fn can_admit(&self, src: usize, dst: usize) -> bool {
-        flow_ref(&self.tx, src, pair(src, dst))
-            .is_none_or(|flow| flow.unacked.len() < self.config.window)
-    }
-
-    /// Stamps `msg` with the flow's next header. Pure with respect to flow
-    /// state: nothing advances until [`commit`](Self::commit), so a refused
-    /// injection retries with the same sequence number.
-    pub(crate) fn stamp(&self, src: usize, dst: usize, msg: &mut Message) {
-        let psn = flow_ref(&self.tx, src, pair(src, dst)).map_or(0, |flow| flow.next_psn);
-        let crc = payload_crc(&msg.words, msg.mtype);
-        // The header carries the full node id — no cast, no node-count caveat.
-        msg.e2e = Some(E2eHeader::data(NodeId::from_index(src), psn, crc));
-    }
-
-    /// Records an accepted first transmission of a stamped message.
-    pub(crate) fn commit(&mut self, src: usize, dst: usize, msg: Message, cycle: u64) {
-        let pr = pair(src, dst);
-        let flow = flow_mut(&mut self.tx, self.nodes, src, pr);
-        let hdr = msg.e2e.expect("committed message is stamped");
-        debug_assert_eq!(hdr.psn, flow.next_psn);
-        let was_empty = flow.unacked.is_empty();
-        if was_empty {
-            flow.last_send = cycle;
-            flow.rounds = 0;
-        }
-        flow.unacked.push_back((hdr.psn, msg));
-        flow.next_psn += 1;
-        self.unacked_msgs += 1;
-        self.stats.accepted += 1;
-        if was_empty {
-            // First unacked message: the flow joins the timeout list with
-            // the newest stamp, i.e. at the tail.
-            debug_assert!(flow_peek(&self.tx, src, pr).is_some_and(|fl| !fl.linked));
-            self.link_tail(pr);
+            self.tx[pair_major(n)].get_quiet(n).expect(LIVE).prev = prev;
         }
     }
 
     /// Collects the pair keys due for a timeout at `cycle`, ascending, and
-    /// the number of flows examined. Shared by [`pump`](Self::pump) and
-    /// [`pump_par`](Self::pump_par) so both modes meter identically.
+    /// the number of flows examined.
     fn collect_due(&mut self, cycle: u64) -> (Vec<u32>, u64) {
         let mut due = std::mem::take(&mut self.due_scratch);
         debug_assert!(due.is_empty());
         let mut examined: u64 = 0;
         if self.dense_scan {
-            // The cross-check examines the dense N² flow cost regardless of
-            // storage, preserving the scheduler's conservation law
-            // (`scanned + skipped == dense cost`).
+            // The cross-check examines the dense N² flow cost, preserving
+            // the scheduler's conservation law (`scanned + skipped == dense
+            // cost`).
             examined = (self.nodes * self.nodes) as u64;
-            for (src, row) in self.tx.iter().enumerate() {
-                match row {
-                    FlowRow::Dense(r) => {
-                        let Some(r) = r.as_deref() else { continue };
-                        for (dst, flow) in r.iter().enumerate() {
-                            if !flow.unacked.is_empty()
-                                && cycle.saturating_sub(flow.last_send) >= self.config.timeout
-                            {
-                                due.push(pair(src, dst));
-                            }
-                        }
-                    }
-                    FlowRow::Sparse(map) => {
-                        for (pr, flow) in map.iter() {
-                            if !flow.unacked.is_empty()
-                                && cycle.saturating_sub(flow.last_send) >= self.config.timeout
-                            {
-                                due.push(pr);
-                            }
-                        }
+            for t in &self.tx {
+                for (pr, flow) in t.iter() {
+                    if !flow.unacked.is_empty()
+                        && cycle.saturating_sub(flow.last_send) >= self.config.timeout
+                    {
+                        due.push(pr);
                     }
                 }
             }
@@ -945,7 +666,7 @@ impl Delivery {
             while cur != NONE_LINK {
                 examined += 1;
                 let pr = cur as u32;
-                let flow = flow_ref(&self.tx, pair_major(pr), pr).expect(LIVE);
+                let flow = self.tx[pair_major(pr)].get(pr).expect(LIVE);
                 debug_assert!(!flow.unacked.is_empty(), "linked flow has no unacked");
                 if cycle.saturating_sub(flow.last_send) < self.config.timeout {
                     break;
@@ -956,15 +677,23 @@ impl Delivery {
         }
         // Fire in ascending pair key — the (src, dst) order of the dense
         // scan — so retransmit copies append to each outbox bit-identically
-        // (the sparse iteration above is slab order, the list walk is
+        // (the table iteration above is slab order, the list walk is
         // `last_send` order; both need the sort).
         due.sort_unstable();
         (due, examined)
     }
 
     /// Fires due retransmission timeouts (called once per cycle, before the
-    /// injection phase).
-    pub(crate) fn pump(&mut self, cycle: u64) {
+    /// injection phase), so the copies contend for this cycle's injection
+    /// slots. `bounds` are the cycle's domain boundaries: due-flow
+    /// collection (and the scan meters) is global, while firing runs in
+    /// place or — with several domains and enough due flows — per domain in
+    /// parallel. Sound because a flow's table is source-major (each due flow
+    /// fires entirely inside its source's domain), the due list is ascending
+    /// by pair key (so per-domain chunks are contiguous), and every global
+    /// effect is buffered and replayed in domain order — which *is* the
+    /// ascending-key fire order.
+    pub(crate) fn pump(&mut self, cycle: u64, bounds: &[usize]) {
         // No flow holds unacked data: nothing can be due. Returning before
         // any counting keeps the scan counters identical between the naive
         // loop and the fast-forward (both only reach a non-trivial pump
@@ -974,37 +703,12 @@ impl Delivery {
         }
         let dense_cost = (self.nodes * self.nodes) as u64;
         let (mut due, examined) = self.collect_due(cycle);
-        for &pr in &due {
-            self.fire_timeout(pr, cycle);
-        }
-        due.clear();
-        self.due_scratch = due;
-        self.scan.scanned_flows += examined;
-        self.scan.skipped_work += dense_cost - examined;
-    }
-
-    /// [`pump`](Self::pump), sharded: due-flow collection (and the scan
-    /// meters) stay serial and byte-identical, while the firing of due flows
-    /// is fanned across spatial domains when there are enough of them.
-    /// Sound because a flow's table is source-major (each due flow fires
-    /// entirely inside its source's domain), the due list is ascending by
-    /// pair key (so per-domain chunks are contiguous), and every global
-    /// effect is buffered and replayed in domain order — which *is* the
-    /// serial ascending-key fire order.
-    pub(crate) fn pump_par(&mut self, cycle: u64, bounds: &[usize]) {
-        if self.to_head == NONE_LINK {
-            return;
-        }
-        let dense_cost = (self.nodes * self.nodes) as u64;
-        let (mut due, examined) = self.collect_due(cycle);
         let domains = bounds.len().saturating_sub(1);
         if domains < 2 || due.len() < PAR_FIRE_MIN {
             for &pr in &due {
-                self.fire_timeout(pr, cycle);
+                fire_timeout(self, pr, cycle);
             }
         } else {
-            // `due` is ascending by pair key and keys are source-major, so
-            // each domain's due flows form one contiguous chunk.
             let mut chunks: Vec<&[u32]> = Vec::with_capacity(domains);
             let mut rest: &[u32] = &due;
             for w in bounds.windows(2) {
@@ -1014,19 +718,15 @@ impl Delivery {
                 rest = tail;
             }
             debug_assert!(rest.is_empty());
-            let mut tasks: Vec<FireTask<'_>> = self
-                .split_ranges(bounds)
-                .into_iter()
-                .zip(chunks)
-                .map(|(range, chunk)| FireTask { range, chunk })
-                .collect();
-            run_tasks(&mut tasks, |_, t| {
-                for &pr in t.chunk {
-                    t.range.fire_timeout(pr, cycle);
+            let mut tasks: Vec<(DeliveryRange<'_>, &[u32])> =
+                self.split_ranges(bounds).into_iter().zip(chunks).collect();
+            run_tasks(&mut tasks, |_, (range, chunk)| {
+                for &pr in *chunk {
+                    fire_timeout(range, pr, cycle);
                 }
             });
             let deltas: Vec<DeliveryDelta> =
-                tasks.into_iter().map(|t| t.range.into_delta()).collect();
+                tasks.into_iter().map(|(r, _)| r.into_delta()).collect();
             self.absorb_deltas(deltas);
         }
         due.clear();
@@ -1035,36 +735,31 @@ impl Delivery {
         self.scan.skipped_work += dense_cost - examined;
     }
 
-    /// Splits the protocol state into per-domain row views for the parallel
-    /// cycle. Domain `d` of `bounds` owns `tx`/`outbox` rows of its source
-    /// nodes and `rx` rows of its destination nodes.
+    /// Splits the protocol state into per-domain views for the sharded
+    /// cycle. Domain `d` of `bounds` owns `tx`/outbox tables of its source
+    /// nodes and `rx` tables of its destination nodes.
     pub(crate) fn split_ranges(&mut self, bounds: &[usize]) -> Vec<DeliveryRange<'_>> {
         debug_assert_eq!(bounds[0], 0);
         debug_assert_eq!(*bounds.last().expect("non-empty bounds"), self.nodes);
-        let nodes = self.nodes;
-        let config = self.config;
-        let format = self.format;
+        let (config, format) = (self.config, self.format);
+        let mut tx = self.tx.as_mut_slice();
+        let mut rx = self.rx.as_mut_slice();
         let mut out = Vec::with_capacity(bounds.len().saturating_sub(1));
-        let mut tx: &mut [FlowRow<FlowTx>] = self.tx.as_mut_slice();
-        let mut rx: &mut [FlowRow<FlowRx>] = self.rx.as_mut_slice();
-        let mut outbox: &mut [VecDeque<Message>] = self.outbox.as_mut_slice();
-        for w in bounds.windows(2) {
-            let span = w[1] - w[0];
-            let (tx_head, tx_tail) = tx.split_at_mut(span);
+        for (w, outbox) in bounds.windows(2).zip(self.outbox.split(bounds)) {
+            let (tx_head, tx_tail) = tx.split_at_mut(w[1] - w[0]);
             tx = tx_tail;
-            let (rx_head, rx_tail) = rx.split_at_mut(span);
+            let (rx_head, rx_tail) = rx.split_at_mut(w[1] - w[0]);
             rx = rx_tail;
-            let (ob_head, ob_tail) = outbox.split_at_mut(span);
-            outbox = ob_tail;
             out.push(DeliveryRange {
                 config,
-                nodes,
                 format,
                 lo: w[0],
                 tx: tx_head,
                 rx: rx_head,
-                outbox: ob_head,
-                delta: DeliveryDelta::default(),
+                outbox,
+                stats: DeliveryStats::default(),
+                unacked: 0,
+                ops: Vec::new(),
             });
         }
         out
@@ -1072,508 +767,499 @@ impl Delivery {
 
     /// Replays per-domain deltas, in domain order. Because domains are
     /// contiguous ascending node ranges and each worker recorded its ops in
-    /// its own visit order, the concatenation is exactly the serial
-    /// ascending-node op sequence — the active-outbox set and the intrusive
-    /// timeout list end up identical to a serial cycle.
+    /// its own visit order, the concatenation is exactly the ascending-node
+    /// op sequence the one-domain cycle applies in place — the active-outbox
+    /// set and the intrusive timeout list end up identical.
     pub(crate) fn absorb_deltas(&mut self, deltas: impl IntoIterator<Item = DeliveryDelta>) {
         for d in deltas {
             self.stats.add(&d.stats);
-            self.outbox_msgs = u64::try_from(self.outbox_msgs as i64 + d.outbox_msgs)
-                .expect("outbox total cannot go negative");
-            self.unacked_msgs = u64::try_from(self.unacked_msgs as i64 + d.unacked_msgs)
-                .expect("unacked total cannot go negative");
-            for &node in &d.active_remove {
-                self.deactivate(node as usize);
-            }
-            for &node in &d.active_add {
-                self.activate(node as usize);
-            }
-            for &(pr, op) in &d.ops {
-                match op {
-                    ListOp::LinkTail => self.link_tail(pr),
-                    ListOp::Unlink => self.unlink(pr),
-                    ListOp::MoveToTail => self.move_to_tail(pr),
-                }
+            self.unacked(d.unacked);
+            self.outbox.absorb(d.outbox);
+            for (pr, op) in d.ops {
+                self.list(pr, op);
             }
         }
     }
 
-    /// One due flow's timeout: requeue the window (go-back-N), or just reset
-    /// the timer if the previous round's copies are still queued, or abandon
-    /// once the budget is spent. Lookup-for-lookup identical to the
-    /// [`DeliveryRange`] twin so the probe meter cannot tell them apart.
-    fn fire_timeout(&mut self, pr: u32, cycle: u64) {
-        let src = pair_major(pr);
-        // Copies from the previous round still await injection: the outbox
-        // is congested, not the receiver unresponsive. Reset the timer
-        // without burning a budget round.
-        if flow_edit(&mut self.tx, src, pr).expect(LIVE).pending_copies > 0 {
-            flow_edit(&mut self.tx, src, pr).expect(LIVE).last_send = cycle;
-            self.move_to_tail(pr);
-            return;
+    /// Checks the state the two views must keep consistent: a flow is on
+    /// the timeout list iff its unacked window is non-empty, the list is
+    /// ordered by `last_send`, the unacked and outbox totals match the
+    /// tables and queues, the active-outbox set is exactly the nodes with
+    /// queued traffic, each flow's `pending_copies` counts its queued data
+    /// copies, and `ack_pending` holds iff an ack for the flow is queued.
+    /// Lookups here are unmetered.
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        fn ensure(ok: bool, what: impl FnOnce() -> String) -> Result<(), String> {
+            ok.then_some(()).ok_or_else(what)
         }
-        {
-            let flow = flow_edit(&mut self.tx, src, pr).expect(LIVE);
-            flow.rounds += 1;
-            flow.last_send = cycle;
+        self.outbox.check("delivery")?;
+        let name = |pr: u32| format!("flow {}->{}", pair_major(pr), pair_minor(pr));
+        let queued = |node: usize, kind: E2eKind, peer: Option<usize>| {
+            let hit = |m: &&Message| {
+                matches!(m.e2e, Some(h) if h.kind == kind)
+                    && peer.is_none_or(|p| m.dest().index() == p)
+            };
+            self.outbox.queue(node).iter().filter(hit).count()
+        };
+        let (mut unacked, mut linked) = (0, 0);
+        for (pr, flow) in self.tx.iter().flat_map(NodeFlows::iter) {
+            let (n, copies) = (flow.unacked.len(), flow.pending_copies as usize);
+            ensure(flow.linked == (n > 0), || {
+                format!("{}: {n} unacked", name(pr))
+            })?;
+            let queued = queued(pair_major(pr), E2eKind::Data, Some(pair_minor(pr)));
+            ensure(queued == copies, || {
+                format!("{}: {queued} copies", name(pr))
+            })?;
+            unacked += n as u64;
+            linked += u64::from(flow.linked);
         }
-        self.stats.timeout_rounds += 1;
-        if flow_edit(&mut self.tx, src, pr).expect(LIVE).rounds > self.config.retransmit_limit {
-            // Budget exhausted: the receiver is unreachable. Abandon the
-            // window rather than wedging the machine. The flow slot (and
-            // its spent budget) stays live — see the eviction semantics.
-            let len = flow_edit(&mut self.tx, src, pr).expect(LIVE).unacked.len() as u64;
-            self.stats.abandoned += len;
-            self.unacked_msgs -= len;
-            let flow = flow_edit(&mut self.tx, src, pr).expect(LIVE);
-            flow.unacked.clear();
-            flow.rounds = 0;
-            self.unlink(pr);
-            return;
+        ensure(unacked == self.unacked_msgs, || {
+            format!("{unacked} unacked")
+        })?;
+        let (mut cur, mut prev, mut last, mut len) = (self.to_head, NONE_LINK, 0, 0);
+        while cur != NONE_LINK && len <= linked {
+            let pr = cur as u32;
+            let flow = self.tx[pair_major(pr)].peek(pr).filter(|f| f.linked);
+            let flow = flow.ok_or_else(|| format!("{} listed, not linked", name(pr)))?;
+            ensure(flow.prev == prev, || format!("{}: broken link", name(pr)))?;
+            ensure(flow.last_send >= last, || {
+                format!("{}: out of order", name(pr))
+            })?;
+            (last, prev, cur, len) = (flow.last_send, cur, flow.next, len + 1);
         }
-        // Go-back-N: requeue the whole window.
-        let count = flow_edit(&mut self.tx, src, pr).expect(LIVE).unacked.len();
-        for k in 0..count {
-            let m = flow_edit(&mut self.tx, src, pr).expect(LIVE).unacked[k].1;
-            self.outbox_push(src, m);
-        }
-        flow_edit(&mut self.tx, src, pr).expect(LIVE).pending_copies += count as u32;
-        self.stats.retransmits += count as u64;
-        self.move_to_tail(pr);
-    }
-
-    // --- receiver side -------------------------------------------------------
-
-    /// Classifies an arrived protocol message (pure; effects in
-    /// [`on_delivered`](Self::on_delivered)/[`on_consumed`](Self::on_consumed)).
-    pub(crate) fn rx_action(&self, dst: usize, msg: &Message) -> RxAction {
-        let hdr = msg.e2e.expect("rx_action on a protocol message");
-        if payload_crc(&msg.words, msg.mtype) != hdr.crc {
-            return RxAction::Consume;
-        }
-        match hdr.kind {
-            E2eKind::Ack => RxAction::Consume,
-            E2eKind::Data => {
-                let expected = flow_ref(&self.rx, dst, pair(dst, hdr.src.index()))
-                    .map_or(0, |flow| flow.expected);
-                if hdr.psn == expected {
-                    RxAction::Deliver
-                } else {
-                    RxAction::Consume
-                }
+        ensure(prev == self.to_tail && len == linked, || {
+            format!("timeout list holds {len} of {linked} linked flows")
+        })?;
+        let mut awaited = 0;
+        for (dst, t) in self.rx.iter().enumerate() {
+            for (pr, flow) in t.iter() {
+                let acks = queued(dst, E2eKind::Ack, Some(pair_minor(pr)));
+                ensure(acks == usize::from(flow.ack_pending), || {
+                    format!("{}: {acks} acks queued", name(pr))
+                })?;
+                awaited += acks;
             }
         }
-    }
-
-    /// Applies an in-order data delivery: advances the flow and queues the
-    /// cumulative ack.
-    pub(crate) fn on_delivered(&mut self, dst: usize, msg: &Message, cycle: u64) {
-        let hdr = msg.e2e.expect("delivered message has a header");
-        let flow = flow_mut(&mut self.rx, self.nodes, dst, pair(dst, hdr.src.index()));
-        debug_assert_eq!(hdr.psn, flow.expected);
-        flow.expected += 1;
-        self.stats.delivered_unique += 1;
-        let _ = cycle;
-        self.queue_ack(dst, hdr.src.index());
-    }
-
-    /// Applies a consumed (non-delivered) arrival: ack bookkeeping for the
-    /// sender, re-acks for duplicates and gaps, counters for everything.
-    pub(crate) fn on_consumed(&mut self, dst: usize, msg: &Message, cycle: u64) {
-        let hdr = msg.e2e.expect("consumed message has a header");
-        if payload_crc(&msg.words, msg.mtype) != hdr.crc {
-            // Unverifiable header: trust nothing in it, count and move on.
-            self.stats.corrupt_dropped += 1;
-            return;
-        }
-        match hdr.kind {
-            E2eKind::Ack => {
-                // `dst` is the flow's sender; the header names the acker.
-                // Non-creating on purpose: an ack for a flow that never
-                // committed (possible only in synthetic scenarios) must not
-                // materialise sender state.
-                self.stats.acks_received += 1;
-                let pr = pair(dst, hdr.src.index());
-                let Some(flow) = flow_edit(&mut self.tx, dst, pr) else {
-                    return;
-                };
-                let mut progressed = false;
-                while flow.unacked.front().is_some_and(|&(psn, _)| psn < hdr.psn) {
-                    flow.unacked.pop_front();
-                    self.unacked_msgs -= 1;
-                    progressed = true;
-                }
-                if progressed {
-                    flow.rounds = 0;
-                    flow.last_send = cycle;
-                    let fully_acked = flow.unacked.is_empty();
-                    if fully_acked {
-                        // Fully acked: off the timeout list.
-                        self.unlink(pr);
-                    } else {
-                        // Timer restarted at the newest stamp: tail.
-                        self.move_to_tail(pr);
-                    }
-                }
-            }
-            E2eKind::Data => {
-                let expected = flow_ref(&self.rx, dst, pair(dst, hdr.src.index()))
-                    .map_or(0, |flow| flow.expected);
-                if hdr.psn < expected {
-                    self.stats.dup_suppressed += 1;
-                } else {
-                    self.stats.out_of_order_dropped += 1;
-                }
-                // Either way, remind the sender where the flow stands (a
-                // lost ack is recovered by the duplicate's re-ack).
-                self.queue_ack(dst, hdr.src.index());
-            }
-        }
-    }
-
-    /// Queues (or refreshes) the cumulative ack from `receiver` back to the
-    /// flow's `sender`. At most one pending ack per flow lives in the
-    /// outbox: a newer cumulative ack *coalesces* into it (highest sequence
-    /// number wins) instead of enqueueing another — without this, every
-    /// data arrival on a congested outbox would add an ack (an ack flood).
-    fn queue_ack(&mut self, receiver: usize, sender: usize) {
-        let pr = pair(receiver, sender);
-        let psn = flow_ref(&self.rx, receiver, pr).map_or(0, |f| f.expected);
-        // Full node ids end to end: the ack names its flow without casts,
-        // and is composed under the machine's wire format.
-        let sender_id = NodeId::from_index(sender);
-        let mut ack = Message::to_in(self.format, sender_id, [0; 5], MsgType::default());
-        let crc = payload_crc(&ack.words, ack.mtype);
-        ack.e2e = Some(E2eHeader::ack(NodeId::from_index(receiver), psn, crc));
-        if flow_ref(&self.rx, receiver, pr).is_some_and(|f| f.ack_pending) {
-            for m in self.outbox[receiver].iter_mut() {
-                if matches!(m.e2e, Some(h) if h.kind == E2eKind::Ack) && m.dest() == sender_id {
-                    // Cumulative: only ever move the acked prefix forward
-                    // (`expected` is monotone, so `<=` always holds — the
-                    // guard is defense in depth).
-                    if m.e2e.expect("matched above").psn <= psn {
-                        *m = ack;
-                    }
-                    self.stats.acks_coalesced += 1;
-                    return;
-                }
-            }
-            debug_assert!(false, "ack_pending set but no ack queued");
-        }
-        flow_mut(&mut self.rx, self.nodes, receiver, pr).ack_pending = true;
-        self.outbox_push(receiver, ack);
-        self.stats.acks_sent += 1;
+        let acks = (0..self.nodes)
+            .map(|n| queued(n, E2eKind::Ack, None))
+            .sum::<usize>();
+        ensure(acks == awaited, || {
+            format!("{acks} acks queued, {awaited} awaited")
+        })
     }
 }
 
-// --- parallel-cycle views ----------------------------------------------------
+// --- the protocol body ---------------------------------------------------------
 
-/// A deferred intrusive-timeout-list operation, recorded by a worker in its
-/// visit order and replayed serially by [`Delivery::absorb_deltas`]. Workers
-/// never touch the `prev`/`next`/`linked` links directly — those thread
-/// through tables owned by other domains.
+/// A deferred intrusive-timeout-list operation, applied in place by
+/// [`Delivery`] and recorded in visit order by a [`DeliveryRange`] for
+/// replay by [`Delivery::absorb_deltas`]. Workers never touch the
+/// `prev`/`next`/`linked` links directly — those thread through tables
+/// owned by other domains.
 #[derive(Debug, Clone, Copy)]
-enum ListOp {
-    /// Replays as [`Delivery::link_tail`].
+pub(crate) enum ListOp {
+    /// The flow joins at the tail (first unacked message).
     LinkTail,
-    /// Replays as [`Delivery::unlink`].
+    /// The flow leaves (fully acked or abandoned).
     Unlink,
-    /// Replays as [`Delivery::move_to_tail`].
+    /// The flow's `last_send` was refreshed: unlink, then link at the tail.
     MoveToTail,
 }
 
+/// The state surface the protocol body needs, implemented by the
+/// whole-machine [`Delivery`] (every effect applied in place) and by a
+/// domain's [`DeliveryRange`] (its own tables edited in place, machine-global
+/// effects buffered). Node indices and pair keys are global under both.
+pub(crate) trait DeliveryView {
+    /// The outbox discipline matching the view.
+    type Outbox: OutboxView;
+    fn config(&self) -> DeliveryConfig;
+    fn format(&self) -> WireFormat;
+    /// Sender flows of `src`, keyed `pair(src, dst)`.
+    fn tx(&mut self, src: usize) -> &mut NodeFlows<FlowTx>;
+    /// Receiver flows of `dst`, keyed `pair(dst, src)`.
+    fn rx(&mut self, dst: usize) -> &mut NodeFlows<FlowRx>;
+    fn outbox(&mut self) -> &mut Self::Outbox;
+    fn stats_mut(&mut self) -> &mut DeliveryStats;
+    /// Adds `n` to the machine-wide unacked total.
+    fn unacked(&mut self, n: i64);
+    /// Applies (or records) a timeout-list operation on flow `pr`.
+    fn list(&mut self, pr: u32, op: ListOp);
+}
+
+impl DeliveryView for Delivery {
+    type Outbox = Outbox;
+    #[inline]
+    fn config(&self) -> DeliveryConfig {
+        self.config
+    }
+    #[inline]
+    fn format(&self) -> WireFormat {
+        self.format
+    }
+    #[inline]
+    fn tx(&mut self, src: usize) -> &mut NodeFlows<FlowTx> {
+        &mut self.tx[src]
+    }
+    #[inline]
+    fn rx(&mut self, dst: usize) -> &mut NodeFlows<FlowRx> {
+        &mut self.rx[dst]
+    }
+    #[inline]
+    fn outbox(&mut self) -> &mut Outbox {
+        &mut self.outbox
+    }
+    #[inline]
+    fn stats_mut(&mut self) -> &mut DeliveryStats {
+        &mut self.stats
+    }
+    #[inline]
+    fn unacked(&mut self, n: i64) {
+        self.unacked_msgs = self
+            .unacked_msgs
+            .checked_add_signed(n)
+            .expect("unacked total cannot go negative");
+    }
+    #[inline]
+    fn list(&mut self, pr: u32, op: ListOp) {
+        match op {
+            ListOp::LinkTail => self.link_tail(pr),
+            ListOp::Unlink => self.unlink(pr),
+            ListOp::MoveToTail => {
+                self.unlink(pr);
+                self.link_tail(pr);
+            }
+        }
+    }
+}
+
+/// Removes the head of `node`'s outbox after its injection, crediting the
+/// flow it belongs to.
+pub(crate) fn outbox_pop<V: DeliveryView>(v: &mut V, node: usize) {
+    let Some(m) = v.outbox().pop(node) else {
+        return;
+    };
+    match m.e2e {
+        // A retransmit copy left the outbox: credit the flow's pending
+        // counter (tx flows are never evicted, so the slot is live).
+        Some(h) if h.kind == E2eKind::Data => {
+            let pr = pair(node, m.dest().index());
+            let flow = v.tx(node).get_mut(pr).expect("pending copy's flow is live");
+            debug_assert!(flow.pending_copies > 0, "pop without a push");
+            flow.pending_copies -= 1;
+        }
+        // The flow's pending ack left: the next arrival queues a fresh one
+        // instead of coalescing. An rx flow whose state is all defaults
+        // again (nothing ever delivered in order, no ack pending) is
+        // evicted — its slot reads back identically.
+        Some(h) if h.kind == E2eKind::Ack => {
+            let pr = pair(node, m.dest().index());
+            let rx = v.rx(node);
+            let flow = rx.get_mut(pr).expect("pending ack's flow is live");
+            flow.ack_pending = false;
+            if flow.expected == 0 {
+                rx.remove(pr);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Whether flow (src, dst) can take another first transmission.
+pub(crate) fn can_admit<V: DeliveryView>(v: &mut V, src: usize, dst: usize) -> bool {
+    let window = v.config().window;
+    v.tx(src)
+        .get(pair(src, dst))
+        .is_none_or(|flow| flow.unacked.len() < window)
+}
+
+/// Stamps `msg` with the flow's next header. Pure with respect to flow
+/// state: nothing advances until [`commit`], so a refused injection retries
+/// with the same sequence number.
+pub(crate) fn stamp<V: DeliveryView>(v: &mut V, src: usize, dst: usize, msg: &mut Message) {
+    let psn = v
+        .tx(src)
+        .get(pair(src, dst))
+        .map_or(0, |flow| flow.next_psn);
+    let crc = payload_crc(&msg.words, msg.mtype);
+    msg.e2e = Some(E2eHeader::data(NodeId::from_index(src), psn, crc));
+}
+
+/// Records an accepted first transmission of a stamped message.
+pub(crate) fn commit<V: DeliveryView>(v: &mut V, src: usize, dst: usize, msg: Message, cycle: u64) {
+    let pr = pair(src, dst);
+    let table = v.tx(src);
+    let flow = table.get_or_insert(pr);
+    let hdr = msg.e2e.expect("committed message is stamped");
+    debug_assert_eq!(hdr.psn, flow.next_psn);
+    let was_empty = flow.unacked.is_empty();
+    if was_empty {
+        flow.last_send = cycle;
+        flow.rounds = 0;
+    }
+    flow.unacked.push_back((hdr.psn, msg));
+    flow.next_psn += 1;
+    if was_empty {
+        // Only the sender's own phase commits, at most once per flow per
+        // cycle, so the pre-phase link flag is trustworthy under both views.
+        debug_assert!(table.peek(pr).is_some_and(|fl| !fl.linked));
+    }
+    v.unacked(1);
+    v.stats_mut().accepted += 1;
+    if was_empty {
+        // First unacked message: the flow joins the timeout list with the
+        // newest stamp, i.e. at the tail.
+        v.list(pr, ListOp::LinkTail);
+    }
+}
+
+/// One due flow's timeout: requeue the window (go-back-N), or just reset
+/// the timer if the previous round's copies are still queued, or abandon
+/// once the budget is spent.
+fn fire_timeout<V: DeliveryView>(v: &mut V, pr: u32, cycle: u64) {
+    let src = pair_major(pr);
+    // Copies from the previous round still await injection: the outbox is
+    // congested, not the receiver unresponsive. Reset the timer without
+    // burning a budget round.
+    if v.tx(src).get_mut(pr).expect(LIVE).pending_copies > 0 {
+        v.tx(src).get_mut(pr).expect(LIVE).last_send = cycle;
+        v.list(pr, ListOp::MoveToTail);
+        return;
+    }
+    {
+        let flow = v.tx(src).get_mut(pr).expect(LIVE);
+        flow.rounds += 1;
+        flow.last_send = cycle;
+    }
+    v.stats_mut().timeout_rounds += 1;
+    let limit = v.config().retransmit_limit;
+    if v.tx(src).get_mut(pr).expect(LIVE).rounds > limit {
+        // Budget exhausted: the receiver is unreachable. Abandon the window
+        // rather than wedging the machine. The flow slot (and its spent
+        // budget) stays live — see the eviction semantics.
+        let len = v.tx(src).get_mut(pr).expect(LIVE).unacked.len() as u64;
+        v.stats_mut().abandoned += len;
+        v.unacked(-(len as i64));
+        let flow = v.tx(src).get_mut(pr).expect(LIVE);
+        flow.unacked.clear();
+        flow.rounds = 0;
+        v.list(pr, ListOp::Unlink);
+        return;
+    }
+    // Go-back-N: requeue the whole window.
+    let count = v.tx(src).get_mut(pr).expect(LIVE).unacked.len();
+    for k in 0..count {
+        let m = v.tx(src).get_mut(pr).expect(LIVE).unacked[k].1;
+        v.outbox().push(src, m);
+    }
+    v.tx(src).get_mut(pr).expect(LIVE).pending_copies += count as u32;
+    v.stats_mut().retransmits += count as u64;
+    v.list(pr, ListOp::MoveToTail);
+}
+
+/// Classifies an arrived protocol message (pure; effects in
+/// [`on_delivered`]/[`on_consumed`]).
+pub(crate) fn rx_action<V: DeliveryView>(v: &mut V, dst: usize, msg: &Message) -> RxAction {
+    let hdr = msg.e2e.expect("rx_action on a protocol message");
+    if payload_crc(&msg.words, msg.mtype) != hdr.crc {
+        return RxAction::Consume;
+    }
+    match hdr.kind {
+        E2eKind::Ack => RxAction::Consume,
+        E2eKind::Data => {
+            let expected = v
+                .rx(dst)
+                .get(pair(dst, hdr.src.index()))
+                .map_or(0, |flow| flow.expected);
+            if hdr.psn == expected {
+                RxAction::Deliver
+            } else {
+                RxAction::Consume
+            }
+        }
+    }
+}
+
+/// Applies an in-order data delivery: advances the flow and queues the
+/// cumulative ack.
+pub(crate) fn on_delivered<V: DeliveryView>(v: &mut V, dst: usize, msg: &Message) {
+    let hdr = msg.e2e.expect("delivered message has a header");
+    let flow = v.rx(dst).get_or_insert(pair(dst, hdr.src.index()));
+    debug_assert_eq!(hdr.psn, flow.expected);
+    flow.expected += 1;
+    v.stats_mut().delivered_unique += 1;
+    queue_ack(v, dst, hdr.src.index());
+}
+
+/// Applies a consumed (non-delivered) arrival: ack bookkeeping for the
+/// sender, re-acks for duplicates and gaps, counters for everything.
+pub(crate) fn on_consumed<V: DeliveryView>(v: &mut V, dst: usize, msg: &Message, cycle: u64) {
+    let hdr = msg.e2e.expect("consumed message has a header");
+    if payload_crc(&msg.words, msg.mtype) != hdr.crc {
+        // Unverifiable header: trust nothing in it, count and move on.
+        v.stats_mut().corrupt_dropped += 1;
+        return;
+    }
+    match hdr.kind {
+        E2eKind::Ack => {
+            // `dst` is the flow's sender (its table is source-major, so
+            // local to `dst`'s domain); the header names the acker.
+            // Non-creating on purpose: an ack for a flow that never
+            // committed (possible only in synthetic scenarios) must not
+            // materialise sender state.
+            v.stats_mut().acks_received += 1;
+            let pr = pair(dst, hdr.src.index());
+            let Some(flow) = v.tx(dst).get_mut(pr) else {
+                return;
+            };
+            let mut acked = 0;
+            while flow.unacked.front().is_some_and(|&(psn, _)| psn < hdr.psn) {
+                flow.unacked.pop_front();
+                acked += 1;
+            }
+            if acked == 0 {
+                return;
+            }
+            flow.rounds = 0;
+            flow.last_send = cycle;
+            // Fully acked: off the timeout list. Otherwise the timer
+            // restarted at the newest stamp: tail.
+            let op = if flow.unacked.is_empty() {
+                ListOp::Unlink
+            } else {
+                ListOp::MoveToTail
+            };
+            v.unacked(-acked);
+            v.list(pr, op);
+        }
+        E2eKind::Data => {
+            let expected = v
+                .rx(dst)
+                .get(pair(dst, hdr.src.index()))
+                .map_or(0, |flow| flow.expected);
+            if hdr.psn < expected {
+                v.stats_mut().dup_suppressed += 1;
+            } else {
+                v.stats_mut().out_of_order_dropped += 1;
+            }
+            // Either way, remind the sender where the flow stands (a lost
+            // ack is recovered by the duplicate's re-ack).
+            queue_ack(v, dst, hdr.src.index());
+        }
+    }
+}
+
+/// Queues (or refreshes) the cumulative ack from `receiver` back to the
+/// flow's `sender`. At most one pending ack per flow lives in the outbox: a
+/// newer cumulative ack *coalesces* into it (highest sequence number wins)
+/// instead of enqueueing another — without this, every data arrival on a
+/// congested outbox would add an ack (an ack flood).
+fn queue_ack<V: DeliveryView>(v: &mut V, receiver: usize, sender: usize) {
+    let pr = pair(receiver, sender);
+    let psn = v.rx(receiver).get(pr).map_or(0, |f| f.expected);
+    // Full node ids end to end: the ack names its flow without casts, and
+    // is composed under the machine's wire format.
+    let sender_id = NodeId::from_index(sender);
+    let mut ack = Message::to_in(v.format(), sender_id, [0; 5], MsgType::default());
+    let crc = payload_crc(&ack.words, ack.mtype);
+    ack.e2e = Some(E2eHeader::ack(NodeId::from_index(receiver), psn, crc));
+    if v.rx(receiver).get(pr).is_some_and(|f| f.ack_pending) {
+        for m in v.outbox().queue_mut(receiver).iter_mut() {
+            if matches!(m.e2e, Some(h) if h.kind == E2eKind::Ack) && m.dest() == sender_id {
+                // Cumulative: only ever move the acked prefix forward
+                // (`expected` is monotone, so `<=` always holds — the guard
+                // is defense in depth).
+                if m.e2e.expect("matched above").psn <= psn {
+                    *m = ack;
+                }
+                v.stats_mut().acks_coalesced += 1;
+                return;
+            }
+        }
+        debug_assert!(false, "ack_pending set but no ack queued");
+    }
+    v.rx(receiver).get_or_insert(pr).ack_pending = true;
+    v.outbox().push(receiver, ack);
+    v.stats_mut().acks_sent += 1;
+}
+
+// --- the sharded view ------------------------------------------------------------
+
 /// The machine-global effects a [`DeliveryRange`] buffered during one
-/// parallel phase, replayed by [`Delivery::absorb_deltas`].
+/// sharded phase, replayed by [`Delivery::absorb_deltas`].
 #[derive(Debug, Default)]
 pub(crate) struct DeliveryDelta {
     stats: DeliveryStats,
-    /// Net outbox message count change (pops make it negative).
-    outbox_msgs: i64,
     /// Net unacked message count change (acks/abandons make it negative).
-    unacked_msgs: i64,
-    /// Nodes whose outbox went non-empty this phase. Each phase is monotone
-    /// per node (push-only or pop-only), so a node appears in at most one of
-    /// the two lists, at most once.
-    active_add: Vec<u32>,
-    /// Nodes whose outbox drained empty this phase.
-    active_remove: Vec<u32>,
+    unacked: i64,
     /// Timeout-list operations (pair keys), in this domain's visit order.
     ops: Vec<(u32, ListOp)>,
+    outbox: OutboxDelta,
 }
 
-/// One spatial domain's due flows plus its protocol rows, for the parallel
-/// fire phase of [`Delivery::pump_par`].
-struct FireTask<'a> {
-    range: DeliveryRange<'a>,
-    chunk: &'a [u32],
-}
-
-/// One spatial domain's mutable view of the protocol state during a parallel
-/// phase: the domain's own `tx`/`outbox` tables (source-major) and `rx`
-/// tables (destination-major), with every machine-global effect buffered in
-/// a [`DeliveryDelta`]. Methods mirror the serial [`Delivery`] entry points
-/// and take the same *global* node indices and pair keys; out-of-domain
-/// indices panic on the slice bounds.
+/// One spatial domain's view of the protocol state during a sharded phase:
+/// the domain's own `tx`/outbox tables (source-major) and `rx` tables
+/// (destination-major), with every machine-global effect buffered.
+/// Out-of-domain indices panic on the slice bounds.
 pub(crate) struct DeliveryRange<'a> {
     config: DeliveryConfig,
-    nodes: usize,
-    /// The machine's wire format (acks are composed under it).
     format: WireFormat,
     /// First node of the domain (row offset of the slices).
     lo: usize,
-    tx: &'a mut [FlowRow<FlowTx>],
-    rx: &'a mut [FlowRow<FlowRx>],
-    outbox: &'a mut [VecDeque<Message>],
-    delta: DeliveryDelta,
+    tx: &'a mut [NodeFlows<FlowTx>],
+    rx: &'a mut [NodeFlows<FlowRx>],
+    outbox: OutboxRange<'a>,
+    stats: DeliveryStats,
+    unacked: i64,
+    ops: Vec<(u32, ListOp)>,
 }
 
 impl DeliveryRange<'_> {
-    /// Local table index of global major node `major` (the node must lie in
-    /// this domain).
-    fn l(&self, major: usize) -> usize {
-        major - self.lo
-    }
-
-    /// Local outbox slot of global node index `node`.
-    fn ob(&self, node: usize) -> usize {
-        node - self.lo
-    }
-
     /// Surrenders the buffered global effects.
     pub(crate) fn into_delta(self) -> DeliveryDelta {
-        self.delta
-    }
-
-    /// [`Delivery::outbox_front`] for a node of this domain.
-    pub(crate) fn outbox_front(&self, node: usize) -> Option<&Message> {
-        self.outbox[self.ob(node)].front()
-    }
-
-    /// [`Delivery::outbox_pop`] with the active-set update buffered.
-    pub(crate) fn outbox_pop(&mut self, node: usize) {
-        let ob = self.ob(node);
-        let Some(m) = self.outbox[ob].pop_front() else {
-            return;
-        };
-        self.delta.outbox_msgs -= 1;
-        if self.outbox[ob].is_empty() {
-            self.delta.active_remove.push(node as u32);
-        }
-        match m.e2e {
-            Some(h) if h.kind == E2eKind::Data => {
-                let pr = pair(node, m.dest().index());
-                let local = self.l(node);
-                let flow = flow_edit(self.tx, local, pr).expect("pending copy's flow is live");
-                debug_assert!(flow.pending_copies > 0, "pop without a push");
-                flow.pending_copies -= 1;
-            }
-            Some(h) if h.kind == E2eKind::Ack => {
-                let pr = pair(node, m.dest().index());
-                let local = self.l(node);
-                let flow = flow_edit(self.rx, local, pr).expect("pending ack's flow is live");
-                flow.ack_pending = false;
-                if flow.expected == 0 {
-                    flow_evict(self.rx, local, pr);
-                }
-            }
-            _ => {}
+        DeliveryDelta {
+            stats: self.stats,
+            unacked: self.unacked,
+            ops: self.ops,
+            outbox: self.outbox.into_delta(),
         }
     }
+}
 
-    /// [`Delivery::can_admit`] for a source node of this domain.
-    pub(crate) fn can_admit(&self, src: usize, dst: usize) -> bool {
-        flow_ref(self.tx, self.l(src), pair(src, dst))
-            .is_none_or(|flow| flow.unacked.len() < self.config.window)
+impl<'a> DeliveryView for DeliveryRange<'a> {
+    type Outbox = OutboxRange<'a>;
+    #[inline]
+    fn config(&self) -> DeliveryConfig {
+        self.config
     }
-
-    /// [`Delivery::stamp`] for a source node of this domain.
-    pub(crate) fn stamp(&self, src: usize, dst: usize, msg: &mut Message) {
-        let psn = flow_ref(self.tx, self.l(src), pair(src, dst)).map_or(0, |flow| flow.next_psn);
-        let crc = payload_crc(&msg.words, msg.mtype);
-        // The header carries the full node id — no cast, no node-count caveat.
-        msg.e2e = Some(E2eHeader::data(NodeId::from_index(src), psn, crc));
+    #[inline]
+    fn format(&self) -> WireFormat {
+        self.format
     }
-
-    /// [`Delivery::commit`] with the timeout-list link buffered.
-    pub(crate) fn commit(&mut self, src: usize, dst: usize, msg: Message, cycle: u64) {
-        let pr = pair(src, dst);
-        let local = self.l(src);
-        let flow = flow_mut(self.tx, self.nodes, local, pr);
-        let hdr = msg.e2e.expect("committed message is stamped");
-        debug_assert_eq!(hdr.psn, flow.next_psn);
-        let was_empty = flow.unacked.is_empty();
-        if was_empty {
-            flow.last_send = cycle;
-            flow.rounds = 0;
-        }
-        flow.unacked.push_back((hdr.psn, msg));
-        flow.next_psn += 1;
-        self.delta.unacked_msgs += 1;
-        self.delta.stats.accepted += 1;
-        if was_empty {
-            // The pre-phase link flag is trustworthy: only the sender's own
-            // phase commits, and it does so at most once per flow per cycle.
-            debug_assert!(flow_peek(self.tx, local, pr).is_some_and(|fl| !fl.linked));
-            self.delta.ops.push((pr, ListOp::LinkTail));
-        }
+    #[inline]
+    fn tx(&mut self, src: usize) -> &mut NodeFlows<FlowTx> {
+        &mut self.tx[src - self.lo]
     }
-
-    /// [`Delivery::fire_timeout`] with outbox/list effects buffered,
-    /// lookup-for-lookup identical to the serial twin (tables are static
-    /// during the pump, so the probe meter advances identically whichever
-    /// twin fires).
-    fn fire_timeout(&mut self, pr: u32, cycle: u64) {
-        let src = pair_major(pr);
-        let lf = self.l(src);
-        // Copies from the previous round still await injection: reset the
-        // timer without burning a budget round (see the serial twin).
-        if flow_edit(self.tx, lf, pr).expect(LIVE).pending_copies > 0 {
-            flow_edit(self.tx, lf, pr).expect(LIVE).last_send = cycle;
-            self.delta.ops.push((pr, ListOp::MoveToTail));
-            return;
-        }
-        {
-            let flow = flow_edit(self.tx, lf, pr).expect(LIVE);
-            flow.rounds += 1;
-            flow.last_send = cycle;
-        }
-        self.delta.stats.timeout_rounds += 1;
-        if flow_edit(self.tx, lf, pr).expect(LIVE).rounds > self.config.retransmit_limit {
-            let len = flow_edit(self.tx, lf, pr).expect(LIVE).unacked.len() as u64;
-            self.delta.stats.abandoned += len;
-            self.delta.unacked_msgs -= len as i64;
-            let flow = flow_edit(self.tx, lf, pr).expect(LIVE);
-            flow.unacked.clear();
-            flow.rounds = 0;
-            self.delta.ops.push((pr, ListOp::Unlink));
-            return;
-        }
-        // Go-back-N: requeue the whole window.
-        let count = flow_edit(self.tx, lf, pr).expect(LIVE).unacked.len();
-        for k in 0..count {
-            let m = flow_edit(self.tx, lf, pr).expect(LIVE).unacked[k].1;
-            self.outbox_push_local(src, m);
-        }
-        flow_edit(self.tx, lf, pr).expect(LIVE).pending_copies += count as u32;
-        self.delta.stats.retransmits += count as u64;
-        self.delta.ops.push((pr, ListOp::MoveToTail));
+    #[inline]
+    fn rx(&mut self, dst: usize) -> &mut NodeFlows<FlowRx> {
+        &mut self.rx[dst - self.lo]
     }
-
-    /// [`Delivery::rx_action`] for a destination node of this domain.
-    pub(crate) fn rx_action(&self, dst: usize, msg: &Message) -> RxAction {
-        let hdr = msg.e2e.expect("rx_action on a protocol message");
-        if payload_crc(&msg.words, msg.mtype) != hdr.crc {
-            return RxAction::Consume;
-        }
-        match hdr.kind {
-            E2eKind::Ack => RxAction::Consume,
-            E2eKind::Data => {
-                let expected = flow_ref(self.rx, self.l(dst), pair(dst, hdr.src.index()))
-                    .map_or(0, |flow| flow.expected);
-                if hdr.psn == expected {
-                    RxAction::Deliver
-                } else {
-                    RxAction::Consume
-                }
-            }
-        }
+    #[inline]
+    fn outbox(&mut self) -> &mut OutboxRange<'a> {
+        &mut self.outbox
     }
-
-    /// [`Delivery::on_delivered`] for a destination node of this domain.
-    pub(crate) fn on_delivered(&mut self, dst: usize, msg: &Message, cycle: u64) {
-        let hdr = msg.e2e.expect("delivered message has a header");
-        let local = self.l(dst);
-        let flow = flow_mut(self.rx, self.nodes, local, pair(dst, hdr.src.index()));
-        debug_assert_eq!(hdr.psn, flow.expected);
-        flow.expected += 1;
-        self.delta.stats.delivered_unique += 1;
-        let _ = cycle;
-        self.queue_ack(dst, hdr.src.index());
+    #[inline]
+    fn stats_mut(&mut self) -> &mut DeliveryStats {
+        &mut self.stats
     }
-
-    /// [`Delivery::on_consumed`] for a destination node of this domain. The
-    /// ack branch touches `tx[dst]` — `dst` is the flow's *sender*
-    /// receiving the ack, so the table is source-major and local.
-    pub(crate) fn on_consumed(&mut self, dst: usize, msg: &Message, cycle: u64) {
-        let hdr = msg.e2e.expect("consumed message has a header");
-        if payload_crc(&msg.words, msg.mtype) != hdr.crc {
-            self.delta.stats.corrupt_dropped += 1;
-            return;
-        }
-        match hdr.kind {
-            E2eKind::Ack => {
-                self.delta.stats.acks_received += 1;
-                let pr = pair(dst, hdr.src.index());
-                let local = self.l(dst);
-                let Some(flow) = flow_edit(self.tx, local, pr) else {
-                    return;
-                };
-                let mut progressed = false;
-                while flow.unacked.front().is_some_and(|&(psn, _)| psn < hdr.psn) {
-                    flow.unacked.pop_front();
-                    self.delta.unacked_msgs -= 1;
-                    progressed = true;
-                }
-                if progressed {
-                    flow.rounds = 0;
-                    flow.last_send = cycle;
-                    if flow.unacked.is_empty() {
-                        self.delta.ops.push((pr, ListOp::Unlink));
-                    } else {
-                        self.delta.ops.push((pr, ListOp::MoveToTail));
-                    }
-                }
-            }
-            E2eKind::Data => {
-                let expected = flow_ref(self.rx, self.l(dst), pair(dst, hdr.src.index()))
-                    .map_or(0, |flow| flow.expected);
-                if hdr.psn < expected {
-                    self.delta.stats.dup_suppressed += 1;
-                } else {
-                    self.delta.stats.out_of_order_dropped += 1;
-                }
-                self.queue_ack(dst, hdr.src.index());
-            }
-        }
+    #[inline]
+    fn unacked(&mut self, n: i64) {
+        self.unacked += n;
     }
-
-    /// [`Delivery::queue_ack`] with outbox effects buffered.
-    fn queue_ack(&mut self, receiver: usize, sender: usize) {
-        let pr = pair(receiver, sender);
-        let local = self.l(receiver);
-        let psn = flow_ref(self.rx, local, pr).map_or(0, |f| f.expected);
-        // Full node ids end to end: the ack names its flow without casts,
-        // and is composed under the machine's wire format.
-        let sender_id = NodeId::from_index(sender);
-        let mut ack = Message::to_in(self.format, sender_id, [0; 5], MsgType::default());
-        let crc = payload_crc(&ack.words, ack.mtype);
-        ack.e2e = Some(E2eHeader::ack(NodeId::from_index(receiver), psn, crc));
-        if flow_ref(self.rx, local, pr).is_some_and(|f| f.ack_pending) {
-            let ob = self.ob(receiver);
-            for m in self.outbox[ob].iter_mut() {
-                if matches!(m.e2e, Some(h) if h.kind == E2eKind::Ack) && m.dest() == sender_id {
-                    if m.e2e.expect("matched above").psn <= psn {
-                        *m = ack;
-                    }
-                    self.delta.stats.acks_coalesced += 1;
-                    return;
-                }
-            }
-            debug_assert!(false, "ack_pending set but no ack queued");
-        }
-        flow_mut(self.rx, self.nodes, local, pr).ack_pending = true;
-        self.outbox_push_local(receiver, ack);
-        self.delta.stats.acks_sent += 1;
-    }
-
-    /// [`Delivery::outbox_push`] with the active-set update buffered.
-    fn outbox_push_local(&mut self, node: usize, msg: Message) {
-        let ob = self.ob(node);
-        self.outbox[ob].push_back(msg);
-        self.delta.outbox_msgs += 1;
-        if self.outbox[ob].len() == 1 {
-            self.delta.active_add.push(node as u32);
-        }
+    #[inline]
+    fn list(&mut self, pr: u32, op: ListOp) {
+        self.ops.push((pr, op));
     }
 }
 
@@ -1601,14 +1287,14 @@ mod tests {
         /// drivers (unmetered, so paired runs meter identically even when
         /// only one of them calls this).
         fn unacked_front(&self, src: usize, dst: usize) -> Option<(u32, Message)> {
-            flow_peek(&self.tx, src, pair(src, dst)).and_then(|fl| fl.unacked.front().copied())
+            self.tx[src]
+                .peek(pair(src, dst))
+                .and_then(|fl| fl.unacked.front().copied())
         }
 
-        /// The active-outbox set, sorted (the live set is order-free).
-        fn active_sorted(&self) -> Vec<u32> {
-            let mut v = self.outbox_active.clone();
-            v.sort_unstable();
-            v
+        /// The active-outbox set.
+        fn active_sorted(&self) -> Vec<usize> {
+            self.outbox.nodes().collect()
         }
     }
 
@@ -1622,91 +1308,90 @@ mod tests {
                 retransmit_limit: 3,
             },
             WireFormat::Compact,
-            false,
         );
         assert!(!d.active());
         // Fill the window.
         for tag in 0..2 {
-            assert!(d.can_admit(0, 1));
+            assert!(can_admit(&mut d, 0, 1));
             let mut m = data(1, tag);
-            d.stamp(0, 1, &mut m);
+            stamp(&mut d, 0, 1, &mut m);
             assert_eq!(m.e2e.unwrap().psn, tag);
-            d.commit(0, 1, m, 5);
+            commit(&mut d, 0, 1, m, 5);
         }
-        assert!(!d.can_admit(0, 1), "window full backs off");
+        assert!(!can_admit(&mut d, 0, 1), "window full backs off");
         assert!(d.active());
         assert_eq!(d.residency(), 2);
 
         // Receiver takes psn 0 in order and acks cumulatively.
         let mut m0 = data(1, 0);
         d.stamp_for_test(0, &mut m0, 0);
-        assert_eq!(d.rx_action(1, &m0), RxAction::Deliver);
-        d.on_delivered(1, &m0, 6);
-        let ack = *d.outbox_front(1).expect("ack queued");
+        assert_eq!(rx_action(&mut d, 1, &m0), RxAction::Deliver);
+        on_delivered(&mut d, 1, &m0);
+        let ack = *d.outbox().front(1).expect("ack queued");
         assert_eq!(ack.dest(), NodeId::new(0));
         assert_eq!(ack.e2e.unwrap().psn, 1);
 
         // Sender consumes the ack: window slides.
-        assert_eq!(d.rx_action(0, &ack), RxAction::Consume);
-        d.on_consumed(0, &ack, 7);
-        assert!(d.can_admit(0, 1));
+        assert_eq!(rx_action(&mut d, 0, &ack), RxAction::Consume);
+        on_consumed(&mut d, 0, &ack, 7);
+        assert!(can_admit(&mut d, 0, 1));
         assert_eq!(d.stats().acks_received, 1);
         assert_eq!(d.stats().delivered_unique, 1);
     }
 
     #[test]
     fn duplicates_and_gaps_are_consumed_and_reacked() {
-        let mut d = Delivery::new(2, DeliveryConfig::default(), WireFormat::Compact, false);
+        let mut d = Delivery::new(2, DeliveryConfig::default(), WireFormat::Compact);
         let mut m0 = data(1, 7);
         d.stamp_for_test(0, &mut m0, 0);
-        d.on_delivered(1, &m0, 1);
+        on_delivered(&mut d, 1, &m0);
         // The same psn again: duplicate.
-        assert_eq!(d.rx_action(1, &m0), RxAction::Consume);
-        d.on_consumed(1, &m0, 2);
+        assert_eq!(rx_action(&mut d, 1, &m0), RxAction::Consume);
+        on_consumed(&mut d, 1, &m0, 2);
         assert_eq!(d.stats().dup_suppressed, 1);
         // psn 5: a gap.
         let mut m5 = data(1, 8);
         d.stamp_for_test(0, &mut m5, 5);
-        assert_eq!(d.rx_action(1, &m5), RxAction::Consume);
-        d.on_consumed(1, &m5, 3);
+        assert_eq!(rx_action(&mut d, 1, &m5), RxAction::Consume);
+        on_consumed(&mut d, 1, &m5, 3);
         assert_eq!(d.stats().out_of_order_dropped, 1);
         // Exactly one coalesced ack is pending despite three arrivals.
         assert_eq!(d.stats().acks_sent, 1);
         assert_eq!(d.stats().acks_coalesced, 2, "two arrivals coalesced");
-        assert_eq!(d.outbox_front(1).unwrap().e2e.unwrap().psn, 1);
+        assert_eq!(d.outbox().front(1).unwrap().e2e.unwrap().psn, 1);
         // Once the pending ack drains, the next arrival queues a fresh one.
-        d.outbox_pop(1);
-        d.on_consumed(1, &m0, 4);
+        outbox_pop(&mut d, 1);
+        on_consumed(&mut d, 1, &m0, 4);
         assert_eq!(d.stats().acks_sent, 2);
         assert_eq!(d.stats().acks_coalesced, 2);
     }
 
     #[test]
     fn coalesced_ack_keeps_the_highest_psn() {
-        let mut d = Delivery::new(2, DeliveryConfig::default(), WireFormat::Compact, false);
+        let mut d = Delivery::new(2, DeliveryConfig::default(), WireFormat::Compact);
         // Deliver psn 0 and 1 in order without draining the outbox: the
         // second cumulative ack (psn 2) must replace the first (psn 1).
         for psn in 0..2 {
             let mut m = data(1, psn);
             d.stamp_for_test(0, &mut m, psn);
-            assert_eq!(d.rx_action(1, &m), RxAction::Deliver);
-            d.on_delivered(1, &m, u64::from(psn));
+            assert_eq!(rx_action(&mut d, 1, &m), RxAction::Deliver);
+            on_delivered(&mut d, 1, &m);
         }
         assert_eq!(d.stats().acks_sent, 1);
         assert_eq!(d.stats().acks_coalesced, 1);
-        assert_eq!(d.outbox_front(1).unwrap().e2e.unwrap().psn, 2);
+        assert_eq!(d.outbox().front(1).unwrap().e2e.unwrap().psn, 2);
     }
 
     #[test]
     fn corruption_fails_the_checksum_and_is_silent() {
-        let mut d = Delivery::new(2, DeliveryConfig::default(), WireFormat::Compact, false);
+        let mut d = Delivery::new(2, DeliveryConfig::default(), WireFormat::Compact);
         let mut m = data(1, 7);
         d.stamp_for_test(0, &mut m, 0);
         m.words[2] ^= 1 << 9; // fabric corruption after stamping
-        assert_eq!(d.rx_action(1, &m), RxAction::Consume);
-        d.on_consumed(1, &m, 1);
+        assert_eq!(rx_action(&mut d, 1, &m), RxAction::Consume);
+        on_consumed(&mut d, 1, &m, 1);
         assert_eq!(d.stats().corrupt_dropped, 1);
-        assert!(d.outbox_front(1).is_none(), "no ack for garbage");
+        assert!(d.outbox().front(1).is_none(), "no ack for garbage");
     }
 
     #[test]
@@ -1716,44 +1401,44 @@ mod tests {
             timeout: 10,
             retransmit_limit: 2,
         };
-        let mut d = Delivery::new(2, cfg, WireFormat::Compact, false);
+        let mut d = Delivery::new(2, cfg, WireFormat::Compact);
         for tag in 0..2 {
             let mut m = data(1, tag);
-            d.stamp(0, 1, &mut m);
-            d.commit(0, 1, m, 0);
+            stamp(&mut d, 0, 1, &mut m);
+            commit(&mut d, 0, 1, m, 0);
         }
-        d.pump(5);
+        d.pump(5, &[0, d.nodes]);
         assert_eq!(d.stats().retransmits, 0, "not due yet");
-        d.pump(10);
+        d.pump(10, &[0, d.nodes]);
         assert_eq!(d.stats().retransmits, 2, "whole window requeued");
         assert_eq!(d.stats().timeout_rounds, 1);
         // Copies still pending in the outbox: the next round requeues
         // nothing more.
-        d.pump(20);
+        d.pump(20, &[0, d.nodes]);
         assert_eq!(d.stats().retransmits, 2);
         // Drain the outbox, then exhaust the budget.
-        d.outbox_pop(0);
-        d.outbox_pop(0);
-        d.pump(30);
+        outbox_pop(&mut d, 0);
+        outbox_pop(&mut d, 0);
+        d.pump(30, &[0, d.nodes]);
         assert_eq!(d.stats().retransmits, 4);
-        d.outbox_pop(0);
-        d.outbox_pop(0);
-        d.pump(40);
+        outbox_pop(&mut d, 0);
+        outbox_pop(&mut d, 0);
+        d.pump(40, &[0, d.nodes]);
         assert_eq!(d.stats().abandoned, 2, "budget exhausted");
         assert!(!d.active());
     }
 
     #[test]
     fn rx_state_is_evicted_when_it_returns_to_default() {
-        let mut d = Delivery::new(2, DeliveryConfig::default(), WireFormat::Compact, false);
+        let mut d = Delivery::new(2, DeliveryConfig::default(), WireFormat::Compact);
         // A gap arrival creates rx state only to carry the pending re-ack:
         // expected stays 0, so draining the ack returns the flow to its
         // default state and the slot is released.
         let mut m5 = data(1, 8);
         d.stamp_for_test(0, &mut m5, 5);
-        d.on_consumed(1, &m5, 1);
+        on_consumed(&mut d, 1, &m5, 1);
         assert_eq!(d.scan_stats().active_flows, 1, "rx slot carries the ack");
-        d.outbox_pop(1);
+        outbox_pop(&mut d, 1);
         assert_eq!(d.scan_stats().active_flows, 0, "default rx state evicted");
         assert_eq!(d.scan_stats().peak_flows, 1, "high-water mark survives");
 
@@ -1762,10 +1447,14 @@ mod tests {
         // survive the ack draining.
         let mut m0 = data(1, 7);
         d.stamp_for_test(0, &mut m0, 0);
-        d.on_delivered(1, &m0, 2);
-        d.outbox_pop(1);
+        on_delivered(&mut d, 1, &m0);
+        outbox_pop(&mut d, 1);
         assert_eq!(d.scan_stats().active_flows, 1, "advanced rx state stays");
-        assert_eq!(d.rx_action(1, &m0), RxAction::Consume, "still a duplicate");
+        assert_eq!(
+            rx_action(&mut d, 1, &m0),
+            RxAction::Consume,
+            "still a duplicate"
+        );
     }
 
     #[test]
@@ -1775,17 +1464,17 @@ mod tests {
             timeout: 10,
             retransmit_limit: 2,
         };
-        let mut d = Delivery::new(2, cfg, WireFormat::Compact, false);
+        let mut d = Delivery::new(2, cfg, WireFormat::Compact);
         let mut m = data(1, 0);
-        d.stamp(0, 1, &mut m);
-        d.commit(0, 1, m, 0);
+        stamp(&mut d, 0, 1, &mut m);
+        commit(&mut d, 0, 1, m, 0);
         // Burn the whole retransmit budget until the window abandons.
         let mut cycle = 0;
         while d.active() {
             cycle += 10;
-            d.pump(cycle);
-            while d.outbox_front(0).is_some() {
-                d.outbox_pop(0);
+            d.pump(cycle, &[0, d.nodes]);
+            while d.outbox().front(0).is_some() {
+                outbox_pop(&mut d, 0);
             }
         }
         assert_eq!(d.stats().abandoned, 1);
@@ -1794,18 +1483,18 @@ mod tests {
         // receiver's duplicate horizon).
         assert_eq!(d.scan_stats().active_flows, 1, "tx slot survives abandon");
         let mut m2 = data(1, 1);
-        d.stamp(0, 1, &mut m2);
+        stamp(&mut d, 0, 1, &mut m2);
         assert_eq!(m2.e2e.unwrap().psn, 1, "psn continues, not reset");
         // Fully acked flows keep their slot too.
-        d.commit(0, 1, m2, cycle);
+        commit(&mut d, 0, 1, m2, cycle);
         let mut ack = Message::to(NodeId::from_index(0), [0; 5], MsgType::default());
         let crc = payload_crc(&ack.words, ack.mtype);
         ack.e2e = Some(E2eHeader::ack(NodeId::from_index(1), 2, crc));
-        d.on_consumed(0, &ack, cycle + 1);
+        on_consumed(&mut d, 0, &ack, cycle + 1);
         assert!(!d.active(), "window fully acked");
         assert_eq!(d.scan_stats().active_flows, 1, "tx slot survives full ack");
         let mut m3 = data(1, 2);
-        d.stamp(0, 1, &mut m3);
+        stamp(&mut d, 0, 1, &mut m3);
         assert_eq!(m3.e2e.unwrap().psn, 2, "psn continues after full ack");
     }
 
@@ -1843,63 +1532,84 @@ mod tests {
         assert!(t.probes.get() > 0, "lookups were metered");
     }
 
-    /// A long adversarial scenario (interleaved commits, partial acks,
-    /// congestion resets, abandons) driven identically against both
-    /// storage layouts must be bit-identical in counters and outbox drain
-    /// order — the dense cross-check proves the sparse store invisible.
+    /// The sparse table against a `BTreeMap` model: one random
+    /// insert/get/get_or_insert/remove/iterate sequence must leave both
+    /// with the same entries, values, and live/peak counts. Each case grows
+    /// the table through several resizes, then churns and finally drains it
+    /// with removals whose backward-shift deletions must keep every
+    /// surviving key reachable along its probe chain.
     #[test]
-    fn sparse_store_matches_the_dense_cross_check() {
-        let cfg = DeliveryConfig {
-            window: 4,
-            timeout: 8,
-            retransmit_limit: 3,
-        };
-        let run = |dense_flows: bool| -> (DeliveryStats, Vec<(usize, u32, u32)>, Vec<u32>) {
-            let nodes = 5usize;
-            let mut d = Delivery::new(nodes, cfg, WireFormat::Compact, dense_flows);
-            let mut drained = Vec::new();
-            let mut x = 0xdead_beef_cafe_f00du64;
-            for cycle in 0..400u64 {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let src = ((x >> 33) % nodes as u64) as usize;
-                let dst = ((x >> 13) % nodes as u64) as usize;
-                if src != dst && d.can_admit(src, dst) && cycle % 3 == 0 {
-                    let mut m = data(dst as u16, cycle as u32);
-                    d.stamp(src, dst, &mut m);
-                    d.commit(src, dst, m, cycle);
-                }
-                d.pump(cycle);
-                let node = (cycle % nodes as u64) as usize;
-                if let Some(m) = d.outbox_front(node).copied() {
-                    let h = m.e2e.unwrap();
-                    drained.push((node, m.dest().index() as u32, h.psn));
-                    d.outbox_pop(node);
-                }
-                if cycle % 7 == 0 {
-                    let sender = ((x >> 49) % nodes as u64) as usize;
-                    let acker = ((x >> 41) % nodes as u64) as usize;
-                    if sender != acker {
-                        if let Some((psn, _)) = d.unacked_front(sender, acker) {
-                            let mut ack =
-                                Message::to(NodeId::from_index(sender), [0; 5], MsgType::default());
-                            let crc = payload_crc(&ack.words, ack.mtype);
-                            ack.e2e = Some(E2eHeader::ack(NodeId::from_index(acker), psn + 1, crc));
-                            d.on_consumed(sender, &ack, cycle);
+    fn node_flows_match_a_btreemap_model() {
+        use std::collections::BTreeMap;
+
+        fn assert_same(t: &NodeFlows<FlowRx>, model: &BTreeMap<u32, u32>) {
+            let mut got: Vec<(u32, u32)> = t.iter().map(|(k, f)| (k, f.expected)).collect();
+            got.sort_unstable();
+            let want: Vec<(u32, u32)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(got, want, "iteration");
+            for (&k, &v) in model {
+                assert_eq!(
+                    t.peek(k).map(|f| f.expected),
+                    Some(v),
+                    "probe chain to {k:#x}"
+                );
+            }
+        }
+
+        tcni_check::check("node_flows_match_a_btreemap_model", 64, |rng| {
+            let mut t: NodeFlows<FlowRx> = NodeFlows::new();
+            let mut model: BTreeMap<u32, u32> = BTreeMap::new();
+            let mut peak = 0;
+            // Few majors and a pool larger than the table keeps absent-key
+            // lookups common.
+            let pool = rng.range(40, 600) as usize;
+            let keys: Vec<u32> = (0..pool)
+                .map(|_| pair(rng.index(4), rng.index(1 << 16)))
+                .collect();
+            let steps = 6 * pool;
+            for step in 0..steps {
+                let k = *rng.pick(&keys);
+                match rng.below(10) {
+                    0..=3 => {
+                        let v = rng.u32();
+                        t.get_or_insert(k).expected = v;
+                        model.insert(k, v);
+                    }
+                    4 | 5 => {
+                        let got = t.get(k).map(|f| f.expected);
+                        assert_eq!(got, model.get(&k).copied(), "get {k:#x}");
+                    }
+                    6 => {
+                        let got = t.get_or_insert(k).expected;
+                        assert_eq!(got, *model.entry(k).or_insert(0), "get_or_insert {k:#x}");
+                    }
+                    // Removals are rare while the table grows (the first
+                    // half), then dominate the churn.
+                    _ if step < steps / 2 && rng.below(4) != 0 => {}
+                    _ => {
+                        if model.remove(&k).is_some() {
+                            t.remove(k);
                         }
                     }
                 }
+                peak = peak.max(model.len());
+                assert_eq!((t.live as usize, t.peak as usize), (model.len(), peak));
+                if step % 97 == 0 {
+                    assert_same(&t, &model);
+                }
             }
-            (d.stats(), drained, d.active_sorted())
-        };
-        let (sparse, sparse_order, sparse_active) = run(false);
-        let (dense, dense_order, dense_active) = run(true);
-        assert_eq!(sparse, dense, "protocol counters must be bit-identical");
-        assert_eq!(sparse_order, dense_order, "outbox drain order must match");
-        assert_eq!(sparse_active, dense_active, "active sets must match");
-        assert!(sparse.retransmits > 0, "the scenario exercised timeouts");
-        assert!(sparse.abandoned > 0, "the scenario exercised abandons");
+            assert_same(&t, &model);
+            // Drain in random order, re-proving every survivor each time.
+            let mut rest: Vec<u32> = model.keys().copied().collect();
+            while !rest.is_empty() {
+                let k = rest.swap_remove(rng.index(rest.len()));
+                t.remove(k);
+                model.remove(&k);
+                assert_same(&t, &model);
+            }
+            assert_eq!(t.live, 0);
+            assert_eq!(t.slab.len(), t.free.len(), "every slot recycled");
+        });
     }
 
     /// The intrusive timeout list and the dense N²-flow scan must fire the
@@ -1914,7 +1624,7 @@ mod tests {
         };
         let run = |dense: bool| -> (DeliveryStats, Vec<(usize, u32, u32)>) {
             let nodes = 5usize;
-            let mut d = Delivery::new(nodes, cfg, WireFormat::Compact, false);
+            let mut d = Delivery::new(nodes, cfg, WireFormat::Compact);
             d.set_dense_scan(dense);
             let mut drained = Vec::new();
             let mut x = 0xdead_beef_cafe_f00du64;
@@ -1925,19 +1635,19 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 let src = ((x >> 33) % nodes as u64) as usize;
                 let dst = ((x >> 13) % nodes as u64) as usize;
-                if src != dst && d.can_admit(src, dst) && cycle % 3 == 0 {
+                if src != dst && can_admit(&mut d, src, dst) && cycle % 3 == 0 {
                     let mut m = data(dst as u16, cycle as u32);
-                    d.stamp(src, dst, &mut m);
-                    d.commit(src, dst, m, cycle);
+                    stamp(&mut d, src, dst, &mut m);
+                    commit(&mut d, src, dst, m, cycle);
                 }
-                d.pump(cycle);
+                d.pump(cycle, &[0, d.nodes]);
                 // Drain one outbox message from a rotating node and record
                 // it; occasionally ack a flow's oldest message.
                 let node = (cycle % nodes as u64) as usize;
-                if let Some(m) = d.outbox_front(node).copied() {
+                if let Some(m) = d.outbox().front(node).copied() {
                     let h = m.e2e.unwrap();
                     drained.push((node, m.dest().index() as u32, h.psn));
-                    d.outbox_pop(node);
+                    outbox_pop(&mut d, node);
                 }
                 if cycle % 7 == 0 {
                     let sender = ((x >> 49) % nodes as u64) as usize;
@@ -1948,10 +1658,11 @@ mod tests {
                                 Message::to(NodeId::from_index(sender), [0; 5], MsgType::default());
                             let crc = payload_crc(&ack.words, ack.mtype);
                             ack.e2e = Some(E2eHeader::ack(NodeId::from_index(acker), psn + 1, crc));
-                            d.on_consumed(sender, &ack, cycle);
+                            on_consumed(&mut d, sender, &ack, cycle);
                         }
                     }
                 }
+                d.check_invariants().unwrap();
             }
             (d.stats(), drained)
         };
@@ -1963,9 +1674,10 @@ mod tests {
         assert!(hot.abandoned > 0, "the scenario exercised abandons");
     }
 
-    /// The parallel pump (serial due collection, sharded firing, delta
-    /// replay) must be bit-identical to the serial pump — counters, outbox
-    /// drain order, active set, and scan meters alike.
+    /// The sharded pump (global due collection, per-domain firing through
+    /// range views, delta replay) must be bit-identical to the one-domain
+    /// pump firing in place — counters, outbox drain order, active set, and
+    /// scan meters alike.
     #[test]
     fn parallel_pump_matches_serial_pump() {
         let cfg = DeliveryConfig {
@@ -1975,16 +1687,18 @@ mod tests {
         };
         let nodes = 8usize;
         let bounds = [0usize, 3, 5, 8];
-        let run = |par: bool| -> (DeliveryStats, ScanStats, Vec<(usize, u32, u32)>, Vec<u32>) {
-            let mut d = Delivery::new(nodes, cfg, WireFormat::Compact, false);
+        // Counters, scan meters, outbox drain order, active set.
+        type Outcome = (DeliveryStats, ScanStats, Vec<(usize, u32, u32)>, Vec<usize>);
+        let run = |par: bool| -> Outcome {
+            let mut d = Delivery::new(nodes, cfg, WireFormat::Compact);
             let mut drained = Vec::new();
             // A burst across every source domain so one pump sees well over
             // PAR_FIRE_MIN due flows at once (the parallel fire path).
             for src in 0..nodes {
                 for dst in [(src + 1) % nodes, (src + 3) % nodes] {
                     let mut m = data(dst as u16, (src * nodes + dst) as u32);
-                    d.stamp(src, dst, &mut m);
-                    d.commit(src, dst, m, 0);
+                    stamp(&mut d, src, dst, &mut m);
+                    commit(&mut d, src, dst, m, 0);
                 }
             }
             let mut x = 0xdead_beef_cafe_f00du64;
@@ -1994,21 +1708,21 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 let src = ((x >> 33) % nodes as u64) as usize;
                 let dst = ((x >> 13) % nodes as u64) as usize;
-                if src != dst && d.can_admit(src, dst) && cycle % 3 == 0 {
+                if src != dst && can_admit(&mut d, src, dst) && cycle % 3 == 0 {
                     let mut m = data(dst as u16, cycle as u32);
-                    d.stamp(src, dst, &mut m);
-                    d.commit(src, dst, m, cycle);
+                    stamp(&mut d, src, dst, &mut m);
+                    commit(&mut d, src, dst, m, cycle);
                 }
                 if par {
-                    d.pump_par(cycle, &bounds);
+                    d.pump(cycle, &bounds);
                 } else {
-                    d.pump(cycle);
+                    d.pump(cycle, &[0, d.nodes]);
                 }
                 let node = (cycle % nodes as u64) as usize;
-                if let Some(m) = d.outbox_front(node).copied() {
+                if let Some(m) = d.outbox().front(node).copied() {
                     let h = m.e2e.unwrap();
                     drained.push((node, m.dest().index() as u32, h.psn));
-                    d.outbox_pop(node);
+                    outbox_pop(&mut d, node);
                 }
                 if cycle % 7 == 0 {
                     let sender = ((x >> 49) % nodes as u64) as usize;
@@ -2019,10 +1733,11 @@ mod tests {
                                 Message::to(NodeId::from_index(sender), [0; 5], MsgType::default());
                             let crc = payload_crc(&ack.words, ack.mtype);
                             ack.e2e = Some(E2eHeader::ack(NodeId::from_index(acker), psn + 1, crc));
-                            d.on_consumed(sender, &ack, cycle);
+                            on_consumed(&mut d, sender, &ack, cycle);
                         }
                     }
                 }
+                d.check_invariants().unwrap();
             }
             (d.stats(), d.scan_stats(), drained, d.active_sorted())
         };

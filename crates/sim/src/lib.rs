@@ -25,6 +25,7 @@ mod machine;
 mod model;
 mod node;
 mod obs;
+mod outbox;
 mod trace;
 
 pub use collective::{CollDone, Collective, CollectiveStats};

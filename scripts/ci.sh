@@ -25,6 +25,11 @@ cargo clippy --workspace --release --offline -- -D warnings
 echo "== tests (offline, all crates) =="
 cargo test --workspace --release --offline -q
 
+echo "== benchmark package tests (its own workspace, quick schedules) =="
+# The benchmark is a separate package that builds the simulator crates from
+# source; `--workspace` above does not reach its tests.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== golden artifacts (byte-exact paper outputs, hot-set scheduler on) =="
 # The hot-set scheduler is the default path; these artifacts were blessed
 # before it existed, so a byte-identical pass proves the scheduler is

@@ -8,10 +8,7 @@
 //! What remains rejected, with a typed [`BuildError`] from the fallible
 //! constructors or a panic carrying the same message from the infallible
 //! ones: node counts beyond the wide format's 65536-id address space, an
-//! explicitly pinned format that is too small for the machine, the
-//! delivery protocol's *dense* cross-check flow tables past their
-//! 32768-node ceiling (the default sparse store scales to the full
-//! address space and is exercised below), fabrics
+//! explicitly pinned format that is too small for the machine, fabrics
 //! (of any topology) with fewer slots than the machine has nodes, the
 //! fully-connected fabric past its quadratic-wiring ceiling, and
 //! combining trees whose size or geometry does not fit the configured
@@ -101,10 +98,10 @@ fn a_pinned_wide_format_on_a_small_machine_is_honoured() {
 
 #[test]
 fn delivery_past_the_dense_ceiling_builds_sparse() {
-    // The former ceiling: 32769 delivery nodes used to be DeliveryTooLarge.
-    // The default sparse flow store keys state by active (src, dst) pair, so
-    // the whole wide address space builds. Tiny per-node memory keeps the
-    // 32769-node machine cheap to construct.
+    // The former ceiling of dense flow tables: 32769 delivery nodes used to
+    // be a build error. The sparse flow store keys state by active
+    // (src, dst) pair, so the whole wide address space builds. Tiny
+    // per-node memory keeps the 32769-node machine cheap to construct.
     let machine = MachineBuilder::try_new(32_769)
         .expect("32769 nodes fit the wide address space")
         .memory_bytes(64)
@@ -113,25 +110,6 @@ fn delivery_past_the_dense_ceiling_builds_sparse() {
         .expect("sparse flow state scales to the full address space");
     assert_eq!(machine.node_count(), 32_769);
     assert_eq!(machine.wire_format(), WireFormat::Wide);
-}
-
-#[test]
-fn dense_flow_tables_past_their_ceiling_are_a_typed_error() {
-    // The dense cross-check layout still indexes flows by src * nodes + dst
-    // in u32, so opting into it keeps the old 32768-node ceiling.
-    let err = MachineBuilder::try_new(32_769)
-        .expect("32769 nodes fit the wide address space")
-        .memory_bytes(64)
-        .delivery(DeliveryConfig::default())
-        .dense_flows(true)
-        .try_build()
-        .err()
-        .expect("dense flow tables cap at 32768 nodes");
-    assert_eq!(err, BuildError::DeliveryTooLarge { nodes: 32_769 });
-    assert!(
-        err.to_string().contains("at most 32768 nodes"),
-        "message names the ceiling: {err}"
-    );
 }
 
 #[test]

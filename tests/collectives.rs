@@ -47,7 +47,8 @@ fn nic_combining_beats_software_for_barrier_and_reduce_at_16x16() {
     }
 }
 
-/// Drives `rounds` back-to-back collective rounds through a machine and
+/// Drives `rounds` back-to-back collective rounds through a machine, one
+/// cycle at a time with the machine's invariants checked after each, and
 /// returns every completion each node collected, in collection order.
 fn storm(machine: &mut Machine, op: CollectiveOp, rounds: u32) -> Vec<Vec<CollDone>> {
     let n = machine.node_count();
@@ -77,8 +78,13 @@ fn storm(machine: &mut Machine, op: CollectiveOp, rounds: u32) -> Vec<Vec<CollDo
         }
         done_rounds < rounds
     };
-    let outcome = machine.run_driven(&mut driver, 100_000);
-    assert_eq!(outcome, RunOutcome::DriverStopped, "storm must finish");
+    while machine.run_driven(&mut driver, 1) != RunOutcome::DriverStopped {
+        if let Err(e) = machine.check_invariants() {
+            panic!("invariant broken at cycle {}: {e}", machine.cycle());
+        }
+        assert!(machine.cycle() < 100_000, "storm must finish");
+    }
+    machine.check_invariants().expect("invariants at the end");
     collected
 }
 
@@ -182,6 +188,8 @@ fn fast_forward_is_invisible_to_collectives() {
     assert_eq!(fast.cycle(), slow.cycle(), "cycle");
     assert_eq!(fast.collective_stats(), slow.collective_stats());
     assert_eq!(fast.net_stats(), slow.net_stats());
+    fast.check_invariants().expect("fast invariants");
+    slow.check_invariants().expect("slow invariants");
     assert_eq!(
         fast.node(0).cpu().cycle(),
         slow.node(0).cpu().cycle(),

@@ -1,15 +1,17 @@
-//! Delivery at scale: the sparse (src, dst)-keyed flow store past the old
-//! dense ceiling.
+//! Delivery at scale: the sparse (src, dst)-keyed flow store past the
+//! 32 768-node ceiling the dense flow tables it replaced had.
 //!
 //! * **64×64 uniform sweep** — a 4096-node delivery-enabled machine runs an
 //!   open-loop uniform sweep; the new footprint meters prove flow state is
 //!   proportional to the *active* pair set, orders of magnitude below the
 //!   2·N² slots the dense tables would pin, and the sharded run reproduces
-//!   every meter byte for byte.
+//!   every meter byte for byte; the machine's invariants hold at the end of
+//!   both runs.
 //! * **256×256 smoke** — a 65 536-node wide-format machine (double the old
-//!   `DeliveryTooLarge` cap) builds with delivery enabled and completes a
+//!   dense ceiling) builds with delivery enabled and completes a
 //!   faulty-fabric flow test exactly once and in order, with every flow
-//!   endpoint indexed past 32 768.
+//!   endpoint indexed past 32 768 and the invariants checked after every
+//!   chunk.
 
 use std::collections::VecDeque;
 
@@ -39,6 +41,7 @@ fn run_64x64_delivery_sweep(par: usize, cycles: u64) -> (Machine, InjectCounters
     let mut injector = Injector::new(config);
     let outcome = machine.run_driven(&mut injector, cycles);
     assert_eq!(outcome, RunOutcome::CycleLimit);
+    machine.check_invariants().expect("delivery invariants");
     (machine, injector.counters())
 }
 
@@ -167,7 +170,7 @@ impl CycleDriver for ScaleRecorder {
 }
 
 /// The acceptance smoke for the lifted cap: a 256×256 (65 536-node)
-/// wide-format machine — double the old `DeliveryTooLarge` ceiling — builds
+/// wide-format machine — double the old dense-table ceiling — builds
 /// with delivery enabled and carries flows between physically-close nodes
 /// whose indices all exceed 32 768, exactly once and in order, across a
 /// faulty fabric. Tiny per-node memories keep the build cheap; the hot-set
@@ -203,6 +206,7 @@ fn delivery_at_256x256_is_exactly_once_in_order_under_faults() {
     while !recorder.complete(per_flow) {
         assert!(spent < budget, "flows incomplete after {spent} cycles");
         machine.run_driven(&mut recorder, chunk);
+        machine.check_invariants().expect("delivery invariants");
         spent += chunk;
     }
 

@@ -124,8 +124,9 @@ impl CycleDriver for FlowRecorder {
     }
 }
 
-/// Runs the recorder until every flow is complete (or the budget runs out)
-/// and returns the machine for post-mortem assertions.
+/// Runs the recorder until every flow is complete (or the budget runs out),
+/// checking the machine's invariants after every cycle, and returns the
+/// machine for post-mortem assertions.
 fn run_to_completion(
     mut machine: Machine,
     recorder: &mut FlowRecorder,
@@ -140,7 +141,12 @@ fn run_to_completion(
             spent < budget,
             "{ctx}: flows incomplete after {spent} cycles"
         );
-        machine.run_driven(recorder, chunk);
+        for _ in 0..chunk {
+            machine.run_driven(recorder, 1);
+            if let Err(e) = machine.check_invariants() {
+                panic!("{ctx}: invariant broken at cycle {}: {e}", machine.cycle());
+            }
+        }
         spent += chunk;
     }
     machine

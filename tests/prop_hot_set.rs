@@ -9,15 +9,16 @@
 //! they must conserve work: scanned + skipped equals the dense cost on both
 //! sides.
 //!
-//! The same discipline covers the delivery flow *storage*: the sparse
-//! (src, dst)-keyed flow store (the default) must be bit-identical to the
-//! dense cross-check tables ([`MachineBuilder::dense_flows`]) on every
-//! surface, with only the sparse footprint meters (`active_flows`,
-//! `peak_flows`, `flow_probes`) allowed to differ — dense tables report
-//! zero for all three.
+//! The delivery flow *store* is checked from the inside: with the protocol
+//! on, [`Machine::check_invariants`] runs after every cycle of the
+//! thread-count and topology sweeps, so the one-domain cycle's in-place
+//! edits and the sharded cycle's replayed deltas must both keep the
+//! timeout list, the outbox sets, and the per-flow counters consistent.
+//! (The store's own oracle — a `BTreeMap` model — lives beside it in
+//! `tcni-sim`.)
 //!
 //! [`Machine::set_dense_scan`]: tcni::sim::Machine::set_dense_scan
-//! [`MachineBuilder::dense_flows`]: tcni::sim::MachineBuilder::dense_flows
+//! [`Machine::check_invariants`]: tcni::sim::Machine::check_invariants
 //! [`ScanStats`]: tcni::net::ScanStats
 
 use tcni::core::NodeId;
@@ -156,6 +157,22 @@ fn hot_set_is_equivalent_on_all_six_models() {
     });
 }
 
+/// Runs `m` like `Machine::run(budget)` but one cycle at a time, checking
+/// the machine's invariants after every cycle. (Single-cycle runs never
+/// fast-forward, so pair it only with another checked run.)
+fn run_checked(m: &mut Machine, budget: u64, ctx: &str) -> RunOutcome {
+    let end = m.cycle() + budget;
+    loop {
+        let outcome = m.run(1);
+        if let Err(e) = m.check_invariants() {
+            panic!("{ctx}: invariant broken at cycle {}: {e}", m.cycle());
+        }
+        if outcome != RunOutcome::CycleLimit || m.cycle() >= end {
+            return outcome;
+        }
+    }
+}
+
 /// Builds a machine for the parallel sweep: hot scan, optional trace-only
 /// instrumentation, and an explicit per-machine worker count.
 fn build_par(cfg: &Config, trace_cap: Option<usize>, par_threads: usize) -> Machine {
@@ -175,8 +192,10 @@ fn build_par(cfg: &Config, trace_cap: Option<usize>, par_threads: usize) -> Mach
 /// on/off, trace-only and trace+obs instrumentation, seeded fault
 /// schedules, and worker counts {1, 2, 3, 8}. Fault-wrapped meshes shard
 /// too (the per-node fault streams reproduce domain by domain); ineligible
-/// configurations (ideal fabric, observability, dense scan) fall back to
-/// the serial path, and keeping them in the sweep pins the fallback.
+/// configurations (ideal fabric, observability, dense scan) run the
+/// one-domain cycle, and keeping them in the sweep pins that. With the
+/// delivery protocol on, both machines check their invariants after every
+/// cycle.
 #[test]
 fn parallel_tick_is_equivalent_at_any_thread_count() {
     check(
@@ -210,8 +229,14 @@ fn parallel_tick_is_equivalent_at_any_thread_count() {
             );
             let mut serial = build_par(&cfg, trace_cap, 1);
             let mut sharded = build_par(&cfg, trace_cap, par);
-            let os = serial.run(budget);
-            let op = sharded.run(budget);
+            let (os, op) = if cfg.e2e {
+                (
+                    run_checked(&mut serial, budget, &ctx),
+                    run_checked(&mut sharded, budget, &ctx),
+                )
+            } else {
+                (serial.run(budget), sharded.run(budget))
+            };
 
             assert_eq!(os, op, "{ctx} outcome");
             assert_eq!(serial.cycle(), sharded.cycle(), "{ctx} machine cycle");
@@ -245,8 +270,8 @@ fn parallel_tick_is_equivalent_at_any_thread_count() {
                 assert!(ts.events().eq(tp.events()), "{ctx} trace events");
             }
             if cfg.instrument.is_some() {
-                // Observability pins the serial fallback, so even the serialized
-                // report (scan meters included) is byte-equal.
+                // Observability pins the one-domain cycle, so even the
+                // serialized report (scan meters included) is byte-equal.
                 let (rs, rp) = (serial.obs_report().unwrap(), sharded.obs_report().unwrap());
                 assert_eq!(rs.to_json(), rp.to_json(), "{ctx} tcni-trace/1 report");
             }
@@ -340,9 +365,7 @@ fn hot_set_is_equivalent_under_fault_schedules() {
 struct StoreConfig {
     model: Model,
     topo: TopologyKind,
-    e2e: bool,
     fault: Option<(u64, u32)>,
-    skip: bool,
     instrument: Option<usize>,
     par: usize,
 }
@@ -359,21 +382,17 @@ fn store_fabric_axis() -> [TopologyKind; 5] {
     ]
 }
 
-fn build_store(cfg: &StoreConfig, dense_flows: bool) -> Machine {
+fn build_store(cfg: &StoreConfig, par: usize) -> Machine {
     let mut b = MachineBuilder::new(2)
         .model(cfg.model)
         .program(0, remote_read::requester(cfg.model, NodeId::new(1)))
         .program(1, remote_read::server(cfg.model))
-        .skip_ahead(cfg.skip)
-        .dense_flows(dense_flows)
-        .topology(cfg.topo);
-    if cfg.e2e {
-        b = b.delivery(DeliveryConfig {
+        .topology(cfg.topo)
+        .delivery(DeliveryConfig {
             window: 4,
             timeout: 24,
             retransmit_limit: 10_000,
         });
-    }
     if let Some((seed, rate_pm)) = cfg.fault {
         b = b.network_fault(FaultConfig::uniform(seed, rate_pm));
     }
@@ -383,94 +402,67 @@ fn build_store(cfg: &StoreConfig, dense_flows: bool) -> Machine {
         machine.enable_obs(capacity);
     }
     machine.node_mut(1).mem_mut().poke(REMOTE_ADDR, SECRET);
-    machine.set_par_threads(cfg.par);
+    machine.set_par_threads(par);
     machine
 }
 
-/// The sparse flow store (the default) must be bit-identical to the dense
-/// cross-check tables everywhere both can run — outcome, cycles, network
-/// and delivery statistics, registers, trace events, and the serialized
-/// `tcni-trace/1` report — across the §4 models, every fabric topology,
-/// seeded fault schedules, E2E on/off, and worker counts {1, 2, 3, 8}.
-/// The scheduler effort meters must agree *exactly* (both sides walk the
-/// same timeout list and frontier); only the sparse footprint meters may
-/// differ, and dense tables must report zero for them.
+/// The sparse flow store under the delivery protocol, on every fabric
+/// topology: the machine's invariants hold after every cycle — at one
+/// worker and at the swept worker count — the two runs agree on every
+/// surface including the footprint meters, and the footprint stays
+/// consistent (the live count never exceeds its high-water mark, and
+/// protocol traffic occupies and meters flow slots). Crosses the §4
+/// models, seeded fault schedules, instrumentation, and worker counts
+/// {1, 2, 3, 8}.
 #[test]
-fn sparse_flow_store_matches_the_dense_cross_check() {
-    check(
-        "sparse_flow_store_matches_the_dense_cross_check",
-        48,
-        |rng| {
-            let cfg = StoreConfig {
-                model: *rng.pick(&Model::ALL_SIX),
-                topo: *rng.pick(&store_fabric_axis()),
-                e2e: rng.bool(),
-                fault: rng.bool().then(|| (rng.u64(), rng.range(20, 120) as u32)),
-                skip: rng.bool(),
-                instrument: rng.bool().then(|| rng.range(1, 24) as usize),
-                par: *rng.pick(&[1usize, 2, 3, 8]),
-            };
-            let budget = rng.range(8_000, 40_000);
-            let ctx = format!(
-                "{} {:?} e2e={} fault={:?} skip={} instrument={:?} par={}",
-                cfg.model, cfg.topo, cfg.e2e, cfg.fault, cfg.skip, cfg.instrument, cfg.par
-            );
-            let mut sparse = build_store(&cfg, false);
-            let mut dense = build_store(&cfg, true);
-            let os = sparse.run(budget);
-            let od = dense.run(budget);
+fn flow_store_invariants_hold_on_every_topology() {
+    check("flow_store_invariants_hold_on_every_topology", 48, |rng| {
+        let cfg = StoreConfig {
+            model: *rng.pick(&Model::ALL_SIX),
+            topo: *rng.pick(&store_fabric_axis()),
+            fault: rng.bool().then(|| (rng.u64(), rng.range(20, 120) as u32)),
+            instrument: rng.bool().then(|| rng.range(1, 24) as usize),
+            par: *rng.pick(&[1usize, 2, 3, 8]),
+        };
+        let budget = rng.range(8_000, 40_000);
+        let ctx = format!(
+            "{} {:?} fault={:?} instrument={:?} par={}",
+            cfg.model, cfg.topo, cfg.fault, cfg.instrument, cfg.par
+        );
+        let mut serial = build_store(&cfg, 1);
+        let mut sharded = build_store(&cfg, cfg.par);
+        let os = run_checked(&mut serial, budget, &ctx);
+        let op = run_checked(&mut sharded, budget, &ctx);
 
-            assert_eq!(os, od, "{ctx} outcome");
-            assert_eq!(sparse.cycle(), dense.cycle(), "{ctx} machine cycle");
-            assert_eq!(sparse.net_stats(), dense.net_stats(), "{ctx} net stats");
-            assert_eq!(
-                sparse.delivery_stats(),
-                dense.delivery_stats(),
-                "{ctx} delivery stats"
-            );
-            assert_eq!(
-                sparse.skipped_cycles(),
-                dense.skipped_cycles(),
-                "{ctx} fast-forward accounting"
-            );
-            for i in 0..2 {
-                let (s, d) = (sparse.node(i), dense.node(i));
-                assert_eq!(s.cpu().cycle(), d.cpu().cycle(), "{ctx} node {i} cycles");
-                assert_eq!(s.cpu().stats(), d.cpu().stats(), "{ctx} node {i} stats");
-                for r in Reg::ALL {
-                    assert_eq!(s.cpu().reg(r), d.cpu().reg(r), "{ctx} node {i} reg {r}");
-                }
+        assert_eq!(os, op, "{ctx} outcome");
+        assert_eq!(serial.cycle(), sharded.cycle(), "{ctx} machine cycle");
+        assert_eq!(serial.net_stats(), sharded.net_stats(), "{ctx} net stats");
+        assert_eq!(
+            serial.delivery_stats(),
+            sharded.delivery_stats(),
+            "{ctx} delivery stats"
+        );
+        for i in 0..2 {
+            let (s, p) = (serial.node(i), sharded.node(i));
+            assert_eq!(s.cpu().cycle(), p.cpu().cycle(), "{ctx} node {i} cycles");
+            for r in Reg::ALL {
+                assert_eq!(s.cpu().reg(r), p.cpu().reg(r), "{ctx} node {i} reg {r}");
             }
-            if cfg.instrument.is_some() {
-                let (ts, td) = (sparse.trace().unwrap(), dense.trace().unwrap());
-                assert_eq!(ts.dropped(), td.dropped(), "{ctx} trace dropped");
-                assert!(ts.events().eq(td.events()), "{ctx} trace events");
-                let (mut rs, mut rd) = (sparse.obs_report().unwrap(), dense.obs_report().unwrap());
-                rs.net.scan = ScanStats::default();
-                rd.net.scan = ScanStats::default();
-                assert_eq!(rs.to_json(), rd.to_json(), "{ctx} tcni-trace/1 report");
-            }
+        }
+        if cfg.instrument.is_some() {
+            let (ts, tp) = (serial.trace().unwrap(), sharded.trace().unwrap());
+            assert!(ts.events().eq(tp.events()), "{ctx} trace events");
+            let (rs, rp) = (serial.obs_report().unwrap(), sharded.obs_report().unwrap());
+            assert_eq!(rs.to_json(), rp.to_json(), "{ctx} tcni-trace/1 report");
+        }
 
-            // Scheduler effort is storage-independent; footprint is sparse-only.
-            let (ss, sd) = (sparse.net_stats().scan, dense.net_stats().scan);
-            assert_eq!(
-                ss.scanned_channels, sd.scanned_channels,
-                "{ctx} scanned channels"
-            );
-            assert_eq!(ss.scanned_flows, sd.scanned_flows, "{ctx} scanned flows");
-            assert_eq!(ss.skipped_work, sd.skipped_work, "{ctx} skipped work");
-            assert_eq!(
-                (sd.active_flows, sd.peak_flows, sd.flow_probes),
-                (0, 0, 0),
-                "{ctx} dense tables have no sparse footprint"
-            );
-            if cfg.e2e {
-                assert!(
-                    ss.peak_flows > 0,
-                    "{ctx} delivery traffic must occupy flow slots"
-                );
-                assert!(ss.flow_probes > 0, "{ctx} sparse lookups are metered");
-            }
-        },
-    );
+        let (ss, sp) = (serial.net_stats().scan, sharded.net_stats().scan);
+        assert_eq!(ss, sp, "{ctx} scan meters, footprint included");
+        assert!(ss.active_flows <= ss.peak_flows, "{ctx} live <= peak");
+        assert!(
+            ss.peak_flows > 0,
+            "{ctx} delivery traffic occupies flow slots"
+        );
+        assert!(ss.flow_probes > 0, "{ctx} flow lookups are metered");
+    });
 }

@@ -189,8 +189,14 @@ fn fabric_axis() -> [TopologyKind; 5] {
     ]
 }
 
-/// Every observable surface must match between two machines.
+/// Every observable surface must match between two machines, and both must
+/// hold the machine invariants.
 fn assert_machines_equal(a: &Machine, b: &Machine, ctx: &str) {
+    for m in [a, b] {
+        if let Err(e) = m.check_invariants() {
+            panic!("{ctx}: invariant broken: {e}");
+        }
+    }
     assert_eq!(a.cycle(), b.cycle(), "{ctx} machine cycle");
     assert_eq!(a.net_stats(), b.net_stats(), "{ctx} network stats");
     assert_eq!(a.delivery_stats(), b.delivery_stats(), "{ctx} delivery");
