@@ -94,6 +94,11 @@ pub trait Env {
 
 /// A plain bounds-checked word memory, byte-addressed.
 ///
+/// The word store is allocated on the first write: a machine of many nodes
+/// whose programs never touch memory (the synthetic load generators) pays
+/// nothing for it, and until then every word reads 0, exactly as a zeroed
+/// store would.
+///
 /// # Example
 ///
 /// ```
@@ -107,6 +112,9 @@ pub trait Env {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemEnv {
+    /// Capacity in words.
+    len: usize,
+    /// The words, or empty while nothing has been written.
     words: Vec<u32>,
 }
 
@@ -114,28 +122,54 @@ impl MemEnv {
     /// Creates a zeroed memory of `bytes` bytes (rounded down to words).
     pub fn new(bytes: usize) -> MemEnv {
         MemEnv {
-            words: vec![0; bytes / 4],
+            len: bytes / 4,
+            words: Vec::new(),
         }
     }
 
     /// Size in bytes.
     pub fn len(&self) -> usize {
-        self.words.len() * 4
+        self.len * 4
     }
 
     /// Whether the memory has zero capacity.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.len == 0
     }
 
     /// Direct word access for test setup (byte address).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is beyond the memory.
     pub fn poke(&mut self, addr: u32, value: u32) {
-        self.words[(addr / 4) as usize] = value;
+        let i = (addr / 4) as usize;
+        assert!(i < self.len, "poke beyond memory at {addr:#x}");
+        self.store()[i] = value;
     }
 
     /// Direct word read for assertions (byte address).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is beyond the memory.
     pub fn peek(&self, addr: u32) -> u32 {
-        self.words[(addr / 4) as usize]
+        let i = (addr / 4) as usize;
+        assert!(i < self.len, "peek beyond memory at {addr:#x}");
+        self.word(i)
+    }
+
+    /// Word `i` (in range), 0 while the store is unallocated.
+    fn word(&self, i: usize) -> u32 {
+        self.words.get(i).copied().unwrap_or(0)
+    }
+
+    /// The word store, allocated (zeroed) on first use.
+    fn store(&mut self) -> &mut [u32] {
+        if self.words.is_empty() {
+            self.words = vec![0; self.len];
+        }
+        &mut self.words
     }
 
     fn index(&self, addr: u32) -> Result<usize, EnvFault> {
@@ -143,7 +177,7 @@ impl MemEnv {
             return Err(EnvFault::fault(format!("misaligned access at {addr:#x}")));
         }
         let i = (addr / 4) as usize;
-        if i >= self.words.len() {
+        if i >= self.len {
             return Err(EnvFault::fault(format!(
                 "access beyond memory at {addr:#x}"
             )));
@@ -155,12 +189,12 @@ impl MemEnv {
 impl Env for MemEnv {
     fn mem_read(&mut self, addr: u32) -> Result<u32, EnvFault> {
         let i = self.index(addr)?;
-        Ok(self.words[i])
+        Ok(self.word(i))
     }
 
     fn mem_write(&mut self, addr: u32, value: u32) -> Result<(), EnvFault> {
         let i = self.index(addr)?;
-        self.words[i] = value;
+        self.store()[i] = value;
         Ok(())
     }
 
@@ -178,6 +212,51 @@ mod tests {
         let mut m = MemEnv::new(64);
         assert!(m.mem_read(2).is_err());
         assert!(m.mem_write(5, 1).is_err());
+    }
+
+    #[test]
+    fn untouched_words_read_zero_before_any_write() {
+        let mut m = MemEnv::new(64);
+        assert_eq!(m.len(), 64);
+        assert!(!m.is_empty());
+        assert_eq!(m.mem_read(0).unwrap(), 0);
+        assert_eq!(m.mem_read(60).unwrap(), 0);
+        assert_eq!(m.peek(32), 0);
+        m.mem_write(8, 7).unwrap();
+        assert_eq!(m.mem_read(8).unwrap(), 7);
+        assert_eq!(m.mem_read(12).unwrap(), 0, "neighbours of a write stay 0");
+        assert_eq!(m.len(), 64, "allocation does not change the size");
+    }
+
+    #[test]
+    fn peek_and_poke_share_the_store_with_reads_and_writes() {
+        let mut m = MemEnv::new(32);
+        m.poke(4, 0xDEAD_BEEF);
+        assert_eq!(m.mem_read(4).unwrap(), 0xDEAD_BEEF);
+        m.mem_write(28, 5).unwrap();
+        assert_eq!(m.peek(28), 5);
+        assert_eq!(m.peek(0), 0);
+    }
+
+    #[test]
+    fn out_of_range_accesses_fault_allocated_or_not() {
+        for written in [false, true] {
+            let mut m = MemEnv::new(16);
+            if written {
+                m.mem_write(0, 1).unwrap();
+            }
+            assert!(m.mem_read(16).is_err(), "written={written}");
+            assert!(m.mem_write(16, 1).is_err(), "written={written}");
+            assert!(m.mem_read(0xFFFF_FFFC).is_err(), "written={written}");
+            assert!(m.mem_read(6).is_err(), "misaligned, written={written}");
+        }
+        let empty = MemEnv::new(3);
+        assert!(empty.is_empty());
+        assert_eq!(empty.len(), 0);
+        let caught = std::panic::catch_unwind(|| MemEnv::new(16).peek(16));
+        assert!(caught.is_err(), "peek beyond memory panics");
+        let caught = std::panic::catch_unwind(|| MemEnv::new(16).poke(16, 1));
+        assert!(caught.is_err(), "poke beyond memory panics");
     }
 
     #[test]

@@ -204,6 +204,11 @@ pub struct Fabric {
     /// they drain via `eject`, not `tick`). Invariant: in hot-set mode,
     /// `tick` visits exactly the set bits, in ascending slot order.
     active: Vec<u64>,
+    /// The eject-ready set: bit `node` is set iff that node's ejection
+    /// channel is non-empty. Set where a packet enters an ejection channel
+    /// (a head-of-line move), cleared where `eject` empties it, so the
+    /// ejection phase visits only these nodes instead of every node.
+    eject_ready: Vec<u64>,
     /// Cross-check mode: `tick` scans every slot the way the pre-frontier
     /// code did (the frontier is still maintained, just not consulted).
     /// Behaviour is bit-identical either way; only the scan counters differ.
@@ -242,8 +247,43 @@ impl Fabric {
             observe: false,
             links: Vec::new(),
             active: vec![0; (n * config.topo.move_slots()).div_ceil(64)],
+            eject_ready: vec![0; n.div_ceil(64)],
             dense_scan: false,
         }
+    }
+
+    /// Checks the fabric's two incremental sets against the channels they
+    /// index: a frontier bit is set iff its movable channel is occupied, and
+    /// an eject-ready bit is set iff its node's ejection channel is. Meant
+    /// for property tests: it walks every channel.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first mismatch.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let topo = self.config.topo;
+        let (stride, move_slots, ports) = (topo.stride(), topo.move_slots(), topo.ports());
+        for slot in 0..self.node_count() * move_slots {
+            let (node, role) = (slot / move_slots, role_of_rank(slot % move_slots, ports));
+            let occupied = !self.chans[chan_of(node, role, stride)].is_empty();
+            if bit(&self.active, slot) != occupied {
+                return Err(format!(
+                    "frontier slot {slot} (node {node}, role {role}): occupied={occupied} \
+                     but bit={}",
+                    !occupied
+                ));
+            }
+        }
+        for node in 0..self.node_count() {
+            let occupied = !self.chans[chan_of(node, stride - 1, stride)].is_empty();
+            if bit(&self.eject_ready, node) != occupied {
+                return Err(format!(
+                    "eject-ready node {node}: occupied={occupied} but bit={}",
+                    !occupied
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Enables or disables the dense-scan cross-check (off by default).
@@ -383,8 +423,12 @@ impl Fabric {
             self.clear_active_slot(slot);
         }
         self.chans[next_idx].push_back(p);
-        if next_role != stride - 1 && self.chans[next_idx].len() == 1 {
-            self.mark_active(loc, next_role);
+        if self.chans[next_idx].len() == 1 {
+            if next_role == stride - 1 {
+                self.eject_ready[loc / 64] |= 1u64 << (loc % 64);
+            } else {
+                self.mark_active(loc, next_role);
+            }
         }
         self.note_push(next_idx);
     }
@@ -594,6 +638,9 @@ impl Fabric {
             for &slot in &d.sets {
                 self.active[slot as usize / 64] |= 1u64 << (slot % 64);
             }
+            for &node in &d.eject_sets {
+                self.eject_ready[node as usize / 64] |= 1u64 << (node % 64);
+            }
         }
         self.stats.scan.scanned_channels += visited;
         self.stats.scan.skipped_work += dense_cost - visited;
@@ -621,6 +668,7 @@ impl Fabric {
         let now = self.now;
         let cfg = self.config;
         let mut out = Vec::with_capacity(bounds.len().saturating_sub(1));
+        let eject_ready: &[u64] = &self.eject_ready;
         let mut chans: &mut [VecDeque<Packet>] = self.chans.as_mut_slice();
         for w in bounds.windows(2) {
             let take = (w[1] - w[0]) * stride;
@@ -633,6 +681,7 @@ impl Fabric {
                 total_nodes,
                 lo: w[0],
                 chans: head,
+                eject_ready,
                 delta: FabricRangeDelta::default(),
             });
         }
@@ -663,12 +712,41 @@ impl Fabric {
         for d in deltas {
             debug_assert_eq!(d.injected, 0, "eject-phase delta carries injections");
             debug_assert!(d.marks.is_empty(), "ejection never marks the frontier");
+            for &node in &d.emptied {
+                self.eject_ready[node as usize / 64] &= !(1u64 << (node % 64));
+            }
             self.stats.delivered += d.delivered;
             self.stats.total_latency += d.total_latency;
             self.stats.latency_hist.merge(&d.hist);
             self.in_flight = usize::try_from(self.in_flight as i64 + d.in_flight)
                 .expect("in-flight count cannot go negative");
         }
+    }
+}
+
+/// Whether bit `i` of a bitmap is set.
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] & (1u64 << (i % 64)) != 0
+}
+
+/// The first set bit of `words` in `from..to`: one word per 64 positions,
+/// so a sparse set costs its length over 64 plus its population.
+fn next_set(words: &[u64], from: usize, to: usize) -> Option<usize> {
+    if from >= to {
+        return None;
+    }
+    let mut w = from / 64;
+    let mut bits = words[w] & (!0u64 << (from % 64));
+    loop {
+        if bits != 0 {
+            let i = w * 64 + bits.trailing_zeros() as usize;
+            return (i < to).then_some(i);
+        }
+        w += 1;
+        if w * 64 >= to {
+            return None;
+        }
+        bits = words[w];
     }
 }
 
@@ -750,6 +828,8 @@ struct FabricTickDelta {
     blocked: u64,
     clears: Vec<u32>,
     sets: Vec<u32>,
+    /// Nodes whose ejection channel a move filled (eject-ready marks).
+    eject_sets: Vec<u32>,
 }
 
 impl FabricTickDelta {
@@ -758,6 +838,7 @@ impl FabricTickDelta {
         self.blocked = 0;
         self.clears.clear();
         self.sets.clear();
+        self.eject_sets.clear();
     }
 }
 
@@ -807,7 +888,9 @@ fn exec_worklist(cfg: &FabricConfig, now: u64, t: &mut TickTask<'_>) {
         let tgt_chan = t.chans.get_mut(tgt);
         tgt_chan.push_back(p);
         let became_active = tgt_chan.len() == 1;
-        if tgt_role != stride - 1 && became_active {
+        if tgt_role == stride - 1 && became_active {
+            t.delta.eject_sets.push(loc as u32);
+        } else if became_active {
             let t_slot = (loc * move_slots + rank_of_role(tgt_role, ports)) as u32;
             t.delta.sets.push(t_slot);
             if t_slot as usize > slot {
@@ -834,6 +917,8 @@ pub struct FabricRangeDelta {
     total_latency: u64,
     hist: LatencyHist,
     marks: Vec<u32>,
+    /// Nodes whose ejection channel an `eject` emptied (eject-ready clears).
+    emptied: Vec<u32>,
 }
 
 /// Exclusive injection/ejection access to one spatial domain's channels,
@@ -846,6 +931,9 @@ pub struct FabricRange<'a> {
     total_nodes: usize,
     lo: usize,
     chans: &'a mut [VecDeque<Packet>],
+    /// The whole fabric's eject-ready set, read-only while the fabric is
+    /// split; clears are buffered in the delta.
+    eject_ready: &'a [u64],
     delta: FabricRangeDelta,
 }
 
@@ -902,11 +990,22 @@ impl FabricRange<'_> {
             .map(|p| &p.msg)
     }
 
+    /// The first node in `from..to` (nodes of this range) whose ejection
+    /// channel was non-empty when the fabric was split; identical semantics
+    /// to [`Network::next_eject_ready`] for nodes this range has not yet
+    /// drained.
+    pub fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
+        next_set(self.eject_ready, from, to)
+    }
+
     /// Removes and returns the message ready at `dst`; identical semantics
     /// to [`Network::eject`].
     pub fn eject(&mut self, dst: NodeId) -> Option<Message> {
         let idx = self.local(dst.index(), self.cfg.topo.stride() - 1);
         let p = self.chans[idx].pop_front()?;
+        if self.chans[idx].is_empty() {
+            self.delta.emptied.push(dst.index() as u32);
+        }
         self.delta.in_flight -= 1;
         self.delta.delivered += 1;
         let latency = self.now - p.injected_at;
@@ -961,6 +1060,10 @@ impl Network for Fabric {
     fn eject(&mut self, dst: NodeId) -> Option<Message> {
         let idx = self.chan_index(dst.index(), self.eject_role());
         let p = self.chans[idx].pop_front()?;
+        if self.chans[idx].is_empty() {
+            let node = dst.index();
+            self.eject_ready[node / 64] &= !(1u64 << (node % 64));
+        }
         self.in_flight -= 1;
         self.stats.record_delivery(self.now - p.injected_at);
         Some(p.msg)
@@ -983,6 +1086,12 @@ impl Network for Fabric {
 
     fn stats(&self) -> NetStats {
         self.stats
+    }
+
+    /// The first node in `from..to` whose ejection channel is non-empty
+    /// (the eject-ready set).
+    fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
+        next_set(&self.eject_ready, from, to)
     }
 }
 
@@ -1329,12 +1438,14 @@ mod tests {
                     } else {
                         net.tick_domains(&bounds, &mut scratch);
                     }
+                    net.check_invariants().unwrap();
                     if step % 3 == 0 {
                         for d in 0..n as u16 {
                             while let Some(m) = net.eject(NodeId::new(d)) {
                                 got.push((d, m.words[1]));
                             }
                         }
+                        net.check_invariants().unwrap();
                     }
                 }
                 for _ in 0..200 {
@@ -1415,13 +1526,17 @@ mod tests {
                     }
                 }
                 net.tick();
-                // Ejection phase: drain every node, intermittently, so the
-                // hot-spot eject buffer backs up in between.
+                net.check_invariants().unwrap();
+                // Ejection phase: drain every eject-ready node,
+                // intermittently, so the hot-spot eject buffer backs up in
+                // between.
                 if step % 5 == 0 {
                     if split {
                         let mut ranges = net.split_node_ranges(&bounds);
                         for (d, range) in ranges.iter_mut().enumerate() {
-                            for node in bounds[d]..bounds[d + 1] {
+                            let mut from = bounds[d];
+                            while let Some(node) = range.next_eject_ready(from, bounds[d + 1]) {
+                                from = node + 1;
                                 while range.peek_eject(NodeId::new(node as u16)).is_some() {
                                     let m = range.eject(NodeId::new(node as u16)).unwrap();
                                     got.push((node as u16, m.words[1]));
@@ -1439,6 +1554,7 @@ mod tests {
                             }
                         }
                     }
+                    net.check_invariants().unwrap();
                 }
             }
             (got, net.stats())

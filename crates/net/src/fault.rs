@@ -425,6 +425,13 @@ impl FaultRange<'_> {
         self.fabric.peek_eject(dst)
     }
 
+    /// The first node in `from..to` whose ejection channel may hold a
+    /// message (a stalled eject port still hides it from
+    /// [`peek_eject`](Self::peek_eject)).
+    pub fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
+        self.fabric.next_eject_ready(from, to)
+    }
+
     /// Removes and returns the message ready at `dst`; identical semantics
     /// to the serial fault-layer [`Network::eject`].
     pub fn eject(&mut self, dst: NodeId) -> Option<Message> {
@@ -517,6 +524,10 @@ impl Network for FaultyFabric {
         } else {
             None
         }
+    }
+
+    fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
+        self.inner.next_eject_ready(from, to)
     }
 
     fn advance(&mut self, cycles: u64) {

@@ -137,6 +137,10 @@ impl Network for NetworkKind {
     fn advance(&mut self, cycles: u64) {
         delegate!(self, n => n.advance(cycles))
     }
+
+    fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
+        delegate!(self, n => n.next_eject_ready(from, to))
+    }
 }
 
 #[cfg(test)]

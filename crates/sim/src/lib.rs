@@ -30,7 +30,7 @@ mod trace;
 
 pub use collective::{CollDone, Collective, CollectiveStats};
 pub use delivery::{Delivery, DeliveryConfig, DeliveryStats};
-pub use driver::CycleDriver;
+pub use driver::{Activity, CycleDriver};
 pub use env::NodeEnv;
 pub use machine::{BuildError, Machine, MachineBuilder, RunOutcome, TreeMismatch};
 pub use model::{Model, NiMapping};

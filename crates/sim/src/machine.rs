@@ -18,7 +18,7 @@ use crate::delivery::{
     self, Delivery, DeliveryConfig, DeliveryDelta, DeliveryRange, DeliveryStats, DeliveryView,
     RxAction,
 };
-use crate::driver::CycleDriver;
+use crate::driver::{Activity, CycleDriver};
 use crate::model::{Model, NiMapping};
 use crate::node::Node;
 use crate::obs::{NodeRollup, Obs, ObsReport};
@@ -272,6 +272,18 @@ pub struct Machine {
     /// Set by [`node_mut`](Machine::node_mut): external mutation may have
     /// restarted or stopped a processor, so the lists must be rebuilt.
     lists_dirty: bool,
+    /// Nodes whose input registers may hold a message, ascending: a
+    /// superset of the nodes with `msg_valid` while `pending_known`. Driven
+    /// cycles keep it (region B adds every node it delivered to; after the
+    /// driver it is re-filtered on `msg_valid`) and hand it to the driver;
+    /// any other cycle, and [`node_mut`](Machine::node_mut), make it
+    /// unknown until the next driven cycle rebuilds it.
+    pending: Vec<usize>,
+    pending_known: bool,
+    /// The nodes region B delivered to this cycle, ascending.
+    arrived: Vec<usize>,
+    /// The nodes a driver reported touching this cycle.
+    touched: Vec<usize>,
     skip_ahead: bool,
     skipped_cycles: u64,
     dense_scan: bool,
@@ -328,6 +340,7 @@ impl Machine {
     /// Panics if `i` is out of range.
     pub fn node_mut(&mut self, i: usize) -> &mut Node {
         self.lists_dirty = true;
+        self.pending_known = false;
         &mut self.nodes[i]
     }
 
@@ -532,17 +545,24 @@ impl Machine {
         self.skipped_cycles
     }
 
+    /// Re-derives the running, draining and pending-input lists from every
+    /// node.
     fn refresh_lists(&mut self) {
         self.running.clear();
         self.draining.clear();
+        self.pending.clear();
         for (i, n) in self.nodes.iter().enumerate() {
             if !n.is_stopped() {
                 self.running.push(i);
             } else if n.ni().peek_outgoing().is_some() {
                 self.draining.push(i);
             }
+            if n.ni().msg_valid() {
+                self.pending.push(i);
+            }
         }
         self.lists_dirty = false;
+        self.pending_known = true;
         // External code had node access (`node_mut`, a driver's cycle): it
         // may have latched collective requests.
         self.coll_poll = true;
@@ -553,20 +573,57 @@ impl Machine {
         if self.lists_dirty {
             self.refresh_lists();
         }
+        self.pending_known = false;
         dispatch!(self, cycle_one(CpuPhase::Step));
     }
 
     /// Checks, between cycles, the invariants both cycle disciplines must
-    /// preserve in the delivery protocol and the collective engine: the
-    /// timeout list against the unacked windows, the outbox sets and totals
-    /// against the queues, and the per-flow copy and ack bookkeeping. Meant
-    /// for property tests: it walks every flow and queue, and moves no
+    /// preserve: in the fabric, the frontier and the eject-ready set against
+    /// the channels; in the machine, the running and draining lists against
+    /// what `refresh_lists()` would derive, and the
+    /// pending-input list (when known) against every `msg_valid`; in the
+    /// delivery protocol and the collective engine, the timeout list
+    /// against the unacked windows, the outbox sets and totals against the
+    /// queues, and the per-flow copy and ack bookkeeping. Meant for property
+    /// tests: it walks every node, channel, flow and queue, and moves no
     /// meter.
     ///
     /// # Errors
     ///
     /// A description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if let Some(fabric) = self.net.as_fabric() {
+            fabric.check_invariants()?;
+        }
+        if !self.lists_dirty {
+            let (mut running, mut draining) = (Vec::new(), Vec::new());
+            for (i, n) in self.nodes.iter().enumerate() {
+                if !n.is_stopped() {
+                    running.push(i);
+                } else if n.ni().peek_outgoing().is_some() {
+                    draining.push(i);
+                }
+            }
+            if running != self.running {
+                return Err(format!(
+                    "running list {:?} but running nodes {running:?}",
+                    self.running
+                ));
+            }
+            if draining != self.draining {
+                return Err(format!(
+                    "draining list {:?} but stopped nodes with traffic {draining:?}",
+                    self.draining
+                ));
+            }
+        }
+        if self.pending_known {
+            if let Some(i) = (0..self.nodes.len()).find(|&i| {
+                self.nodes[i].ni().msg_valid() && self.pending.binary_search(&i).is_err()
+            }) {
+                return Err(format!("node {i} has input waiting but is not pending"));
+            }
+        }
         if let Some(del) = &self.delivery {
             del.check_invariants()?;
         }
@@ -660,8 +717,9 @@ impl Machine {
         std::mem::swap(&mut self.draining, &mut out.draining);
         cx.net.tick();
         let mut changed = out.changed;
+        self.arrived.clear();
         if cx.net.in_flight() > 0 {
-            changed |= cx.region_b::<TRACED, OBS, E2E, COLL>(cycle, n);
+            changed |= cx.region_b::<TRACED, OBS, E2E, COLL>(cycle, n, &mut self.arrived);
         }
         let all_stalled = out.all_stalled;
         self.region_out = out;
@@ -846,6 +904,7 @@ impl Machine {
         tick_net_domains(&mut self.net, &plan.bounds, &mut plan.scratch);
 
         // --- Region B: network → interfaces ----------------------------------
+        self.arrived.clear();
         if self.net.in_flight() > 0 {
             let mut shards = split_shards(
                 &mut self.nodes,
@@ -857,9 +916,12 @@ impl Machine {
             run_tasks(&mut shards, |_, s| {
                 let hi = s.hi;
                 let (mut cx, out) = s.parts();
-                out.changed = cx.region_b::<TRACED, false, E2E, COLL>(cycle, hi);
+                out.changed = cx.region_b::<TRACED, false, E2E, COLL>(cycle, hi, &mut out.arrived);
             });
-            changed |= shards.iter().any(|s| s.out.changed);
+            for s in &shards {
+                changed |= s.out.changed;
+                self.arrived.extend_from_slice(&s.out.arrived);
+            }
             let deltas = Deltas::collect(shards);
             self.absorb(deltas, false);
         }
@@ -903,6 +965,7 @@ impl Machine {
         if self.lists_dirty {
             self.refresh_lists();
         }
+        self.pending_known = false;
         dispatch!(self, run_impl(max_cycles))
     }
 
@@ -915,8 +978,49 @@ impl Machine {
     /// the driver is assumed to have work every cycle — and does not stop
     /// just because every processor halted: load generators run entirely on
     /// machines whose CPUs halt at cycle 0.
+    ///
+    /// The driver is called through [`CycleDriver::on_cycle_active`], the
+    /// activity contract (see [`Activity`]): it receives the nodes with
+    /// input waiting and reports the nodes it queued traffic on, which the
+    /// machine merges into its injection lists. Per-cycle machine work outside the
+    /// fabric then tracks the traffic, not the node count. A driver that
+    /// reports [`touch_all`](Activity::touch_all) (the default for one that
+    /// implements only `on_cycle`) costs one sweep over every node per
+    /// cycle instead.
     pub fn run_driven<D: CycleDriver>(&mut self, driver: &mut D, max_cycles: u64) -> RunOutcome {
         dispatch!(self, run_driven_impl::<D>(driver, max_cycles))
+    }
+
+    /// The driver step of a driven cycle, with the list upkeep of the
+    /// activity contract around it.
+    fn drive<D: CycleDriver>(&mut self, driver: &mut D) -> bool {
+        let pending = self.pending_known.then_some(self.pending.as_slice());
+        let mut act = Activity::new(pending, &mut self.touched);
+        let go_on = driver.on_cycle_active(self.cycle, &mut self.nodes, &mut act);
+        if act.all() {
+            self.refresh_lists();
+            return go_on;
+        }
+        if !self.touched.is_empty() {
+            // A touched node may have latched a collective request; a
+            // stopped one that now holds traffic joins the draining list.
+            self.coll_poll = true;
+            let nodes = &self.nodes;
+            self.touched
+                .retain(|&i| nodes[i].is_stopped() && nodes[i].ni().peek_outgoing().is_some());
+            merge_sorted(&mut self.draining, &self.touched);
+        }
+        if self.pending_known {
+            let nodes = &self.nodes;
+            self.pending.retain(|&i| nodes[i].ni().msg_valid());
+        } else {
+            let nodes = &self.nodes;
+            self.pending.clear();
+            self.pending
+                .extend((0..nodes.len()).filter(|&i| nodes[i].ni().msg_valid()));
+            self.pending_known = true;
+        }
+        go_on
     }
 
     fn run_driven_impl<
@@ -932,15 +1036,16 @@ impl Machine {
     ) -> RunOutcome {
         let limit = self.cycle.saturating_add(max_cycles);
         let mut plan = self.make_par_plan();
-        while self.cycle < limit {
-            let go_on = driver.on_cycle(self.cycle, &mut self.nodes);
-            // The driver may have queued messages on (or stopped draining)
-            // any node, including stopped ones.
+        if self.lists_dirty {
             self.refresh_lists();
+        }
+        while self.cycle < limit {
+            let go_on = self.drive(driver);
             match plan.as_mut() {
                 Some(p) => self.cycle_par::<TRACED, E2E, COLL>(p),
                 None => self.cycle_one::<TRACED, OBS, E2E, COLL>(CpuPhase::Driven),
             };
+            merge_sorted(&mut self.pending, &self.arrived);
             if !go_on {
                 return RunOutcome::DriverStopped;
             }
@@ -1036,6 +1141,7 @@ trait NetPort {
     fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError>;
     fn peek_eject(&self, dst: NodeId) -> Option<&Message>;
     fn eject(&mut self, dst: NodeId) -> Option<Message>;
+    fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize>;
 }
 
 impl NetPort for NetworkKind {
@@ -1054,6 +1160,10 @@ impl NetPort for NetworkKind {
     #[inline]
     fn eject(&mut self, dst: NodeId) -> Option<Message> {
         Network::eject(self, dst)
+    }
+    #[inline]
+    fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
+        Network::next_eject_ready(self, from, to)
     }
 }
 
@@ -1119,6 +1229,8 @@ struct RegionOut {
     draining: Vec<usize>,
     /// The stopped-with-traffic set the injection phase walks.
     mid: Vec<usize>,
+    /// Region B's delivered-to nodes (sharded cycle).
+    arrived: Vec<usize>,
 }
 
 impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C, S> {
@@ -1358,15 +1470,20 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
         true
     }
 
-    /// Region B: network → interfaces for nodes `lo..hi`. Returns whether
-    /// any interface state changed.
+    /// Region B: network → interfaces for nodes `lo..hi`, visiting only
+    /// the nodes the fabric reports eject-ready. Appends every node whose
+    /// interface received a message to `arrived` (ascending). Returns
+    /// whether any interface state changed.
     fn region_b<const TRACED: bool, const OBS: bool, const E2E: bool, const COLL: bool>(
         &mut self,
         cycle: u64,
         hi: usize,
+        arrived: &mut Vec<usize>,
     ) -> bool {
         let mut changed = false;
-        for i in self.lo..hi {
+        let mut from = self.lo;
+        while let Some(i) = self.net.next_eject_ready(from, hi) {
+            from = i + 1;
             let dst = NodeId::from_index(i);
             while let Some(peeked) = self.net.peek_eject(dst).copied() {
                 let node = &mut self.nodes[i - self.lo];
@@ -1434,6 +1551,9 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
                     0
                 };
                 ni.push_incoming(msg).expect("can_accept checked");
+                if arrived.last() != Some(&i) {
+                    arrived.push(i);
+                }
                 if OBS {
                     let depth_after = ni.input_len() + usize::from(ni.msg_valid());
                     if let Some(o) = self.obs.as_deref_mut() {
@@ -1602,6 +1722,14 @@ impl NetPort for ParNetRange<'_> {
             ParNetRange::Faulty(f) => f.eject(dst),
         }
     }
+
+    #[inline]
+    fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
+        match self {
+            ParNetRange::Fabric(m) => m.next_eject_ready(from, to),
+            ParNetRange::Faulty(f) => f.next_eject_ready(from, to),
+        }
+    }
 }
 
 impl ParNetRange<'_> {
@@ -1691,6 +1819,17 @@ fn partition_sorted<'a>(list: &'a [usize], mbounds: &[usize]) -> Vec<&'a [usize]
     }
     debug_assert!(rest.is_empty(), "list entry beyond the last domain");
     out
+}
+
+/// Adds the nodes of `add` to the ascending, duplicate-free list `into`,
+/// keeping it so (`add` may repeat nodes). Both lists are usually sorted
+/// runs, which the stable sort merges in linear time.
+fn merge_sorted(into: &mut Vec<usize>, add: &[usize]) {
+    if !add.is_empty() {
+        into.extend_from_slice(add);
+        into.sort();
+        into.dedup();
+    }
 }
 
 /// Splits the node array into per-domain mutable chunks.
@@ -2038,6 +2177,10 @@ impl MachineBuilder {
             running: Vec::new(),
             draining: Vec::new(),
             lists_dirty: true,
+            pending: Vec::new(),
+            pending_known: false,
+            arrived: Vec::new(),
+            touched: Vec::new(),
             skip_ahead: self.skip_ahead,
             skipped_cycles: 0,
             dense_scan: false,

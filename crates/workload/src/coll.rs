@@ -30,8 +30,9 @@ use std::collections::VecDeque;
 
 use tcni_core::{CollectiveOp, InterfaceReg, MsgType, NetworkInterface, NodeId, SendMode};
 use tcni_net::{CombiningTree, FabricConfig, FaultConfig};
-use tcni_sim::{CycleDriver, DeliveryConfig, Machine, MachineBuilder, Node, RunOutcome};
+use tcni_sim::{Activity, CycleDriver, DeliveryConfig, Machine, MachineBuilder, Node, RunOutcome};
 
+use crate::inject::VisitSet;
 use crate::pattern::Topology;
 use crate::sweep::Fabric;
 
@@ -284,8 +285,10 @@ struct NicDriver {
     storm: Storm,
 }
 
-impl CycleDriver for NicDriver {
-    fn on_cycle(&mut self, cycle: u64, nodes: &mut [Node]) -> bool {
+impl NicDriver {
+    /// One cycle; returns whether a round started (every node latched a
+    /// contribution).
+    fn step(&mut self, cycle: u64, nodes: &mut [Node]) -> bool {
         // Collect completions first: a round can close and a new one fire
         // in the same cycle.
         for node in nodes.iter_mut() {
@@ -293,14 +296,34 @@ impl CycleDriver for NicDriver {
                 self.storm.collect(done.value, cycle);
             }
         }
-        if self.storm.accrue() {
-            let round = self.storm.round;
-            let seed = self.storm.seed;
-            let op = self.storm.op;
-            self.storm.start(cycle);
-            for (i, node) in nodes.iter_mut().enumerate() {
-                node.coll_request(op, value_of(seed, round, i));
-            }
+        if !self.storm.accrue() {
+            return false;
+        }
+        let round = self.storm.round;
+        let seed = self.storm.seed;
+        let op = self.storm.op;
+        self.storm.start(cycle);
+        for (i, node) in nodes.iter_mut().enumerate() {
+            node.coll_request(op, value_of(seed, round, i));
+        }
+        true
+    }
+}
+
+impl CycleDriver for NicDriver {
+    fn on_cycle(&mut self, cycle: u64, nodes: &mut [Node]) -> bool {
+        self.step(cycle, nodes);
+        !self.storm.finished()
+    }
+
+    fn on_cycle_active(
+        &mut self,
+        cycle: u64,
+        nodes: &mut [Node],
+        activity: &mut Activity<'_>,
+    ) -> bool {
+        if self.step(cycle, nodes) {
+            (0..nodes.len()).for_each(|i| activity.touch(i));
         }
         !self.storm.finished()
     }
@@ -332,6 +355,10 @@ struct SoftDriver {
     /// Root-side combine state for the open round.
     acc: u32,
     gathered: usize,
+    /// The nodes with a non-empty backlog, ascending.
+    backlogged: Vec<usize>,
+    /// The nodes to visit this cycle.
+    visit: VisitSet,
 }
 
 impl SoftDriver {
@@ -344,6 +371,8 @@ impl SoftDriver {
             backlog: vec![VecDeque::new(); nodes],
             acc: 0,
             gathered: 0,
+            backlogged: Vec::new(),
+            visit: VisitSet::new(nodes),
         }
     }
 
@@ -383,46 +412,111 @@ impl SoftDriver {
             _ => unreachable!("the soft collective is the only traffic source"),
         }
     }
+
+    /// Starts a round if the storm fires this cycle; returns whether it did
+    /// (every leaf then holds a contribution to send).
+    fn fire(&mut self, cycle: u64) -> bool {
+        if !self.storm.accrue() {
+            return false;
+        }
+        let round = self.storm.round;
+        let seed = self.storm.seed;
+        self.storm.start(cycle);
+        // The root's own contribution is a local combine; everyone
+        // else gathers to it over the wire.
+        self.acc = self
+            .storm
+            .op
+            .combine(self.storm.op.identity(), value_of(seed, round, 0));
+        self.gathered = 0;
+        if self.storm.nodes == 1 {
+            self.root_finish(cycle);
+        }
+        let root = NodeId::from_index(0);
+        for i in 1..self.storm.nodes {
+            self.backlog[i].push_back(Pending {
+                w0: root.into_word_bits(self.format) | KIND_CONTRIB,
+                w1: value_of(seed, round, i),
+            });
+        }
+        true
+    }
+
+    /// Node `i`'s one action this cycle: receive, else send the oldest
+    /// backlog entry. Returns whether it sent.
+    fn node_cycle(&mut self, i: usize, cycle: u64, node: &mut Node) -> bool {
+        let ni = node.ni_mut();
+        if ni.msg_valid() {
+            self.receive(i, cycle, ni);
+            return false;
+        }
+        let Some(&p) = self.backlog[i].front() else {
+            return false;
+        };
+        if ni.send_would_stall() {
+            return false; // full output queue: retry next cycle
+        }
+        ni.write_reg(InterfaceReg::O0, p.w0).expect("O0 writable");
+        ni.write_reg(InterfaceReg::O1, p.w1).expect("O1 writable");
+        ni.send(SendMode::Send, self.mtype).expect("send accepted");
+        self.backlog[i].pop_front();
+        true
+    }
+
+    /// Visits every node, reporting the senders to `activity` if given.
+    fn visit_all(
+        &mut self,
+        cycle: u64,
+        nodes: &mut [Node],
+        mut activity: Option<&mut Activity<'_>>,
+    ) {
+        for (i, node) in nodes.iter_mut().enumerate() {
+            if self.node_cycle(i, cycle, node) {
+                if let Some(act) = activity.as_deref_mut() {
+                    act.touch(i);
+                }
+            }
+        }
+        self.backlogged.clear();
+        self.backlogged
+            .extend((0..self.backlog.len()).filter(|&i| !self.backlog[i].is_empty()));
+    }
 }
 
 impl CycleDriver for SoftDriver {
     fn on_cycle(&mut self, cycle: u64, nodes: &mut [Node]) -> bool {
-        if self.storm.accrue() {
-            let round = self.storm.round;
-            let seed = self.storm.seed;
-            self.storm.start(cycle);
-            // The root's own contribution is a local combine; everyone
-            // else gathers to it over the wire.
-            self.acc = self
-                .storm
-                .op
-                .combine(self.storm.op.identity(), value_of(seed, round, 0));
-            self.gathered = 0;
-            if self.storm.nodes == 1 {
-                self.root_finish(cycle);
+        self.fire(cycle);
+        self.visit_all(cycle, nodes, None);
+        !self.storm.finished()
+    }
+
+    /// Visits the nodes with input waiting or a backlog to send — every
+    /// node only in the cycle a round fires.
+    fn on_cycle_active(
+        &mut self,
+        cycle: u64,
+        nodes: &mut [Node],
+        activity: &mut Activity<'_>,
+    ) -> bool {
+        let fired = self.fire(cycle);
+        let Some(pending) = activity.pending().filter(|_| !fired) else {
+            self.visit_all(cycle, nodes, Some(activity));
+            return !self.storm.finished();
+        };
+        let mut visit = std::mem::take(&mut self.visit);
+        for &i in pending.iter().chain(&self.backlogged) {
+            visit.insert(i);
+        }
+        self.backlogged.clear();
+        for i in visit.drain() {
+            if self.node_cycle(i, cycle, &mut nodes[i]) {
+                activity.touch(i);
             }
-            let root = NodeId::from_index(0);
-            for i in 1..self.storm.nodes {
-                self.backlog[i].push_back(Pending {
-                    w0: root.into_word_bits(self.format) | KIND_CONTRIB,
-                    w1: value_of(seed, round, i),
-                });
+            if !self.backlog[i].is_empty() {
+                self.backlogged.push(i);
             }
         }
-        for (i, node) in nodes.iter_mut().enumerate() {
-            let ni = node.ni_mut();
-            if ni.msg_valid() {
-                self.receive(i, cycle, ni);
-            } else if let Some(&p) = self.backlog[i].front() {
-                if ni.send_would_stall() {
-                    continue; // full output queue: retry next cycle
-                }
-                ni.write_reg(InterfaceReg::O0, p.w0).expect("O0 writable");
-                ni.write_reg(InterfaceReg::O1, p.w1).expect("O1 writable");
-                ni.send(SendMode::Send, self.mtype).expect("send accepted");
-                self.backlog[i].pop_front();
-            }
-        }
+        self.visit = visit;
         !self.storm.finished()
     }
 }
@@ -879,5 +973,88 @@ mod tests {
             .sum();
         assert_eq!(depth, 0);
         assert_eq!(json, report.to_json(), "serialization is deterministic");
+    }
+
+    /// Drives one storm to its end in random chunks: through the activity
+    /// path (checking the machine's invariants after every cycle), or —
+    /// `full` — through a closure around `on_cycle`, which takes the
+    /// provided full-visit fallback. Returns every observable.
+    fn drive<D: CycleDriver + std::fmt::Debug>(
+        mut m: Machine,
+        mut d: D,
+        full: bool,
+        chunk_seed: u64,
+    ) -> String {
+        let mut chunks = tcni_check::Rng::new(chunk_seed);
+        'run: while m.cycle() < 20_000 {
+            let k = 1 + chunks.below(50);
+            if full {
+                let mut f = |c: u64, n: &mut [Node]| d.on_cycle(c, n);
+                if m.run_driven(&mut f, k) == RunOutcome::DriverStopped {
+                    break;
+                }
+                continue;
+            }
+            for _ in 0..k {
+                let outcome = m.run_driven(&mut d, 1);
+                m.check_invariants()
+                    .unwrap_or_else(|e| panic!("cycle {}: {e}", m.cycle()));
+                if outcome == RunOutcome::DriverStopped {
+                    break 'run;
+                }
+            }
+        }
+        format!(
+            "{d:?}\ncycle {} {:?} {:?} {:?} {:?}",
+            m.cycle(),
+            m.net_stats(),
+            m.net_stats().scan,
+            m.collective_stats(),
+            m.delivery_stats()
+        )
+    }
+
+    /// Both storm drivers visit only the nodes with input waiting or a
+    /// backlog to send; they must match the full-visit path exactly, on
+    /// every fabric, with and without faults, at any worker count.
+    #[test]
+    fn storm_drivers_match_the_full_visit_path() {
+        tcni_check::check("storm_drivers_match_the_full_visit_path", 24, |rng| {
+            let side = 2 + rng.index(4);
+            let mut cfg = CollStormConfig::new(Topology::new(side, side));
+            cfg.fabric = *rng.pick(&[
+                Fabric::Ideal { latency: 2 },
+                Fabric::Mesh,
+                Fabric::Torus,
+                Fabric::Ring,
+                Fabric::Full,
+            ]);
+            cfg.seed = rng.u64();
+            cfg.rounds = 3;
+            if rng.bool() {
+                cfg.fault_pm = 25;
+                cfg.delivery = true;
+            }
+            let op = *rng.pick(&CollectiveOp::ALL);
+            let rate = *rng.pick(&[0, 5, 50]);
+            let threads = *rng.pick(&[1usize, 2, 3, 8]);
+            let chunk_seed = rng.u64();
+            let nodes = cfg.topo.nodes();
+            for mode in [CollMode::Nic, CollMode::Soft] {
+                let run = |full: bool| {
+                    let mut m = build_machine(mode, &cfg);
+                    m.set_par_threads(if full { 1 } else { threads });
+                    let storm = Storm::new(op, cfg.seed, rate, cfg.rounds, nodes);
+                    match mode {
+                        CollMode::Nic => drive(m, NicDriver { storm }, full, chunk_seed),
+                        CollMode::Soft => {
+                            let d = SoftDriver::new(storm, m.wire_format());
+                            drive(m, d, full, chunk_seed)
+                        }
+                    }
+                };
+                assert_eq!(run(false), run(true), "{mode:?} {op:?} rate {rate} {cfg:?}");
+            }
+        });
     }
 }

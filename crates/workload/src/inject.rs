@@ -26,13 +26,38 @@
 //! is what makes the six models separate in a synthetic sweep: cheaper
 //! interfaces sustain higher per-node message rates before the processor
 //! itself becomes the bottleneck.
+//!
+//! # Visiting only the nodes with work
+//!
+//! Under [`Machine::run_driven`](tcni_sim::Machine::run_driven) the injector
+//! follows the [activity contract](tcni_sim::Activity): each cycle it visits
+//! the nodes with input waiting (the machine's pending list) plus the nodes
+//! a due-cycle calendar names, and reports the nodes it sent on. A node
+//! needs a visit only when its state can change:
+//!
+//! * its open-loop accumulator reaches the next offer — computable, because
+//!   the accumulator is integer arithmetic: `⌈(1000 − acc) / rate⌉` calls
+//!   ahead;
+//! * its backlog is non-empty and the processor is free (`busy_until`), or
+//!   a SEND stalled on a full output queue (retried next cycle);
+//! * a closed-loop window has room (a reply reopened it, or it is still
+//!   filling: next cycle).
+//!
+//! Between visits a node's accumulator is caught up arithmetically, so
+//! offers, destination draws, and shedding happen on exactly the calls they
+//! would under a visit-every-node loop. Accrual counts driver calls, as it
+//! always has; any break in the cycle sequence (`run` or `step` between
+//! driven chunks, a fresh machine) and any call through plain
+//! [`on_cycle`](CycleDriver::on_cycle) make the next active call visit every
+//! node and rebuild the calendar, so mixing the entry points stays exact.
 
 use std::collections::VecDeque;
+use std::fmt;
 
 use tcni_check::Rng;
 use tcni_core::{InterfaceReg, MsgType, NetworkInterface, NodeId, SendMode, WireFormat};
 use tcni_eval::paper;
-use tcni_sim::{CycleDriver, Model, Node};
+use tcni_sim::{Activity, CycleDriver, Model, Node};
 
 use crate::pattern::{Pattern, Topology};
 
@@ -144,7 +169,62 @@ struct NodeState {
     backlog: VecDeque<Pending>,
     /// Closed loop: exchanges generated and not yet completed by a reply.
     outstanding: u32,
+    /// The driver call whose accrual `acc` includes.
+    seen: u64,
+    /// The cycle the calendar next visits this node at ([`NEVER`]: none).
+    due: u64,
 }
+
+/// `NodeState::due` of a node with nothing scheduled.
+const NEVER: u64 = u64::MAX;
+
+/// Buckets of the due-cycle wheel (a power of two). A node due further
+/// ahead than one turn stays in its bucket until its turn comes round.
+const WHEEL: usize = 1024;
+
+/// Why an [`InjectorConfig`] cannot drive a machine (see
+/// [`Injector::try_new`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InjectorError {
+    /// The destination pattern is not defined on the node grid (transpose
+    /// on a non-square grid, or any pattern on a one-node grid).
+    UnsupportedPattern {
+        /// The pattern's [`key`](Pattern::key).
+        pattern: &'static str,
+        /// Grid width.
+        width: usize,
+        /// Grid height.
+        height: usize,
+    },
+    /// The per-node backlog bound is zero.
+    ZeroBacklog,
+    /// The open-loop rate exceeds 1000 per mille.
+    RateTooHigh {
+        /// The configured rate.
+        rate_pm: u32,
+    },
+    /// The closed-loop window is zero.
+    ZeroWindow,
+}
+
+impl fmt::Display for InjectorError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            InjectorError::UnsupportedPattern {
+                pattern,
+                width,
+                height,
+            } => write!(f, "{pattern} does not support a {width}x{height} grid"),
+            InjectorError::ZeroBacklog => write!(f, "backlog bound must be >= 1"),
+            InjectorError::RateTooHigh { rate_pm } => {
+                write!(f, "open-loop rate is per-mille: 0..=1000 ({rate_pm} given)")
+            }
+            InjectorError::ZeroWindow => write!(f, "closed-loop window must be >= 1"),
+        }
+    }
+}
+
+impl std::error::Error for InjectorError {}
 
 /// Configuration for an [`Injector`].
 #[derive(Debug, Clone, Copy)]
@@ -183,13 +263,26 @@ impl InjectorConfig {
     }
 }
 
-/// The synthetic traffic driver. See the module docs for the load models.
+/// The synthetic traffic driver. See the module docs for the load models
+/// and for how it visits only the nodes with work.
 #[derive(Debug)]
 pub struct Injector {
     config: InjectorConfig,
     state: Vec<NodeState>,
     counters: InjectCounters,
     mtype: MsgType,
+    /// Driver calls so far: the open-loop accrual clock.
+    calls: u64,
+    /// The cycle of the previous call.
+    last_cycle: Option<u64>,
+    /// The due-cycle wheel: bucket `c % WHEEL` lists nodes whose `due` may
+    /// be `c` (stale entries are dropped when their bucket comes round).
+    wheel: Vec<Vec<u32>>,
+    /// Whether every node's `due` is in the wheel (false after a visit
+    /// through plain `on_cycle`, which keeps no calendar).
+    wheel_valid: bool,
+    /// The nodes to visit this cycle.
+    visit: VisitSet,
 }
 
 impl Injector {
@@ -198,37 +291,65 @@ impl Injector {
     /// # Panics
     ///
     /// Panics if the pattern does not support the topology, the backlog
-    /// bound is zero, or the load parameters are out of range.
+    /// bound is zero, or the load parameters are out of range (see
+    /// [`try_new`](Self::try_new) for the fallible form).
     pub fn new(config: InjectorConfig) -> Injector {
-        assert!(
-            config.pattern.supports(&config.topo),
-            "{} does not support a {}x{} grid",
-            config.pattern.key(),
-            config.topo.width,
-            config.topo.height
-        );
-        assert!(config.backlog_limit >= 1, "backlog bound must be >= 1");
-        match config.mode {
-            LoopMode::Open { rate_pm } => {
-                assert!(rate_pm <= 1000, "open-loop rate is per-mille: 0..=1000")
-            }
-            LoopMode::Closed { window } => assert!(window >= 1, "closed-loop window must be >= 1"),
+        match Injector::try_new(config) {
+            Ok(inj) => inj,
+            Err(e) => panic!("{e}"),
         }
-        let state = (0..config.topo.nodes())
+    }
+
+    /// Creates an injector for every node of `config.topo`, rejecting an
+    /// unusable configuration with a typed error instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// [`InjectorError::UnsupportedPattern`] if the pattern does not support
+    /// the topology, [`InjectorError::ZeroBacklog`] for a zero backlog
+    /// bound, [`InjectorError::RateTooHigh`] for an open-loop rate above
+    /// 1000‰, [`InjectorError::ZeroWindow`] for a zero closed-loop window.
+    pub fn try_new(config: InjectorConfig) -> Result<Injector, InjectorError> {
+        if !config.pattern.supports(&config.topo) {
+            return Err(InjectorError::UnsupportedPattern {
+                pattern: config.pattern.key(),
+                width: config.topo.width,
+                height: config.topo.height,
+            });
+        }
+        if config.backlog_limit == 0 {
+            return Err(InjectorError::ZeroBacklog);
+        }
+        match config.mode {
+            LoopMode::Open { rate_pm } if rate_pm > 1000 => {
+                return Err(InjectorError::RateTooHigh { rate_pm });
+            }
+            LoopMode::Closed { window: 0 } => return Err(InjectorError::ZeroWindow),
+            _ => {}
+        }
+        let nodes = config.topo.nodes();
+        let state = (0..nodes)
             .map(|i| NodeState {
                 rng: Rng::new(node_seed(config.seed, i)),
                 acc: 0,
                 busy_until: 0,
                 backlog: VecDeque::new(),
                 outstanding: 0,
+                seen: 0,
+                due: NEVER,
             })
             .collect();
-        Injector {
+        Ok(Injector {
             config,
             state,
             counters: InjectCounters::default(),
             mtype: MsgType::new(2).expect("type 2 is a plain message type"),
-        }
+            calls: 0,
+            last_cycle: None,
+            wheel: vec![Vec::new(); WHEEL],
+            wheel_valid: false,
+            visit: VisitSet::new(nodes),
+        })
     }
 
     /// Aggregate counters since construction.
@@ -280,12 +401,22 @@ impl Injector {
     /// receive (first priority), or hand the oldest backlog entry to the
     /// interface. Generation is bookkeeping, not a costed action — offered
     /// load accrues even while the processor is busy, which is what "open
-    /// loop" means.
-    fn node_cycle(&mut self, i: usize, cycle: u64, node: &mut Node) {
+    /// loop" means. Returns whether the node sent.
+    fn node_cycle(&mut self, i: usize, cycle: u64, node: &mut Node) -> bool {
         // Generate.
+        let call = self.calls;
         match self.config.mode {
             LoopMode::Open { rate_pm } => {
                 let st = &mut self.state[i];
+                // Catch up the calls since the last visit: none of them
+                // reached an offer, or the calendar would have visited.
+                let missed = u64::from(rate_pm) * (call - st.seen - 1);
+                debug_assert!(
+                    u64::from(st.acc) + missed < 1000,
+                    "node {i} missed an offer"
+                );
+                st.acc += missed as u32;
+                st.seen = call;
                 st.acc += rate_pm;
                 while st.acc >= 1000 {
                     st.acc -= 1000;
@@ -320,35 +451,177 @@ impl Injector {
         }
         // Act, if the processor is free.
         if cycle < self.state[i].busy_until {
-            return;
+            return false;
         }
         let ni = node.ni_mut();
-        let cost = if ni.msg_valid() {
-            self.receive(i, ni)
+        let (cost, sent) = if ni.msg_valid() {
+            (self.receive(i, ni), false)
         } else if let Some(&p) = self.state[i].backlog.front() {
             if ni.send_would_stall() {
-                return; // full output queue: real backpressure, retry next cycle
+                return false; // full output queue: real backpressure, retry next cycle
             }
             ni.write_reg(InterfaceReg::O0, p.w0).expect("O0 writable");
             ni.write_reg(InterfaceReg::O1, p.w1).expect("O1 writable");
             ni.send(SendMode::Send, self.mtype).expect("send accepted");
             self.state[i].backlog.pop_front();
             self.counters.issued += 1;
-            self.config.costs.send
+            (self.config.costs.send, true)
         } else {
-            return;
+            return false;
         };
         self.state[i].busy_until = cycle + cost;
+        sent
+    }
+
+    /// The next cycle after `cycle` at which node `i`'s state can change
+    /// without input arriving ([`NEVER`] if none): its next offer, its
+    /// backlog's next chance to send, or a closed-loop window with room.
+    /// Input is the machine's pending list's business.
+    fn next_due(&self, i: usize, cycle: u64) -> u64 {
+        let st = &self.state[i];
+        let mut due = match self.config.mode {
+            LoopMode::Open { rate_pm } if rate_pm > 0 => {
+                cycle + u64::from((1000 - st.acc).div_ceil(rate_pm))
+            }
+            // A node the pattern gives no partner never fills its window;
+            // its visits change nothing, but are exact.
+            LoopMode::Closed { window } if st.outstanding < window => cycle + 1,
+            _ => NEVER,
+        };
+        if !st.backlog.is_empty() {
+            due = due.min(st.busy_until.max(cycle + 1));
+        }
+        due
+    }
+
+    /// Puts node `i` on the wheel at its next due cycle, unless it is
+    /// already there.
+    fn schedule(&mut self, i: usize, cycle: u64) {
+        let due = self.next_due(i, cycle);
+        let st = &mut self.state[i];
+        if due != st.due {
+            st.due = due;
+            if due != NEVER {
+                self.wheel[due as usize % WHEEL].push(i as u32);
+            }
+        }
+    }
+
+    /// Visits every node, as the plain `on_cycle` loop does, reporting the
+    /// senders; with an activity record, also rebuilds the wheel.
+    fn visit_all(
+        &mut self,
+        cycle: u64,
+        nodes: &mut [Node],
+        mut activity: Option<&mut Activity<'_>>,
+    ) {
+        let schedule = activity.is_some();
+        if schedule {
+            self.wheel.iter_mut().for_each(Vec::clear);
+        }
+        let count = self.state.len();
+        for (i, node) in nodes.iter_mut().enumerate().take(count) {
+            let sent = self.node_cycle(i, cycle, node);
+            if let Some(act) = activity.as_deref_mut() {
+                if sent {
+                    act.touch(i);
+                }
+                self.state[i].due = NEVER;
+                self.schedule(i, cycle);
+            }
+        }
+        self.wheel_valid = schedule;
+    }
+
+    /// Counts one driver call at `cycle`; returns whether it directly
+    /// follows the previous one.
+    fn tick_call(&mut self, cycle: u64) -> bool {
+        self.calls += 1;
+        let contiguous = self
+            .last_cycle
+            .is_some_and(|c| c.checked_add(1) == Some(cycle));
+        self.last_cycle = Some(cycle);
+        contiguous
     }
 }
 
 impl CycleDriver for Injector {
     fn on_cycle(&mut self, cycle: u64, nodes: &mut [Node]) -> bool {
-        let count = self.state.len();
-        for (i, node) in nodes.iter_mut().enumerate().take(count) {
-            self.node_cycle(i, cycle, node);
-        }
+        self.tick_call(cycle);
+        self.visit_all(cycle, nodes, None);
         true
+    }
+
+    fn on_cycle_active(
+        &mut self,
+        cycle: u64,
+        nodes: &mut [Node],
+        activity: &mut Activity<'_>,
+    ) -> bool {
+        let contiguous = self.tick_call(cycle);
+        let pending = match activity.pending() {
+            Some(p) if contiguous && self.wheel_valid => p,
+            _ => {
+                self.visit_all(cycle, nodes, Some(activity));
+                return true;
+            }
+        };
+        let count = self.state.len().min(nodes.len());
+        let mut visit = std::mem::take(&mut self.visit);
+        for &i in pending.iter().take_while(|&&i| i < count) {
+            visit.insert(i);
+        }
+        let state = &self.state;
+        self.wheel[cycle as usize % WHEEL].retain(|&n| {
+            let due = state[n as usize].due;
+            if due == cycle {
+                visit.insert(n as usize);
+                false
+            } else {
+                // A node due a later turn of the wheel keeps its entry;
+                // an entry whose node was rescheduled elsewhere is stale.
+                due != NEVER && due > cycle && due as usize % WHEEL == cycle as usize % WHEEL
+            }
+        });
+        for i in visit.drain() {
+            if self.node_cycle(i, cycle, &mut nodes[i]) {
+                activity.touch(i);
+            }
+            self.schedule(i, cycle);
+        }
+        self.visit = visit;
+        true
+    }
+}
+
+/// A set of node indices as a bitmap, drained in ascending order: the
+/// drivers' per-cycle visit list, deduplicated and sorted for one word
+/// per 64 nodes.
+#[derive(Debug, Default)]
+pub(crate) struct VisitSet(Vec<u64>);
+
+impl VisitSet {
+    /// An empty set over `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> VisitSet {
+        VisitSet(vec![0; nodes.div_ceil(64)])
+    }
+
+    pub(crate) fn insert(&mut self, node: usize) {
+        self.0[node / 64] |= 1 << (node % 64);
+    }
+
+    /// Yields the members in ascending order, leaving the set empty.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter_mut().enumerate().flat_map(|(w, word)| {
+            let mut bits = std::mem::take(word);
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
     }
 }
 
@@ -448,6 +721,63 @@ mod tests {
             "basic-off ({slow}) should lag opt-reg ({fast}) at 0.6 msg/cycle/node"
         );
         assert!(slow_c.shed > 0, "the slow model saturates and sheds");
+    }
+
+    #[test]
+    fn unusable_configs_are_typed_errors() {
+        let square = Topology::new(2, 2);
+        let ragged = Topology::new(3, 2);
+        let open = |rate_pm| LoopMode::Open { rate_pm };
+        let err = |cfg| Injector::try_new(cfg).map(|_| ()).unwrap_err();
+        assert_eq!(
+            err(InjectorConfig::new(Pattern::Transpose, ragged, open(5))),
+            InjectorError::UnsupportedPattern {
+                pattern: "transpose",
+                width: 3,
+                height: 2
+            }
+        );
+        assert_eq!(
+            err(InjectorConfig::new(
+                Pattern::Uniform,
+                Topology::new(1, 1),
+                open(5)
+            )),
+            InjectorError::UnsupportedPattern {
+                pattern: "uniform",
+                width: 1,
+                height: 1
+            }
+        );
+        let mut cfg = InjectorConfig::new(Pattern::Uniform, square, open(5));
+        cfg.backlog_limit = 0;
+        assert_eq!(err(cfg), InjectorError::ZeroBacklog);
+        assert_eq!(
+            err(InjectorConfig::new(Pattern::Uniform, square, open(1001))),
+            InjectorError::RateTooHigh { rate_pm: 1001 }
+        );
+        assert_eq!(
+            err(InjectorConfig::new(
+                Pattern::Uniform,
+                square,
+                LoopMode::Closed { window: 0 }
+            )),
+            InjectorError::ZeroWindow
+        );
+        // The boundaries themselves are fine, and `new` keeps panicking
+        // with the error's message.
+        assert!(
+            Injector::try_new(InjectorConfig::new(Pattern::Uniform, square, open(1000))).is_ok()
+        );
+        let caught = std::panic::catch_unwind(|| {
+            Injector::new(InjectorConfig::new(Pattern::Uniform, square, open(1001)))
+        });
+        let msg = caught.unwrap_err();
+        let msg = msg.downcast_ref::<String>().expect("formatted panic");
+        assert_eq!(
+            msg,
+            &InjectorError::RateTooHigh { rate_pm: 1001 }.to_string()
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod sweep;
 pub use coll::{
     run_coll_point, run_coll_sweep, CollMode, CollPoint, CollReport, CollStormConfig, COLL_SCHEMA,
 };
-pub use inject::{InjectCounters, Injector, InjectorConfig, LoopMode, ServiceCosts};
+pub use inject::{InjectCounters, Injector, InjectorConfig, InjectorError, LoopMode, ServiceCosts};
 pub use pattern::{Pattern, Topology, DEFAULT_HOT_PM};
 pub use report::{LoadReport, LOAD_SCHEMA};
 pub use sweep::{

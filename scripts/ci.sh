@@ -75,6 +75,20 @@ run_16x16 1 target/BENCH_loadgen_16x16.serial.json
 run_16x16 4 target/BENCH_loadgen_16x16.par4.json
 cmp target/BENCH_loadgen_16x16.serial.json target/BENCH_loadgen_16x16.par4.json
 
+echo "== smoke: closed-loop 16x16 (reply-driven wakeups) matches serial under TCNI_THREADS=4 =="
+# Closed-loop injectors reopen their window only when a reply arrives, so
+# this export exercises the pending-input list and the calendar's window
+# reopenings in both the one-domain and the sharded cycle.
+run_16x16_closed() {
+    TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \
+        --width 16 --height 16 --models opt-reg --fabrics mesh \
+        --patterns uniform --rates 5 --windows 2 --warmup 200 \
+        --measure 800 --quiet --out "$2"
+}
+run_16x16_closed 1 target/BENCH_loadgen_16x16_closed.serial.json
+run_16x16_closed 4 target/BENCH_loadgen_16x16_closed.par4.json
+cmp target/BENCH_loadgen_16x16_closed.serial.json target/BENCH_loadgen_16x16_closed.par4.json
+
 echo "== smoke: topology axis (torus sharded run, ring/full schema, torus collective) =="
 # `--topology` pins the sweep to one switched fabric. The torus 16×16 point
 # shards across workers exactly like the mesh one and must export the same
