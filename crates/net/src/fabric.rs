@@ -11,14 +11,31 @@
 //! topology's ports in order, and role `stride - 1` = eject, which for
 //! the mesh reproduces the historical inject/east/west/north/south/eject
 //! layout exactly.
+//!
+//! # One body per channel operation
+//!
+//! Each channel operation is written once and serves both the serial
+//! fabric and a domain of the machine's sharded cycle: `move_head` (the
+//! head-of-line move, over a `ChanStore` — the whole channel vector or one
+//! tick task's verified-disjoint `GroupMut`), and `inject_at`, `peek_at`
+//! and `eject_at` (over the channels of a node range). They report every
+//! side effect beyond the channels — frontier and eject-ready bits,
+//! [`NetStats`] counters, the in-flight count, per-link counters — as an
+//! `Fx` to a `Sink`. The fabric's `Ledger` applies each `Fx` in place; a
+//! tick task or a domain's [`NetRange`] logs it instead, and the barrier
+//! replays the logs into the ledger in task or domain order. The
+//! bare-or-faulty choice of the sharded cycle lives in
+//! [`NetworkKind::split_ranges`](crate::NetworkKind::split_ranges).
 
 use std::collections::VecDeque;
+use std::fmt;
 
 use tcni_core::{Message, NodeId};
 use tcni_util::disjoint::{split_groups, GroupMut, SlotClaims};
 use tcni_util::par::run_tasks;
 
-use crate::stats::{LatencyHist, NetStats};
+use crate::fault::{FaultTally, RangeGates};
+use crate::stats::NetStats;
 use crate::topology::{Hop, Topology, TopologyKind};
 use crate::{InjectError, Network};
 
@@ -68,6 +85,37 @@ impl FabricConfig {
     }
 }
 
+/// Why a [`FabricConfig`] cannot be built into a [`Fabric`]
+/// ([`Fabric::try_new`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FabricError {
+    /// The topology has more nodes than [`NodeId`]'s wide-format address
+    /// space ([`NodeId::MAX_NODES`]).
+    TooLarge {
+        /// Number of nodes the topology would have.
+        nodes: usize,
+        /// The address-space ceiling.
+        max: usize,
+    },
+    /// A channel, injection or ejection capacity is zero: no packet could
+    /// ever pass that FIFO.
+    ZeroCapacity,
+}
+
+impl fmt::Display for FabricError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FabricError::TooLarge { nodes, max } => write!(
+                f,
+                "fabric of {nodes} nodes is larger than the {max}-node NodeId address space"
+            ),
+            FabricError::ZeroCapacity => write!(f, "fabric buffer capacities must be non-zero"),
+        }
+    }
+}
+
+impl std::error::Error for FabricError {}
+
 /// Per-channel observability counters (see [`Fabric::set_observe`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
@@ -99,14 +147,14 @@ struct Packet {
 }
 
 // Channel-layout arithmetic as free functions of the topology, so the
-// parallel tick's workers (which cannot hold `&self` while the channel
-// vector is split) share the exact decision procedure with the serial
-// methods. A node's channels are `node * stride + role` with role 0 =
-// inject, role `1 + p` = topology port `p`, role `stride - 1` = eject.
-// Frontier slots order the movable roles ports-first, inject-last:
-// `node * move_slots + rank` with rank `p` for port `p` and rank
-// `ports` for inject — for the mesh this is exactly the historical
-// east/west/north/south/inject move order.
+// serial fabric and the sharded tick's workers (which cannot hold `&self`
+// while the channel vector is split) share the exact decision procedure.
+// A node's channels are `node * stride + role` with role 0 = inject, role
+// `1 + p` = topology port `p`, role `stride - 1` = eject. Frontier slots
+// order the movable roles ports-first, inject-last: `node * move_slots +
+// rank` with rank `p` for port `p` and rank `ports` for inject — for the
+// mesh this is exactly the historical east/west/north/south/inject move
+// order.
 
 const INJECT_ROLE: usize = 0;
 
@@ -128,23 +176,6 @@ fn rank_of_role(role: usize, ports: usize) -> usize {
     }
 }
 
-/// The routing decision for a packet *located at* `node`, as a role.
-fn route_c(topo: &TopologyKind, node: usize, dst: usize) -> usize {
-    match topo.route(node, dst) {
-        Hop::Port(p) => 1 + p,
-        Hop::Eject => topo.stride() - 1,
-    }
-}
-
-/// The node a packet in `(node, role)` is located at / heading into.
-fn target_c(topo: &TopologyKind, node: usize, role: usize) -> usize {
-    if role == INJECT_ROLE {
-        node
-    } else {
-        topo.port_target(node, role - 1)
-    }
-}
-
 fn cap_of_c(config: &FabricConfig, role: usize, stride: usize) -> usize {
     if role == INJECT_ROLE {
         config.inject_capacity
@@ -159,9 +190,309 @@ fn chan_of(node: usize, role: usize, stride: usize) -> usize {
     node * stride + role
 }
 
+/// The node, role and channel index of frontier slot `slot`.
+fn slot_chan(topo: &TopologyKind, slot: usize) -> (usize, usize, usize) {
+    let move_slots = topo.move_slots();
+    let node = slot / move_slots;
+    let role = role_of_rank(slot % move_slots, topo.ports());
+    (node, role, chan_of(node, role, topo.stride()))
+}
+
+/// The next hop of a packet bound for `dst` at the head of movable channel
+/// `(node, role)`: the node it is located at (a link's far end, or the node
+/// itself for inject), and the role and index of the channel it moves into.
+fn next_hop(topo: &TopologyKind, node: usize, role: usize, dst: usize) -> (usize, usize, usize) {
+    let loc = if role == INJECT_ROLE {
+        node
+    } else {
+        topo.port_target(node, role - 1)
+    };
+    let role = match topo.route(loc, dst) {
+        Hop::Port(p) => 1 + p,
+        Hop::Eject => topo.stride() - 1,
+    };
+    (loc, role, chan_of(loc, role, topo.stride()))
+}
+
 /// The spatial domain (index into `bounds` windows) that owns `node`.
 fn dom_of(bounds: &[usize], node: usize) -> u32 {
     (bounds.partition_point(|&b| b <= node) - 1) as u32
+}
+
+/// Whether bit `i` of a bitmap is set.
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] & (1u64 << (i % 64)) != 0
+}
+
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1u64 << (i % 64);
+}
+
+fn clear_bit(words: &mut [u64], i: usize) {
+    words[i / 64] &= !(1u64 << (i % 64));
+}
+
+/// The channel FIFOs a head-of-line move reads and writes: the whole
+/// fabric's, or one tick task's verified-disjoint group of them.
+trait ChanStore {
+    fn chan(&self, i: usize) -> &VecDeque<Packet>;
+    fn chan_mut(&mut self, i: usize) -> &mut VecDeque<Packet>;
+}
+
+impl ChanStore for [VecDeque<Packet>] {
+    fn chan(&self, i: usize) -> &VecDeque<Packet> {
+        &self[i]
+    }
+    fn chan_mut(&mut self, i: usize) -> &mut VecDeque<Packet> {
+        &mut self[i]
+    }
+}
+
+impl ChanStore for GroupMut<'_, VecDeque<Packet>> {
+    fn chan(&self, i: usize) -> &VecDeque<Packet> {
+        self.get(i as u32)
+    }
+    fn chan_mut(&mut self, i: usize) -> &mut VecDeque<Packet> {
+        self.get_mut(i as u32)
+    }
+}
+
+/// One side effect of a channel operation, beyond the channels themselves.
+/// Channel, slot and node indices fit `u32` (at most 65 536 nodes).
+#[derive(Debug, Clone, Copy)]
+enum Fx {
+    /// The head of channel `.0` could not move: its next buffer is full.
+    Blocked(u32),
+    /// Frontier slot `.0`'s channel emptied.
+    Emptied(u32),
+    /// Frontier slot `.0`'s channel became occupied.
+    Activated(u32),
+    /// Node `.0`'s ejection channel became occupied.
+    EjectReady(u32),
+    /// Channel `chan` holds `depth` packets after a push.
+    Pushed { chan: u32, depth: u32 },
+    /// An injection named a destination outside the fabric.
+    BadDest,
+    /// An injection found its entry buffer full.
+    Refused,
+    /// A packet entered the fabric.
+    Injected,
+    /// A packet left node `node`'s ejection channel after `latency` cycles
+    /// in the fabric; `emptied` when it was the last one there.
+    Ejected {
+        node: u32,
+        emptied: bool,
+        latency: u64,
+    },
+}
+
+/// Where channel operations send their [`Fx`]: the fabric's [`Ledger`]
+/// applies each in place; a buffered sink logs it for the ledger to apply
+/// at the barrier.
+trait Sink {
+    fn put(&mut self, fx: Fx);
+}
+
+/// A domain range's log. Per-link counters are off whenever the fabric is
+/// split, so pushes are not logged.
+impl Sink for Vec<Fx> {
+    fn put(&mut self, fx: Fx) {
+        if !matches!(fx, Fx::Pushed { .. }) {
+            self.push(fx);
+        }
+    }
+}
+
+/// The one head-of-line move attempt, for frontier slot `slot`: the serial
+/// frontier walk, the dense cross-check and the sharded worklists all call
+/// it. Packets stamped `moved_at == now` have already hopped this cycle.
+fn move_head<C: ChanStore + ?Sized>(
+    cfg: &FabricConfig,
+    now: u64,
+    chans: &mut C,
+    slot: usize,
+    sink: &mut impl Sink,
+) {
+    let topo = cfg.topo;
+    let stride = topo.stride();
+    let (node, role, src) = slot_chan(&topo, slot);
+    // Only the dense scan visits empty channels; the frontier guarantees
+    // occupancy.
+    let Some(head) = chans.chan(src).front() else {
+        return;
+    };
+    if head.moved_at >= now {
+        return;
+    }
+    let (loc, tgt_role, tgt) = next_hop(&topo, node, role, head.msg.dest().index());
+    if chans.chan(tgt).len() >= cap_of_c(cfg, tgt_role, stride) {
+        sink.put(Fx::Blocked(src as u32));
+        return;
+    }
+    let mut p = chans.chan_mut(src).pop_front().expect("head checked");
+    p.moved_at = now;
+    if chans.chan(src).is_empty() {
+        sink.put(Fx::Emptied(slot as u32));
+    }
+    let q = chans.chan_mut(tgt);
+    q.push_back(p);
+    let depth = q.len();
+    if depth == 1 {
+        sink.put(if tgt_role == stride - 1 {
+            Fx::EjectReady(loc as u32)
+        } else {
+            Fx::Activated((loc * topo.move_slots() + rank_of_role(tgt_role, topo.ports())) as u32)
+        });
+    }
+    sink.put(Fx::Pushed {
+        chan: tgt as u32,
+        depth: depth as u32,
+    });
+}
+
+/// The one injection body, over the channels `chans` of nodes `lo..`
+/// (`lo == 0` and every channel for the serial fabric).
+fn inject_at(
+    cfg: &FabricConfig,
+    now: u64,
+    chans: &mut [VecDeque<Packet>],
+    lo: usize,
+    src: NodeId,
+    msg: Message,
+    sink: &mut impl Sink,
+) -> Result<(), InjectError> {
+    let topo = cfg.topo;
+    if msg.dest().index() >= topo.nodes() {
+        sink.put(Fx::BadDest);
+        return Err(InjectError::BadDest(msg));
+    }
+    let stride = topo.stride();
+    let node = src.index();
+    let q = &mut chans[chan_of(node - lo, INJECT_ROLE, stride)];
+    if q.len() >= cfg.inject_capacity {
+        sink.put(Fx::Refused);
+        return Err(InjectError::Refused(msg));
+    }
+    q.push_back(Packet {
+        msg,
+        injected_at: now,
+        moved_at: now,
+    });
+    let depth = q.len();
+    if depth == 1 {
+        let slot = node * topo.move_slots() + rank_of_role(INJECT_ROLE, topo.ports());
+        sink.put(Fx::Activated(slot as u32));
+    }
+    sink.put(Fx::Injected);
+    sink.put(Fx::Pushed {
+        chan: chan_of(node, INJECT_ROLE, stride) as u32,
+        depth: depth as u32,
+    });
+    Ok(())
+}
+
+/// The ejection channel of `dst` within the channels of nodes `lo..`.
+fn eject_chan(topo: &TopologyKind, lo: usize, dst: NodeId) -> usize {
+    let stride = topo.stride();
+    chan_of(dst.index() - lo, stride - 1, stride)
+}
+
+/// The one peek body, over the channels of nodes `lo..`.
+fn peek_at<'c>(
+    cfg: &FabricConfig,
+    chans: &'c [VecDeque<Packet>],
+    lo: usize,
+    dst: NodeId,
+) -> Option<&'c Message> {
+    chans[eject_chan(&cfg.topo, lo, dst)]
+        .front()
+        .map(|p| &p.msg)
+}
+
+/// The one ejection body, over the channels of nodes `lo..`.
+fn eject_at(
+    cfg: &FabricConfig,
+    now: u64,
+    chans: &mut [VecDeque<Packet>],
+    lo: usize,
+    dst: NodeId,
+    sink: &mut impl Sink,
+) -> Option<Message> {
+    let q = &mut chans[eject_chan(&cfg.topo, lo, dst)];
+    let p = q.pop_front()?;
+    sink.put(Fx::Ejected {
+        node: dst.index() as u32,
+        emptied: q.is_empty(),
+        latency: now - p.injected_at,
+    });
+    Some(p.msg)
+}
+
+/// The fabric's bookkeeping beside its channels. As a [`Sink`] it applies
+/// every [`Fx`] in place: directly for the serial fabric, and on replay of
+/// a buffered log for the sharded one.
+struct Ledger {
+    in_flight: usize,
+    stats: NetStats,
+    /// Whether per-link counters are maintained (off by default: the
+    /// per-hop updates, while cheap, are not free — see
+    /// [`set_observe`](Fabric::set_observe)).
+    observe: bool,
+    links: Vec<LinkStats>,
+    /// The active-channel frontier: bit `node * move_slots + rank` is set
+    /// iff that movable channel is non-empty. Maintained incrementally on
+    /// inject and on every head-of-line move (eject channels are untracked —
+    /// they drain via `eject`, not `tick`). Invariant: in hot-set mode,
+    /// `tick` visits exactly the set bits, in ascending slot order.
+    active: Vec<u64>,
+    /// The eject-ready set: bit `node` is set iff that node's ejection
+    /// channel is non-empty. Set where a packet enters an ejection channel
+    /// (a head-of-line move), cleared where `eject` empties it, so the
+    /// ejection phase visits only these nodes instead of every node.
+    eject_ready: Vec<u64>,
+}
+
+impl Sink for Ledger {
+    // Always inlined: every call site passes a constant variant, so the
+    // match folds away and the serial bodies keep their direct updates.
+    #[inline(always)]
+    fn put(&mut self, fx: Fx) {
+        match fx {
+            Fx::Blocked(src) => {
+                self.stats.blocked_hops += 1;
+                if self.observe {
+                    self.links[src as usize].blocked += 1;
+                }
+            }
+            Fx::Emptied(slot) => clear_bit(&mut self.active, slot as usize),
+            Fx::Activated(slot) => set_bit(&mut self.active, slot as usize),
+            Fx::EjectReady(node) => set_bit(&mut self.eject_ready, node as usize),
+            Fx::Pushed { chan, depth } => {
+                if self.observe {
+                    let link = &mut self.links[chan as usize];
+                    link.hwm = link.hwm.max(depth as usize);
+                }
+            }
+            Fx::BadDest => self.stats.bad_dest += 1,
+            Fx::Refused => self.stats.inject_refusals += 1,
+            Fx::Injected => {
+                self.in_flight += 1;
+                self.stats.injected += 1;
+                self.stats.in_flight_hwm = self.stats.in_flight_hwm.max(self.in_flight);
+            }
+            Fx::Ejected {
+                node,
+                emptied,
+                latency,
+            } => {
+                if emptied {
+                    clear_bit(&mut self.eject_ready, node as usize);
+                }
+                self.in_flight -= 1;
+                self.stats.record_delivery(latency);
+            }
+        }
+    }
 }
 
 /// A switched network over a [`TopologyKind`]: deterministic per-hop
@@ -191,24 +522,7 @@ pub struct Fabric {
     config: FabricConfig,
     chans: Vec<VecDeque<Packet>>,
     now: u64,
-    in_flight: usize,
-    stats: NetStats,
-    /// Whether per-link counters are maintained (off by default: the
-    /// per-hop updates, while cheap, are not free — see
-    /// [`set_observe`](Fabric::set_observe)).
-    observe: bool,
-    links: Vec<LinkStats>,
-    /// The active-channel frontier: bit `node * move_slots + rank` is set
-    /// iff that movable channel is non-empty. Maintained incrementally on
-    /// inject and on every head-of-line move (eject channels are untracked —
-    /// they drain via `eject`, not `tick`). Invariant: in hot-set mode,
-    /// `tick` visits exactly the set bits, in ascending slot order.
-    active: Vec<u64>,
-    /// The eject-ready set: bit `node` is set iff that node's ejection
-    /// channel is non-empty. Set where a packet enters an ejection channel
-    /// (a head-of-line move), cleared where `eject` empties it, so the
-    /// ejection phase visits only these nodes instead of every node.
-    eject_ready: Vec<u64>,
+    ledger: Ledger,
     /// Cross-check mode: `tick` scans every slot the way the pre-frontier
     /// code did (the frontier is still maintained, just not consulted).
     /// Behaviour is bit-identical either way; only the scan counters differ.
@@ -221,67 +535,106 @@ impl Fabric {
     /// # Panics
     ///
     /// Panics if any capacity is zero, or if the topology exceeds
-    /// [`NodeId`]'s wide-format address space ([`NodeId::MAX_NODES`]).
+    /// [`NodeId`]'s wide-format address space ([`NodeId::MAX_NODES`]); see
+    /// [`try_new`](Fabric::try_new) for the fallible form.
     pub fn new(config: FabricConfig) -> Fabric {
+        Fabric::try_new(config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a fabric, rejecting a configuration no fabric can have.
+    ///
+    /// # Errors
+    ///
+    /// [`FabricError::TooLarge`] if the topology exceeds [`NodeId`]'s
+    /// wide-format address space, [`FabricError::ZeroCapacity`] if any
+    /// capacity is zero. Both are checked before anything is allocated.
+    pub fn try_new(config: FabricConfig) -> Result<Fabric, FabricError> {
         let n = config.topo.nodes();
-        assert!(
-            n <= NodeId::MAX_NODES,
-            "fabric larger than the NodeId address space"
-        );
-        assert!(
-            config.channel_capacity > 0 && config.inject_capacity > 0 && config.eject_capacity > 0,
-            "capacities must be non-zero"
-        );
+        if n > NodeId::MAX_NODES {
+            return Err(FabricError::TooLarge {
+                nodes: n,
+                max: NodeId::MAX_NODES,
+            });
+        }
+        if config.channel_capacity == 0 || config.inject_capacity == 0 || config.eject_capacity == 0
+        {
+            return Err(FabricError::ZeroCapacity);
+        }
         let stride = config.topo.stride();
         // Every FIFO is preallocated to its capacity so the steady-state
         // tick/inject path never allocates.
         let cap = |i: usize| cap_of_c(&config, i % stride, stride);
-        Fabric {
+        Ok(Fabric {
             config,
             chans: (0..n * stride)
                 .map(|i| VecDeque::with_capacity(cap(i)))
                 .collect(),
             now: 0,
-            in_flight: 0,
-            stats: NetStats::default(),
-            observe: false,
-            links: Vec::new(),
-            active: vec![0; (n * config.topo.move_slots()).div_ceil(64)],
-            eject_ready: vec![0; n.div_ceil(64)],
+            ledger: Ledger {
+                in_flight: 0,
+                stats: NetStats::default(),
+                observe: false,
+                links: Vec::new(),
+                active: vec![0; (n * config.topo.move_slots()).div_ceil(64)],
+                eject_ready: vec![0; n.div_ceil(64)],
+            },
             dense_scan: false,
-        }
+        })
     }
 
-    /// Checks the fabric's two incremental sets against the channels they
-    /// index: a frontier bit is set iff its movable channel is occupied, and
-    /// an eject-ready bit is set iff its node's ejection channel is. Meant
-    /// for property tests: it walks every channel.
+    /// Checks the fabric's bookkeeping against the channels it describes.
+    /// Meant for property tests: it walks every channel and every packet.
+    ///
+    /// * a frontier bit is set iff its movable channel is occupied, and an
+    ///   eject-ready bit is set iff its node's ejection channel is;
+    /// * no channel holds more packets than its capacity;
+    /// * no packet has moved later than the current cycle;
+    /// * the in-flight count is the sum of the channel lengths, and every
+    ///   injected packet is either delivered or in flight.
     ///
     /// # Errors
     ///
-    /// A description of the first mismatch.
+    /// A description of the first violation.
     pub fn check_invariants(&self) -> Result<(), String> {
         let topo = self.config.topo;
-        let (stride, move_slots, ports) = (topo.stride(), topo.move_slots(), topo.ports());
-        for slot in 0..self.node_count() * move_slots {
-            let (node, role) = (slot / move_slots, role_of_rank(slot % move_slots, ports));
-            let occupied = !self.chans[chan_of(node, role, stride)].is_empty();
-            if bit(&self.active, slot) != occupied {
+        let stride = topo.stride();
+        let ledger = &self.ledger;
+        let mut held = 0;
+        for (i, q) in self.chans.iter().enumerate() {
+            let (node, role) = (i / stride, i % stride);
+            let marked = if role == stride - 1 {
+                bit(&ledger.eject_ready, node)
+            } else {
+                bit(
+                    &ledger.active,
+                    node * topo.move_slots() + rank_of_role(role, topo.ports()),
+                )
+            };
+            if marked == q.is_empty() {
                 return Err(format!(
-                    "frontier slot {slot} (node {node}, role {role}): occupied={occupied} \
-                     but bit={}",
-                    !occupied
+                    "node {node} role {role} holds {} packets but its frontier or \
+                     eject-ready bit is {marked}",
+                    q.len()
                 ));
             }
+            let cap = cap_of_c(&self.config, role, stride);
+            if q.len() > cap {
+                return Err(format!("channel {i} holds {} > capacity {cap}", q.len()));
+            }
+            if let Some(p) = q.iter().find(|p| p.moved_at > self.now) {
+                return Err(format!(
+                    "channel {i}: a packet moved at cycle {} after now={}",
+                    p.moved_at, self.now
+                ));
+            }
+            held += q.len();
         }
-        for node in 0..self.node_count() {
-            let occupied = !self.chans[chan_of(node, stride - 1, stride)].is_empty();
-            if bit(&self.eject_ready, node) != occupied {
-                return Err(format!(
-                    "eject-ready node {node}: occupied={occupied} but bit={}",
-                    !occupied
-                ));
-            }
+        let s = &ledger.stats;
+        if held != ledger.in_flight || s.injected != s.delivered + held as u64 {
+            return Err(format!(
+                "in_flight={} but the channels hold {held}; injected={}, delivered={}",
+                ledger.in_flight, s.injected, s.delivered
+            ));
         }
         Ok(())
     }
@@ -301,21 +654,6 @@ impl Fabric {
         self.dense_scan
     }
 
-    /// Marks the movable channel `(node, role)` non-empty in the frontier.
-    #[inline]
-    fn mark_active(&mut self, node: usize, role: usize) {
-        let ports = self.config.topo.ports();
-        debug_assert!(role != ports + 1, "eject channels are untracked");
-        let slot = node * self.config.topo.move_slots() + rank_of_role(role, ports);
-        self.active[slot / 64] |= 1u64 << (slot % 64);
-    }
-
-    /// Clears the frontier bit of slot `slot` (its channel just emptied).
-    #[inline]
-    fn clear_active_slot(&mut self, slot: usize) {
-        self.active[slot / 64] &= !(1u64 << (slot % 64));
-    }
-
     /// Enables or disables per-link observability counters.
     ///
     /// When enabled, every channel push updates that channel's occupancy
@@ -325,22 +663,23 @@ impl Fabric {
     /// are unchanged either way. Enabling mid-run starts the per-link
     /// counters from zero; disabling keeps the counts gathered so far.
     pub fn set_observe(&mut self, on: bool) {
-        if on && self.links.is_empty() {
-            self.links = vec![LinkStats::default(); self.chans.len()];
+        if on && self.ledger.links.is_empty() {
+            self.ledger.links = vec![LinkStats::default(); self.chans.len()];
         }
-        self.observe = on;
+        self.ledger.observe = on;
     }
 
     /// Whether per-link counters are being maintained.
     pub fn observe(&self) -> bool {
-        self.observe
+        self.ledger.observe
     }
 
     /// A snapshot of every channel's counters, in `(node, role)` order.
     /// Empty unless [`set_observe`](Fabric::set_observe) has been called.
     pub fn link_stats(&self) -> Vec<LinkReport> {
         let stride = self.config.topo.stride();
-        self.links
+        self.ledger
+            .links
             .iter()
             .enumerate()
             .map(|(i, &stats)| {
@@ -360,91 +699,31 @@ impl Fabric {
             .collect()
     }
 
-    fn note_push(&mut self, idx: usize) {
-        if self.observe {
-            let depth = self.chans[idx].len();
-            let link = &mut self.links[idx];
-            link.hwm = link.hwm.max(depth);
-        }
-    }
-
     /// The fabric configuration.
     pub fn config(&self) -> FabricConfig {
         self.config
     }
 
-    fn chan_index(&self, node: usize, role: usize) -> usize {
-        chan_of(node, role, self.config.topo.stride())
-    }
-
-    fn eject_role(&self) -> usize {
-        self.config.topo.stride() - 1
-    }
-
-    /// Occupancy of a node's ejection buffer (for tests and observability).
-    pub fn eject_occupancy(&self, node: NodeId) -> usize {
-        self.chans[self.chan_index(node.index(), self.eject_role())].len()
-    }
-
-    /// One head-of-line move attempt for frontier slot `slot`, shared by the
-    /// hot-set and dense scans. Packets stamped `moved_at == now` have
-    /// already hopped this cycle.
-    fn move_head(&mut self, slot: usize) {
-        let topo = self.config.topo;
-        let (stride, move_slots, ports) = (topo.stride(), topo.move_slots(), topo.ports());
-        let node = slot / move_slots;
-        let role = role_of_rank(slot % move_slots, ports);
-        let src_idx = chan_of(node, role, stride);
-        let Some(head) = self.chans[src_idx].front() else {
-            // Only the dense scan visits empty channels; the frontier
-            // guarantees occupancy.
-            debug_assert!(self.dense_scan, "frontier bit set on empty channel");
-            return;
-        };
-        if head.moved_at >= self.now {
-            return;
-        }
-        // Location of the packet: for link channels it is the link's
-        // far end; for inject it is the node itself.
-        let loc = target_c(&topo, node, role);
-        let dst = head.msg.dest().index();
-        let next_role = route_c(&topo, loc, dst);
-        let next_idx = chan_of(loc, next_role, stride);
-        if self.chans[next_idx].len() >= cap_of_c(&self.config, next_role, stride) {
-            self.stats.blocked_hops += 1;
-            if self.observe {
-                self.links[src_idx].blocked += 1;
-            }
-            return;
-        }
-        let mut p = self.chans[src_idx].pop_front().expect("head checked");
-        p.moved_at = self.now;
-        if self.chans[src_idx].is_empty() {
-            self.clear_active_slot(slot);
-        }
-        self.chans[next_idx].push_back(p);
-        if self.chans[next_idx].len() == 1 {
-            if next_role == stride - 1 {
-                self.eject_ready[loc / 64] |= 1u64 << (loc % 64);
-            } else {
-                self.mark_active(loc, next_role);
-            }
-        }
-        self.note_push(next_idx);
-    }
-
     /// The post-guard body of [`Network::tick`] (`now` already advanced,
     /// fabric known non-empty), shared by the serial tick and the fallback
-    /// paths of [`tick_domains`](Fabric::tick_domains).
+    /// paths of [`tick_domains`](Fabric::tick_domains): the frontier walk,
+    /// or every slot under the dense cross-check.
     fn tick_body(&mut self) {
-        let move_slots = self.config.topo.move_slots();
-        let dense_cost = (self.node_count() * move_slots) as u64;
-        let mut visited: u64 = 0;
-        if self.dense_scan {
-            for slot in 0..self.node_count() * move_slots {
-                self.move_head(slot);
+        let slots = self.node_count() * self.config.topo.move_slots();
+        let Fabric {
+            config,
+            chans,
+            now,
+            ledger,
+            dense_scan,
+        } = self;
+        let chans = chans.as_mut_slice();
+        let mut visited = 0;
+        if *dense_scan {
+            for slot in 0..slots {
+                move_head(config, *now, chans, slot, ledger);
             }
-            visited = dense_cost;
+            visited = slots;
         } else {
             // Iterate set bits in ascending slot order. The word is re-read
             // after each move with a strictly-above mask: a move can set a
@@ -453,18 +732,18 @@ impl Fabric {
             // this cycle exactly as the dense scan would — while moves into
             // already-passed slots stay unvisited until next cycle, again
             // exactly like the dense scan.
-            for w in 0..self.active.len() {
-                let mut bits = self.active[w];
+            for w in 0..ledger.active.len() {
+                let mut bits = ledger.active[w];
                 while bits != 0 {
                     let b = bits.trailing_zeros();
-                    self.move_head(w * 64 + b as usize);
+                    move_head(config, *now, chans, w * 64 + b as usize, ledger);
                     visited += 1;
-                    bits = self.active[w] & ((!0u64 << b) << 1);
+                    bits = ledger.active[w] & ((!0u64 << b) << 1);
                 }
             }
         }
-        self.stats.scan.scanned_channels += visited;
-        self.stats.scan.skipped_work += dense_cost - visited;
+        ledger.stats.scan.scanned_channels += visited as u64;
+        ledger.stats.scan.skipped_work += (slots - visited) as u64;
     }
 
     /// One cycle of the fabric, executed across spatial domains in parallel,
@@ -487,27 +766,28 @@ impl Fabric {
     /// unions the touched channels into *conflict components*. Channels in
     /// different components share no capacity checks, no pops, and no
     /// pushes this cycle, so components execute independently; each worker
-    /// replays its component's slots in ascending order with the same
-    /// mid-scan re-activation rule as the serial word remask (a move that
-    /// activates a *later* slot queues it for this cycle; earlier slots wait
-    /// for the next one). Components whose channels sit in one domain run
-    /// as that domain's task; components spanning domains form one extra
-    /// "boundary" task — scheduling only, the outcome is order-free because
-    /// components are disjoint. Frontier-bitmap words are shared across
-    /// domains, so workers buffer bit updates and the merge applies all
-    /// clears, then all sets (within one tick a slot can go clear→set but
-    /// never set→clear: a just-moved packet cannot move again).
+    /// replays its component's slots in ascending order through the same
+    /// head-of-line move body as the serial walk, with the same mid-scan
+    /// re-activation rule as the serial word remask (a move that activates
+    /// a *later* slot queues it for this cycle; earlier slots wait for the
+    /// next one). Components whose channels sit in one domain run as that
+    /// domain's task; components spanning domains form one extra "boundary"
+    /// task — scheduling only, the outcome is order-free because components
+    /// are disjoint. Frontier-bitmap words and the counters are shared
+    /// across domains, so each task logs its effects and the merge replays
+    /// the logs in task order; every bit's history lies in the one task
+    /// that owns its channel, so the replay ends in the serial state.
     ///
     /// Falls back to the serial body (identical by definition) when the
     /// dense-scan cross-check or per-link observability is on, or when
     /// fewer than two tasks have work.
     pub fn tick_domains(&mut self, bounds: &[usize], scratch: &mut FabricTickScratch) {
         self.now += 1;
-        if self.in_flight == 0 {
+        if self.ledger.in_flight == 0 {
             return;
         }
         let domains = bounds.len().saturating_sub(1);
-        if self.dense_scan || self.observe || domains < 2 {
+        if self.dense_scan || self.ledger.observe || domains < 2 {
             self.tick_body();
             return;
         }
@@ -524,32 +804,27 @@ impl Fabric {
             epoch,
             ref mut touched,
             ref mut groups,
-            ref mut worklists,
             ref mut deltas,
             ref mut claims,
         } = *scratch;
 
         let topo = self.config.topo;
-        let (stride, move_slots, ports) = (topo.stride(), topo.move_slots(), topo.ports());
+        let stride = topo.stride();
 
         // Pre-pass: the single possible move of every initially-active slot.
-        for (w, &word) in self.active.iter().enumerate() {
+        for (w, &word) in self.ledger.active.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let slot = w * 64 + b;
-                let node = slot / move_slots;
-                let role = role_of_rank(slot % move_slots, ports);
-                let src = chan_of(node, role, stride);
+                let (node, role, src) = slot_chan(&topo, slot);
                 let Some(head) = self.chans[src].front() else {
                     debug_assert!(false, "frontier bit set on empty channel");
                     continue;
                 };
                 debug_assert!(head.moved_at < self.now, "head already moved this cycle");
-                let loc = target_c(&topo, node, role);
-                let tgt_role = route_c(&topo, loc, head.msg.dest().index());
-                let tgt = chan_of(loc, tgt_role, stride);
+                let (_, _, tgt) = next_hop(&topo, node, role, head.msg.dest().index());
                 moves.push((slot as u32, src as u32, tgt as u32));
             }
         }
@@ -586,12 +861,14 @@ impl Fabric {
             }
         };
         for &(slot, src, _) in moves.iter() {
-            worklists[task_of(parent, dom_min, dom_max, src)].push(slot);
+            deltas[task_of(parent, dom_min, dom_max, src)]
+                .worklist
+                .push(slot);
         }
-        if worklists.iter().filter(|w| !w.is_empty()).count() < 2 {
+        if deltas.iter().filter(|d| !d.worklist.is_empty()).count() < 2 {
             // Everything collapsed into one task (often the boundary task on
             // tiny fabrics): the parallel machinery would only add overhead.
-            worklists.iter_mut().for_each(Vec::clear);
+            deltas.iter_mut().for_each(FabricTickDelta::clear);
             self.tick_body();
             return;
         }
@@ -608,125 +885,72 @@ impl Fabric {
             .expect("conflict components are disjoint by construction");
         let mut tasks: Vec<TickTask<'_>> = split
             .into_iter()
-            .zip(worklists.iter_mut())
             .zip(deltas.iter_mut())
-            .map(|((chans, worklist), delta)| TickTask {
-                chans,
-                worklist,
-                delta,
-            })
+            .map(|(chans, delta)| TickTask { chans, delta })
             .collect();
-        run_tasks(&mut tasks, |_, t| exec_worklist(&cfg, now, t));
+        run_tasks(&mut tasks, |_, t| t.delta.run(&cfg, now, &mut t.chans));
         drop(tasks);
 
-        // Deterministic merge, in task order. Every slot belongs to exactly
-        // one task's delta, and within a tick its bit history is one of
-        // {clear}, {set}, {clear then set} — so applying all clears before
-        // all sets reproduces the serial final bitmap.
-        let dense_cost = (self.node_count() * move_slots) as u64;
+        // Deterministic merge: replay each task's log, in task order. Every
+        // frontier slot and eject-ready bit belongs to the one component
+        // holding its channel, so its whole history this tick sits, in
+        // order, in one task's log.
+        let dense_cost = (self.config.topo.nodes() * topo.move_slots()) as u64;
         let mut visited: u64 = 0;
-        for d in deltas.iter() {
-            visited += d.visited;
-            self.stats.blocked_hops += d.blocked;
-        }
-        for d in deltas.iter() {
-            for &slot in &d.clears {
-                self.active[slot as usize / 64] &= !(1u64 << (slot % 64));
-            }
-        }
-        for d in deltas.iter() {
-            for &slot in &d.sets {
-                self.active[slot as usize / 64] |= 1u64 << (slot % 64);
-            }
-            for &node in &d.eject_sets {
-                self.eject_ready[node as usize / 64] |= 1u64 << (node % 64);
-            }
-        }
-        self.stats.scan.scanned_channels += visited;
-        self.stats.scan.skipped_work += dense_cost - visited;
-        for wl in worklists.iter_mut() {
-            wl.clear();
-        }
         for d in deltas.iter_mut() {
+            visited += d.visited;
+            d.log.drain(..).for_each(|fx| self.ledger.put(fx));
             d.clear();
         }
+        self.ledger.stats.scan.scanned_channels += visited;
+        self.ledger.stats.scan.skipped_work += dense_cost - visited;
     }
 
-    /// Splits the fabric into per-domain injection/ejection views for the
-    /// machine simulator's parallel cycle. Domain `d` of `bounds` receives
-    /// exclusive access to its nodes' channels; counters accumulate into a
-    /// per-range delta that [`absorb_inject_deltas`](Fabric::absorb_inject_deltas)
-    /// or [`absorb_eject_deltas`](Fabric::absorb_eject_deltas) folds back in
-    /// domain order, reproducing the serial ascending-node scan byte for
-    /// byte. Requires per-link observability to be off.
-    pub fn split_node_ranges(&mut self, bounds: &[usize]) -> Vec<FabricRange<'_>> {
-        debug_assert!(!self.observe, "ranges do not maintain per-link counters");
+    /// Splits the fabric into one [`NetRange`] per domain of `bounds`
+    /// (see [`NetworkKind::split_ranges`](crate::NetworkKind::split_ranges)),
+    /// behind `gates`, one per domain, when a fault layer wraps it.
+    pub(crate) fn split_ranges<'a>(
+        &'a mut self,
+        bounds: &[usize],
+        gates: Vec<RangeGates<'a>>,
+    ) -> Vec<NetRange<'a>> {
+        debug_assert!(!self.ledger.observe, "ranges do not keep link counters");
         debug_assert_eq!(bounds[0], 0);
         debug_assert_eq!(*bounds.last().expect("non-empty bounds"), self.node_count());
         let stride = self.config.topo.stride();
-        let total_nodes = self.node_count();
-        let now = self.now;
-        let cfg = self.config;
-        let mut out = Vec::with_capacity(bounds.len().saturating_sub(1));
-        let eject_ready: &[u64] = &self.eject_ready;
+        let (cfg, now) = (self.config, self.now);
+        let eject_ready: &[u64] = &self.ledger.eject_ready;
         let mut chans: &mut [VecDeque<Packet>] = self.chans.as_mut_slice();
-        for w in bounds.windows(2) {
-            let take = (w[1] - w[0]) * stride;
-            let rest = chans;
-            let (head, tail) = rest.split_at_mut(take);
-            chans = tail;
-            out.push(FabricRange {
-                cfg,
-                now,
-                total_nodes,
-                lo: w[0],
-                chans: head,
-                eject_ready,
-                delta: FabricRangeDelta::default(),
-            });
-        }
-        out
+        let mut gates = gates.into_iter();
+        bounds
+            .windows(2)
+            .map(|w| {
+                let (head, tail) = std::mem::take(&mut chans).split_at_mut((w[1] - w[0]) * stride);
+                chans = tail;
+                NetRange {
+                    cfg,
+                    now,
+                    lo: w[0],
+                    chans: head,
+                    eject_ready,
+                    gates: gates.next(),
+                    log: Vec::new(),
+                }
+            })
+            .collect()
     }
 
-    /// Folds injection-phase deltas back into the fabric, in domain order.
-    /// The in-flight high-water mark is re-armed once at the end of the
-    /// phase, which equals the serial per-inject maximum because in-flight
-    /// only grows during injection.
-    pub fn absorb_inject_deltas(&mut self, deltas: impl IntoIterator<Item = FabricRangeDelta>) {
+    /// Replays range logs into the fabric, in domain order — the same
+    /// effects, in the same order, as the serial ascending-node walk — and
+    /// returns the ranges' summed fault tallies.
+    pub(crate) fn absorb(&mut self, deltas: impl IntoIterator<Item = NetRangeDelta>) -> FaultTally {
+        let mut faults = FaultTally::default();
         for d in deltas {
-            debug_assert_eq!(d.delivered, 0, "inject-phase delta carries ejections");
-            self.stats.injected += d.injected;
-            self.stats.inject_refusals += d.refusals;
-            self.stats.bad_dest += d.bad_dest;
-            self.in_flight = usize::try_from(self.in_flight as i64 + d.in_flight)
-                .expect("in-flight count cannot go negative");
-            for &slot in &d.marks {
-                self.active[slot as usize / 64] |= 1u64 << (slot % 64);
-            }
+            d.log.into_iter().for_each(|fx| self.ledger.put(fx));
+            faults.add(d.faults);
         }
-        self.stats.in_flight_hwm = self.stats.in_flight_hwm.max(self.in_flight);
+        faults
     }
-
-    /// Folds ejection-phase deltas back into the fabric, in domain order.
-    pub fn absorb_eject_deltas(&mut self, deltas: impl IntoIterator<Item = FabricRangeDelta>) {
-        for d in deltas {
-            debug_assert_eq!(d.injected, 0, "eject-phase delta carries injections");
-            debug_assert!(d.marks.is_empty(), "ejection never marks the frontier");
-            for &node in &d.emptied {
-                self.eject_ready[node as usize / 64] &= !(1u64 << (node % 64));
-            }
-            self.stats.delivered += d.delivered;
-            self.stats.total_latency += d.total_latency;
-            self.stats.latency_hist.merge(&d.hist);
-            self.in_flight = usize::try_from(self.in_flight as i64 + d.in_flight)
-                .expect("in-flight count cannot go negative");
-        }
-    }
-}
-
-/// Whether bit `i` of a bitmap is set.
-fn bit(words: &[u64], i: usize) -> bool {
-    words[i / 64] & (1u64 << (i % 64)) != 0
 }
 
 /// The first set bit of `words` in `from..to`: one word per 64 positions,
@@ -764,9 +988,9 @@ fn uf_find(parent: &mut [u32], mut c: u32) -> u32 {
 }
 
 /// Reusable workspace for [`Fabric::tick_domains`]: the pre-pass move list,
-/// the union-find over touched channels, per-task worklists/channel groups,
-/// and per-task effect buffers. One instance per machine amortizes every
-/// allocation across cycles.
+/// the union-find over touched channels, per-task channel groups, and
+/// per-task worklists and effect logs. One instance per machine
+/// amortizes every allocation across cycles.
 #[derive(Default)]
 pub struct FabricTickScratch {
     moves: Vec<(u32, u32, u32)>,
@@ -777,7 +1001,6 @@ pub struct FabricTickScratch {
     epoch: u32,
     touched: Vec<u32>,
     groups: Vec<Vec<u32>>,
-    worklists: Vec<Vec<u32>>,
     deltas: Vec<FabricTickDelta>,
     claims: SlotClaims,
 }
@@ -808,11 +1031,6 @@ impl FabricTickScratch {
         }
         self.groups.resize_with(tasks, Vec::new);
         self.groups.truncate(tasks);
-        for w in &mut self.worklists {
-            w.clear();
-        }
-        self.worklists.resize_with(tasks, Vec::new);
-        self.worklists.truncate(tasks);
         for d in &mut self.deltas {
             d.clear();
         }
@@ -821,204 +1039,152 @@ impl FabricTickScratch {
     }
 }
 
-/// Effects one tick task buffers instead of applying to shared state.
+/// One tick task's slot worklist and the log of effects it buffers
+/// instead of applying them to shared state.
 #[derive(Default)]
 struct FabricTickDelta {
+    /// The task's slots in ascending order; mid-scan re-activations insert
+    /// into the part after `next`.
+    worklist: Vec<u32>,
+    /// The slot being moved, and the worklist position after it.
+    slot: usize,
+    next: usize,
     visited: u64,
-    blocked: u64,
-    clears: Vec<u32>,
-    sets: Vec<u32>,
-    /// Nodes whose ejection channel a move filled (eject-ready marks).
-    eject_sets: Vec<u32>,
+    log: Vec<Fx>,
 }
 
 impl FabricTickDelta {
     fn clear(&mut self) {
+        self.worklist.clear();
+        self.next = 0;
         self.visited = 0;
-        self.blocked = 0;
-        self.clears.clear();
-        self.sets.clear();
-        self.eject_sets.clear();
+        self.log.clear();
+    }
+
+    /// Replays the worklist exactly as the serial hot scan would visit it:
+    /// ascending order, with a move that activates a strictly-later slot
+    /// inserting that slot into the rest of the worklist — the mirror of the
+    /// serial scan's strictly-above word remask.
+    fn run(&mut self, cfg: &FabricConfig, now: u64, chans: &mut GroupMut<'_, VecDeque<Packet>>) {
+        while self.next < self.worklist.len() {
+            self.slot = self.worklist[self.next] as usize;
+            self.next += 1;
+            self.visited += 1;
+            move_head(cfg, now, chans, self.slot, self);
+        }
     }
 }
 
-/// One task's working set: exclusive access to its component channels, its
-/// slot worklist (mutated by mid-scan re-activations), and its delta.
-struct TickTask<'a> {
-    chans: GroupMut<'a, VecDeque<Packet>>,
-    worklist: &'a mut Vec<u32>,
-    delta: &'a mut FabricTickDelta,
-}
-
-/// Replays one task's slots exactly as the serial hot scan would visit them:
-/// ascending order, with a move that activates a strictly-later slot
-/// inserting that slot into the remaining (sorted) worklist — the mirror of
-/// the serial scan's strictly-above word remask.
-fn exec_worklist(cfg: &FabricConfig, now: u64, t: &mut TickTask<'_>) {
-    let topo = cfg.topo;
-    let (stride, move_slots, ports) = (topo.stride(), topo.move_slots(), topo.ports());
-    let mut i = 0;
-    while i < t.worklist.len() {
-        let slot = t.worklist[i] as usize;
-        i += 1;
-        t.delta.visited += 1;
-        let node = slot / move_slots;
-        let role = role_of_rank(slot % move_slots, ports);
-        let src = chan_of(node, role, stride) as u32;
-        let Some(head) = t.chans.get(src).front() else {
-            debug_assert!(false, "worklist slot on empty channel");
-            continue;
-        };
-        if head.moved_at >= now {
-            // A re-activation visit: the packet arrived earlier this cycle.
-            continue;
-        }
-        let loc = target_c(&topo, node, role);
-        let tgt_role = route_c(&topo, loc, head.msg.dest().index());
-        let tgt = chan_of(loc, tgt_role, stride) as u32;
-        if t.chans.get(tgt).len() >= cap_of_c(cfg, tgt_role, stride) {
-            t.delta.blocked += 1;
-            continue;
-        }
-        let mut p = t.chans.get_mut(src).pop_front().expect("head checked");
-        p.moved_at = now;
-        if t.chans.get(src).is_empty() {
-            t.delta.clears.push(slot as u32);
-        }
-        let tgt_chan = t.chans.get_mut(tgt);
-        tgt_chan.push_back(p);
-        let became_active = tgt_chan.len() == 1;
-        if tgt_role == stride - 1 && became_active {
-            t.delta.eject_sets.push(loc as u32);
-        } else if became_active {
-            let t_slot = (loc * move_slots + rank_of_role(tgt_role, ports)) as u32;
-            t.delta.sets.push(t_slot);
-            if t_slot as usize > slot {
+impl Sink for FabricTickDelta {
+    fn put(&mut self, fx: Fx) {
+        if let Fx::Activated(slot) = fx {
+            if slot as usize > self.slot {
                 // Visited this cycle by the serial scan; queue it. It cannot
                 // already be pending: activation means the channel was empty.
-                match t.worklist[i..].binary_search(&t_slot) {
+                match self.worklist[self.next..].binary_search(&slot) {
                     Ok(_) => debug_assert!(false, "activated slot already queued"),
-                    Err(pos) => t.worklist.insert(i + pos, t_slot),
+                    Err(pos) => self.worklist.insert(self.next + pos, slot),
                 }
             }
         }
+        self.log.put(fx);
     }
 }
 
-/// Per-range counters accumulated by [`FabricRange`] operations; opaque to
-/// callers, who hand them back to the fabric's absorb methods.
-#[derive(Default)]
-pub struct FabricRangeDelta {
-    injected: u64,
-    refusals: u64,
-    bad_dest: u64,
-    in_flight: i64,
-    delivered: u64,
-    total_latency: u64,
-    hist: LatencyHist,
-    marks: Vec<u32>,
-    /// Nodes whose ejection channel an `eject` emptied (eject-ready clears).
-    emptied: Vec<u32>,
+/// One task's working set: exclusive access to its component channels, and
+/// its worklist and log.
+struct TickTask<'a> {
+    chans: GroupMut<'a, VecDeque<Packet>>,
+    delta: &'a mut FabricTickDelta,
 }
 
-/// Exclusive injection/ejection access to one spatial domain's channels,
-/// produced by [`Fabric::split_node_ranges`]. Mirrors the serial
-/// [`Network`] entry points byte for byte, buffering shared-counter updates
-/// into a [`FabricRangeDelta`].
-pub struct FabricRange<'a> {
+/// Exclusive injection/ejection access to one spatial domain of a switched
+/// fabric, bare or fault-wrapped, produced by
+/// [`NetworkKind::split_ranges`](crate::NetworkKind::split_ranges). Its
+/// entry points run the same bodies as the serial [`Network`] ones — the
+/// fabric's inject/peek/eject and, behind a fault layer, the same stall
+/// gates and per-node fault draws — logging every shared effect for
+/// [`NetworkKind::absorb`](crate::NetworkKind::absorb).
+pub struct NetRange<'a> {
     cfg: FabricConfig,
     now: u64,
-    total_nodes: usize,
     lo: usize,
     chans: &'a mut [VecDeque<Packet>],
     /// The whole fabric's eject-ready set, read-only while the fabric is
-    /// split; clears are buffered in the delta.
+    /// split; clears are logged.
     eject_ready: &'a [u64],
-    delta: FabricRangeDelta,
+    gates: Option<RangeGates<'a>>,
+    log: Vec<Fx>,
 }
 
-impl FabricRange<'_> {
+impl NetRange<'_> {
     /// Number of nodes attached to the whole fabric (not just this range) —
     /// the destination validity domain, as in [`Network::node_count`].
     pub fn node_count(&self) -> usize {
-        self.total_nodes
+        self.cfg.topo.nodes()
     }
 
-    fn local(&self, node: usize, role: usize) -> usize {
-        let stride = self.cfg.topo.stride();
-        debug_assert!(node >= self.lo && (node - self.lo) * stride < self.chans.len());
-        (node - self.lo) * stride + role
-    }
-
-    /// Offers a message for injection at `src` (a node of this range);
-    /// identical semantics to [`Network::inject`].
+    /// Offers a message for injection at `src` (a node of this range), as
+    /// [`Network::inject`] does.
     ///
     /// # Errors
     ///
-    /// Exactly as [`Network::inject`]: `Refused` on a full entry buffer,
-    /// `BadDest` for a destination outside the fabric.
+    /// Exactly as [`Network::inject`]: `Refused` on a stalled port or a
+    /// full entry buffer, `BadDest` for a destination outside the fabric.
     pub fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
-        if msg.dest().index() >= self.total_nodes {
-            self.delta.bad_dest += 1;
-            return Err(InjectError::BadDest(msg));
+        let (cfg, now, lo) = (&self.cfg, self.now, self.lo);
+        let (chans, log) = (&mut *self.chans, &mut self.log);
+        let mut base = |s, m| inject_at(cfg, now, chans, lo, s, m, log);
+        match &mut self.gates {
+            Some(g) => g.inject(src, msg, base),
+            None => base(src, msg),
         }
-        let idx = self.local(src.index(), INJECT_ROLE);
-        if self.chans[idx].len() >= self.cfg.inject_capacity {
-            self.delta.refusals += 1;
-            return Err(InjectError::Refused(msg));
-        }
-        self.chans[idx].push_back(Packet {
-            msg,
-            injected_at: self.now,
-            moved_at: self.now,
-        });
-        if self.chans[idx].len() == 1 {
-            let topo = self.cfg.topo;
-            let slot = src.index() * topo.move_slots() + rank_of_role(INJECT_ROLE, topo.ports());
-            self.delta.marks.push(slot as u32);
-        }
-        self.delta.in_flight += 1;
-        self.delta.injected += 1;
-        Ok(())
     }
 
-    /// The message ready for delivery at `dst` this cycle, if any; identical
-    /// semantics to [`Network::peek_eject`].
+    /// The message ready for delivery at `dst` this cycle, if any, as
+    /// [`Network::peek_eject`] reports it.
     pub fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
-        self.chans[self.local(dst.index(), self.cfg.topo.stride() - 1)]
-            .front()
-            .map(|p| &p.msg)
+        self.eject_open(dst)
+            .then(|| peek_at(&self.cfg, self.chans, self.lo, dst))
+            .flatten()
+    }
+
+    /// Removes and returns the message ready at `dst`, as
+    /// [`Network::eject`] does.
+    pub fn eject(&mut self, dst: NodeId) -> Option<Message> {
+        self.eject_open(dst)
+            .then(|| eject_at(&self.cfg, self.now, self.chans, self.lo, dst, &mut self.log))
+            .flatten()
     }
 
     /// The first node in `from..to` (nodes of this range) whose ejection
     /// channel was non-empty when the fabric was split; identical semantics
     /// to [`Network::next_eject_ready`] for nodes this range has not yet
-    /// drained.
+    /// drained (a stalled eject port still hides the message from
+    /// [`peek_eject`](Self::peek_eject)).
     pub fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
         next_set(self.eject_ready, from, to)
     }
 
-    /// Removes and returns the message ready at `dst`; identical semantics
-    /// to [`Network::eject`].
-    pub fn eject(&mut self, dst: NodeId) -> Option<Message> {
-        let idx = self.local(dst.index(), self.cfg.topo.stride() - 1);
-        let p = self.chans[idx].pop_front()?;
-        if self.chans[idx].is_empty() {
-            self.delta.emptied.push(dst.index() as u32);
+    /// Consumes the range, releasing its borrows and yielding the logged
+    /// effects for [`NetworkKind::absorb`](crate::NetworkKind::absorb).
+    pub fn into_delta(self) -> NetRangeDelta {
+        NetRangeDelta {
+            log: self.log,
+            faults: self.gates.map(|g| g.tally).unwrap_or_default(),
         }
-        self.delta.in_flight -= 1;
-        self.delta.delivered += 1;
-        let latency = self.now - p.injected_at;
-        self.delta.total_latency += latency;
-        self.delta.hist.record(latency);
-        Some(p.msg)
     }
 
-    /// Consumes the range, releasing its channel borrow and yielding the
-    /// buffered counters for the fabric's absorb methods.
-    pub fn into_delta(self) -> FabricRangeDelta {
-        self.delta
+    fn eject_open(&self, dst: NodeId) -> bool {
+        self.gates.as_ref().is_none_or(|g| g.eject_open(dst))
     }
+}
+
+/// One [`NetRange`]'s logged effects; opaque to callers, who hand them back
+/// to [`NetworkKind::absorb`](crate::NetworkKind::absorb).
+pub struct NetRangeDelta {
+    log: Vec<Fx>,
+    faults: FaultTally,
 }
 
 impl Network for Fabric {
@@ -1027,46 +1193,30 @@ impl Network for Fabric {
     }
 
     fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
-        if msg.dest().index() >= self.node_count() {
-            self.stats.bad_dest += 1;
-            return Err(InjectError::BadDest(msg));
-        }
-        let idx = self.chan_index(src.index(), INJECT_ROLE);
-        if self.chans[idx].len() >= self.config.inject_capacity {
-            self.stats.inject_refusals += 1;
-            return Err(InjectError::Refused(msg));
-        }
-        self.chans[idx].push_back(Packet {
+        inject_at(
+            &self.config,
+            self.now,
+            &mut self.chans,
+            0,
+            src,
             msg,
-            injected_at: self.now,
-            moved_at: self.now,
-        });
-        if self.chans[idx].len() == 1 {
-            self.mark_active(src.index(), INJECT_ROLE);
-        }
-        self.in_flight += 1;
-        self.stats.injected += 1;
-        self.stats.in_flight_hwm = self.stats.in_flight_hwm.max(self.in_flight);
-        self.note_push(idx);
-        Ok(())
+            &mut self.ledger,
+        )
     }
 
     fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
-        self.chans[self.chan_index(dst.index(), self.eject_role())]
-            .front()
-            .map(|p| &p.msg)
+        peek_at(&self.config, &self.chans, 0, dst)
     }
 
     fn eject(&mut self, dst: NodeId) -> Option<Message> {
-        let idx = self.chan_index(dst.index(), self.eject_role());
-        let p = self.chans[idx].pop_front()?;
-        if self.chans[idx].is_empty() {
-            let node = dst.index();
-            self.eject_ready[node / 64] &= !(1u64 << (node % 64));
-        }
-        self.in_flight -= 1;
-        self.stats.record_delivery(self.now - p.injected_at);
-        Some(p.msg)
+        eject_at(
+            &self.config,
+            self.now,
+            &mut self.chans,
+            0,
+            dst,
+            &mut self.ledger,
+        )
     }
 
     fn tick(&mut self) {
@@ -1074,24 +1224,24 @@ impl Network for Fabric {
         // An empty fabric has nothing to move; returning here keeps the
         // scan counters identical between the naive loop and the quiescence
         // fast-forward (which never ticks an empty fabric).
-        if self.in_flight == 0 {
+        if self.ledger.in_flight == 0 {
             return;
         }
         self.tick_body();
     }
 
     fn in_flight(&self) -> usize {
-        self.in_flight
+        self.ledger.in_flight
     }
 
     fn stats(&self) -> NetStats {
-        self.stats
+        self.ledger.stats
     }
 
     /// The first node in `from..to` whose ejection channel is non-empty
     /// (the eject-ready set).
     fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
-        next_set(&self.eject_ready, from, to)
+        next_set(&self.ledger.eject_ready, from, to)
     }
 }
 
@@ -1493,7 +1643,7 @@ mod tests {
                 // Injection phase: every node offers one message; node 5
                 // sometimes offers one with an invalid destination.
                 if split {
-                    let mut ranges = net.split_node_ranges(&bounds);
+                    let mut ranges = net.split_ranges(&bounds, Vec::new());
                     for (d, range) in ranges.iter_mut().enumerate() {
                         for node in bounds[d]..bounds[d + 1] {
                             x = x
@@ -1509,9 +1659,9 @@ mod tests {
                             let _ = range.inject(NodeId::new(node as u16), msg(dst, step));
                         }
                     }
-                    let deltas: Vec<FabricRangeDelta> =
-                        ranges.into_iter().map(FabricRange::into_delta).collect();
-                    net.absorb_inject_deltas(deltas);
+                    let deltas: Vec<NetRangeDelta> =
+                        ranges.into_iter().map(NetRange::into_delta).collect();
+                    net.absorb(deltas);
                 } else {
                     for node in 0..n {
                         x = x
@@ -1525,6 +1675,7 @@ mod tests {
                         let _ = net.inject(NodeId::new(node as u16), msg(dst, step));
                     }
                 }
+                net.check_invariants().unwrap();
                 net.tick();
                 net.check_invariants().unwrap();
                 // Ejection phase: drain every eject-ready node,
@@ -1532,7 +1683,7 @@ mod tests {
                 // between.
                 if step % 5 == 0 {
                     if split {
-                        let mut ranges = net.split_node_ranges(&bounds);
+                        let mut ranges = net.split_ranges(&bounds, Vec::new());
                         for (d, range) in ranges.iter_mut().enumerate() {
                             let mut from = bounds[d];
                             while let Some(node) = range.next_eject_ready(from, bounds[d + 1]) {
@@ -1543,9 +1694,9 @@ mod tests {
                                 }
                             }
                         }
-                        let deltas: Vec<FabricRangeDelta> =
-                            ranges.into_iter().map(FabricRange::into_delta).collect();
-                        net.absorb_eject_deltas(deltas);
+                        let deltas: Vec<NetRangeDelta> =
+                            ranges.into_iter().map(NetRange::into_delta).collect();
+                        net.absorb(deltas);
                     } else {
                         for node in 0..n {
                             while net.peek_eject(NodeId::new(node as u16)).is_some() {
@@ -1599,5 +1750,50 @@ mod tests {
             net.tick();
         }
         assert!(net.link_stats().is_empty());
+    }
+
+    #[test]
+    fn impossible_configs_are_typed_errors() {
+        let huge = FabricConfig::new(300, 300);
+        assert_eq!(
+            Fabric::try_new(huge).err(),
+            Some(FabricError::TooLarge {
+                nodes: 90_000,
+                max: NodeId::MAX_NODES
+            })
+        );
+        for cfg in [
+            FabricConfig {
+                channel_capacity: 0,
+                ..FabricConfig::new(2, 2)
+            },
+            FabricConfig {
+                inject_capacity: 0,
+                ..FabricConfig::new(2, 2)
+            },
+            FabricConfig {
+                eject_capacity: 0,
+                ..FabricConfig::new(2, 2)
+            },
+        ] {
+            assert_eq!(Fabric::try_new(cfg).err(), Some(FabricError::ZeroCapacity));
+        }
+        assert!(Fabric::try_new(FabricConfig::new(2, 2)).is_ok());
+    }
+
+    /// `check_invariants` notices a ledger that disagrees with its channels.
+    #[test]
+    fn invariant_check_catches_a_drifted_ledger() {
+        let mut net = Fabric::new(FabricConfig::new(2, 2));
+        net.inject(NodeId::new(0), msg(3, 1)).unwrap();
+        net.check_invariants().unwrap();
+        net.ledger.in_flight += 1;
+        assert!(net.check_invariants().unwrap_err().contains("in_flight"));
+        net.ledger.in_flight -= 1;
+        net.ledger.stats.injected += 1;
+        assert!(net.check_invariants().unwrap_err().contains("injected"));
+        net.ledger.stats.injected -= 1;
+        net.chans[0].front_mut().unwrap().moved_at = 5;
+        assert!(net.check_invariants().unwrap_err().contains("moved at"));
     }
 }

@@ -22,16 +22,19 @@
 //! node's own call sequence: two same-seed runs fault identically, and the
 //! draws of one node never depend on how much traffic *other* nodes
 //! offered. That independence is what lets the machine simulator shard a
-//! fault-wrapped fabric across worker threads ([`FaultRange`]) and still
-//! reproduce the serial schedule bit for bit. All rates are per-mille; a
-//! zero-rate wrapper is an observably exact pass-through (tested below),
-//! which is what lets the fault-free paper models stay bit-identical.
+//! fault-wrapped fabric across worker threads (each domain's
+//! [`NetRange`](crate::NetRange) carries the fault gates of its nodes) and
+//! still reproduce the serial schedule bit for bit. The inject and eject
+//! gates are written once, on `Gates`, for the serial wrapper and for a
+//! domain's range alike. All rates are per-mille; a zero-rate wrapper is an
+//! observably exact pass-through (tested below), which is what lets the
+//! fault-free paper models stay bit-identical.
 
 use tcni_check::Rng;
 use tcni_core::{Message, NodeId, MSG_WORDS};
 
 use crate::stats::NetStats;
-use crate::{FabricRange, FabricRangeDelta, FabricTickScratch, InjectError, Network, NetworkKind};
+use crate::{Fabric, InjectError, Network, NetworkKind};
 
 /// Per-mille fault rates plus the schedule seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,27 +103,130 @@ fn stream_seed(seed: u64, i: usize) -> u64 {
     seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
+/// The fault tallies one port state keeps: the schedule's counters, plus
+/// the injections a stalled port refused (folded into
+/// `NetStats::inject_refusals`: a stall is a retryable refusal).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FaultTally {
+    counters: crate::FaultCounters,
+    stall_refusals: u64,
+}
+
+impl FaultTally {
+    pub(crate) fn add(&mut self, other: FaultTally) {
+        let (c, o) = (&mut self.counters, other.counters);
+        c.dropped += o.dropped;
+        c.duplicated += o.duplicated;
+        c.corrupted += o.corrupted;
+        c.stalls += o.stalls;
+        self.stall_refusals += other.stall_refusals;
+    }
+}
+
+/// The fault layer's gates over the ports of nodes `lo..`: the per-message
+/// fault streams `msg_rng`, the stall tables, and the tallies the gates
+/// keep. [`FaultyFabric`] owns one over every node (`Vec`s); the sharded
+/// cycle hands each domain one that borrows its nodes' streams exclusively
+/// and the whole stall tables read-only (the stall schedule only advances
+/// at the tick barrier). The inject and eject gates are written once, here,
+/// for both.
+pub(crate) struct Gates<R, S> {
+    config: FaultConfig,
+    now: u64,
+    lo: usize,
+    msg_rng: R,
+    inject_stall: S,
+    eject_stall: S,
+    pub(crate) tally: FaultTally,
+}
+
+/// A domain's gates in the sharded cycle.
+pub(crate) type RangeGates<'a> = Gates<&'a mut [Rng], &'a [u64]>;
+
+impl<R: AsMut<[Rng]>, S: AsRef<[u64]>> Gates<R, S> {
+    /// The inject gate. A stalled port refuses. Otherwise the message takes
+    /// its fault draws (drop → corrupt → duplicate, fixed order) from the
+    /// source node's private stream, and `base` carries the
+    /// possibly-corrupted wire copy into the base fabric.
+    pub(crate) fn inject(
+        &mut self,
+        src: NodeId,
+        msg: Message,
+        mut base: impl FnMut(NodeId, Message) -> Result<(), InjectError>,
+    ) -> Result<(), InjectError> {
+        let inject_stall = self.inject_stall.as_ref();
+        if self.now < inject_stall[src.index()] {
+            self.tally.stall_refusals += 1;
+            return Err(InjectError::Refused(msg));
+        }
+        // Nonexistent destinations keep the base fabric's accounting:
+        // `bad_dest` rejections are handed back, never faulted away.
+        if msg.dest().index() >= inject_stall.len() {
+            return base(src, msg);
+        }
+        let (rng, config) = (
+            &mut self.msg_rng.as_mut()[src.index() - self.lo],
+            &self.config,
+        );
+        let counters = &mut self.tally.counters;
+        let drop = hit(rng, config.drop_pm);
+        let corrupt = hit(rng, config.corrupt_pm);
+        let duplicate = hit(rng, config.duplicate_pm);
+        if drop {
+            // Accepted, then lost at the entry link. The sender's view is a
+            // successful send; only `faults.dropped` knows better.
+            counters.dropped += 1;
+            return Ok(());
+        }
+        let mut wire = msg;
+        if corrupt {
+            let word = 1 + rng.index(MSG_WORDS - 1);
+            let bit = rng.below(32) as u32;
+            wire.words[word] ^= 1 << bit;
+        }
+        match base(src, wire) {
+            Ok(()) => {
+                if corrupt {
+                    counters.corrupted += 1;
+                }
+                if duplicate {
+                    // A second copy rides right behind; losing it to a full
+                    // entry buffer is not a fault worth counting.
+                    if base(src, wire).is_ok() {
+                        counters.duplicated += 1;
+                    }
+                }
+                Ok(())
+            }
+            // Hand back the caller's original, not the corrupted copy.
+            Err(InjectError::Refused(_)) => Err(InjectError::Refused(msg)),
+            Err(InjectError::BadDest(_)) => Err(InjectError::BadDest(msg)),
+            Err(InjectError::NotParticipant(_)) => {
+                unreachable!("base fabrics do not emit NotParticipant")
+            }
+        }
+    }
+
+    /// The eject gate: whether `dst`'s eject port is open this cycle (a
+    /// stalled port hides deliverable messages from peek and eject).
+    pub(crate) fn eject_open(&self, dst: NodeId) -> bool {
+        self.now >= self.eject_stall.as_ref()[dst.index()]
+    }
+}
+
 /// A fault-injecting wrapper around a base fabric. See the module docs for
 /// the fault model; construct with [`FaultyFabric::new`] and drive through
 /// the ordinary [`Network`] trait (usually as a [`NetworkKind::Faulty`]).
 pub struct FaultyFabric {
     inner: Box<NetworkKind>,
-    config: FaultConfig,
-    /// Per-inject-port streams deciding the fate of each offered message.
-    msg_rng: Vec<Rng>,
+    /// The fault schedule, fabric time (counted in
+    /// [`tick`](Network::tick)s), the per-inject-port message streams, the
+    /// per-node cycle (exclusive) until which each inject and eject port is
+    /// stalled, and the fault tallies.
+    pub(crate) gates: Gates<Vec<Rng>, Vec<u64>>,
     /// Per-node streams scheduling port stalls (separate streams: the stall
     /// schedule does not depend on how much traffic was offered).
     port_rng: Vec<Rng>,
-    /// Fabric time, counted in [`tick`](Network::tick)s.
-    now: u64,
-    /// Per-node cycle (exclusive) until which the inject port is stalled.
-    inject_stall: Vec<u64>,
-    /// Per-node cycle (exclusive) until which the eject port is stalled.
-    eject_stall: Vec<u64>,
-    counters: crate::FaultCounters,
-    /// Injections refused because the inject port was stalled (folded into
-    /// `NetStats::inject_refusals`: a stall is a retryable refusal).
-    stall_refusals: u64,
 }
 
 impl FaultyFabric {
@@ -138,18 +244,20 @@ impl FaultyFabric {
         let nodes = inner.node_count();
         FaultyFabric {
             inner: Box::new(inner),
-            config,
-            msg_rng: (0..nodes)
-                .map(|i| Rng::new(stream_seed(config.seed, i)))
-                .collect(),
+            gates: Gates {
+                config,
+                now: 0,
+                lo: 0,
+                msg_rng: (0..nodes)
+                    .map(|i| Rng::new(stream_seed(config.seed, i)))
+                    .collect(),
+                inject_stall: vec![0; nodes],
+                eject_stall: vec![0; nodes],
+                tally: FaultTally::default(),
+            },
             port_rng: (0..nodes)
                 .map(|i| Rng::new(stream_seed(config.seed ^ PORT_SALT, i)))
                 .collect(),
-            now: 0,
-            inject_stall: vec![0; nodes],
-            eject_stall: vec![0; nodes],
-            counters: crate::FaultCounters::default(),
-            stall_refusals: 0,
         }
     }
 
@@ -166,286 +274,76 @@ impl FaultyFabric {
 
     /// The fault schedule.
     pub fn config(&self) -> FaultConfig {
-        self.config
+        self.gates.config
     }
 
     /// Fault tallies so far (also surfaced via [`NetStats::faults`]).
     pub fn counters(&self) -> crate::FaultCounters {
-        self.counters
+        self.gates.tally.counters
     }
 
-    /// Rolls the per-node stall schedule forward one cycle. Two draws per
-    /// node per cycle (inject port, eject port), unconditionally: the draw
-    /// count never depends on outcomes, so the schedule is a pure function
-    /// of the seed and the cycle number.
-    fn roll_stalls(&mut self) {
-        if self.config.stall_pm == 0 {
+    /// Ends a cycle of the base fabric: advances fabric time and rolls the
+    /// per-node stall schedule forward. Two draws per node per cycle
+    /// (inject port, eject port), unconditionally: the draw count never
+    /// depends on outcomes, so the schedule is a pure function of the seed
+    /// and the cycle number.
+    pub(crate) fn end_tick(&mut self) {
+        let g = &mut self.gates;
+        g.now += 1;
+        if g.config.stall_pm == 0 {
             return;
         }
-        for i in 0..self.inject_stall.len() {
-            let rng = &mut self.port_rng[i];
-            if hit(rng, self.config.stall_pm) {
-                if self.now >= self.inject_stall[i] {
-                    self.counters.stalls += 1;
+        for (i, rng) in self.port_rng.iter_mut().enumerate() {
+            if hit(rng, g.config.stall_pm) {
+                if g.now >= g.inject_stall[i] {
+                    g.tally.counters.stalls += 1;
                 }
-                self.inject_stall[i] = self.now + self.config.stall_len;
+                g.inject_stall[i] = g.now + g.config.stall_len;
             }
-            if hit(rng, self.config.stall_pm) {
-                if self.now >= self.eject_stall[i] {
-                    self.counters.stalls += 1;
+            if hit(rng, g.config.stall_pm) {
+                if g.now >= g.eject_stall[i] {
+                    g.tally.counters.stalls += 1;
                 }
-                self.eject_stall[i] = self.now + self.config.stall_len;
+                g.eject_stall[i] = g.now + g.config.stall_len;
             }
         }
     }
 
-    /// Splits a switched-fabric-based fault-wrapped network into per-domain
-    /// injection/ejection views for the machine simulator's parallel cycle
-    /// (the fault-layer analogue of [`Fabric::split_node_ranges`]). Each
-    /// range gets exclusive access to its nodes' fabric channels *and* their
-    /// private per-message fault streams; the stall tables are shared
-    /// read-only (the stall schedule only advances at the tick barrier).
-    /// Because every fault draw comes from the drawing node's own stream,
-    /// per-domain draw interleavings reproduce the serial ascending-node
-    /// schedule bit for bit.
+    /// Splits the gates into one per domain of `bounds`, beside the switched
+    /// base fabric they wrap. Each domain's gates own its nodes' message
+    /// streams; because every fault draw comes from the drawing node's own
+    /// stream, per-domain draw interleavings reproduce the serial
+    /// ascending-node schedule bit for bit. `now` is captured per split, so
+    /// inject stalls gate at cycle T and eject stalls at T+1 exactly as the
+    /// serial walk does.
     ///
     /// # Panics
     ///
-    /// Panics if the wrapped base fabric is not a switched fabric (i.e. it is ideal).
-    pub fn split_fault_ranges(&mut self, bounds: &[usize]) -> Vec<FaultRange<'_>> {
-        let FaultyFabric {
-            inner,
-            config,
-            msg_rng,
-            now,
-            inject_stall,
-            eject_stall,
-            ..
-        } = self;
-        let fabric = inner
-            .as_fabric_mut()
-            .expect("fault ranges shard a switched base fabric");
-        let mesh_ranges = fabric.split_node_ranges(bounds);
-        let inject_stall: &[u64] = inject_stall;
-        let eject_stall: &[u64] = eject_stall;
-        let mut rngs: &mut [Rng] = msg_rng.as_mut_slice();
-        let mut out = Vec::with_capacity(mesh_ranges.len());
-        for (w, fabric) in bounds.windows(2).zip(mesh_ranges) {
-            let (head, tail) = rngs.split_at_mut(w[1] - w[0]);
-            rngs = tail;
-            out.push(FaultRange {
-                fabric,
-                config: *config,
-                now: *now,
-                lo: w[0],
-                msg_rng: head,
-                inject_stall,
-                eject_stall,
-                delta: FaultRangeDelta::default(),
-            });
-        }
-        out
-    }
-
-    /// Folds injection-phase range deltas back in, in domain order — the
-    /// fault-layer analogue of [`Fabric::absorb_inject_deltas`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wrapped base fabric is not a switched fabric (i.e. it is ideal).
-    pub fn absorb_inject_deltas(&mut self, deltas: impl IntoIterator<Item = FaultRangeDelta>) {
-        let FaultyFabric {
-            inner,
-            counters,
-            stall_refusals,
-            ..
-        } = self;
-        let fabric = inner
-            .as_fabric_mut()
-            .expect("fault ranges shard a switched base fabric");
-        fabric.absorb_inject_deltas(deltas.into_iter().map(|d| {
-            counters.dropped += d.counters.dropped;
-            counters.duplicated += d.counters.duplicated;
-            counters.corrupted += d.counters.corrupted;
-            counters.stalls += d.counters.stalls;
-            *stall_refusals += d.stall_refusals;
-            d.fabric
-        }));
-    }
-
-    /// Folds ejection-phase range deltas back in, in domain order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wrapped base fabric is not a switched fabric (i.e. it is ideal).
-    pub fn absorb_eject_deltas(&mut self, deltas: impl IntoIterator<Item = FaultRangeDelta>) {
-        let fabric = self
-            .inner
-            .as_fabric_mut()
-            .expect("fault ranges shard a switched base fabric");
-        fabric.absorb_eject_deltas(deltas.into_iter().map(|d| {
-            debug_assert!(!d.counters.any(), "eject-phase delta carries faults");
-            debug_assert_eq!(d.stall_refusals, 0, "eject-phase delta carries refusals");
-            d.fabric
-        }));
-    }
-
-    /// Advances the wrapped fabric by one cycle with the domain-sharded tick,
-    /// then rolls the stall schedule exactly as [`Network::tick`] would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wrapped base fabric is not a switched fabric (i.e. it is ideal).
-    pub fn tick_domains(&mut self, bounds: &[usize], scratch: &mut FabricTickScratch) {
-        self.inner
-            .as_fabric_mut()
-            .expect("fault ranges shard a switched base fabric")
-            .tick_domains(bounds, scratch);
-        self.now += 1;
-        self.roll_stalls();
-    }
-}
-
-/// Applies one offered message's fault draws (drop → corrupt → duplicate,
-/// fixed order) from the source node's private stream, then hands the
-/// possibly-corrupted wire copy to `sink` — the one code path shared by the
-/// serial [`Network::inject`] and the sharded [`FaultRange::inject`], so
-/// the two cannot diverge.
-fn faulted_inject(
-    rng: &mut Rng,
-    config: &FaultConfig,
-    counters: &mut crate::FaultCounters,
-    src: NodeId,
-    msg: Message,
-    mut sink: impl FnMut(NodeId, Message) -> Result<(), InjectError>,
-) -> Result<(), InjectError> {
-    let drop = hit(rng, config.drop_pm);
-    let corrupt = hit(rng, config.corrupt_pm);
-    let duplicate = hit(rng, config.duplicate_pm);
-    if drop {
-        // Accepted, then lost at the entry link. The sender's view is a
-        // successful send; only `faults.dropped` knows better.
-        counters.dropped += 1;
-        return Ok(());
-    }
-    let mut wire = msg;
-    if corrupt {
-        let word = 1 + rng.index(MSG_WORDS - 1);
-        let bit = rng.below(32) as u32;
-        wire.words[word] ^= 1 << bit;
-    }
-    match sink(src, wire) {
-        Ok(()) => {
-            if corrupt {
-                counters.corrupted += 1;
-            }
-            if duplicate {
-                // A second copy rides right behind; losing it to a full
-                // entry buffer is not a fault worth counting.
-                if sink(src, wire).is_ok() {
-                    counters.duplicated += 1;
+    /// Panics if the wrapped base fabric is not a switched fabric.
+    pub(crate) fn split(&mut self, bounds: &[usize]) -> (&mut Fabric, Vec<RangeGates<'_>>) {
+        let g = &mut self.gates;
+        let mut rngs: &mut [Rng] = g.msg_rng.as_mut_slice();
+        let gates = bounds
+            .windows(2)
+            .map(|w| {
+                let (head, tail) = std::mem::take(&mut rngs).split_at_mut(w[1] - w[0]);
+                rngs = tail;
+                Gates {
+                    config: g.config,
+                    now: g.now,
+                    lo: w[0],
+                    msg_rng: head,
+                    inject_stall: g.inject_stall.as_slice(),
+                    eject_stall: g.eject_stall.as_slice(),
+                    tally: FaultTally::default(),
                 }
-            }
-            Ok(())
-        }
-        // Hand back the caller's original, not the corrupted copy.
-        Err(InjectError::Refused(_)) => Err(InjectError::Refused(msg)),
-        Err(InjectError::BadDest(_)) => Err(InjectError::BadDest(msg)),
-        Err(InjectError::NotParticipant(_)) => {
-            unreachable!("base fabrics do not emit NotParticipant")
-        }
-    }
-}
-
-/// Per-range fault effects buffered by [`FaultRange`] operations; opaque to
-/// callers, who hand them back to the fabric's absorb methods.
-#[derive(Default)]
-pub struct FaultRangeDelta {
-    fabric: FabricRangeDelta,
-    counters: crate::FaultCounters,
-    stall_refusals: u64,
-}
-
-/// Exclusive injection/ejection access to one spatial domain of a
-/// fault-wrapped fabric, produced by [`FaultyFabric::split_fault_ranges`].
-/// Mirrors the serial fault-layer [`Network`] entry points byte for byte:
-/// same stall gates, same per-node draw streams, same drop/corrupt/
-/// duplicate order — with shared-counter updates buffered into a
-/// [`FaultRangeDelta`].
-pub struct FaultRange<'a> {
-    fabric: FabricRange<'a>,
-    config: FaultConfig,
-    now: u64,
-    lo: usize,
-    msg_rng: &'a mut [Rng],
-    inject_stall: &'a [u64],
-    eject_stall: &'a [u64],
-    delta: FaultRangeDelta,
-}
-
-impl FaultRange<'_> {
-    /// Number of nodes attached to the whole fabric (not just this range).
-    pub fn node_count(&self) -> usize {
-        self.fabric.node_count()
-    }
-
-    /// Offers a message for injection at `src` (a node of this range);
-    /// identical semantics to the serial fault-layer [`Network::inject`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly as the serial path: `Refused` on a stalled port or full
-    /// entry buffer, `BadDest` for a destination outside the fabric.
-    pub fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
-        if self.now < self.inject_stall[src.index()] {
-            self.delta.stall_refusals += 1;
-            return Err(InjectError::Refused(msg));
-        }
-        if msg.dest().index() >= self.fabric.node_count() {
-            return self.fabric.inject(src, msg);
-        }
-        let rng = &mut self.msg_rng[src.index() - self.lo];
-        let fabric = &mut self.fabric;
-        faulted_inject(
-            rng,
-            &self.config,
-            &mut self.delta.counters,
-            src,
-            msg,
-            |s, m| fabric.inject(s, m),
+            })
+            .collect();
+        let fabric = self.inner.as_fabric_mut();
+        (
+            fabric.expect("fault ranges shard a switched base fabric"),
+            gates,
         )
-    }
-
-    /// The message ready for delivery at `dst` this cycle, if any; identical
-    /// semantics to the serial fault-layer [`Network::peek_eject`].
-    pub fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
-        if self.now < self.eject_stall[dst.index()] {
-            return None;
-        }
-        self.fabric.peek_eject(dst)
-    }
-
-    /// The first node in `from..to` whose ejection channel may hold a
-    /// message (a stalled eject port still hides it from
-    /// [`peek_eject`](Self::peek_eject)).
-    pub fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
-        self.fabric.next_eject_ready(from, to)
-    }
-
-    /// Removes and returns the message ready at `dst`; identical semantics
-    /// to the serial fault-layer [`Network::eject`].
-    pub fn eject(&mut self, dst: NodeId) -> Option<Message> {
-        if self.now < self.eject_stall[dst.index()] {
-            return None;
-        }
-        self.fabric.eject(dst)
-    }
-
-    /// Consumes the range, releasing its borrows and yielding the buffered
-    /// effects for the fabric's absorb methods.
-    pub fn into_delta(mut self) -> FaultRangeDelta {
-        self.delta.fabric = self.fabric.into_delta();
-        self.delta
     }
 }
 
@@ -455,50 +353,27 @@ impl Network for FaultyFabric {
     }
 
     fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
-        if self.now < self.inject_stall[src.index()] {
-            self.stall_refusals += 1;
-            return Err(InjectError::Refused(msg));
-        }
-        // Nonexistent destinations keep the base fabric's accounting:
-        // `bad_dest` rejections are handed back, never faulted away.
-        if msg.dest().index() >= self.inner.node_count() {
-            return self.inner.inject(src, msg);
-        }
-        let FaultyFabric {
-            inner,
-            config,
-            msg_rng,
-            counters,
-            ..
-        } = self;
-        faulted_inject(
-            &mut msg_rng[src.index()],
-            config,
-            counters,
-            src,
-            msg,
-            |s, m| inner.inject(s, m),
-        )
+        let inner = &mut self.inner;
+        self.gates.inject(src, msg, |s, m| inner.inject(s, m))
     }
 
     fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
-        if self.now < self.eject_stall[dst.index()] {
-            return None;
-        }
-        self.inner.peek_eject(dst)
+        self.gates
+            .eject_open(dst)
+            .then(|| self.inner.peek_eject(dst))
+            .flatten()
     }
 
     fn eject(&mut self, dst: NodeId) -> Option<Message> {
-        if self.now < self.eject_stall[dst.index()] {
-            return None;
-        }
-        self.inner.eject(dst)
+        self.gates
+            .eject_open(dst)
+            .then(|| self.inner.eject(dst))
+            .flatten()
     }
 
     fn tick(&mut self) {
         self.inner.tick();
-        self.now += 1;
-        self.roll_stalls();
+        self.end_tick();
     }
 
     fn in_flight(&self) -> usize {
@@ -507,11 +382,12 @@ impl Network for FaultyFabric {
 
     fn stats(&self) -> NetStats {
         let mut s = self.inner.stats();
+        let tally = &self.gates.tally;
         // Dropped messages were accepted at this boundary; see
         // `FaultCounters` for the conservation law.
-        s.injected += self.counters.dropped;
-        s.inject_refusals += self.stall_refusals;
-        s.faults = self.counters;
+        s.injected += tally.counters.dropped;
+        s.inject_refusals += tally.stall_refusals;
+        s.faults = tally.counters;
         s
     }
 
@@ -519,7 +395,7 @@ impl Network for FaultyFabric {
         // Without stalls the eject side is a pass-through, so the base
         // fabric's prediction stands. With stalls a predicted arrival could
         // be hidden, so the machine must tick cycle by cycle.
-        if self.config.stall_pm == 0 {
+        if self.gates.config.stall_pm == 0 {
             self.inner.next_arrival()
         } else {
             None
@@ -531,10 +407,10 @@ impl Network for FaultyFabric {
     }
 
     fn advance(&mut self, cycles: u64) {
-        if self.config.stall_pm == 0 {
+        if self.gates.config.stall_pm == 0 {
             // No per-cycle draws to make: bulk-advance the base fabric.
             self.inner.advance(cycles);
-            self.now += cycles;
+            self.gates.now += cycles;
         } else {
             for _ in 0..cycles {
                 self.tick();
@@ -546,7 +422,7 @@ impl Network for FaultyFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fabric, FabricConfig, IdealNetwork};
+    use crate::{FabricConfig, FabricTickScratch, IdealNetwork};
     use tcni_isa::MsgType;
 
     fn msg(dst: u16, tag: u32) -> Message {
@@ -740,14 +616,15 @@ mod tests {
     fn sharded_ranges_reproduce_the_serial_schedule() {
         // Drive two same-seed fault-wrapped meshes through identical offer
         // sequences — one through the serial Network entry points, one
-        // through per-domain FaultRanges — and demand bit-identical
+        // through per-domain NetRanges — and demand bit-identical
         // deliveries, counters, and stats.
         let build = || {
-            FaultyFabric::new(
+            NetworkKind::from(FaultyFabric::new(
                 Fabric::new(FabricConfig::new(4, 2)).into(),
                 FaultConfig::uniform(99, 180),
-            )
+            ))
         };
+        let check = |net: &NetworkKind| net.as_fabric().unwrap().check_invariants().unwrap();
         let bounds = [0usize, 3, 6, 8];
         let mut serial = build();
         let mut sharded = build();
@@ -767,17 +644,19 @@ mod tests {
             }
 
             let mut deltas = Vec::new();
-            for (w, mut range) in bounds.windows(2).zip(sharded.split_fault_ranges(&bounds)) {
+            for (w, mut range) in bounds.windows(2).zip(sharded.split_ranges(&bounds)) {
                 for i in w[0] as u16..w[1] as u16 {
                     let m = msg((i + 1) % 8, cycle * 8 + u32::from(i));
                     let _ = range.inject(NodeId::new(i), m);
                 }
                 deltas.push(range.into_delta());
             }
-            sharded.absorb_inject_deltas(deltas);
+            sharded.absorb(deltas);
+            check(&sharded);
             sharded.tick_domains(&bounds, &mut scratch);
+            check(&sharded);
             let mut deltas = Vec::new();
-            for (w, mut range) in bounds.windows(2).zip(sharded.split_fault_ranges(&bounds)) {
+            for (w, mut range) in bounds.windows(2).zip(sharded.split_ranges(&bounds)) {
                 for d in w[0]..w[1] {
                     while let Some(m) = range.eject(NodeId::new(d as u16)) {
                         got_sharded.push((d as u16, m));
@@ -785,12 +664,14 @@ mod tests {
                 }
                 deltas.push(range.into_delta());
             }
-            sharded.absorb_eject_deltas(deltas);
+            sharded.absorb(deltas);
+            check(&sharded);
         }
+        let faults = |net: &NetworkKind| net.as_faulty().unwrap().counters();
         assert_eq!(got_serial, got_sharded);
-        assert_eq!(serial.counters(), sharded.counters());
+        assert_eq!(faults(&serial), faults(&sharded));
         assert_eq!(serial.stats(), sharded.stats());
-        assert!(serial.counters().any(), "schedule actually faulted");
+        assert!(faults(&serial).any(), "schedule actually faulted");
     }
 
     #[test]

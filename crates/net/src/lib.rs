@@ -39,9 +39,10 @@ mod topology;
 mod tree;
 
 pub use fabric::{
-    Fabric, FabricConfig, FabricRange, FabricRangeDelta, FabricTickScratch, LinkReport, LinkStats,
+    Fabric, FabricConfig, FabricError, FabricTickScratch, LinkReport, LinkStats, NetRange,
+    NetRangeDelta,
 };
-pub use fault::{FaultConfig, FaultRange, FaultRangeDelta, FaultyFabric};
+pub use fault::{FaultConfig, FaultyFabric};
 pub use ideal::IdealNetwork;
 pub use kind::NetworkKind;
 pub use stats::{FaultCounters, LatencyHist, NetStats, ScanStats};

@@ -7,9 +7,9 @@ use tcni_core::{CollectiveOp, FeatureLevel, Message, NiConfig, NodeId, WireForma
 use tcni_cpu::{StepOutcome, TimingConfig};
 use tcni_isa::{MsgType, Program};
 use tcni_net::{
-    CombiningTree, Fabric, FabricConfig, FabricRange, FabricRangeDelta, FabricTickScratch,
-    FaultConfig, FaultRange, FaultRangeDelta, FaultyFabric, FullyConnected, IdealNetwork,
-    InjectError, NetStats, Network, NetworkKind, Topology as _, TopologyKind,
+    CombiningTree, Fabric, FabricConfig, FabricError, FabricTickScratch, FaultConfig, FaultyFabric,
+    FullyConnected, IdealNetwork, InjectError, NetRange, NetRangeDelta, NetStats, Network,
+    NetworkKind, Topology as _, TopologyKind,
 };
 use tcni_util::par::{domain_bounds, run_tasks};
 
@@ -61,17 +61,22 @@ pub enum BuildError {
         /// The requested node count.
         nodes: usize,
     },
-    /// The configured fabric exceeds its own scaling ceiling (currently
-    /// only the fully-connected fabric, whose per-node port count grows
-    /// linearly and whose channel count grows quadratically).
+    /// The configured fabric exceeds a scaling ceiling: its topology's own
+    /// (the fully-connected fabric, whose per-node port count grows
+    /// linearly and whose channel count grows quadratically, stops at
+    /// [`FullyConnected::MAX_NODES`]) or, for any topology, the
+    /// [`NodeId`] address space ([`NodeId::MAX_NODES`]).
     FabricTooLarge {
         /// Topology name.
         topo: &'static str,
         /// Number of nodes the configured fabric would have.
         nodes: usize,
-        /// The topology's ceiling.
+        /// The ceiling it exceeds.
         max: usize,
     },
+    /// The configured fabric has a zero channel, injection or ejection
+    /// capacity: no packet could ever pass that buffer.
+    ZeroCapacity,
     /// A combining tree was supplied that cannot be mounted on this
     /// machine — wrong index-space size, or a geometry the configured
     /// fabric's links cannot carry (see [`TreeMismatch`]).
@@ -138,6 +143,7 @@ impl fmt::Display for BuildError {
                     "{topo} fabric scales to at most {max} nodes ({nodes} requested)"
                 )
             }
+            BuildError::ZeroCapacity => write!(f, "fabric buffer capacities must be non-zero"),
             BuildError::CollectiveTreeMismatch(TreeMismatch::Size { tree_nodes, nodes }) => {
                 write!(
                     f,
@@ -795,23 +801,17 @@ impl Machine {
 
     /// Builds the spatial-decomposition plan for the sharded cycle, or
     /// `None` when this machine runs the one-domain cycle. Eligibility: a
-    /// mesh fabric — bare or fault-wrapped ([`FaultRange`] reproduces the
-    /// per-node fault streams domain by domain) — observability off
-    /// (per-link counters and the span collector exist only on the direct
-    /// views), the dense-scan cross-check off, at least two nodes, and an
-    /// effective worker count of at least two.
+    /// switched fabric — bare or fault-wrapped ([`NetworkKind::split_ranges`]
+    /// hands each domain its nodes' fault streams) — observability off
+    /// (per-link counters, which only `enable_obs` turns on, and the span
+    /// collector exist only on the direct views), the dense-scan
+    /// cross-check off, at least two nodes, and an effective worker count
+    /// of at least two.
     fn make_par_plan(&self) -> Option<ParPlan> {
         if self.obs.is_some() || self.dense_scan || self.nodes.len() < 2 {
             return None;
         }
-        let mesh = match &self.net {
-            NetworkKind::Fabric(m) => m,
-            NetworkKind::Faulty(f) => f.inner().as_fabric()?,
-            NetworkKind::Ideal(_) => return None,
-        };
-        if mesh.observe() {
-            return None;
-        }
+        let mesh = self.net.as_fabric()?;
         let workers = if self.par_threads > 0 {
             self.par_threads
         } else {
@@ -898,10 +898,10 @@ impl Machine {
         let deltas = Deltas::collect(tasks.into_iter().map(|(s, _)| s));
         std::mem::swap(&mut self.running, &mut plan.run_acc);
         std::mem::swap(&mut self.draining, &mut plan.drain_acc);
-        self.absorb(deltas, true);
+        self.absorb(deltas);
 
         // --- Phase 3: the fabric advances, domain-sliced ---------------------
-        tick_net_domains(&mut self.net, &plan.bounds, &mut plan.scratch);
+        self.net.tick_domains(&plan.bounds, &mut plan.scratch);
 
         // --- Region B: network → interfaces ----------------------------------
         self.arrived.clear();
@@ -923,7 +923,7 @@ impl Machine {
                 self.arrived.extend_from_slice(&s.out.arrived);
             }
             let deltas = Deltas::collect(shards);
-            self.absorb(deltas, false);
+            self.absorb(deltas);
         }
         self.outbox_scan = ob;
         self.coll_scan = cob;
@@ -932,9 +932,8 @@ impl Machine {
     }
 
     /// Replays one sharded region's buffered effects, in domain order.
-    /// `inject` names the region (A injects, B ejects).
-    fn absorb(&mut self, d: Deltas, inject: bool) {
-        absorb_net(&mut self.net, d.net, inject);
+    fn absorb(&mut self, d: Deltas) {
+        self.net.absorb(d.net);
         if let Some(del) = self.delivery.as_mut() {
             del.absorb_deltas(d.del);
         }
@@ -1164,6 +1163,29 @@ impl NetPort for NetworkKind {
     #[inline]
     fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
         Network::next_eject_ready(self, from, to)
+    }
+}
+
+impl NetPort for NetRange<'_> {
+    #[inline]
+    fn node_count(&self) -> usize {
+        self.node_count()
+    }
+    #[inline]
+    fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
+        self.inject(src, msg)
+    }
+    #[inline]
+    fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
+        self.peek_eject(dst)
+    }
+    #[inline]
+    fn eject(&mut self, dst: NodeId) -> Option<Message> {
+        self.eject(dst)
+    }
+    #[inline]
+    fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
+        self.next_eject_ready(from, to)
     }
 }
 
@@ -1599,7 +1621,7 @@ struct Shard<'a> {
     lo: usize,
     hi: usize,
     nodes: &'a mut [Node],
-    net: ParNetRange<'a>,
+    net: NetRange<'a>,
     del: Option<DeliveryRange<'a>>,
     coll: Option<CollRange<'a>>,
     events: EventBuf,
@@ -1612,7 +1634,7 @@ impl<'a> Shard<'a> {
     fn parts(
         &mut self,
     ) -> (
-        Domain<'_, ParNetRange<'a>, DeliveryRange<'a>, CollRange<'a>, EventBuf>,
+        Domain<'_, NetRange<'a>, DeliveryRange<'a>, CollRange<'a>, EventBuf>,
         &mut RegionOut,
     ) {
         let cx = Domain {
@@ -1640,7 +1662,7 @@ fn split_shards<'a>(
     let mut colls = coll.map(|c| c.split_ranges(&plan.mbounds).into_iter());
     split_by_bounds(nodes, &plan.mbounds)
         .into_iter()
-        .zip(split_net(net, &plan.bounds))
+        .zip(net.split_ranges(&plan.bounds))
         .zip(plan.mbounds.windows(2))
         .map(|((nodes, net), w)| Shard {
             lo: w[0],
@@ -1658,7 +1680,7 @@ fn split_shards<'a>(
 /// One sharded region's buffered effects, gathered in domain order.
 #[derive(Default)]
 struct Deltas {
-    net: Vec<ParNetDelta>,
+    net: Vec<NetRangeDelta>,
     del: Vec<DeliveryDelta>,
     coll: Vec<CollDelta>,
     events: EventBuf,
@@ -1676,133 +1698,6 @@ impl Deltas {
             }
         }
         d
-    }
-}
-
-/// A domain's view of the fabric for the sharded cycle: either a bare
-/// fabric range or a fault-layer range wrapping one. Same entry points
-/// either way, so the region bodies are fabric-agnostic.
-// Built fresh per domain per cycle on the sharded hot path; boxing the
-// fault variant would trade a stack copy for a per-cycle allocation.
-#[allow(clippy::large_enum_variant)]
-enum ParNetRange<'a> {
-    Fabric(FabricRange<'a>),
-    Faulty(FaultRange<'a>),
-}
-
-impl NetPort for ParNetRange<'_> {
-    #[inline]
-    fn node_count(&self) -> usize {
-        match self {
-            ParNetRange::Fabric(m) => m.node_count(),
-            ParNetRange::Faulty(f) => f.node_count(),
-        }
-    }
-
-    #[inline]
-    fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
-        match self {
-            ParNetRange::Fabric(m) => m.inject(src, msg),
-            ParNetRange::Faulty(f) => f.inject(src, msg),
-        }
-    }
-
-    #[inline]
-    fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
-        match self {
-            ParNetRange::Fabric(m) => m.peek_eject(dst),
-            ParNetRange::Faulty(f) => f.peek_eject(dst),
-        }
-    }
-
-    #[inline]
-    fn eject(&mut self, dst: NodeId) -> Option<Message> {
-        match self {
-            ParNetRange::Fabric(m) => m.eject(dst),
-            ParNetRange::Faulty(f) => f.eject(dst),
-        }
-    }
-
-    #[inline]
-    fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
-        match self {
-            ParNetRange::Fabric(m) => m.next_eject_ready(from, to),
-            ParNetRange::Faulty(f) => f.next_eject_ready(from, to),
-        }
-    }
-}
-
-impl ParNetRange<'_> {
-    fn into_delta(self) -> ParNetDelta {
-        match self {
-            ParNetRange::Fabric(m) => ParNetDelta::Fabric(m.into_delta()),
-            ParNetRange::Faulty(f) => ParNetDelta::Faulty(f.into_delta()),
-        }
-    }
-}
-
-/// The buffered per-domain fabric effects matching [`ParNetRange`].
-enum ParNetDelta {
-    Fabric(FabricRangeDelta),
-    Faulty(FaultRangeDelta),
-}
-
-/// Splits the fabric into per-domain ranges for one sharded region. The plan
-/// guarantees a switched-fabric base (bare or fault-wrapped).
-fn split_net<'a>(net: &'a mut NetworkKind, bounds: &[usize]) -> Vec<ParNetRange<'a>> {
-    match net {
-        NetworkKind::Fabric(m) => m
-            .split_node_ranges(bounds)
-            .into_iter()
-            .map(ParNetRange::Fabric)
-            .collect(),
-        NetworkKind::Faulty(f) => f
-            .split_fault_ranges(bounds)
-            .into_iter()
-            .map(ParNetRange::Faulty)
-            .collect(),
-        NetworkKind::Ideal(_) => unreachable!("the plan implies a switched fabric"),
-    }
-}
-
-/// Absorbs one region's fabric deltas in domain order: injection-side
-/// (region A) when `inject`, ejection-side (region B) otherwise.
-fn absorb_net(net: &mut NetworkKind, deltas: Vec<ParNetDelta>, inject: bool) {
-    const KIND: &str = "delta kind follows the fabric kind";
-    match net {
-        NetworkKind::Fabric(m) => {
-            let ds = deltas.into_iter().map(|d| match d {
-                ParNetDelta::Fabric(d) => d,
-                ParNetDelta::Faulty(_) => unreachable!("{KIND}"),
-            });
-            if inject {
-                m.absorb_inject_deltas(ds);
-            } else {
-                m.absorb_eject_deltas(ds);
-            }
-        }
-        NetworkKind::Faulty(f) => {
-            let ds = deltas.into_iter().map(|d| match d {
-                ParNetDelta::Faulty(d) => d,
-                ParNetDelta::Fabric(_) => unreachable!("{KIND}"),
-            });
-            if inject {
-                f.absorb_inject_deltas(ds);
-            } else {
-                f.absorb_eject_deltas(ds);
-            }
-        }
-        NetworkKind::Ideal(_) => unreachable!("the plan implies a switched fabric"),
-    }
-}
-
-/// Advances the fabric one cycle, domain-sliced (serial-equivalent: see the
-/// fabric-level `tick_domains` contracts).
-fn tick_net_domains(net: &mut NetworkKind, bounds: &[usize], scratch: &mut FabricTickScratch) {
-    match net {
-        NetworkKind::Fabric(m) => m.tick_domains(bounds, scratch),
-        NetworkKind::Faulty(f) => f.tick_domains(bounds, scratch),
-        NetworkKind::Ideal(_) => unreachable!("the plan implies a switched fabric"),
     }
 }
 
@@ -1975,8 +1870,11 @@ impl MachineBuilder {
     ///
     /// # Panics
     ///
-    /// Panics at [`build`](Self::build) if the fabric has fewer slots than
-    /// the node count.
+    /// Never here. [`build`](Self::build) panics, and
+    /// [`try_build`](Self::try_build) returns the matching [`BuildError`],
+    /// if the fabric has fewer slots than the node count, exceeds its
+    /// topology's ceiling or the [`NodeId`] address space, or has a zero
+    /// buffer capacity.
     pub fn network_fabric(mut self, config: FabricConfig) -> MachineBuilder {
         self.net = NetChoice::Fabric(config);
         self
@@ -1988,8 +1886,10 @@ impl MachineBuilder {
     ///
     /// # Panics
     ///
-    /// Panics at [`build`](Self::build) if the fabric has fewer slots than
-    /// the node count.
+    /// Never here. [`build`](Self::build) panics, and
+    /// [`try_build`](Self::try_build) returns the matching [`BuildError`],
+    /// if the fabric has fewer slots than the node count or exceeds its
+    /// topology's ceiling or the [`NodeId`] address space.
     pub fn topology(self, topo: TopologyKind) -> MachineBuilder {
         self.network_fabric(FabricConfig::of(topo))
     }
@@ -2057,8 +1957,8 @@ impl MachineBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the configured fabric is smaller than the node count (see
-    /// [`MachineBuilder::try_build`] for the fallible form).
+    /// Panics on any configuration [`MachineBuilder::try_build`] rejects,
+    /// with the same message.
     pub fn build(self) -> Machine {
         match self.try_build() {
             Ok(m) => m,
@@ -2073,7 +1973,9 @@ impl MachineBuilder {
     ///
     /// [`BuildError::FabricTooSmall`] when the configured fabric has fewer
     /// slots than the machine has nodes; [`BuildError::FabricTooLarge`]
-    /// when a fully-connected fabric exceeds its scaling ceiling;
+    /// when a fully-connected fabric exceeds its scaling ceiling or any
+    /// fabric exceeds the [`NodeId`] address space;
+    /// [`BuildError::ZeroCapacity`] when a fabric buffer capacity is zero;
     /// [`BuildError::FormatTooSmall`] when a pinned wire format cannot
     /// address the node count;
     /// [`BuildError::CollectiveTreeMismatch`] when a combining tree's size
@@ -2115,7 +2017,16 @@ impl MachineBuilder {
                         nodes: self.node_count,
                     });
                 }
-                Fabric::new(cfg).into()
+                Fabric::try_new(cfg)
+                    .map_err(|e| match e {
+                        FabricError::TooLarge { nodes, max } => BuildError::FabricTooLarge {
+                            topo: cfg.topo.name(),
+                            nodes,
+                            max,
+                        },
+                        FabricError::ZeroCapacity => BuildError::ZeroCapacity,
+                    })?
+                    .into()
             }
         };
         if let Some(fault) = self.fault {

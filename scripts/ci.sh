@@ -89,11 +89,12 @@ run_16x16_closed 1 target/BENCH_loadgen_16x16_closed.serial.json
 run_16x16_closed 4 target/BENCH_loadgen_16x16_closed.par4.json
 cmp target/BENCH_loadgen_16x16_closed.serial.json target/BENCH_loadgen_16x16_closed.par4.json
 
-echo "== smoke: topology axis (torus sharded run, ring/full schema, torus collective) =="
-# `--topology` pins the sweep to one switched fabric. The torus 16×16 point
-# shards across workers exactly like the mesh one and must export the same
-# tcni-load/1 bytes serial vs parallel; ring and full get schema smokes; the
-# faulty torus collective proves the wrap-embedded tree computes correctly.
+echo "== smoke: topology axis (torus/ring/full sharded runs, ring/full schema, torus collective) =="
+# `--topology` pins the sweep to one switched fabric. The torus, ring and
+# full 16×16 points shard across workers exactly like the mesh one and must
+# export the same tcni-load/1 bytes serial vs parallel; ring and full also
+# get 4×4 schema smokes; the faulty torus collective proves the
+# wrap-embedded tree computes correctly.
 run_torus_16x16() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \
         --width 16 --height 16 --models opt-reg --topology torus \
@@ -104,6 +105,22 @@ run_torus_16x16 1 target/BENCH_loadgen_torus.serial.json
 run_torus_16x16 4 target/BENCH_loadgen_torus.par4.json
 cmp target/BENCH_loadgen_torus.serial.json target/BENCH_loadgen_torus.par4.json
 grep -q '"fabric": "torus"' target/BENCH_loadgen_torus.serial.json
+# Ring wrap links and fully-connected long-range links put most conflict
+# components across domains, so these two exports exercise the sharded
+# tick's boundary task and merge hardest.
+run_topo_16x16() {
+    TCNI_THREADS="$2" cargo run --release --offline -p tcni-bench --bin loadgen -- \
+        --width 16 --height 16 --models opt-reg --topology "$1" \
+        --patterns uniform --rates 5 --windows none --warmup 200 \
+        --measure 800 --quiet --out "$3"
+}
+for topo in ring full; do
+    run_topo_16x16 "${topo}" 1 "target/BENCH_loadgen_${topo}_16x16.serial.json"
+    run_topo_16x16 "${topo}" 4 "target/BENCH_loadgen_${topo}_16x16.par4.json"
+    cmp "target/BENCH_loadgen_${topo}_16x16.serial.json" \
+        "target/BENCH_loadgen_${topo}_16x16.par4.json"
+    grep -q "\"fabric\": \"${topo}\"" "target/BENCH_loadgen_${topo}_16x16.serial.json"
+done
 cargo run --release --offline -p tcni-bench --bin loadgen -- \
     --width 4 --height 4 --models opt-reg --topology ring --patterns uniform \
     --rates 100 --windows none --warmup 500 --measure 1500 --quiet \

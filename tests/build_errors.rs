@@ -9,12 +9,13 @@
 //! constructors or a panic carrying the same message from the infallible
 //! ones: node counts beyond the wide format's 65536-id address space, an
 //! explicitly pinned format that is too small for the machine, fabrics
-//! (of any topology) with fewer slots than the machine has nodes, the
+//! (of any topology) with fewer slots than the machine has nodes or more
+//! than the address space, a fabric with a zero buffer capacity, the
 //! fully-connected fabric past its quadratic-wiring ceiling, and
 //! combining trees whose size or geometry does not fit the configured
 //! fabric.
 
-use tcni::core::{CollectiveOp, WireFormat};
+use tcni::core::{CollectiveOp, NodeId, WireFormat};
 use tcni::net::{CombiningTree, FabricConfig, FullyConnected, InjectError, TopologyKind};
 use tcni::sim::{BuildError, DeliveryConfig, MachineBuilder, TreeMismatch};
 
@@ -180,6 +181,57 @@ fn an_oversized_fully_connected_fabric_is_a_typed_error() {
         }
     );
     assert!(err.to_string().contains("scales to at most"), "{err}");
+}
+
+#[test]
+fn a_fabric_past_the_address_space_is_a_typed_error() {
+    // A 300×300 mesh has 90 000 slots: more than enough for a 4-node
+    // machine, but past the 65 536-id NodeId address space no topology
+    // can exceed. This used to panic inside the fabric constructor.
+    let err = MachineBuilder::try_new(4)
+        .expect("4 nodes are fine")
+        .topology(TopologyKind::mesh(300, 300))
+        .try_build()
+        .err()
+        .expect("the fabric outgrows the address space");
+    assert_eq!(
+        err,
+        BuildError::FabricTooLarge {
+            topo: "mesh",
+            nodes: 90_000,
+            max: NodeId::MAX_NODES
+        }
+    );
+    assert!(err.to_string().contains("scales to at most 65536"), "{err}");
+}
+
+#[test]
+fn a_zero_capacity_fabric_is_a_typed_error() {
+    // A zero-capacity buffer can never pass a packet; each of the three
+    // capacities used to panic inside the fabric constructor.
+    for cfg in [
+        FabricConfig {
+            channel_capacity: 0,
+            ..FabricConfig::new(2, 2)
+        },
+        FabricConfig {
+            inject_capacity: 0,
+            ..FabricConfig::new(2, 2)
+        },
+        FabricConfig {
+            eject_capacity: 0,
+            ..FabricConfig::new(2, 2)
+        },
+    ] {
+        let err = MachineBuilder::try_new(4)
+            .expect("4 nodes are fine")
+            .network_fabric(cfg)
+            .try_build()
+            .err()
+            .expect("a zero-capacity buffer is rejected");
+        assert_eq!(err, BuildError::ZeroCapacity);
+        assert!(err.to_string().contains("non-zero"), "{err}");
+    }
 }
 
 #[test]
