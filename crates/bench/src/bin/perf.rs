@@ -62,7 +62,8 @@ fn mostly_halted_machine() -> Machine {
 
 /// A 2-node mesh where node 1 halts immediately: node 0's burst clogs the
 /// fabric and the producer env-stalls forever, so `run` spends its budget in
-/// the fast-forward's network-only loop (or the naive loop, with skip off).
+/// the fast-forward's network-only loop (or, with skip off, the naive loop
+/// of the reference mode).
 fn clogged_mesh_machine(skip: bool) -> Machine {
     let o0 = tcni_core::mapping::gpr_alias(tcni_core::InterfaceReg::O0);
     let o1 = tcni_core::mapping::gpr_alias(tcni_core::InterfaceReg::O1);
@@ -78,14 +79,15 @@ fn clogged_mesh_machine(skip: bool) -> Machine {
     a.br("loop");
     a.nop();
     let producer = a.assemble().expect("producer assembles");
-    MachineBuilder::new(2)
+    let mut m = MachineBuilder::new(2)
         .model(Model::ALL_SIX[0])
         .ni_queues(4, 2)
         .program(0, producer)
         .program(1, halt_program())
         .network_fabric(FabricConfig::new(2, 1))
-        .skip_ahead(skip)
-        .build()
+        .build();
+    m.set_reference(!skip);
+    m
 }
 
 /// Delivers `target` messages through a 4×4 mesh (all nodes sending to their
@@ -117,8 +119,8 @@ fn mesh_traffic(target: u64) -> u64 {
 /// A `side × side` mesh driven by a uniform open-loop injector at 5‰
 /// offered load for `cycles` cycles — the hot-set scheduler's target case: a
 /// large machine whose active set is a tiny fraction of its channels and
-/// flows. `dense` selects the every-channel/every-flow cross-check scan for
-/// contrast; `delivery` turns the end-to-end protocol on (its flow state is
+/// flows. `dense` selects the reference mode (every-channel/every-flow
+/// scan) for contrast; `delivery` turns the end-to-end protocol on (its flow state is
 /// quadratic in the node count, so the widest meshes run fabric-only). A
 /// 16×16 mesh runs the compact wire format, anything wider the wide one —
 /// the builder picks it, the injector follows via `machine.wire_format()`.
@@ -131,12 +133,12 @@ fn large_mesh_low_load(
 ) -> Machine {
     let mut b = MachineBuilder::new(side * side)
         .model(Model::ALL_SIX[0])
-        .network_fabric(FabricConfig::new(side, side))
-        .dense_scan(dense);
+        .network_fabric(FabricConfig::new(side, side));
     if delivery {
         b = b.delivery(DeliveryConfig::default());
     }
     let mut machine = b.build();
+    machine.set_reference(dense);
     machine.set_par_threads(par);
     let mut config = InjectorConfig::new(
         Pattern::Uniform,

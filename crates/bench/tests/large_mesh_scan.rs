@@ -15,8 +15,8 @@ fn run_point(cycles: u64, dense: bool) -> Machine {
         .model(Model::ALL_SIX[0])
         .network_fabric(FabricConfig::new(16, 16))
         .delivery(DeliveryConfig::default())
-        .dense_scan(dense)
         .build();
+    machine.set_reference(dense);
     let mut injector = Injector::new(InjectorConfig::new(
         Pattern::Uniform,
         Topology::new(16, 16),

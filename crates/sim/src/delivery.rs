@@ -73,8 +73,8 @@
 //! is committed and leaves when its window fully acks or is abandoned. The
 //! old per-fire outbox rescan ("copies from the previous round still
 //! pending?") is a per-flow `pending_copies` counter maintained at outbox
-//! push/pop. The dense scan survives as a cross-check behind
-//! [`Machine::set_dense_scan`](crate::Machine::set_dense_scan), examining
+//! push/pop. The dense scan survives in the machine's reference mode
+//! ([`Machine::set_reference`](crate::Machine::set_reference)), examining
 //! the dense `nodes²` cost.
 //!
 //! ## One protocol body, two views

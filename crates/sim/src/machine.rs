@@ -77,6 +77,10 @@ pub enum BuildError {
     /// The configured fabric has a zero channel, injection or ejection
     /// capacity: no packet could ever pass that buffer.
     ZeroCapacity,
+    /// The delivery protocol was configured with a zero-message window
+    /// ([`DeliveryConfig::window`]): no sender could ever have a message
+    /// in flight.
+    ZeroDeliveryWindow,
     /// A combining tree was supplied that cannot be mounted on this
     /// machine — wrong index-space size, or a geometry the configured
     /// fabric's links cannot carry (see [`TreeMismatch`]).
@@ -102,7 +106,8 @@ pub enum TreeMismatch {
     /// unrelated links and the embedding guarantees would silently break.
     /// Ideal networks accept any shape (every pair is one hop).
     Shape {
-        /// The tree's declared shape ([`TreeShape::name`]).
+        /// The tree's declared shape
+        /// ([`TreeShape::name`](tcni_net::TreeShape::name)).
         tree: &'static str,
         /// The configured base fabric's topology name.
         fabric: &'static str,
@@ -144,6 +149,7 @@ impl fmt::Display for BuildError {
                 )
             }
             BuildError::ZeroCapacity => write!(f, "fabric buffer capacities must be non-zero"),
+            BuildError::ZeroDeliveryWindow => write!(f, "delivery window must be at least 1"),
             BuildError::CollectiveTreeMismatch(TreeMismatch::Size { tree_nodes, nodes }) => {
                 write!(
                     f,
@@ -176,42 +182,6 @@ pub enum RunOutcome {
     DriverStopped,
 }
 
-/// Expands the four optional-subsystem flags — trace, observability,
-/// end-to-end delivery, collectives — into const-generic instantiations:
-/// sixteen monomorphized stepping loops, each paying only for the
-/// subsystems it actually carries. The optional `::<T>` tail forwards
-/// extra generic arguments (the driver type of `run_driven_impl`).
-macro_rules! dispatch {
-    ($self:ident, $method:ident ( $($arg:expr),* )) => {
-        dispatch!($self, $method::<>($($arg),*))
-    };
-    ($self:ident, $method:ident :: < $($extra:ty),* > ( $($arg:expr),* )) => {
-        match (
-            $self.trace.is_some(),
-            $self.obs.is_some(),
-            $self.delivery.is_some(),
-            $self.collective.is_some(),
-        ) {
-            (false, false, false, false) => $self.$method::<false, false, false, false $(, $extra)*>($($arg),*),
-            (false, false, false, true) => $self.$method::<false, false, false, true $(, $extra)*>($($arg),*),
-            (false, false, true, false) => $self.$method::<false, false, true, false $(, $extra)*>($($arg),*),
-            (false, false, true, true) => $self.$method::<false, false, true, true $(, $extra)*>($($arg),*),
-            (false, true, false, false) => $self.$method::<false, true, false, false $(, $extra)*>($($arg),*),
-            (false, true, false, true) => $self.$method::<false, true, false, true $(, $extra)*>($($arg),*),
-            (false, true, true, false) => $self.$method::<false, true, true, false $(, $extra)*>($($arg),*),
-            (false, true, true, true) => $self.$method::<false, true, true, true $(, $extra)*>($($arg),*),
-            (true, false, false, false) => $self.$method::<true, false, false, false $(, $extra)*>($($arg),*),
-            (true, false, false, true) => $self.$method::<true, false, false, true $(, $extra)*>($($arg),*),
-            (true, false, true, false) => $self.$method::<true, false, true, false $(, $extra)*>($($arg),*),
-            (true, false, true, true) => $self.$method::<true, false, true, true $(, $extra)*>($($arg),*),
-            (true, true, false, false) => $self.$method::<true, true, false, false $(, $extra)*>($($arg),*),
-            (true, true, false, true) => $self.$method::<true, true, false, true $(, $extra)*>($($arg),*),
-            (true, true, true, false) => $self.$method::<true, true, true, false $(, $extra)*>($($arg),*),
-            (true, true, true, true) => $self.$method::<true, true, true, true $(, $extra)*>($($arg),*),
-        }
-    };
-}
-
 /// A complete simulated multicomputer.
 ///
 /// Each global cycle: every processor steps once; interfaces offer their
@@ -230,8 +200,8 @@ macro_rules! dispatch {
 ///   network-only cycles (or, on a predictive fabric, one arithmetic jump)
 ///   replace full machine cycles, and the elapsed stall time is bulk-charged
 ///   to the processors afterwards. Cycle accounting is bit-identical to the
-///   naive loop (see `tests/prop_fast_forward.rs`); disable with
-///   [`set_skip_ahead`](Machine::set_skip_ahead) to cross-check.
+///   naive loop (see `tests/prop_fast_forward.rs`); the
+///   [reference mode](Machine::set_reference) disables it to cross-check.
 ///
 /// # Example
 ///
@@ -261,12 +231,11 @@ pub struct Machine {
     trace: Option<Trace>,
     obs: Option<Obs>,
     /// The optional end-to-end delivery protocol (ack/retransmit over an
-    /// unreliable fabric). Like trace and obs, its presence selects a
-    /// separate stepping monomorphization; a machine without it pays nothing.
+    /// unreliable fabric). Like trace and obs, a machine without it pays
+    /// one branch per use site.
     delivery: Option<Delivery>,
     /// The optional in-network collective engine (combining-tree barrier /
-    /// broadcast / reduce; see [`Collective`]). Fourth const-generic flag of
-    /// the stepping dispatch — a machine without it pays nothing.
+    /// broadcast / reduce; see [`Collective`]).
     collective: Option<Collective>,
     /// Indices of nodes whose processor is still running, ascending. The
     /// ascending order matters: phase 2 injects in node order, which is the
@@ -290,9 +259,9 @@ pub struct Machine {
     arrived: Vec<usize>,
     /// The nodes a driver reported touching this cycle.
     touched: Vec<usize>,
-    skip_ahead: bool,
+    /// The reference mode (see [`set_reference`](Machine::set_reference)).
+    reference: bool,
     skipped_cycles: u64,
-    dense_scan: bool,
     /// Reusable snapshot of the delivery outbox's active-node list for the
     /// E2E injection phase (taken per cycle; injection pops edit the live
     /// list mid-walk).
@@ -384,8 +353,7 @@ impl Machine {
     /// Enables message-lifecycle observability, retaining at most
     /// `span_capacity` completed [`crate::MsgSpan`]s (aggregates cover every
     /// message regardless). On a mesh fabric this also turns on per-link
-    /// counters. Like tracing, the instrumented stepping path is a separate
-    /// monomorphization: a machine with observability disabled pays nothing.
+    /// counters.
     pub fn enable_obs(&mut self, span_capacity: usize) {
         self.obs = Some(Obs::new(self.nodes.len(), span_capacity));
         if let Some(mesh) = self.net.as_fabric_mut() {
@@ -494,38 +462,27 @@ impl Machine {
         &self.net
     }
 
-    /// Enables or disables the quiescence fast-forward (enabled by default).
-    /// Results are identical either way; disabling forces the naive
-    /// one-cycle-at-a-time loop, which the equivalence tests cross-check
-    /// against.
-    pub fn set_skip_ahead(&mut self, enabled: bool) {
-        self.skip_ahead = enabled;
-    }
-
-    /// Whether the quiescence fast-forward is enabled.
-    pub fn skip_ahead(&self) -> bool {
-        self.skip_ahead
-    }
-
-    /// Enables or disables the dense-scan cross-check (disabled by default).
-    /// When enabled, the mesh visits every channel and the delivery pump
-    /// examines every flow each cycle, like the pre-hot-set code. Behaviour
-    /// is bit-identical either way — only wall clock and the
-    /// [`NetStats::scan`] counters differ — which the equivalence suites
-    /// verify, mirroring [`set_skip_ahead`](Machine::set_skip_ahead).
-    pub fn set_dense_scan(&mut self, enabled: bool) {
-        self.dense_scan = enabled;
+    /// Switches the reference mode on or off (off by default): the naive
+    /// machine the equivalence suites cross-check the optimised one
+    /// against. In reference mode [`run`](Machine::run) never
+    /// fast-forwards, the fabric visits every channel and the delivery
+    /// pump examines every flow each cycle, and the cycle runs as one
+    /// domain whatever the worker count. Behaviour is bit-identical either
+    /// way; only wall clock, [`skipped_cycles`](Machine::skipped_cycles)
+    /// and the [`NetStats::scan`] effort meters differ.
+    pub fn set_reference(&mut self, on: bool) {
+        self.reference = on;
         if let Some(mesh) = self.net.as_fabric_mut() {
-            mesh.set_dense_scan(enabled);
+            mesh.set_dense_scan(on);
         }
         if let Some(del) = self.delivery.as_mut() {
-            del.set_dense_scan(enabled);
+            del.set_dense_scan(on);
         }
     }
 
-    /// Whether the dense-scan cross-check is enabled.
-    pub fn dense_scan(&self) -> bool {
-        self.dense_scan
+    /// Whether the reference mode is on.
+    pub fn reference(&self) -> bool {
+        self.reference
     }
 
     /// Overrides the worker count of the sharded cycle for this machine:
@@ -580,24 +537,35 @@ impl Machine {
             self.refresh_lists();
         }
         self.pending_known = false;
-        dispatch!(self, cycle_one(CpuPhase::Step));
+        self.cycle_one(CpuPhase::Step);
     }
 
     /// Checks, between cycles, the invariants both cycle disciplines must
-    /// preserve: in the fabric, the frontier and the eject-ready set against
-    /// the channels; in the machine, the running and draining lists against
-    /// what `refresh_lists()` would derive, and the
-    /// pending-input list (when known) against every `msg_valid`; in the
-    /// delivery protocol and the collective engine, the timeout list
-    /// against the unacked windows, the outbox sets and totals against the
-    /// queues, and the per-flow copy and ack bookkeeping. Meant for property
-    /// tests: it walks every node, channel, flow and queue, and moves no
-    /// meter.
+    /// preserve: in the network, whatever the [`NetworkKind`], the
+    /// conservation law `injected − faults.dropped == delivered +
+    /// in_flight` (see [`tcni_net::FaultCounters`]); in a switched fabric,
+    /// the frontier and the eject-ready set against the channels; in the
+    /// machine, the running and draining lists against what
+    /// `refresh_lists()` would derive, and the pending-input list (when
+    /// known) against every `msg_valid`; in the delivery protocol and the
+    /// collective engine, the timeout list against the unacked windows, the
+    /// outbox sets and totals against the queues, and the per-flow copy and
+    /// ack bookkeeping. Meant for property tests: it walks every node,
+    /// channel, flow and queue, and moves no meter.
     ///
     /// # Errors
     ///
     /// A description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let s = self.net.stats();
+        let in_flight = self.net.in_flight() as u64;
+        if s.injected.checked_sub(s.faults.dropped) != Some(s.delivered + in_flight) {
+            return Err(format!(
+                "network conservation: injected={} - dropped={} != delivered={} + \
+                 in_flight={in_flight}",
+                s.injected, s.faults.dropped, s.delivered
+            ));
+        }
         if let Some(fabric) = self.net.as_fabric() {
             fabric.check_invariants()?;
         }
@@ -649,7 +617,9 @@ impl Machine {
             return;
         }
         self.coll_poll = false;
-        let coll = self.collective.as_mut().expect("COLL implies engine");
+        let Some(coll) = self.collective.as_mut() else {
+            return;
+        };
         for (i, node) in self.nodes.iter_mut().enumerate() {
             while let Some((op, value)) = node.coll_take_request() {
                 if let Ok(Some(done)) = coll.contribute(i, op, value) {
@@ -667,24 +637,17 @@ impl Machine {
     /// (ascending; injection pops edit the live sets mid-walk). Processors
     /// never touch either engine, so running this before the processor
     /// phase is invisible.
-    fn prologue<const E2E: bool, const COLL: bool>(
-        &mut self,
-        bounds: &[usize],
-    ) -> (Vec<usize>, Vec<usize>) {
-        if COLL {
-            self.drain_coll_requests();
-        }
+    fn prologue(&mut self, bounds: &[usize]) -> (Vec<usize>, Vec<usize>) {
+        self.drain_coll_requests();
         let mut ob = std::mem::take(&mut self.outbox_scan);
         ob.clear();
-        if E2E {
-            let del = self.delivery.as_mut().expect("E2E implies delivery");
+        if let Some(del) = self.delivery.as_mut() {
             del.pump(self.cycle, bounds);
             ob.extend(del.outbox_nodes());
         }
         let mut cob = std::mem::take(&mut self.coll_scan);
         cob.clear();
-        if COLL {
-            let coll = self.collective.as_ref().expect("COLL implies engine");
+        if let Some(coll) = self.collective.as_ref() {
             cob.extend(coll.outbox_nodes());
         }
         (ob, cob)
@@ -695,13 +658,10 @@ impl Machine {
     /// nothing is replayed. `cpus` selects the processor phase. Returns
     /// (every stepped processor environment-stalled, any interface state
     /// changed by the network phases).
-    fn cycle_one<const TRACED: bool, const OBS: bool, const E2E: bool, const COLL: bool>(
-        &mut self,
-        cpus: CpuPhase,
-    ) -> (bool, bool) {
+    fn cycle_one(&mut self, cpus: CpuPhase) -> (bool, bool) {
         let cycle = self.cycle;
         let n = self.nodes.len();
-        let (ob, cob) = self.prologue::<E2E, COLL>(&[0, n]);
+        let (ob, cob) = self.prologue(&[0, n]);
         let mut out = std::mem::take(&mut self.region_out);
         let mut cx = Domain {
             lo: 0,
@@ -718,14 +678,14 @@ impl Machine {
             outbox: &ob,
             coll_outbox: &cob,
         };
-        cx.region_a::<TRACED, OBS, E2E, COLL>(cycle, cpus, &lists, &mut out);
+        cx.region_a(cycle, cpus, &lists, &mut out);
         std::mem::swap(&mut self.running, &mut out.running);
         std::mem::swap(&mut self.draining, &mut out.draining);
         cx.net.tick();
         let mut changed = out.changed;
         self.arrived.clear();
         if cx.net.in_flight() > 0 {
-            changed |= cx.region_b::<TRACED, OBS, E2E, COLL>(cycle, n, &mut self.arrived);
+            changed |= cx.region_b(cycle, n, &mut self.arrived);
         }
         let all_stalled = out.all_stalled;
         self.region_out = out;
@@ -754,16 +714,13 @@ impl Machine {
     /// accounting: run network-only cycles — or jump, when the fabric can
     /// predict its next arrival — and bulk-charge the stall cycles at the
     /// end.
-    fn fast_forward<const TRACED: bool, const OBS: bool, const E2E: bool, const COLL: bool>(
-        &mut self,
-        limit: u64,
-    ) {
+    fn fast_forward(&mut self, limit: u64) {
         let mut skipped: u64 = 0;
         while self.cycle < limit {
             // The delivery protocol runs timers (retransmission timeouts)
             // that must observe every cycle; while it has work in flight,
             // only the step-by-step path below is correct.
-            let protocol_busy = E2E && self.delivery.as_ref().is_some_and(Delivery::active);
+            let protocol_busy = self.delivery.as_ref().is_some_and(Delivery::active);
             if !protocol_busy && !self.any_outgoing() {
                 if self.net.in_flight() == 0 {
                     // Nothing in flight and nothing to send: every stalled
@@ -787,7 +744,7 @@ impl Machine {
                     }
                 }
             }
-            let (_, changed) = self.cycle_one::<TRACED, OBS, E2E, COLL>(CpuPhase::Skip);
+            let (_, changed) = self.cycle_one(CpuPhase::Skip);
             skipped += 1;
             if changed {
                 break;
@@ -804,11 +761,10 @@ impl Machine {
     /// switched fabric — bare or fault-wrapped ([`NetworkKind::split_ranges`]
     /// hands each domain its nodes' fault streams) — observability off
     /// (per-link counters, which only `enable_obs` turns on, and the span
-    /// collector exist only on the direct views), the dense-scan
-    /// cross-check off, at least two nodes, and an effective worker count
-    /// of at least two.
+    /// collector exist only on the direct views), the reference mode off,
+    /// at least two nodes, and an effective worker count of at least two.
     fn make_par_plan(&self) -> Option<ParPlan> {
-        if self.obs.is_some() || self.dense_scan || self.nodes.len() < 2 {
+        if self.obs.is_some() || self.reference || self.nodes.len() < 2 {
             return None;
         }
         let mesh = self.net.as_fabric()?;
@@ -851,14 +807,12 @@ impl Machine {
     /// ascending-node order in which the one-domain cycle applies them.
     /// Region A (processors, then injection) runs per domain, the fabric
     /// ticks domain-sliced, then region B (ejection) runs per domain.
-    /// [`make_par_plan`](Self::make_par_plan) excludes observability, so
-    /// only the `TRACED`/`E2E`/`COLL` flags vary here.
-    fn cycle_par<const TRACED: bool, const E2E: bool, const COLL: bool>(
-        &mut self,
-        plan: &mut ParPlan,
-    ) -> (bool, bool) {
+    /// [`make_par_plan`](Self::make_par_plan) excludes observability; the
+    /// shards buffer trace events only when the machine is traced.
+    fn cycle_par(&mut self, plan: &mut ParPlan) -> (bool, bool) {
         let cycle = self.cycle;
-        let (ob, cob) = self.prologue::<E2E, COLL>(&plan.mbounds);
+        let traced = self.trace.is_some();
+        let (ob, cob) = self.prologue(&plan.mbounds);
 
         // --- Region A: processors execute, interfaces inject ----------------
         let [running, draining, outbox, coll_outbox] =
@@ -868,6 +822,7 @@ impl Machine {
             &mut self.net,
             self.delivery.as_mut(),
             self.collective.as_mut(),
+            traced,
             plan,
         )
         .into_iter()
@@ -884,7 +839,7 @@ impl Machine {
         .collect();
         run_tasks(&mut tasks, |_, (s, lists)| {
             let (mut cx, out) = s.parts();
-            cx.region_a::<TRACED, false, E2E, COLL>(cycle, CpuPhase::Step, lists, out);
+            cx.region_a(cycle, CpuPhase::Step, lists, out);
         });
         let (mut all_stalled, mut changed) = (true, false);
         plan.run_acc.clear();
@@ -911,12 +866,13 @@ impl Machine {
                 &mut self.net,
                 self.delivery.as_mut(),
                 self.collective.as_mut(),
+                traced,
                 plan,
             );
             run_tasks(&mut shards, |_, s| {
                 let hi = s.hi;
                 let (mut cx, out) = s.parts();
-                out.changed = cx.region_b::<TRACED, false, E2E, COLL>(cycle, hi, &mut out.arrived);
+                out.changed = cx.region_b(cycle, hi, &mut out.arrived);
             });
             for s in &shards {
                 changed |= s.out.changed;
@@ -965,7 +921,49 @@ impl Machine {
             self.refresh_lists();
         }
         self.pending_known = false;
-        dispatch!(self, run_impl(max_cycles))
+        let limit = self.cycle.saturating_add(max_cycles);
+        let mut plan = self.make_par_plan();
+        while self.cycle < limit {
+            if self.running.is_empty() {
+                if self.is_quiescent() {
+                    return RunOutcome::Quiescent;
+                }
+                // With the delivery protocol or collective engine on,
+                // traffic can still be resolved after every processor
+                // stops: in-flight copies get consumed, timeouts
+                // retransmit, budgets expire, queued combines inject. Keep
+                // the network phases (which pump both) running until the
+                // machine settles one way or the other. Open collective
+                // slots with no queued or in-flight messages cannot
+                // progress without new contributions, so they fall through
+                // to `StoppedWithTraffic` rather than spinning forever.
+                if (self.delivery.is_some() || self.collective.is_some())
+                    && (self.net.in_flight() > 0
+                        || !self.draining.is_empty()
+                        || self.delivery.as_ref().is_some_and(Delivery::active)
+                        || self.collective.as_ref().is_some_and(|c| c.outgoing() > 0))
+                {
+                    self.cycle_one(CpuPhase::Skip);
+                    continue;
+                }
+                return RunOutcome::StoppedWithTraffic;
+            }
+            let (all_stalled, changed) = match plan.as_mut() {
+                // The sharded cycle is bit-identical to the one-domain
+                // cycle, so mixing the two (the drain branch above, the
+                // fast-forward below) is safe.
+                Some(p) => self.cycle_par(p),
+                None => self.cycle_one(CpuPhase::Step),
+            };
+            if !self.reference && all_stalled && !changed && !self.running.is_empty() {
+                self.fast_forward(limit);
+            }
+        }
+        if self.is_quiescent() {
+            RunOutcome::Quiescent
+        } else {
+            RunOutcome::CycleLimit
+        }
     }
 
     /// Runs with a [`CycleDriver`] supplying the per-cycle stimulus: each
@@ -987,7 +985,23 @@ impl Machine {
     /// implements only `on_cycle`) costs one sweep over every node per
     /// cycle instead.
     pub fn run_driven<D: CycleDriver>(&mut self, driver: &mut D, max_cycles: u64) -> RunOutcome {
-        dispatch!(self, run_driven_impl::<D>(driver, max_cycles))
+        let limit = self.cycle.saturating_add(max_cycles);
+        let mut plan = self.make_par_plan();
+        if self.lists_dirty {
+            self.refresh_lists();
+        }
+        while self.cycle < limit {
+            let go_on = self.drive(driver);
+            match plan.as_mut() {
+                Some(p) => self.cycle_par(p),
+                None => self.cycle_one(CpuPhase::Driven),
+            };
+            merge_sorted(&mut self.pending, &self.arrived);
+            if !go_on {
+                return RunOutcome::DriverStopped;
+            }
+        }
+        RunOutcome::CycleLimit
     }
 
     /// The driver step of a driven cycle, with the list upkeep of the
@@ -1020,85 +1034,6 @@ impl Machine {
             self.pending_known = true;
         }
         go_on
-    }
-
-    fn run_driven_impl<
-        const TRACED: bool,
-        const OBS: bool,
-        const E2E: bool,
-        const COLL: bool,
-        D: CycleDriver,
-    >(
-        &mut self,
-        driver: &mut D,
-        max_cycles: u64,
-    ) -> RunOutcome {
-        let limit = self.cycle.saturating_add(max_cycles);
-        let mut plan = self.make_par_plan();
-        if self.lists_dirty {
-            self.refresh_lists();
-        }
-        while self.cycle < limit {
-            let go_on = self.drive(driver);
-            match plan.as_mut() {
-                Some(p) => self.cycle_par::<TRACED, E2E, COLL>(p),
-                None => self.cycle_one::<TRACED, OBS, E2E, COLL>(CpuPhase::Driven),
-            };
-            merge_sorted(&mut self.pending, &self.arrived);
-            if !go_on {
-                return RunOutcome::DriverStopped;
-            }
-        }
-        RunOutcome::CycleLimit
-    }
-
-    fn run_impl<const TRACED: bool, const OBS: bool, const E2E: bool, const COLL: bool>(
-        &mut self,
-        max_cycles: u64,
-    ) -> RunOutcome {
-        let limit = self.cycle.saturating_add(max_cycles);
-        let mut plan = self.make_par_plan();
-        while self.cycle < limit {
-            if self.running.is_empty() {
-                if self.is_quiescent() {
-                    return RunOutcome::Quiescent;
-                }
-                // With the delivery protocol or collective engine on,
-                // traffic can still be resolved after every processor
-                // stops: in-flight copies get consumed, timeouts
-                // retransmit, budgets expire, queued combines inject. Keep
-                // the network phases (which pump both) running until the
-                // machine settles one way or the other. Open collective
-                // slots with no queued or in-flight messages cannot
-                // progress without new contributions, so they fall through
-                // to `StoppedWithTraffic` rather than spinning forever.
-                if (E2E || COLL)
-                    && (self.net.in_flight() > 0
-                        || !self.draining.is_empty()
-                        || self.delivery.as_ref().is_some_and(Delivery::active)
-                        || self.collective.as_ref().is_some_and(|c| c.outgoing() > 0))
-                {
-                    self.cycle_one::<TRACED, OBS, E2E, COLL>(CpuPhase::Skip);
-                    continue;
-                }
-                return RunOutcome::StoppedWithTraffic;
-            }
-            let (all_stalled, changed) = match plan.as_mut() {
-                // The sharded cycle is bit-identical to the one-domain
-                // cycle, so mixing the two (the drain branch above, the
-                // fast-forward below) is safe.
-                Some(p) => self.cycle_par::<TRACED, E2E, COLL>(p),
-                None => self.cycle_one::<TRACED, OBS, E2E, COLL>(CpuPhase::Step),
-            };
-            if self.skip_ahead && all_stalled && !changed && !self.running.is_empty() {
-                self.fast_forward::<TRACED, OBS, E2E, COLL>(limit);
-            }
-        }
-        if self.is_quiescent() {
-            RunOutcome::Quiescent
-        } else {
-            RunOutcome::CycleLimit
-        }
     }
 }
 
@@ -1258,13 +1193,7 @@ struct RegionOut {
 impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C, S> {
     /// Region A: phase 1 (processors execute) then phase 2 (interfaces
     /// inject), each in ascending node order.
-    fn region_a<const TRACED: bool, const OBS: bool, const E2E: bool, const COLL: bool>(
-        &mut self,
-        cycle: u64,
-        cpus: CpuPhase,
-        lists: &HotLists<'_>,
-        out: &mut RegionOut,
-    ) {
+    fn region_a(&mut self, cycle: u64, cpus: CpuPhase, lists: &HotLists<'_>, out: &mut RegionOut) {
         out.all_stalled = true;
         out.changed = false;
         out.running.clear();
@@ -1280,11 +1209,11 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
                 if node.step() != StepOutcome::StalledEnv {
                     out.all_stalled = false;
                 }
-                if OBS {
+                if let Some(o) = self.obs.as_deref_mut() {
                     // Output-depth increases are enqueues; input-depth
                     // decreases are dispatches. Both only happen while the
                     // CPU executes.
-                    mirror_depths(self.obs.as_deref_mut(), i, node, cycle);
+                    mirror_depths(o, i, node, cycle);
                 }
                 if !node.is_stopped() {
                     out.running.push(i);
@@ -1293,35 +1222,33 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
                 if node.ni().peek_outgoing().is_some() {
                     out.mid.push(i);
                 }
-                if TRACED {
-                    if let Some(t) = self.trace.as_deref_mut() {
-                        match node.cpu_state() {
-                            tcni_cpu::CpuState::Halted => {
-                                t.push(true, TraceEvent::Halted { cycle, node: i });
-                            }
-                            tcni_cpu::CpuState::Faulted { reason, .. } => {
-                                t.push(
-                                    true,
-                                    TraceEvent::Faulted {
-                                        cycle,
-                                        node: i,
-                                        reason: reason.clone(),
-                                    },
-                                );
-                            }
-                            tcni_cpu::CpuState::Running => {}
+                if let Some(t) = self.trace.as_deref_mut() {
+                    match node.cpu_state() {
+                        tcni_cpu::CpuState::Halted => {
+                            t.push(true, TraceEvent::Halted { cycle, node: i });
                         }
+                        tcni_cpu::CpuState::Faulted { reason, .. } => {
+                            t.push(
+                                true,
+                                TraceEvent::Faulted {
+                                    cycle,
+                                    node: i,
+                                    reason: reason.clone(),
+                                },
+                            );
+                        }
+                        tcni_cpu::CpuState::Running => {}
                     }
                 }
             }
-            if OBS && cpus == CpuPhase::Driven {
+            if let (CpuPhase::Driven, Some(o)) = (cpus, self.obs.as_deref_mut()) {
                 // The driver's interface operations bypass the mirroring
                 // above (it only visits running nodes); re-mirror every node
                 // so enqueues and dispatches performed by the driver are
                 // stamped. Nodes already mirrored this cycle see unchanged
                 // depths — a no-op.
                 for (k, node) in self.nodes.iter().enumerate() {
-                    mirror_depths(self.obs.as_deref_mut(), self.lo + k, node, cycle);
+                    mirror_depths(o, self.lo + k, node, cycle);
                 }
             }
         }
@@ -1359,7 +1286,7 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
             d += usize::from(mid.get(d) == Some(&i));
             o += usize::from(lists.outbox.get(o) == Some(&i));
             c += usize::from(lists.coll_outbox.get(c) == Some(&i));
-            out.changed |= self.inject_one::<TRACED, OBS, E2E, COLL>(i, cycle);
+            out.changed |= self.inject_one(i, cycle);
         }
         // Stopped nodes whose last message just left stop being scanned.
         let (nodes, lo) = (&*self.nodes, self.lo);
@@ -1375,14 +1302,9 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
     /// messages, which take it ahead of fresh NI sends; fresh sends under
     /// the protocol are stamped, window-gated, and buffered for
     /// retransmission. Returns whether anything changed.
-    fn inject_one<const TRACED: bool, const OBS: bool, const E2E: bool, const COLL: bool>(
-        &mut self,
-        i: usize,
-        cycle: u64,
-    ) -> bool {
+    fn inject_one(&mut self, i: usize, cycle: u64) -> bool {
         let src = NodeId::from_index(i);
-        if E2E {
-            let del = self.del.as_deref_mut().expect("E2E implies delivery");
+        if let Some(del) = self.del.as_deref_mut() {
             if let Some(msg) = del.outbox().front(i).copied() {
                 return match self.net.inject(src, msg) {
                     // Congestion: the copy stays queued and retries.
@@ -1397,56 +1319,50 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
                 };
             }
         }
-        if COLL {
-            let coll = self.coll.as_deref_mut().expect("COLL implies engine");
+        if let Some(coll) = self.coll.as_deref_mut() {
             if let Some(msg) = coll.outbox().front(i).copied() {
-                return self.inject_coll_one::<E2E>(i, msg, cycle);
+                let del = self.del.as_deref_mut();
+                return inject_coll_one(&mut *self.net, del, coll, i, msg, cycle);
             }
         }
         let Some(mut msg) = self.nodes[i - self.lo].ni().peek_outgoing().copied() else {
             return false;
         };
-        if OBS {
+        if let Some(o) = self.obs.as_deref() {
             // Stamp the would-be sequence number; it is committed only if
             // the fabric accepts the injection.
-            if let Some(o) = self.obs.as_deref() {
-                msg.seq = o.peek_seq();
-            }
+            msg.seq = o.peek_seq();
         }
-        if E2E && msg.dest().index() < self.net.node_count() {
+        if let Some(del) = self.del.as_deref_mut() {
             let dst = msg.dest().index();
-            let del = self.del.as_deref_mut().expect("E2E implies delivery");
-            if !delivery::can_admit(del, i, dst) {
-                // Window full: back-pressure into the output queue exactly
-                // like a refused injection.
-                return false;
+            if dst < self.net.node_count() {
+                if !delivery::can_admit(del, i, dst) {
+                    // Window full: back-pressure into the output queue
+                    // exactly like a refused injection.
+                    return false;
+                }
+                // Pure stamp: a refused injection retries with the same psn.
+                delivery::stamp(del, i, dst, &mut msg);
             }
-            // Pure stamp: a refused injection retries with the same psn.
-            delivery::stamp(del, i, dst, &mut msg);
         }
         match self.net.inject(src, msg) {
             Ok(()) => {
                 self.nodes[i - self.lo].ni_mut().pop_outgoing();
-                if E2E && msg.e2e.is_some() {
-                    let del = self.del.as_deref_mut().expect("E2E implies delivery");
+                if let (Some(del), Some(_)) = (self.del.as_deref_mut(), msg.e2e) {
                     delivery::commit(del, i, msg.dest().index(), msg, cycle);
                 }
-                if OBS {
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.on_inject(i, msg.seq, cycle);
-                    }
+                if let Some(o) = self.obs.as_deref_mut() {
+                    o.on_inject(i, msg.seq, cycle);
                 }
-                if TRACED {
-                    if let Some(t) = self.trace.as_deref_mut() {
-                        t.push(
-                            false,
-                            TraceEvent::Sent {
-                                cycle,
-                                node: i,
-                                msg,
-                            },
-                        );
-                    }
+                if let Some(t) = self.trace.as_deref_mut() {
+                    t.push(
+                        false,
+                        TraceEvent::Sent {
+                            cycle,
+                            node: i,
+                            msg,
+                        },
+                    );
                 }
                 true
             }
@@ -1460,48 +1376,12 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
         }
     }
 
-    /// Phase-2 body for the head of a node's collective outbox: injected
-    /// like a fresh NI send (window-gated and stamped under the delivery
-    /// protocol, so combining trees ride the go-back-N edges over faulty
-    /// fabrics) but invisible to trace/obs — it models NI hardware, not
-    /// program traffic.
-    fn inject_coll_one<const E2E: bool>(&mut self, i: usize, mut msg: Message, cycle: u64) -> bool {
-        if E2E {
-            // Tree edges connect real nodes, so the destination always
-            // indexes a delivery flow.
-            let dst = msg.dest().index();
-            let del = self.del.as_deref_mut().expect("E2E implies delivery");
-            if !delivery::can_admit(del, i, dst) {
-                return false;
-            }
-            delivery::stamp(del, i, dst, &mut msg);
-        }
-        let result = self.net.inject(NodeId::from_index(i), msg);
-        if matches!(result, Err(InjectError::Refused(_))) {
-            // Congestion: retries next cycle.
-            return false;
-        }
-        // Injected — or undeliverable (tree members are real nodes, but a
-        // bad message must not wedge the outbox).
-        let coll = self.coll.as_deref_mut().expect("COLL implies engine");
-        coll.outbox().pop(i);
-        if E2E && result.is_ok() {
-            let del = self.del.as_deref_mut().expect("E2E implies delivery");
-            delivery::commit(del, i, msg.dest().index(), msg, cycle);
-        }
-        true
-    }
-
     /// Region B: network → interfaces for nodes `lo..hi`, visiting only
     /// the nodes the fabric reports eject-ready. Appends every node whose
     /// interface received a message to `arrived` (ascending). Returns
     /// whether any interface state changed.
-    fn region_b<const TRACED: bool, const OBS: bool, const E2E: bool, const COLL: bool>(
-        &mut self,
-        cycle: u64,
-        hi: usize,
-        arrived: &mut Vec<usize>,
-    ) -> bool {
+    fn region_b(&mut self, cycle: u64, hi: usize, arrived: &mut Vec<usize>) -> bool {
+        let observed = self.obs.is_some();
         let mut changed = false;
         let mut from = self.lo;
         while let Some(i) = self.net.next_eject_ready(from, hi) {
@@ -1512,11 +1392,16 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
                 // Collective traffic lands in the engine, which always
                 // accepts: it never enters (or backpressures) the NI input
                 // queue.
-                let engine_bound = COLL && peeked.mtype == MsgType::COLLECTIVE;
-                let mut msg = if E2E && peeked.e2e.is_some() {
+                let engine = if peeked.mtype == MsgType::COLLECTIVE {
+                    self.coll.as_deref_mut()
+                } else {
+                    None
+                };
+                let engine_bound = engine.is_some();
+                let protocol = peeked.e2e.and(self.del.as_deref_mut());
+                let mut msg = if let Some(del) = protocol {
                     // A protocol-controlled arrival: the delivery layer
                     // decides its fate before the interface sees it.
-                    let del = self.del.as_deref_mut().expect("E2E implies delivery");
                     let deliver = delivery::rx_action(del, i, &peeked) == RxAction::Deliver;
                     if deliver && !engine_bound && !node.ni().can_accept(&peeked) {
                         break; // backpressure: leave it in the network
@@ -1538,36 +1423,33 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
                     changed = true;
                     self.net.eject(dst).expect("peeked")
                 };
-                if engine_bound {
+                if let Some(coll) = engine {
                     // Collective plumbing stays out of the trace/obs streams
                     // (it models NI hardware, not program traffic).
                     msg.e2e = None;
-                    let coll = self.coll.as_deref_mut().expect("COLL implies engine");
                     if let Some(done) = collective::on_message(coll, i, &msg) {
                         node.coll_push_done(done);
                     }
                     continue;
                 }
-                if TRACED {
+                if let Some(t) = self.trace.as_deref_mut() {
                     // Stamped cycle+1: the first cycle the receiving CPU can
                     // observe the message, so Delivered − Sent equals the
                     // fabric-accounted latency (see `TraceEvent`).
-                    if let Some(t) = self.trace.as_deref_mut() {
-                        t.push(
-                            false,
-                            TraceEvent::Delivered {
-                                cycle: cycle + 1,
-                                node: i,
-                                msg,
-                            },
-                        );
-                    }
+                    t.push(
+                        false,
+                        TraceEvent::Delivered {
+                            cycle: cycle + 1,
+                            node: i,
+                            msg,
+                        },
+                    );
                 }
                 // The header is sideband plumbing; the interface receives
                 // the architected message.
                 msg.e2e = None;
                 let ni = node.ni_mut();
-                let depth_before = if OBS {
+                let depth_before = if observed {
                     ni.input_len() + usize::from(ni.msg_valid())
                 } else {
                     0
@@ -1576,13 +1458,11 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
                 if arrived.last() != Some(&i) {
                     arrived.push(i);
                 }
-                if OBS {
+                if let Some(o) = self.obs.as_deref_mut() {
+                    // An unchanged input depth means the interface diverted
+                    // the message to the privileged queue.
                     let depth_after = ni.input_len() + usize::from(ni.msg_valid());
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        // An unchanged input depth means the interface
-                        // diverted the message to the privileged queue.
-                        o.on_deliver(i, msg.seq, cycle + 1, depth_after == depth_before);
-                    }
+                    o.on_deliver(i, msg.seq, cycle + 1, depth_after == depth_before);
                 }
             }
         }
@@ -1590,15 +1470,49 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
     }
 }
 
+/// Phase-2 body for the head of node `i`'s collective outbox: injected
+/// like a fresh NI send (window-gated and stamped under the delivery
+/// protocol, so combining trees ride the go-back-N edges over faulty
+/// fabrics) but invisible to trace/obs — it models NI hardware, not
+/// program traffic. Returns whether anything changed.
+fn inject_coll_one<N: NetPort, D: DeliveryView, C: CollView>(
+    net: &mut N,
+    mut del: Option<&mut D>,
+    coll: &mut C,
+    i: usize,
+    mut msg: Message,
+    cycle: u64,
+) -> bool {
+    if let Some(del) = del.as_deref_mut() {
+        // Tree edges connect real nodes, so the destination always indexes
+        // a delivery flow.
+        let dst = msg.dest().index();
+        if !delivery::can_admit(del, i, dst) {
+            return false;
+        }
+        delivery::stamp(del, i, dst, &mut msg);
+    }
+    let result = net.inject(NodeId::from_index(i), msg);
+    if matches!(result, Err(InjectError::Refused(_))) {
+        // Congestion: retries next cycle.
+        return false;
+    }
+    // Injected — or undeliverable (tree members are real nodes, but a bad
+    // message must not wedge the outbox).
+    coll.outbox().pop(i);
+    if let (Some(del), Ok(())) = (del, result) {
+        delivery::commit(del, i, msg.dest().index(), msg, cycle);
+    }
+    true
+}
+
 /// Mirrors node `i`'s interface queue depths into the observability
 /// collector.
-fn mirror_depths(obs: Option<&mut Obs>, i: usize, node: &Node, cycle: u64) {
+fn mirror_depths(obs: &mut Obs, i: usize, node: &Node, cycle: u64) {
     let ni = node.ni();
     let out_len = ni.output_len();
     let in_depth = ni.input_len() + usize::from(ni.msg_valid());
-    if let Some(o) = obs {
-        o.after_cpu_node(i, out_len, in_depth, cycle);
-    }
+    obs.after_cpu_node(i, out_len, in_depth, cycle);
 }
 
 /// The undeliverable-message path of phase 2, out of line: dropping it
@@ -1624,7 +1538,8 @@ struct Shard<'a> {
     net: NetRange<'a>,
     del: Option<DeliveryRange<'a>>,
     coll: Option<CollRange<'a>>,
-    events: EventBuf,
+    /// Buffered trace events; `None` on an untraced machine.
+    events: Option<EventBuf>,
     out: RegionOut,
 }
 
@@ -1643,7 +1558,7 @@ impl<'a> Shard<'a> {
             net: &mut self.net,
             del: self.del.as_mut(),
             coll: self.coll.as_mut(),
-            trace: Some(&mut self.events),
+            trace: self.events.as_mut(),
             obs: None,
         };
         (cx, &mut self.out)
@@ -1656,6 +1571,7 @@ fn split_shards<'a>(
     net: &'a mut NetworkKind,
     del: Option<&'a mut Delivery>,
     coll: Option<&'a mut Collective>,
+    traced: bool,
     plan: &ParPlan,
 ) -> Vec<Shard<'a>> {
     let mut dels = del.map(|d| d.split_ranges(&plan.mbounds).into_iter());
@@ -1671,7 +1587,7 @@ fn split_shards<'a>(
             net,
             del: dels.as_mut().and_then(Iterator::next),
             coll: colls.as_mut().and_then(Iterator::next),
-            events: EventBuf::default(),
+            events: traced.then(EventBuf::default),
             out: RegionOut::default(),
         })
         .collect()
@@ -1693,8 +1609,10 @@ impl Deltas {
             d.net.push(s.net.into_delta());
             d.del.extend(s.del.map(DeliveryRange::into_delta));
             d.coll.extend(s.coll.map(CollRange::into_delta));
-            for (all, phase) in d.events.0.iter_mut().zip(s.events.0) {
-                all.extend(phase);
+            if let Some(events) = s.events {
+                for (all, phase) in d.events.0.iter_mut().zip(events.0) {
+                    all.extend(phase);
+                }
             }
         }
         d
@@ -1764,8 +1682,6 @@ pub struct MachineBuilder {
     programs: Vec<Option<Program>>,
     default_program: Program,
     collective: Option<CombiningTree>,
-    skip_ahead: bool,
-    dense_scan: bool,
 }
 
 impl MachineBuilder {
@@ -1817,8 +1733,6 @@ impl MachineBuilder {
             programs: vec![None; node_count],
             default_program: halt.assemble().expect("trivial program"),
             collective: None,
-            skip_ahead: true,
-            dense_scan: false,
         })
     }
 
@@ -1906,6 +1820,12 @@ impl MachineBuilder {
     /// Enables the end-to-end delivery protocol (ack/timeout/retransmit; see
     /// [`crate::Delivery`]'s module docs), restoring exactly-once in-order
     /// delivery over a faulty fabric.
+    ///
+    /// # Panics
+    ///
+    /// Never here. [`build`](Self::build) panics, and
+    /// [`try_build`](Self::try_build) returns
+    /// [`BuildError::ZeroDeliveryWindow`], if `config.window` is zero.
     pub fn delivery(mut self, config: DeliveryConfig) -> MachineBuilder {
         self.delivery = Some(config);
         self
@@ -1921,19 +1841,6 @@ impl MachineBuilder {
     /// accept any shape). Machines built without this pay nothing for it.
     pub fn collective(mut self, tree: CombiningTree) -> MachineBuilder {
         self.collective = Some(tree);
-        self
-    }
-
-    /// Enables or disables the quiescence fast-forward (default: enabled).
-    pub fn skip_ahead(mut self, enabled: bool) -> MachineBuilder {
-        self.skip_ahead = enabled;
-        self
-    }
-
-    /// Enables or disables the dense-scan cross-check (default: disabled;
-    /// see [`Machine::set_dense_scan`]).
-    pub fn dense_scan(mut self, enabled: bool) -> MachineBuilder {
-        self.dense_scan = enabled;
         self
     }
 
@@ -1976,7 +1883,8 @@ impl MachineBuilder {
     /// when a fully-connected fabric exceeds its scaling ceiling or any
     /// fabric exceeds the [`NodeId`] address space;
     /// [`BuildError::ZeroCapacity`] when a fabric buffer capacity is zero;
-    /// [`BuildError::FormatTooSmall`] when a pinned wire format cannot
+    /// [`BuildError::ZeroDeliveryWindow`] when the delivery protocol's
+    /// window is zero; [`BuildError::FormatTooSmall`] when a pinned wire format cannot
     /// address the node count;
     /// [`BuildError::CollectiveTreeMismatch`] when a combining tree's size
     /// or shape does not fit the machine and its fabric.
@@ -2031,6 +1939,9 @@ impl MachineBuilder {
         };
         if let Some(fault) = self.fault {
             net = FaultyFabric::new(net, fault).into();
+        }
+        if self.delivery.is_some_and(|cfg| cfg.window == 0) {
+            return Err(BuildError::ZeroDeliveryWindow);
         }
         let delivery = self
             .delivery
@@ -2092,9 +2003,8 @@ impl MachineBuilder {
             pending_known: false,
             arrived: Vec::new(),
             touched: Vec::new(),
-            skip_ahead: self.skip_ahead,
+            reference: false,
             skipped_cycles: 0,
-            dense_scan: false,
             outbox_scan: Vec::new(),
             coll_scan: Vec::new(),
             region_out: RegionOut::default(),
@@ -2102,7 +2012,6 @@ impl MachineBuilder {
             par_threads: 0,
         };
         machine.refresh_lists();
-        machine.set_dense_scan(self.dense_scan);
         Ok(machine)
     }
 }

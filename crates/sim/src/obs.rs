@@ -18,10 +18,10 @@
 //! [`TraceEvent`](crate::TraceEvent): `delivered - injected` equals the
 //! fabric-accounted latency in `NetStats::total_latency`.
 //!
-//! Like tracing, the layer is compiled out of the stepping loop when
-//! disabled (a `const OBS: bool` monomorphization parameter), costs no
-//! allocation per message in the steady state beyond the bounded span ring,
-//! and is bit-identical under the quiescence fast-forward.
+//! Like tracing, the layer costs the stepping loop one branch per use site
+//! when disabled (the machine holds it as an `Option`), no allocation per
+//! message in the steady state beyond the bounded span ring, and is
+//! bit-identical under the quiescence fast-forward.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;

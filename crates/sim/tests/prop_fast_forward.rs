@@ -1,7 +1,10 @@
 //! Randomized equivalence tests for the quiescence fast-forward: a machine
-//! run with `skip_ahead` enabled must be *bit-identical* — registers, memory,
-//! per-node cycle counts, statistics, network counters, outcome — to the
-//! naive one-cycle-at-a-time loop. The workloads are chosen to drive each of
+//! run with the fast-forward armed (the default) must be *bit-identical* —
+//! registers, memory, per-node cycle counts, statistics, network counters,
+//! outcome — to the naive one-cycle-at-a-time loop of the reference mode
+//! ([`Machine::set_reference`]). Only the scan-effort meters may differ, and
+//! they must conserve work: the optimised machine's scanned + skipped equals
+//! the reference machine's scanned. The workloads are chosen to drive each of
 //! the fast-forward's three paths:
 //!
 //! * the **ideal jump** (a predictive fabric fast-forwards straight to the
@@ -20,7 +23,7 @@ use tcni_core::mapping::{
 };
 use tcni_core::{FeatureLevel, InterfaceReg, MsgType, NiCmd, NodeId, WireFormat};
 use tcni_isa::{Assembler, Program, Reg};
-use tcni_net::FabricConfig;
+use tcni_net::{FabricConfig, ScanStats};
 use tcni_sim::{Machine, MachineBuilder, Model, NiMapping, RunOutcome};
 
 const TABLE_MODEL: Model = Model {
@@ -38,16 +41,30 @@ fn off(addr: u32) -> i16 {
     (addr - NI_WINDOW_BASE) as i16
 }
 
-/// Runs the same machine with and without the fast-forward and asserts every
-/// piece of observable state is identical. The pair is then re-run with
-/// tracing and message-lifecycle observability enabled: instrumentation must
-/// neither perturb the simulation nor diverge under the skip paths — trace
-/// events, ring-buffer dropped counts, and the `tcni-trace/1` report are all
-/// bit-identical. Returns the fast machine (for workload-specific
+/// The scan-effort meters of an optimised run against its reference run:
+/// the reference visits every channel and flow, so it skips nothing, and
+/// the optimised run accounts for the same total work.
+fn assert_scan_conserved(fast: ScanStats, slow: ScanStats, ctx: &str) {
+    assert_eq!(slow.skipped_work, 0, "{ctx}: the reference skips nothing");
+    assert_eq!(
+        fast.scanned_channels + fast.scanned_flows + fast.skipped_work,
+        slow.scanned_channels + slow.scanned_flows,
+        "{ctx}: optimised scanned + skipped must equal the reference's scanned"
+    );
+}
+
+/// Runs the same machine with the fast-forward and in the reference mode
+/// and asserts every piece of observable state is identical. The pair is
+/// then re-run with tracing and message-lifecycle observability enabled:
+/// instrumentation must neither perturb the simulation nor diverge under
+/// the skip paths — trace events, ring-buffer dropped counts, and the
+/// `tcni-trace/1` report (scan meters aside, which must conserve work) are
+/// all bit-identical. Returns the fast machine (for workload-specific
 /// assertions) and the outcome.
-fn assert_equivalent(build: &dyn Fn(bool) -> Machine, budget: u64) -> (Machine, RunOutcome) {
-    let mut fast = build(true);
-    let mut slow = build(false);
+fn assert_equivalent(build: &dyn Fn() -> Machine, budget: u64) -> (Machine, RunOutcome) {
+    let mut fast = build();
+    let mut slow = build();
+    slow.set_reference(true);
     let of = fast.run(budget);
     let os = slow.run(budget);
     assert_eq!(of, os, "outcome");
@@ -56,6 +73,11 @@ fn assert_equivalent(build: &dyn Fn(bool) -> Machine, budget: u64) -> (Machine, 
     assert_eq!(fast.net_in_flight(), slow.net_in_flight(), "in flight");
     assert_eq!(fast.is_quiescent(), slow.is_quiescent());
     assert_eq!(slow.skipped_cycles(), 0, "naive loop never skips");
+    assert_scan_conserved(
+        fast.net_stats().scan,
+        slow.net_stats().scan,
+        "uninstrumented",
+    );
     for i in 0..fast.node_count() {
         let (f, s) = (fast.node(i), slow.node(i));
         assert_eq!(f.cpu().cycle(), s.cpu().cycle(), "node {i} cpu cycle");
@@ -67,8 +89,9 @@ fn assert_equivalent(build: &dyn Fn(bool) -> Machine, budget: u64) -> (Machine, 
 
     // Same pair, instrumented. The small ring capacities force wraparound on
     // the longer workloads so the dropped counters are exercised too.
-    let mut obs_fast = build(true);
-    let mut obs_slow = build(false);
+    let mut obs_fast = build();
+    let mut obs_slow = build();
+    obs_slow.set_reference(true);
     for machine in [&mut obs_fast, &mut obs_slow] {
         machine.enable_trace(64);
         machine.enable_obs(64);
@@ -95,9 +118,19 @@ fn assert_equivalent(build: &dyn Fn(bool) -> Machine, budget: u64) -> (Machine, 
         tf.events().eq(ts.events()),
         "trace events under fast-forward"
     );
+    // The serialized report carries the scan meters, which differ by
+    // design against the reference; check that they conserve work, blank
+    // them on both sides, and demand byte-identity of everything else.
+    let (mut rf, mut rs) = (
+        obs_fast.obs_report().unwrap(),
+        obs_slow.obs_report().unwrap(),
+    );
+    assert_scan_conserved(rf.net.scan, rs.net.scan, "instrumented");
+    rf.net.scan = ScanStats::default();
+    rs.net.scan = ScanStats::default();
     assert_eq!(
-        obs_fast.obs_report().unwrap().to_json(),
-        obs_slow.obs_report().unwrap().to_json(),
+        rf.to_json(),
+        rs.to_json(),
         "tcni-trace/1 report under fast-forward"
     );
     (fast, of)
@@ -179,20 +212,19 @@ fn scroll_receiver(flits: i16) -> Program {
 }
 
 /// The scroll pipeline under random sender delays and fabric latencies, on
-/// both fabrics; every combination must quiesce identically with the skip on
-/// and off, and the sink memory must hold the streamed words.
+/// both fabrics; every combination must quiesce identically optimised and in
+/// the reference mode, and the sink memory must hold the streamed words.
 #[test]
 fn scroll_stream_is_equivalent_on_both_fabrics() {
     check("scroll_stream_is_equivalent_on_both_fabrics", 24, |rng| {
         let delay = rng.below(200) as usize;
         let latency = rng.below(1200);
         let mesh = rng.bool();
-        let build = |skip: bool| {
+        let build = || {
             let b = MachineBuilder::new(2)
                 .model(TABLE_MODEL)
                 .program(0, scroll_sender(3, delay))
-                .program(1, scroll_receiver(3))
-                .skip_ahead(skip);
+                .program(1, scroll_receiver(3));
             if mesh {
                 b.network_fabric(FabricConfig::new(2, 1)).build()
             } else {
@@ -227,13 +259,12 @@ fn scroll_stream_is_equivalent_on_both_fabrics() {
 /// SCROLL-IN, so the only way forward is the arithmetic jump to the arrival.
 #[test]
 fn ideal_jump_skips_the_flight_time() {
-    let build = |skip: bool| {
+    let build = || {
         MachineBuilder::new(2)
             .model(TABLE_MODEL)
             .program(0, scroll_sender(3, 400))
             .program(1, scroll_receiver(3))
             .network_ideal(1_000)
-            .skip_ahead(skip)
             .build()
     };
     let (fast, outcome) = assert_equivalent(&build, 25_000);
@@ -258,14 +289,13 @@ fn abandoned_scroll_burns_to_the_limit() {
         let latency = rng.below(60);
         let mesh = rng.bool();
         let budget = rng.range(2_000, 20_000);
-        let build = |skip: bool| {
+        let build = || {
             let b = MachineBuilder::new(2)
                 .model(TABLE_MODEL)
                 // One SCROLL-OUT flit only: the receiver's second window
                 // never arrives.
                 .program(0, scroll_sender(1, 0))
-                .program(1, scroll_receiver(3))
-                .skip_ahead(skip);
+                .program(1, scroll_receiver(3));
             if mesh {
                 b.network_fabric(FabricConfig::new(2, 1)).build()
             } else {
@@ -306,13 +336,12 @@ fn clogged_mesh_network_only_loop_is_equivalent() {
         a.br("loop");
         a.nop();
         let producer = a.assemble().expect("producer assembles");
-        let build = |skip: bool| {
+        let build = || {
             MachineBuilder::new(2)
                 .model(Model::new(NiMapping::RegisterFile, FeatureLevel::Optimized))
                 .ni_queues(input_cap, output_cap)
                 .program(0, producer.clone())
                 .network_fabric(FabricConfig::new(2, 1))
-                .skip_ahead(skip)
                 .build()
         };
         let (fast, outcome) = assert_equivalent(&build, budget);

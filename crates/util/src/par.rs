@@ -16,7 +16,7 @@
 //!   over a *persistent* pool. The region is microseconds long and fires
 //!   hundreds of thousands of times per run, so workers are spawned once
 //!   and rendezvous at cycle boundaries by spinning briefly on a lock-free
-//!   epoch hint before parking on a condvar (see [`SPIN_ITERS`]).
+//!   epoch hint before parking on a condvar (the spin bound is `SPIN_ITERS`).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};

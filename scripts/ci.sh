@@ -22,6 +22,10 @@ cargo build --workspace --release --offline
 echo "== clippy (offline, warnings are errors) =="
 cargo clippy --workspace --release --offline -- -D warnings
 
+echo "== rustdoc (offline, warnings are errors) =="
+# Catches doc links that dangle after a rename or removal.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tests (offline, all crates) =="
 cargo test --workspace --release --offline -q
 

@@ -10,10 +10,10 @@
 //! ones: node counts beyond the wide format's 65536-id address space, an
 //! explicitly pinned format that is too small for the machine, fabrics
 //! (of any topology) with fewer slots than the machine has nodes or more
-//! than the address space, a fabric with a zero buffer capacity, the
-//! fully-connected fabric past its quadratic-wiring ceiling, and
-//! combining trees whose size or geometry does not fit the configured
-//! fabric.
+//! than the address space, a fabric with a zero buffer capacity, a
+//! delivery protocol with a zero-message window, the fully-connected
+//! fabric past its quadratic-wiring ceiling, and combining trees whose size
+//! or geometry does not fit the configured fabric.
 
 use tcni::core::{CollectiveOp, NodeId, WireFormat};
 use tcni::net::{CombiningTree, FabricConfig, FullyConnected, InjectError, TopologyKind};
@@ -203,6 +203,22 @@ fn a_fabric_past_the_address_space_is_a_typed_error() {
         }
     );
     assert!(err.to_string().contains("scales to at most 65536"), "{err}");
+}
+
+#[test]
+fn a_zero_delivery_window_is_a_typed_error() {
+    // No sender could ever have a message in flight; this used to panic
+    // inside the delivery protocol's constructor.
+    let err = MachineBuilder::new(4)
+        .delivery(DeliveryConfig {
+            window: 0,
+            ..DeliveryConfig::default()
+        })
+        .try_build()
+        .err()
+        .expect("a zero-message window is rejected");
+    assert_eq!(err, BuildError::ZeroDeliveryWindow);
+    assert!(err.to_string().contains("window"), "{err}");
 }
 
 #[test]

@@ -169,8 +169,8 @@ fn fast_forward_is_invisible_to_collectives() {
             .program(0, wedged.clone())
             .network_fabric(FabricConfig::new(4, 4))
             .collective(CombiningTree::mesh(4, 4, 2))
-            .skip_ahead(skip)
             .build();
+        m.set_reference(!skip);
         for node in 0..16 {
             m.coll_start(node, CollectiveOp::Min, 900 + node as u32)
                 .expect("fresh slot");

@@ -1,8 +1,10 @@
 //! Randomized fast-forward equivalence across the full §4 matrix: the
 //! remote-read protocol runs on every one of the six models, over both
 //! fabrics and arbitrary latencies, and the machine with the quiescence
-//! fast-forward enabled must be bit-identical to the naive loop — registers,
-//! memory result, per-node cycles, statistics, and network counters.
+//! fast-forward enabled must be bit-identical to the naive loop of the
+//! reference mode — registers, memory result, per-node cycles, statistics,
+//! and network counters. The scan-effort meters differ by design and must
+//! conserve work.
 //!
 //! The sim-crate test `prop_fast_forward.rs` drives the skip paths hard with
 //! purpose-built stall workloads; this test establishes that no model/fabric
@@ -11,7 +13,7 @@
 use tcni::core::NodeId;
 use tcni::eval::handlers::remote_read::{self, REMOTE_ADDR, RESULT_ADDR};
 use tcni::isa::Reg;
-use tcni::net::FabricConfig;
+use tcni::net::{FabricConfig, ScanStats};
 use tcni::sim::{Machine, MachineBuilder, Model, RunOutcome};
 use tcni_check::check;
 
@@ -21,13 +23,13 @@ fn build(model: Model, mesh: bool, latency: u64, skip: bool) -> Machine {
     let b = MachineBuilder::new(2)
         .model(model)
         .program(0, remote_read::requester(model, NodeId::new(1)))
-        .program(1, remote_read::server(model))
-        .skip_ahead(skip);
+        .program(1, remote_read::server(model));
     let mut machine = if mesh {
         b.network_fabric(FabricConfig::new(2, 1)).build()
     } else {
         b.network_ideal(latency).build()
     };
+    machine.set_reference(!skip);
     machine.node_mut(1).mem_mut().poke(REMOTE_ADDR, SECRET);
     machine
 }
@@ -73,7 +75,8 @@ fn remote_read_is_equivalent_on_all_six_models() {
 /// The observability subsystem must be invisible to the fast-forward
 /// optimization: with tracing and message-lifecycle spans enabled, the
 /// skip-ahead machine must emit bit-identical trace events (including the
-/// ring-buffer dropped count) and a byte-identical `tcni-trace/1` report.
+/// ring-buffer dropped count) and a byte-identical `tcni-trace/1` report
+/// once the scan-effort meters, which must conserve work, are blanked.
 /// Instrumentation must also leave the simulation itself untouched — an
 /// uninstrumented machine reaches the same cycle with the same counters.
 #[test]
@@ -104,7 +107,18 @@ fn trace_and_obs_are_identical_under_fast_forward() {
             assert_eq!(tf.dropped(), ts.dropped(), "{ctx} trace dropped count");
             assert!(tf.events().eq(ts.events()), "{ctx} trace events");
 
-            let (rf, rs) = (fast.obs_report().unwrap(), slow.obs_report().unwrap());
+            let (mut rf, mut rs) = (fast.obs_report().unwrap(), slow.obs_report().unwrap());
+            assert_eq!(
+                rs.net.scan.skipped_work, 0,
+                "{ctx} the reference skips nothing"
+            );
+            assert_eq!(
+                rf.net.scan.scanned_channels + rf.net.scan.scanned_flows + rf.net.scan.skipped_work,
+                rs.net.scan.scanned_channels + rs.net.scan.scanned_flows,
+                "{ctx} optimised scanned + skipped must equal the reference's scanned"
+            );
+            rf.net.scan = ScanStats::default();
+            rs.net.scan = ScanStats::default();
             assert_eq!(rf.to_json(), rs.to_json(), "{ctx} tcni-trace/1 report");
 
             // Instrumentation is observation-only: a machine without it reaches

@@ -1,13 +1,13 @@
-//! Hot-set scheduler equivalence across the full §4 matrix: the machine with
-//! the active-channel frontier and the delivery timeout list (the default)
-//! must be bit-identical to the dense-scan cross-check
-//! ([`Machine::set_dense_scan`]) — registers, per-node cycles, statistics,
-//! trace events, delivery counters, and the serialized `tcni-trace/1` report
-//! — across all six models, both fabrics, E2E delivery on/off, tracing and
-//! observability on/off, the quiescence fast-forward on/off, and seeded
-//! fault schedules. Only the [`ScanStats`] effort meters may differ, and
-//! they must conserve work: scanned + skipped equals the dense cost on both
-//! sides.
+//! Hot-set scheduler equivalence across the full §4 matrix: the optimised
+//! machine (the active-channel frontier, the delivery timeout list and the
+//! quiescence fast-forward, all on by default) must be bit-identical to the
+//! reference mode ([`Machine::set_reference`]: dense scans, no
+//! fast-forward) — registers, per-node cycles, statistics, trace events,
+//! delivery counters, and the serialized `tcni-trace/1` report — across all
+//! six models, both fabrics, E2E delivery on/off, tracing and observability
+//! on/off, and seeded fault schedules. Only the [`ScanStats`] effort meters
+//! may differ, and they must conserve work: scanned + skipped equals the
+//! dense cost on both sides.
 //!
 //! The delivery flow *store* is checked from the inside: with the protocol
 //! on, [`Machine::check_invariants`] runs after every cycle of the
@@ -17,7 +17,7 @@
 //! (The store's own oracle — a `BTreeMap` model — lives beside it in
 //! `tcni-sim`.)
 //!
-//! [`Machine::set_dense_scan`]: tcni::sim::Machine::set_dense_scan
+//! [`Machine::set_reference`]: tcni::sim::Machine::set_reference
 //! [`Machine::check_invariants`]: tcni::sim::Machine::check_invariants
 //! [`ScanStats`]: tcni::net::ScanStats
 
@@ -36,7 +36,6 @@ struct Config {
     latency: u64,
     e2e: bool,
     fault: Option<(u64, u32)>,
-    skip: bool,
     instrument: Option<usize>,
 }
 
@@ -44,9 +43,7 @@ fn build(cfg: &Config, dense: bool) -> Machine {
     let mut b = MachineBuilder::new(2)
         .model(cfg.model)
         .program(0, remote_read::requester(cfg.model, NodeId::new(1)))
-        .program(1, remote_read::server(cfg.model))
-        .skip_ahead(cfg.skip)
-        .dense_scan(dense);
+        .program(1, remote_read::server(cfg.model));
     if cfg.e2e {
         b = b.delivery(DeliveryConfig {
             window: 4,
@@ -62,6 +59,7 @@ fn build(cfg: &Config, dense: bool) -> Machine {
     } else {
         b.network_ideal(cfg.latency).build()
     };
+    machine.set_reference(dense);
     if let Some(capacity) = cfg.instrument {
         machine.enable_trace(capacity);
         machine.enable_obs(capacity);
@@ -139,13 +137,12 @@ fn hot_set_is_equivalent_on_all_six_models() {
             latency: rng.below(80),
             e2e: rng.bool(),
             fault: None,
-            skip: rng.bool(),
             instrument: rng.bool().then(|| rng.range(1, 24) as usize),
         };
         let budget = rng.range(4_000, 20_000);
         let ctx = format!(
-            "{} mesh={} latency={} e2e={} skip={} instrument={:?}",
-            cfg.model, cfg.mesh, cfg.latency, cfg.e2e, cfg.skip, cfg.instrument
+            "{} mesh={} latency={} e2e={} instrument={:?}",
+            cfg.model, cfg.mesh, cfg.latency, cfg.e2e, cfg.instrument
         );
         let (oh, _) = assert_equivalent(&cfg, budget, &ctx);
         assert_eq!(oh, RunOutcome::Quiescent, "{ctx} must finish in {budget}");
@@ -192,10 +189,9 @@ fn build_par(cfg: &Config, trace_cap: Option<usize>, par_threads: usize) -> Mach
 /// on/off, trace-only and trace+obs instrumentation, seeded fault
 /// schedules, and worker counts {1, 2, 3, 8}. Fault-wrapped meshes shard
 /// too (the per-node fault streams reproduce domain by domain); ineligible
-/// configurations (ideal fabric, observability, dense scan) run the
-/// one-domain cycle, and keeping them in the sweep pins that. With the
-/// delivery protocol on, both machines check their invariants after every
-/// cycle.
+/// configurations (ideal fabric, observability) run the one-domain cycle,
+/// and keeping them in the sweep pins that. With the delivery protocol on,
+/// both machines check their invariants after every cycle.
 #[test]
 fn parallel_tick_is_equivalent_at_any_thread_count() {
     check(
@@ -208,7 +204,6 @@ fn parallel_tick_is_equivalent_at_any_thread_count() {
                 latency: rng.below(40),
                 e2e: rng.bool(),
                 fault: rng.bool().then(|| (rng.u64(), rng.range(20, 120) as u32)),
-                skip: rng.bool(),
                 instrument: rng.bool().then(|| rng.range(1, 24) as usize),
             };
             let trace_cap =
@@ -216,13 +211,12 @@ fn parallel_tick_is_equivalent_at_any_thread_count() {
             let par = *rng.pick(&[1usize, 2, 3, 8]);
             let budget = rng.range(4_000, 30_000);
             let ctx = format!(
-                "{} mesh={} latency={} e2e={} fault={:?} skip={} instrument={:?} trace={:?} par={}",
+                "{} mesh={} latency={} e2e={} fault={:?} instrument={:?} trace={:?} par={}",
                 cfg.model,
                 cfg.mesh,
                 cfg.latency,
                 cfg.e2e,
                 cfg.fault,
-                cfg.skip,
                 cfg.instrument,
                 trace_cap,
                 par
@@ -293,15 +287,11 @@ fn fault_wrapped_mesh_shards_bit_identically() {
             latency: 0,
             e2e: true,
             fault: Some((rng.u64(), rng.range(20, 150) as u32)),
-            skip: rng.bool(),
             instrument: None,
         };
         let trace_cap = rng.bool().then(|| rng.range(1, 24) as usize);
         let budget = rng.range(10_000, 40_000);
-        let ctx = format!(
-            "{} fault={:?} skip={} trace={:?}",
-            cfg.model, cfg.fault, cfg.skip, trace_cap
-        );
+        let ctx = format!("{} fault={:?} trace={:?}", cfg.model, cfg.fault, trace_cap);
         let mut serial = build_par(&cfg, trace_cap, 1);
         let baseline = serial.run(budget);
         for par in [2usize, 3, 8] {
@@ -348,13 +338,12 @@ fn hot_set_is_equivalent_under_fault_schedules() {
             latency: 1 + rng.below(8),
             e2e: true,
             fault: Some((rng.u64(), rng.range(20, 120) as u32)),
-            skip: rng.bool(),
             instrument: rng.bool().then(|| rng.range(1, 24) as usize),
         };
         let budget = rng.range(20_000, 60_000);
         let ctx = format!(
-            "{} mesh={} latency={} fault={:?} skip={} instrument={:?}",
-            cfg.model, cfg.mesh, cfg.latency, cfg.fault, cfg.skip, cfg.instrument
+            "{} mesh={} latency={} fault={:?} instrument={:?}",
+            cfg.model, cfg.mesh, cfg.latency, cfg.fault, cfg.instrument
         );
         assert_equivalent(&cfg, budget, &ctx);
     });

@@ -86,9 +86,9 @@ fn run_64x64_sweep(dense: bool, par: usize, cycles: u64) -> (Machine, InjectCoun
     let mut machine = MachineBuilder::new(side * side)
         .model(Model::ALL_SIX[0])
         .network_fabric(FabricConfig::new(side, side))
-        .dense_scan(dense)
         .build();
     assert_eq!(machine.wire_format(), WireFormat::Wide);
+    machine.set_reference(dense);
     machine.set_par_threads(par);
     let mut config = InjectorConfig::new(
         Pattern::Uniform,
