@@ -86,7 +86,10 @@ pub fn ring_machine(width: usize, height: usize, k: u32) -> Machine {
 pub fn remote_read_machine(model: Model, latency: u64) -> Machine {
     let mut machine = MachineBuilder::new(2)
         .model(model)
-        .program(0, remote_read::requester(model, NodeId::new(1)))
+        .program(
+            0,
+            remote_read::requester(model, NodeId::new(0), NodeId::new(1)),
+        )
         .program(1, remote_read::server(model))
         .network_ideal(latency)
         .build();

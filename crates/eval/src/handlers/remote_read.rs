@@ -11,10 +11,12 @@ use crate::protocol::TYPE_READ;
 
 /// Handler-table base used by these programs.
 pub const TABLE: u32 = 0x4000;
-/// Node-1 memory address served by the Read handler.
+/// Server memory address served by the Read handler.
 pub const REMOTE_ADDR: u32 = 0x100;
-/// Node-0 memory address where the reply value lands.
+/// Requester memory address where the reply value lands.
 pub const RESULT_ADDR: u32 = 0x80;
+/// Frame pointer the requester names in its reply word (Read word 1).
+const REPLY_FP: u32 = 0x200;
 
 fn ty(n: u8) -> MsgType {
     MsgType::new(n).unwrap()
@@ -153,9 +155,10 @@ pub fn server(model: Model) -> Program {
     a.assemble().expect("server assembles")
 }
 
-/// Builds the requester: sends a Read to `server_node`, receives the reply,
+/// Builds the requester for node `self_node`: sends a Read to
+/// `server_node` whose reply word names `self_node`, receives the reply,
 /// stores the value at [`RESULT_ADDR`], and halts.
-pub fn requester(model: Model, server_node: NodeId) -> Program {
+pub fn requester(model: Model, self_node: NodeId, server_node: NodeId) -> Program {
     let build = |reply_ip: u32| -> Program {
         let mut a = Assembler::new();
         emit_setup(&mut a, model);
@@ -163,7 +166,10 @@ pub fn requester(model: Model, server_node: NodeId) -> Program {
             Reg::R2,
             server_node.into_word_bits(WireFormat::Compact) | REMOTE_ADDR,
         );
-        a.li(Reg::R3, 0x200);
+        a.li(
+            Reg::R3,
+            self_node.into_word_bits(WireFormat::Compact) | REPLY_FP,
+        );
         a.li(Reg::R5, reply_ip);
         match model.mapping {
             NiMapping::RegisterFile => {

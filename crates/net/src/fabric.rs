@@ -3,36 +3,33 @@
 //!
 //! Historically this was a hard-coded 2-D mesh (`Mesh2d`); the routing
 //! geometry is now delegated to a [`TopologyKind`], so the same switched
-//! core — including the active-channel frontier, per-link observability,
-//! and the sharded `tick_domains` cycle — serves mesh, torus, ring, and
-//! fully-connected fabrics. For the mesh the channel layout and scan
-//! order are bit-identical to the original: channels are numbered
-//! `node * stride + role` with role 0 = inject, roles `1..=ports` the
-//! topology's ports in order, and role `stride - 1` = eject, which for
-//! the mesh reproduces the historical inject/east/west/north/south/eject
-//! layout exactly.
+//! core — including the active-channel frontier and per-link
+//! observability — serves mesh, torus, ring, and fully-connected fabrics.
+//! For the mesh the channel layout and scan order are bit-identical to the
+//! original: channels are numbered `node * stride + role` with role 0 =
+//! inject, roles `1..=ports` the topology's ports in order, and role
+//! `stride - 1` = eject, which for the mesh reproduces the historical
+//! inject/east/west/north/south/eject layout exactly.
 //!
 //! # One body per channel operation
 //!
-//! Each channel operation is written once and serves both the serial
-//! fabric and a domain of the machine's sharded cycle: `move_head` (the
-//! head-of-line move, over a `ChanStore` — the whole channel vector or one
-//! tick task's verified-disjoint `GroupMut`), and `inject_at`, `peek_at`
-//! and `eject_at` (over the channels of a node range). They report every
-//! side effect beyond the channels — frontier and eject-ready bits,
-//! [`NetStats`] counters, the in-flight count, per-link counters — as an
-//! `Fx` to a `Sink`. The fabric's `Ledger` applies each `Fx` in place; a
-//! tick task or a domain's [`NetRange`] logs it instead, and the barrier
-//! replays the logs into the ledger in task or domain order. The
-//! bare-or-faulty choice of the sharded cycle lives in
+//! The fabric ticks serially: one walk over the active-channel frontier
+//! (or every slot, under the dense cross-check) calls the one head-of-line
+//! move, `move_head`. Injection and ejection are written once too, as
+//! `inject_at`, `peek_at` and `eject_at` over the channels of a node
+//! range, and serve both the serial fabric and a domain of the machine's
+//! sharded cycle. They report every side effect beyond the channels —
+//! frontier and eject-ready bits, [`NetStats`] counters, the in-flight
+//! count, per-link counters — as an `Fx` to a `Sink`. The fabric's
+//! `Ledger` applies each `Fx` in place; a domain's [`NetRange`] logs it
+//! instead, and the barrier replays the logs into the ledger in domain
+//! order. The bare-or-faulty choice of the sharded cycle lives in
 //! [`NetworkKind::split_ranges`](crate::NetworkKind::split_ranges).
 
 use std::collections::VecDeque;
 use std::fmt;
 
 use tcni_core::{Message, NodeId};
-use tcni_util::disjoint::{split_groups, GroupMut, SlotClaims};
-use tcni_util::par::run_tasks;
 
 use crate::fault::{FaultTally, RangeGates};
 use crate::stats::NetStats;
@@ -147,14 +144,13 @@ struct Packet {
 }
 
 // Channel-layout arithmetic as free functions of the topology, so the
-// serial fabric and the sharded tick's workers (which cannot hold `&self`
-// while the channel vector is split) share the exact decision procedure.
-// A node's channels are `node * stride + role` with role 0 = inject, role
-// `1 + p` = topology port `p`, role `stride - 1` = eject. Frontier slots
-// order the movable roles ports-first, inject-last: `node * move_slots +
-// rank` with rank `p` for port `p` and rank `ports` for inject — for the
-// mesh this is exactly the historical east/west/north/south/inject move
-// order.
+// channel bodies that domain ranges run (which cannot hold `&self` while
+// the channel vector is split) use the fabric's exact layout. A node's
+// channels are `node * stride + role` with role 0 = inject, role `1 + p` =
+// topology port `p`, role `stride - 1` = eject. Frontier slots order the
+// movable roles ports-first, inject-last: `node * move_slots + rank` with
+// rank `p` for port `p` and rank `ports` for inject — for the mesh this is
+// exactly the historical east/west/north/south/inject move order.
 
 const INJECT_ROLE: usize = 0;
 
@@ -214,11 +210,6 @@ fn next_hop(topo: &TopologyKind, node: usize, role: usize, dst: usize) -> (usize
     (loc, role, chan_of(loc, role, topo.stride()))
 }
 
-/// The spatial domain (index into `bounds` windows) that owns `node`.
-fn dom_of(bounds: &[usize], node: usize) -> u32 {
-    (bounds.partition_point(|&b| b <= node) - 1) as u32
-}
-
 /// Whether bit `i` of a bitmap is set.
 fn bit(words: &[u64], i: usize) -> bool {
     words[i / 64] & (1u64 << (i % 64)) != 0
@@ -230,31 +221,6 @@ fn set_bit(words: &mut [u64], i: usize) {
 
 fn clear_bit(words: &mut [u64], i: usize) {
     words[i / 64] &= !(1u64 << (i % 64));
-}
-
-/// The channel FIFOs a head-of-line move reads and writes: the whole
-/// fabric's, or one tick task's verified-disjoint group of them.
-trait ChanStore {
-    fn chan(&self, i: usize) -> &VecDeque<Packet>;
-    fn chan_mut(&mut self, i: usize) -> &mut VecDeque<Packet>;
-}
-
-impl ChanStore for [VecDeque<Packet>] {
-    fn chan(&self, i: usize) -> &VecDeque<Packet> {
-        &self[i]
-    }
-    fn chan_mut(&mut self, i: usize) -> &mut VecDeque<Packet> {
-        &mut self[i]
-    }
-}
-
-impl ChanStore for GroupMut<'_, VecDeque<Packet>> {
-    fn chan(&self, i: usize) -> &VecDeque<Packet> {
-        self.get(i as u32)
-    }
-    fn chan_mut(&mut self, i: usize) -> &mut VecDeque<Packet> {
-        self.get_mut(i as u32)
-    }
 }
 
 /// One side effect of a channel operation, beyond the channels themselves.
@@ -303,48 +269,48 @@ impl Sink for Vec<Fx> {
     }
 }
 
-/// The one head-of-line move attempt, for frontier slot `slot`: the serial
-/// frontier walk, the dense cross-check and the sharded worklists all call
-/// it. Packets stamped `moved_at == now` have already hopped this cycle.
-fn move_head<C: ChanStore + ?Sized>(
+/// The one head-of-line move attempt, for frontier slot `slot`: the
+/// frontier walk and the dense cross-check both call it. Packets stamped
+/// `moved_at == now` have already hopped this cycle.
+fn move_head(
     cfg: &FabricConfig,
     now: u64,
-    chans: &mut C,
+    chans: &mut [VecDeque<Packet>],
     slot: usize,
-    sink: &mut impl Sink,
+    ledger: &mut Ledger,
 ) {
     let topo = cfg.topo;
     let stride = topo.stride();
     let (node, role, src) = slot_chan(&topo, slot);
     // Only the dense scan visits empty channels; the frontier guarantees
     // occupancy.
-    let Some(head) = chans.chan(src).front() else {
+    let Some(head) = chans[src].front() else {
         return;
     };
     if head.moved_at >= now {
         return;
     }
     let (loc, tgt_role, tgt) = next_hop(&topo, node, role, head.msg.dest().index());
-    if chans.chan(tgt).len() >= cap_of_c(cfg, tgt_role, stride) {
-        sink.put(Fx::Blocked(src as u32));
+    if chans[tgt].len() >= cap_of_c(cfg, tgt_role, stride) {
+        ledger.put(Fx::Blocked(src as u32));
         return;
     }
-    let mut p = chans.chan_mut(src).pop_front().expect("head checked");
+    let mut p = chans[src].pop_front().expect("head checked");
     p.moved_at = now;
-    if chans.chan(src).is_empty() {
-        sink.put(Fx::Emptied(slot as u32));
+    if chans[src].is_empty() {
+        ledger.put(Fx::Emptied(slot as u32));
     }
-    let q = chans.chan_mut(tgt);
+    let q = &mut chans[tgt];
     q.push_back(p);
     let depth = q.len();
     if depth == 1 {
-        sink.put(if tgt_role == stride - 1 {
+        ledger.put(if tgt_role == stride - 1 {
             Fx::EjectReady(loc as u32)
         } else {
             Fx::Activated((loc * topo.move_slots() + rank_of_role(tgt_role, topo.ports())) as u32)
         });
     }
-    sink.put(Fx::Pushed {
+    ledger.put(Fx::Pushed {
         chan: tgt as u32,
         depth: depth as u32,
     });
@@ -704,208 +670,6 @@ impl Fabric {
         self.config
     }
 
-    /// The post-guard body of [`Network::tick`] (`now` already advanced,
-    /// fabric known non-empty), shared by the serial tick and the fallback
-    /// paths of [`tick_domains`](Fabric::tick_domains): the frontier walk,
-    /// or every slot under the dense cross-check.
-    fn tick_body(&mut self) {
-        let slots = self.node_count() * self.config.topo.move_slots();
-        let Fabric {
-            config,
-            chans,
-            now,
-            ledger,
-            dense_scan,
-        } = self;
-        let chans = chans.as_mut_slice();
-        let mut visited = 0;
-        if *dense_scan {
-            for slot in 0..slots {
-                move_head(config, *now, chans, slot, ledger);
-            }
-            visited = slots;
-        } else {
-            // Iterate set bits in ascending slot order. The word is re-read
-            // after each move with a strictly-above mask: a move can set a
-            // *later* bit in the current word (a packet entering a channel
-            // the dense scan had not reached yet), which must be visited
-            // this cycle exactly as the dense scan would — while moves into
-            // already-passed slots stay unvisited until next cycle, again
-            // exactly like the dense scan.
-            for w in 0..ledger.active.len() {
-                let mut bits = ledger.active[w];
-                while bits != 0 {
-                    let b = bits.trailing_zeros();
-                    move_head(config, *now, chans, w * 64 + b as usize, ledger);
-                    visited += 1;
-                    bits = ledger.active[w] & ((!0u64 << b) << 1);
-                }
-            }
-        }
-        ledger.stats.scan.scanned_channels += visited as u64;
-        ledger.stats.scan.skipped_work += (slots - visited) as u64;
-    }
-
-    /// One cycle of the fabric, executed across spatial domains in parallel,
-    /// **bit-identical to [`Network::tick`]** — state, behavioural stats, and
-    /// the [`ScanStats`](crate::ScanStats) effort meters all end up
-    /// byte-equal at any thread count.
-    ///
-    /// `bounds` is an ascending node partition (`bounds[0] == 0`,
-    /// `bounds.last() == node_count()`); domain `d` owns nodes
-    /// `bounds[d]..bounds[d + 1]` and all their channels. The partition is
-    /// topology-agnostic: conflict components are computed over the actual
-    /// channel graph, so wrap links (torus/ring) and long-range links
-    /// (fully-connected) simply produce more boundary components.
-    ///
-    /// # How identity is kept
-    ///
-    /// A serial pre-pass walks the tick-start frontier (every head packet
-    /// still carries `moved_at < now`, so each occupied slot's single
-    /// possible move `src → tgt` is known before anything mutates) and
-    /// unions the touched channels into *conflict components*. Channels in
-    /// different components share no capacity checks, no pops, and no
-    /// pushes this cycle, so components execute independently; each worker
-    /// replays its component's slots in ascending order through the same
-    /// head-of-line move body as the serial walk, with the same mid-scan
-    /// re-activation rule as the serial word remask (a move that activates
-    /// a *later* slot queues it for this cycle; earlier slots wait for the
-    /// next one). Components whose channels sit in one domain run as that
-    /// domain's task; components spanning domains form one extra "boundary"
-    /// task — scheduling only, the outcome is order-free because components
-    /// are disjoint. Frontier-bitmap words and the counters are shared
-    /// across domains, so each task logs its effects and the merge replays
-    /// the logs in task order; every bit's history lies in the one task
-    /// that owns its channel, so the replay ends in the serial state.
-    ///
-    /// Falls back to the serial body (identical by definition) when the
-    /// dense-scan cross-check or per-link observability is on, or when
-    /// fewer than two tasks have work.
-    pub fn tick_domains(&mut self, bounds: &[usize], scratch: &mut FabricTickScratch) {
-        self.now += 1;
-        if self.ledger.in_flight == 0 {
-            return;
-        }
-        let domains = bounds.len().saturating_sub(1);
-        if self.dense_scan || self.ledger.observe || domains < 2 {
-            self.tick_body();
-            return;
-        }
-        debug_assert_eq!(bounds[0], 0);
-        debug_assert_eq!(*bounds.last().expect("non-empty bounds"), self.node_count());
-
-        scratch.prepare(self.chans.len(), domains);
-        let FabricTickScratch {
-            ref mut moves,
-            ref mut parent,
-            ref mut dom_min,
-            ref mut dom_max,
-            ref mut chan_epoch,
-            epoch,
-            ref mut touched,
-            ref mut groups,
-            ref mut deltas,
-            ref mut claims,
-        } = *scratch;
-
-        let topo = self.config.topo;
-        let stride = topo.stride();
-
-        // Pre-pass: the single possible move of every initially-active slot.
-        for (w, &word) in self.ledger.active.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let slot = w * 64 + b;
-                let (node, role, src) = slot_chan(&topo, slot);
-                let Some(head) = self.chans[src].front() else {
-                    debug_assert!(false, "frontier bit set on empty channel");
-                    continue;
-                };
-                debug_assert!(head.moved_at < self.now, "head already moved this cycle");
-                let (_, _, tgt) = next_hop(&topo, node, role, head.msg.dest().index());
-                moves.push((slot as u32, src as u32, tgt as u32));
-            }
-        }
-
-        // Conflict components over the touched channels.
-        for &(_, src, tgt) in moves.iter() {
-            for c in [src, tgt] {
-                let i = c as usize;
-                if chan_epoch[i] != epoch {
-                    chan_epoch[i] = epoch;
-                    parent[i] = c;
-                    let d = dom_of(bounds, i / stride);
-                    dom_min[i] = d;
-                    dom_max[i] = d;
-                    touched.push(c);
-                }
-            }
-            let (ra, rb) = (uf_find(parent, src), uf_find(parent, tgt));
-            if ra != rb {
-                parent[rb as usize] = ra;
-                dom_min[ra as usize] = dom_min[ra as usize].min(dom_min[rb as usize]);
-                dom_max[ra as usize] = dom_max[ra as usize].max(dom_max[rb as usize]);
-            }
-        }
-
-        // Task assignment: single-domain components → that domain's task;
-        // domain-spanning components → the boundary task (index `domains`).
-        let task_of = |parent: &mut [u32], dom_min: &[u32], dom_max: &[u32], c: u32| {
-            let r = uf_find(parent, c) as usize;
-            if dom_min[r] == dom_max[r] {
-                dom_min[r] as usize
-            } else {
-                domains
-            }
-        };
-        for &(slot, src, _) in moves.iter() {
-            deltas[task_of(parent, dom_min, dom_max, src)]
-                .worklist
-                .push(slot);
-        }
-        if deltas.iter().filter(|d| !d.worklist.is_empty()).count() < 2 {
-            // Everything collapsed into one task (often the boundary task on
-            // tiny fabrics): the parallel machinery would only add overhead.
-            deltas.iter_mut().for_each(FabricTickDelta::clear);
-            self.tick_body();
-            return;
-        }
-        for &c in touched.iter() {
-            groups[task_of(parent, dom_min, dom_max, c)].push(c);
-        }
-        for g in groups.iter_mut() {
-            g.sort_unstable();
-        }
-
-        let cfg = self.config;
-        let now = self.now;
-        let split = split_groups(&mut self.chans, groups, claims)
-            .expect("conflict components are disjoint by construction");
-        let mut tasks: Vec<TickTask<'_>> = split
-            .into_iter()
-            .zip(deltas.iter_mut())
-            .map(|(chans, delta)| TickTask { chans, delta })
-            .collect();
-        run_tasks(&mut tasks, |_, t| t.delta.run(&cfg, now, &mut t.chans));
-        drop(tasks);
-
-        // Deterministic merge: replay each task's log, in task order. Every
-        // frontier slot and eject-ready bit belongs to the one component
-        // holding its channel, so its whole history this tick sits, in
-        // order, in one task's log.
-        let dense_cost = (self.config.topo.nodes() * topo.move_slots()) as u64;
-        let mut visited: u64 = 0;
-        for d in deltas.iter_mut() {
-            visited += d.visited;
-            d.log.drain(..).for_each(|fx| self.ledger.put(fx));
-            d.clear();
-        }
-        self.ledger.stats.scan.scanned_channels += visited;
-        self.ledger.stats.scan.skipped_work += dense_cost - visited;
-    }
-
     /// Splits the fabric into one [`NetRange`] per domain of `bounds`
     /// (see [`NetworkKind::split_ranges`](crate::NetworkKind::split_ranges)),
     /// behind `gates`, one per domain, when a fault layer wraps it.
@@ -972,130 +736,6 @@ fn next_set(words: &[u64], from: usize, to: usize) -> Option<usize> {
         }
         bits = words[w];
     }
-}
-
-fn uf_find(parent: &mut [u32], mut c: u32) -> u32 {
-    loop {
-        let p = parent[c as usize];
-        if p == c {
-            return c;
-        }
-        // Path halving keeps the pre-pass near-linear.
-        let g = parent[p as usize];
-        parent[c as usize] = g;
-        c = g;
-    }
-}
-
-/// Reusable workspace for [`Fabric::tick_domains`]: the pre-pass move list,
-/// the union-find over touched channels, per-task channel groups, and
-/// per-task worklists and effect logs. One instance per machine
-/// amortizes every allocation across cycles.
-#[derive(Default)]
-pub struct FabricTickScratch {
-    moves: Vec<(u32, u32, u32)>,
-    parent: Vec<u32>,
-    dom_min: Vec<u32>,
-    dom_max: Vec<u32>,
-    chan_epoch: Vec<u32>,
-    epoch: u32,
-    touched: Vec<u32>,
-    groups: Vec<Vec<u32>>,
-    deltas: Vec<FabricTickDelta>,
-    claims: SlotClaims,
-}
-
-impl FabricTickScratch {
-    /// Creates an empty workspace; it sizes itself on first use.
-    pub fn new() -> FabricTickScratch {
-        FabricTickScratch::default()
-    }
-
-    fn prepare(&mut self, chan_count: usize, domains: usize) {
-        if self.parent.len() < chan_count {
-            self.parent.resize(chan_count, 0);
-            self.dom_min.resize(chan_count, 0);
-            self.dom_max.resize(chan_count, 0);
-            self.chan_epoch.resize(chan_count, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.chan_epoch.fill(0);
-            self.epoch = 1;
-        }
-        self.moves.clear();
-        self.touched.clear();
-        let tasks = domains + 1;
-        for g in &mut self.groups {
-            g.clear();
-        }
-        self.groups.resize_with(tasks, Vec::new);
-        self.groups.truncate(tasks);
-        for d in &mut self.deltas {
-            d.clear();
-        }
-        self.deltas.resize_with(tasks, FabricTickDelta::default);
-        self.deltas.truncate(tasks);
-    }
-}
-
-/// One tick task's slot worklist and the log of effects it buffers
-/// instead of applying them to shared state.
-#[derive(Default)]
-struct FabricTickDelta {
-    /// The task's slots in ascending order; mid-scan re-activations insert
-    /// into the part after `next`.
-    worklist: Vec<u32>,
-    /// The slot being moved, and the worklist position after it.
-    slot: usize,
-    next: usize,
-    visited: u64,
-    log: Vec<Fx>,
-}
-
-impl FabricTickDelta {
-    fn clear(&mut self) {
-        self.worklist.clear();
-        self.next = 0;
-        self.visited = 0;
-        self.log.clear();
-    }
-
-    /// Replays the worklist exactly as the serial hot scan would visit it:
-    /// ascending order, with a move that activates a strictly-later slot
-    /// inserting that slot into the rest of the worklist — the mirror of the
-    /// serial scan's strictly-above word remask.
-    fn run(&mut self, cfg: &FabricConfig, now: u64, chans: &mut GroupMut<'_, VecDeque<Packet>>) {
-        while self.next < self.worklist.len() {
-            self.slot = self.worklist[self.next] as usize;
-            self.next += 1;
-            self.visited += 1;
-            move_head(cfg, now, chans, self.slot, self);
-        }
-    }
-}
-
-impl Sink for FabricTickDelta {
-    fn put(&mut self, fx: Fx) {
-        if let Fx::Activated(slot) = fx {
-            if slot as usize > self.slot {
-                // Visited this cycle by the serial scan; queue it. It cannot
-                // already be pending: activation means the channel was empty.
-                match self.worklist[self.next..].binary_search(&slot) {
-                    Ok(_) => debug_assert!(false, "activated slot already queued"),
-                    Err(pos) => self.worklist.insert(self.next + pos, slot),
-                }
-            }
-        }
-        self.log.put(fx);
-    }
-}
-
-/// One task's working set: exclusive access to its component channels, and
-/// its worklist and log.
-struct TickTask<'a> {
-    chans: GroupMut<'a, VecDeque<Packet>>,
-    delta: &'a mut FabricTickDelta,
 }
 
 /// Exclusive injection/ejection access to one spatial domain of a switched
@@ -1227,7 +867,41 @@ impl Network for Fabric {
         if self.ledger.in_flight == 0 {
             return;
         }
-        self.tick_body();
+        let slots = self.node_count() * self.config.topo.move_slots();
+        let Fabric {
+            config,
+            chans,
+            now,
+            ledger,
+            dense_scan,
+        } = self;
+        let chans = chans.as_mut_slice();
+        let mut visited = 0;
+        if *dense_scan {
+            for slot in 0..slots {
+                move_head(config, *now, chans, slot, ledger);
+            }
+            visited = slots;
+        } else {
+            // Iterate set bits in ascending slot order. The word is re-read
+            // after each move with a strictly-above mask: a move can set a
+            // *later* bit in the current word (a packet entering a channel
+            // the dense scan had not reached yet), which must be visited
+            // this cycle exactly as the dense scan would — while moves into
+            // already-passed slots stay unvisited until next cycle, again
+            // exactly like the dense scan.
+            for w in 0..ledger.active.len() {
+                let mut bits = ledger.active[w];
+                while bits != 0 {
+                    let b = bits.trailing_zeros();
+                    move_head(config, *now, chans, w * 64 + b as usize, ledger);
+                    visited += 1;
+                    bits = ledger.active[w] & ((!0u64 << b) << 1);
+                }
+            }
+        }
+        ledger.stats.scan.scanned_channels += visited as u64;
+        ledger.stats.scan.skipped_work += (slots - visited) as u64;
     }
 
     fn in_flight(&self) -> usize {
@@ -1551,81 +1225,6 @@ mod tests {
                 hs.scan.scanned_channels + hs.scan.skipped_work,
                 ds.scan.scanned_channels + ds.scan.skipped_work,
             );
-        }
-    }
-
-    /// `tick_domains` must be bit-identical to the serial `tick` — including
-    /// the scan effort meters, since the parallel path replays exactly the
-    /// serial visit multiset — under sustained mixed traffic with blocked
-    /// moves and mid-cycle re-activations, at several domain counts, on
-    /// every topology (wrap links make boundary components common).
-    #[test]
-    fn tick_domains_matches_serial_tick() {
-        for topo in [
-            TopologyKind::mesh(4, 3),
-            TopologyKind::torus(4, 3),
-            TopologyKind::ring(12),
-            TopologyKind::full(12),
-        ] {
-            let run = |domains: usize| -> (Vec<(u16, u32)>, NetStats, crate::ScanStats) {
-                let mut net = Fabric::new(FabricConfig::of(topo));
-                let n = net.node_count();
-                let bounds: Vec<usize> = tcni_util::par::domain_bounds(n, domains);
-                let mut scratch = FabricTickScratch::new();
-                let mut got = Vec::new();
-                let mut x = 0x1234_5678_9abc_def0u64;
-                for step in 0..600u32 {
-                    for k in 0..3u32 {
-                        x = x
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        let src = ((x >> 33) % n as u64) as u16;
-                        let dst = ((x >> 13) % n as u64) as u16;
-                        let _ = net.inject(NodeId::new(src), msg(dst, step * 4 + k));
-                    }
-                    if domains == 0 {
-                        net.tick();
-                    } else {
-                        net.tick_domains(&bounds, &mut scratch);
-                    }
-                    net.check_invariants().unwrap();
-                    if step % 3 == 0 {
-                        for d in 0..n as u16 {
-                            while let Some(m) = net.eject(NodeId::new(d)) {
-                                got.push((d, m.words[1]));
-                            }
-                        }
-                        net.check_invariants().unwrap();
-                    }
-                }
-                for _ in 0..200 {
-                    if domains == 0 {
-                        net.tick();
-                    } else {
-                        net.tick_domains(&bounds, &mut scratch);
-                    }
-                    for d in 0..n as u16 {
-                        while let Some(m) = net.eject(NodeId::new(d)) {
-                            got.push((d, m.words[1]));
-                        }
-                    }
-                }
-                assert_eq!(net.in_flight(), 0, "everything drained");
-                (got, net.stats(), net.stats().scan)
-            };
-            tcni_util::par::set_threads(3);
-            let (serial, serial_stats, serial_scan) = run(0);
-            for domains in [1, 2, 3, 5, 12] {
-                let name = topo.name();
-                let (par, par_stats, par_scan) = run(domains);
-                assert_eq!(serial, par, "{name} domains={domains}: delivery order");
-                assert_eq!(serial_stats, par_stats, "{name} domains={domains}: stats");
-                // Stronger than the hot-vs-dense pin: the parallel scan
-                // replays the same visits, so even the effort meters must be
-                // byte-equal.
-                assert_eq!(serial_scan, par_scan, "{name} domains={domains}: scan");
-            }
-            tcni_util::par::set_threads(0);
         }
     }
 

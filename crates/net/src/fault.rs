@@ -287,7 +287,7 @@ impl FaultyFabric {
     /// (inject port, eject port), unconditionally: the draw count never
     /// depends on outcomes, so the schedule is a pure function of the seed
     /// and the cycle number.
-    pub(crate) fn end_tick(&mut self) {
+    fn end_tick(&mut self) {
         let g = &mut self.gates;
         g.now += 1;
         if g.config.stall_pm == 0 {
@@ -422,7 +422,7 @@ impl Network for FaultyFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FabricConfig, FabricTickScratch, IdealNetwork};
+    use crate::{FabricConfig, IdealNetwork};
     use tcni_isa::MsgType;
 
     fn msg(dst: u16, tag: u32) -> Message {
@@ -628,7 +628,6 @@ mod tests {
         let bounds = [0usize, 3, 6, 8];
         let mut serial = build();
         let mut sharded = build();
-        let mut scratch = FabricTickScratch::new();
         let mut got_serial = Vec::new();
         let mut got_sharded = Vec::new();
         for cycle in 0..300u32 {
@@ -653,7 +652,7 @@ mod tests {
             }
             sharded.absorb(deltas);
             check(&sharded);
-            sharded.tick_domains(&bounds, &mut scratch);
+            sharded.tick();
             check(&sharded);
             let mut deltas = Vec::new();
             for (w, mut range) in bounds.windows(2).zip(sharded.split_ranges(&bounds)) {

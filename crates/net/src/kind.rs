@@ -1,16 +1,14 @@
 //! Static dispatch over the fabric implementations, and the one place that
 //! decides which fabric the machine's sharded cycle splits: a bare switched
 //! fabric or one behind a fault layer, through one range type
-//! ([`NetRange`]).
+//! ([`NetRange`]). Only injection and ejection are split; the fabric itself
+//! ticks serially ([`Network::tick`]) between those sharded phases.
 
 use tcni_core::{Message, NodeId};
 
 use crate::stats::NetStats;
 use crate::topology::Topology as _;
-use crate::{
-    Fabric, FabricTickScratch, FaultyFabric, IdealNetwork, InjectError, NetRange, NetRangeDelta,
-    Network,
-};
+use crate::{Fabric, FaultyFabric, IdealNetwork, InjectError, NetRange, NetRangeDelta, Network};
 
 /// The fabrics, as a closed enum.
 ///
@@ -86,22 +84,6 @@ impl NetworkKind {
             NetworkKind::Ideal(_) => panic!("{IDEAL_SHARD}"),
         };
         fabric.split_ranges(bounds, gates)
-    }
-
-    /// Advances the fabric one cycle with the domain-sharded tick
-    /// ([`Fabric::tick_domains`]), bit-identical to [`Network::tick`],
-    /// then, on a faulty fabric, rolls the stall schedule as its
-    /// [`tick`](Network::tick) would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the base fabric is the ideal network.
-    pub fn tick_domains(&mut self, bounds: &[usize], scratch: &mut FabricTickScratch) {
-        let fabric = self.as_fabric_mut().expect(IDEAL_SHARD);
-        fabric.tick_domains(bounds, scratch);
-        if let NetworkKind::Faulty(f) = self {
-            f.end_tick();
-        }
     }
 
     /// Folds one phase's range deltas back in, in domain order (see

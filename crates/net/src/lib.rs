@@ -39,8 +39,7 @@ mod topology;
 mod tree;
 
 pub use fabric::{
-    Fabric, FabricConfig, FabricError, FabricTickScratch, LinkReport, LinkStats, NetRange,
-    NetRangeDelta,
+    Fabric, FabricConfig, FabricError, LinkReport, LinkStats, NetRange, NetRangeDelta,
 };
 pub use fault::{FaultConfig, FaultyFabric};
 pub use ideal::IdealNetwork;

@@ -344,8 +344,10 @@ mod tests {
 
     #[test]
     fn equality_ignores_scan_counters() {
-        let mut a = NetStats::default();
-        a.injected = 5;
+        let a = NetStats {
+            injected: 5,
+            ..NetStats::default()
+        };
         let mut b = a;
         b.scan.scanned_channels = 100;
         b.scan.skipped_work = 900;
@@ -394,8 +396,10 @@ mod tests {
 
     #[test]
     fn display_prints_na_before_any_delivery() {
-        let mut s = NetStats::default();
-        s.injected = 3;
+        let mut s = NetStats {
+            injected: 3,
+            ..NetStats::default()
+        };
         let text = s.to_string();
         assert!(text.contains("mean_latency=n/a"), "{text}");
         s.delivered = 2;

@@ -1,6 +1,7 @@
 //! Property: the sharded fabric is the serial fabric. One `NetworkKind` is
 //! driven through the serial `Network` entry points, a same-config twin
-//! through `split_ranges` / `tick_domains` / `absorb`, over random small
+//! through `split_ranges` / `absorb` for its injection and ejection phases
+//! and the serial `Network::tick` between them, over random small
 //! fabrics — every topology at ≤ 16 nodes, per-role buffer capacities of
 //! 1–4 packets, bare or behind a stalling fault layer, 1, 2, 3 or 5
 //! domains — and a random interleaving of injection, tick and ejection
@@ -15,8 +16,8 @@ use tcni_check::{check, Rng};
 use tcni_core::{Message, NodeId};
 use tcni_isa::MsgType;
 use tcni_net::{
-    Fabric, FabricConfig, FabricTickScratch, FaultConfig, FaultyFabric, Network, NetworkKind,
-    Topology as _, TopologyKind,
+    Fabric, FabricConfig, FaultConfig, FaultyFabric, Network, NetworkKind, Topology as _,
+    TopologyKind,
 };
 use tcni_util::par::domain_bounds;
 
@@ -140,16 +141,16 @@ fn run_serial(net: &mut NetworkKind, phase: &Phase, got: &mut Vec<(usize, Messag
 }
 
 /// The sharded path: one range per domain, the ejection walk driven by
-/// each range's eject-ready set, then one absorb.
+/// each range's eject-ready set, then one absorb; the tick is serial, as
+/// in the machine's sharded cycle.
 fn run_sharded(
     net: &mut NetworkKind,
     bounds: &[usize],
-    scratch: &mut FabricTickScratch,
     phase: &Phase,
     got: &mut Vec<(usize, Message)>,
 ) {
     let deltas = match phase {
-        Phase::Tick => return net.tick_domains(bounds, scratch),
+        Phase::Tick => return net.tick(),
         Phase::Inject(offers) => net
             .split_ranges(bounds)
             .into_iter()
@@ -205,19 +206,12 @@ fn sharded_fabric_matches_the_serial_fabric() {
         );
         let mut serial = build(cfg, fault);
         let mut sharded = build(cfg, fault);
-        let mut scratch = FabricTickScratch::new();
         let (mut got_serial, mut got_sharded) = (Vec::new(), Vec::new());
         let mut tag = 0;
         for step in 0..STEPS {
             let phase = arb_phase(rng, n, &mut tag);
             run_serial(&mut serial, &phase, &mut got_serial);
-            run_sharded(
-                &mut sharded,
-                &bounds,
-                &mut scratch,
-                &phase,
-                &mut got_sharded,
-            );
+            run_sharded(&mut sharded, &bounds, &phase, &mut got_sharded);
             check_fabric(&serial, &format!("{what}: serial step {step}"));
             check_fabric(&sharded, &format!("{what}: sharded step {step}"));
         }

@@ -51,12 +51,12 @@
 //! receives.
 //!
 //! **Determinism.** Table lookups are metered (`ScanStats::flow_probes`),
-//! and the meter is invariant under the sharded tick: every metered lookup
+//! and the meter is invariant under the sharded cycle: every metered lookup
 //! is driven by its major node's own phase work in per-node program order,
 //! whichever view runs it, and a linear-probe lookup of an existing key
 //! is unaffected by later inserts (they only fill cells off its probe
 //! path). Timeout-list maintenance, whose neighbour lookups replay at a
-//! different point of the cycle under the sharded tick, is excluded from
+//! different point of the cycle when it is sharded, is excluded from
 //! the meter (see [`Delivery::link_tail`]), as are resize rehashes.
 //!
 //! ## Hot-set scheduling
@@ -477,6 +477,36 @@ impl<T: Default> NodeFlows<T> {
             .map(|(slot, &pr)| (pr as u32, &self.slab[slot]))
     }
 
+    /// Checks the table against itself: `live` counts the slab slots that
+    /// hold a pair, `peak` is at least `live`, and every held pair is found
+    /// by its own (unmetered) index probe at a cell naming its slot. So the
+    /// `active_flows` meter is the sum of the tables' entry counts.
+    fn check(&self) -> Result<(), String> {
+        let mut held = 0;
+        for (slot, &pr) in self.pair_of.iter().enumerate() {
+            if pr == FREE_PAIR {
+                continue;
+            }
+            held += 1;
+            let pr = pr as u32;
+            let found = self.find::<false>(pr).map(|i| self.index[i] as usize);
+            if found != Some(slot) {
+                return Err(format!(
+                    "flow {}->{} in slot {slot} is probed to {found:?}",
+                    pair_major(pr),
+                    pair_minor(pr)
+                ));
+            }
+        }
+        if held != self.live || self.peak < self.live {
+            return Err(format!(
+                "live={} peak={} but {held} slots hold a pair",
+                self.live, self.peak
+            ));
+        }
+        Ok(())
+    }
+
     /// Adds this table's footprint to the scan meters.
     fn account(&self, s: &mut ScanStats) {
         s.active_flows += u64::from(self.live);
@@ -787,12 +817,19 @@ impl Delivery {
     /// tables and queues, the active-outbox set is exactly the nodes with
     /// queued traffic, each flow's `pending_copies` counts its queued data
     /// copies, and `ack_pending` holds iff an ack for the flow is queued.
-    /// Lookups here are unmetered.
+    /// Every tx and rx table also passes its own check (`live`, `peak` and
+    /// the probe index agree with the slab). Lookups here are unmetered.
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
         fn ensure(ok: bool, what: impl FnOnce() -> String) -> Result<(), String> {
             ok.then_some(()).ok_or_else(what)
         }
         self.outbox.check("delivery")?;
+        for (node, t) in self.tx.iter().enumerate() {
+            t.check().map_err(|e| format!("tx table {node}: {e}"))?;
+        }
+        for (node, t) in self.rx.iter().enumerate() {
+            t.check().map_err(|e| format!("rx table {node}: {e}"))?;
+        }
         let name = |pr: u32| format!("flow {}->{}", pair_major(pr), pair_minor(pr));
         let queued = |node: usize, kind: E2eKind, peer: Option<usize>| {
             let hit = |m: &&Message| {
@@ -1530,6 +1567,28 @@ mod tests {
         assert_eq!(t.live, 64);
         assert_eq!(t.slab.len(), 64, "recycled slots, no slab growth");
         assert!(t.probes.get() > 0, "lookups were metered");
+        t.check().unwrap();
+    }
+
+    /// The table check notices counts or an index that disagree with the
+    /// slab.
+    #[test]
+    fn the_table_check_catches_a_drifted_table() {
+        let mut t: NodeFlows<FlowRx> = NodeFlows::new();
+        for minor in 0..6usize {
+            t.get_or_insert(pair(1, minor));
+        }
+        t.remove(pair(1, 2));
+        t.check().unwrap();
+        t.live += 1;
+        assert!(t.check().unwrap_err().contains("live=6"));
+        t.live -= 1;
+        t.peak = 1;
+        assert!(t.check().unwrap_err().contains("peak=1"));
+        t.peak = 6;
+        let cell = t.find::<false>(pair(1, 4)).unwrap();
+        t.index[cell] = EMPTY_SLOT;
+        assert!(t.check().unwrap_err().contains("flow 1->4"));
     }
 
     /// The sparse table against a `BTreeMap` model: one random

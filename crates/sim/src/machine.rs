@@ -7,9 +7,9 @@ use tcni_core::{CollectiveOp, FeatureLevel, Message, NiConfig, NodeId, WireForma
 use tcni_cpu::{StepOutcome, TimingConfig};
 use tcni_isa::{MsgType, Program};
 use tcni_net::{
-    CombiningTree, Fabric, FabricConfig, FabricError, FabricTickScratch, FaultConfig, FaultyFabric,
-    FullyConnected, IdealNetwork, InjectError, NetRange, NetRangeDelta, NetStats, Network,
-    NetworkKind, Topology as _, TopologyKind,
+    CombiningTree, Fabric, FabricConfig, FabricError, FaultConfig, FaultyFabric, FullyConnected,
+    IdealNetwork, InjectError, NetRange, NetRangeDelta, NetStats, Network, NetworkKind,
+    Topology as _, TopologyKind,
 };
 use tcni_util::par::{domain_bounds, run_tasks};
 
@@ -789,7 +789,6 @@ impl Machine {
         Some(ParPlan {
             bounds,
             mbounds,
-            scratch: FabricTickScratch::new(),
             run_acc: Vec::new(),
             drain_acc: Vec::new(),
         })
@@ -806,7 +805,7 @@ impl Machine {
     /// counters, trace events — replayed in domain order, which *is* the
     /// ascending-node order in which the one-domain cycle applies them.
     /// Region A (processors, then injection) runs per domain, the fabric
-    /// ticks domain-sliced, then region B (ejection) runs per domain.
+    /// ticks serially, then region B (ejection) runs per domain.
     /// [`make_par_plan`](Self::make_par_plan) excludes observability; the
     /// shards buffer trace events only when the machine is traced.
     fn cycle_par(&mut self, plan: &mut ParPlan) -> (bool, bool) {
@@ -855,8 +854,8 @@ impl Machine {
         std::mem::swap(&mut self.draining, &mut plan.drain_acc);
         self.absorb(deltas);
 
-        // --- Phase 3: the fabric advances, domain-sliced ---------------------
-        self.net.tick_domains(&plan.bounds, &mut plan.scratch);
+        // --- Phase 3: the fabric advances, serially --------------------------
+        self.net.tick();
 
         // --- Region B: network → interfaces ----------------------------------
         self.arrived.clear();
@@ -1053,14 +1052,13 @@ enum CpuPhase {
 /// Spatial-decomposition plan for [`Machine::cycle_par`], built once per run
 /// entry (see [`Machine::make_par_plan`]).
 struct ParPlan {
-    /// Domain boundaries over mesh slots (drives the fabric phases; routing
-    /// can cross slots beyond the last machine node).
+    /// Domain boundaries over mesh slots (drives the fabric's injection and
+    /// ejection ranges; routing can cross slots beyond the last machine
+    /// node).
     bounds: Vec<usize>,
     /// The same boundaries clamped to the machine's node count (drives the
     /// processor, interface, delivery, and collective phases).
     mbounds: Vec<usize>,
-    /// Reusable fabric-tick workspace.
-    scratch: FabricTickScratch,
     /// Reusable accumulators for the rebuilt running/draining lists.
     run_acc: Vec<usize>,
     drain_acc: Vec<usize>,

@@ -20,7 +20,7 @@ echo "== build (offline) =="
 cargo build --workspace --release --offline
 
 echo "== clippy (offline, warnings are errors) =="
-cargo clippy --workspace --release --offline -- -D warnings
+cargo clippy --workspace --release --offline --all-targets -- -D warnings
 
 echo "== rustdoc (offline, warnings are errors) =="
 # Catches doc links that dangle after a rename or removal.
@@ -109,9 +109,10 @@ run_torus_16x16 1 target/BENCH_loadgen_torus.serial.json
 run_torus_16x16 4 target/BENCH_loadgen_torus.par4.json
 cmp target/BENCH_loadgen_torus.serial.json target/BENCH_loadgen_torus.par4.json
 grep -q '"fabric": "torus"' target/BENCH_loadgen_torus.serial.json
-# Ring wrap links and fully-connected long-range links put most conflict
-# components across domains, so these two exports exercise the sharded
-# tick's boundary task and merge hardest.
+# Ring and fully-connected fabrics are the two channel layouts furthest from
+# the mesh's (four dateline-VC ports per node, one port per destination),
+# so these two exports check the sharded injection and ejection ranges and
+# their merge on both.
 run_topo_16x16() {
     TCNI_THREADS="$2" cargo run --release --offline -p tcni-bench --bin loadgen -- \
         --width 16 --height 16 --models opt-reg --topology "$1" \

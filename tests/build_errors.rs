@@ -350,8 +350,7 @@ fn a_contribution_outside_the_member_set_is_a_typed_error() {
         .expect("a partial member set is legal");
     let err = machine
         .coll_start(3, CollectiveOp::Barrier, 0)
-        .err()
-        .expect("node 3 is not a participant");
+        .expect_err("node 3 is not a participant");
     assert!(matches!(err, InjectError::NotParticipant(_)), "{err:?}");
     assert!(!err.is_retryable(), "futile to retry");
     assert_eq!(machine.collective_stats().unwrap().not_participant, 1);

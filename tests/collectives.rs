@@ -70,7 +70,7 @@ fn storm(machine: &mut Machine, op: CollectiveOp, rounds: u32) -> Vec<Vec<CollDo
         }
         if !open && fired < rounds {
             for (i, node) in nodes.iter_mut().enumerate() {
-                node.coll_request(op, (fired as u32) ^ (i as u32) << 3);
+                node.coll_request(op, fired ^ ((i as u32) << 3));
             }
             awaiting = nodes.len();
             open = true;

@@ -263,7 +263,10 @@ fn fault_accounting_is_distinct_from_bad_dest_in_the_export() {
 fn remote_read_machine(model: Model, mesh: bool, latency: u64, faulty_wrapper: bool) -> Machine {
     let mut b = MachineBuilder::new(2)
         .model(model)
-        .program(0, remote_read::requester(model, NodeId::new(1)))
+        .program(
+            0,
+            remote_read::requester(model, NodeId::new(0), NodeId::new(1)),
+        )
         .program(1, remote_read::server(model));
     b = if mesh {
         b.network_fabric(FabricConfig::new(2, 1))

@@ -22,7 +22,10 @@ const SECRET: u32 = 0xFEED_0042;
 fn build(model: Model, mesh: bool, latency: u64, skip: bool) -> Machine {
     let b = MachineBuilder::new(2)
         .model(model)
-        .program(0, remote_read::requester(model, NodeId::new(1)))
+        .program(
+            0,
+            remote_read::requester(model, NodeId::new(0), NodeId::new(1)),
+        )
         .program(1, remote_read::server(model));
     let mut machine = if mesh {
         b.network_fabric(FabricConfig::new(2, 1)).build()

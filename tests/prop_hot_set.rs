@@ -42,7 +42,10 @@ struct Config {
 fn build(cfg: &Config, dense: bool) -> Machine {
     let mut b = MachineBuilder::new(2)
         .model(cfg.model)
-        .program(0, remote_read::requester(cfg.model, NodeId::new(1)))
+        .program(
+            0,
+            remote_read::requester(cfg.model, NodeId::new(0), NodeId::new(1)),
+        )
         .program(1, remote_read::server(cfg.model));
     if cfg.e2e {
         b = b.delivery(DeliveryConfig {
@@ -184,8 +187,8 @@ fn build_par(cfg: &Config, trace_cap: Option<usize>, par_threads: usize) -> Mach
 /// Parallelism is an implementation detail: the sharded cycle must be
 /// bit-identical to the serial cycle at any worker count — same bytes on
 /// every observable surface, including the [`ScanStats`] effort meters
-/// (the domain-sliced frontier walk visits the same channel multiset as the
-/// serial scan). The sweep crosses the §4 models with both fabrics, E2E
+/// (the sharded cycle ticks the fabric through the same serial frontier
+/// walk). The sweep crosses the §4 models with both fabrics, E2E
 /// on/off, trace-only and trace+obs instrumentation, seeded fault
 /// schedules, and worker counts {1, 2, 3, 8}. Fault-wrapped meshes shard
 /// too (the per-node fault streams reproduce domain by domain); ineligible
@@ -374,7 +377,10 @@ fn store_fabric_axis() -> [TopologyKind; 5] {
 fn build_store(cfg: &StoreConfig, par: usize) -> Machine {
     let mut b = MachineBuilder::new(2)
         .model(cfg.model)
-        .program(0, remote_read::requester(cfg.model, NodeId::new(1)))
+        .program(
+            0,
+            remote_read::requester(cfg.model, NodeId::new(0), NodeId::new(1)),
+        )
         .program(1, remote_read::server(cfg.model))
         .topology(cfg.topo)
         .delivery(DeliveryConfig {

@@ -69,7 +69,10 @@ fn build(case: &Case, sub: Subsystems, par: usize, reference: bool) -> Machine {
     let model = case.model;
     let mut b = MachineBuilder::new(4)
         .model(model)
-        .program(0, remote_read::requester(model, NodeId::new(3)))
+        .program(
+            0,
+            remote_read::requester(model, NodeId::new(0), NodeId::new(3)),
+        )
         .program(3, remote_read::server(model))
         .network_fabric(FabricConfig::new(2, 2));
     if sub.e2e {

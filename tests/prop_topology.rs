@@ -155,7 +155,10 @@ const SECRET: u32 = 0xFEED_0042;
 fn build(cfg: &Config, dense: bool) -> Machine {
     let mut b = MachineBuilder::new(2)
         .model(cfg.model)
-        .program(0, remote_read::requester(cfg.model, NodeId::new(1)))
+        .program(
+            0,
+            remote_read::requester(cfg.model, NodeId::new(0), NodeId::new(1)),
+        )
         .program(1, remote_read::server(cfg.model))
         .topology(cfg.topo);
     if cfg.e2e {

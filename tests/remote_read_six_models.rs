@@ -4,6 +4,7 @@
 
 use tcni::core::NodeId;
 use tcni::eval::handlers::remote_read::{self, REMOTE_ADDR, RESULT_ADDR};
+use tcni::net::FabricConfig;
 use tcni::sim::{MachineBuilder, Model, RunOutcome};
 
 const SECRET: u32 = 0xFEED_0042;
@@ -11,7 +12,10 @@ const SECRET: u32 = 0xFEED_0042;
 fn run_model(model: Model) -> u64 {
     let mut machine = MachineBuilder::new(2)
         .model(model)
-        .program(0, remote_read::requester(model, NodeId::new(1)))
+        .program(
+            0,
+            remote_read::requester(model, NodeId::new(0), NodeId::new(1)),
+        )
         .program(1, remote_read::server(model))
         .network_ideal(1)
         .build();
@@ -32,6 +36,32 @@ fn run_model(model: Model) -> u64 {
 fn every_model_serves_a_remote_read() {
     for model in Model::ALL_SIX {
         run_model(model);
+    }
+}
+
+/// The reply word names the requester's own node, so a requester away from
+/// node 0 gets its reply too: node 2 of a 2×2 mesh reads from node 1.
+#[test]
+fn a_requester_off_node_0_receives_its_reply() {
+    for model in Model::ALL_SIX {
+        let mut machine = MachineBuilder::new(4)
+            .model(model)
+            .program(
+                2,
+                remote_read::requester(model, NodeId::new(2), NodeId::new(1)),
+            )
+            .program(1, remote_read::server(model))
+            .network_fabric(FabricConfig::new(2, 2))
+            .build();
+        machine.node_mut(1).mem_mut().poke(REMOTE_ADDR, SECRET);
+        let outcome = machine.run(10_000);
+        assert_eq!(outcome, RunOutcome::Quiescent, "{model}: {outcome:?}");
+        assert_eq!(
+            machine.node(2).mem().peek(RESULT_ADDR),
+            SECRET,
+            "{model}: the requester on node 2 must observe the remote value"
+        );
+        assert_eq!(machine.net_stats().delivered, 2, "{model}");
     }
 }
 
@@ -67,7 +97,10 @@ fn off_chip_latency_hurts_only_offchip_models() {
             let mut machine = MachineBuilder::new(2)
                 .model(*model)
                 .timing(t)
-                .program(0, remote_read::requester(*model, NodeId::new(1)))
+                .program(
+                    0,
+                    remote_read::requester(*model, NodeId::new(0), NodeId::new(1)),
+                )
                 .program(1, remote_read::server(*model))
                 .network_ideal(1)
                 .build();
