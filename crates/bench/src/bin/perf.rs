@@ -124,13 +124,7 @@ fn mesh_traffic(target: u64) -> u64 {
 /// quadratic in the node count, so the widest meshes run fabric-only). A
 /// 16×16 mesh runs the compact wire format, anything wider the wide one —
 /// the builder picks it, the injector follows via `machine.wire_format()`.
-fn large_mesh_low_load(
-    side: usize,
-    cycles: u64,
-    dense: bool,
-    delivery: bool,
-    par: usize,
-) -> Machine {
+fn large_mesh_low_load(side: usize, cycles: u64, dense: bool, delivery: bool) -> Machine {
     let mut b = MachineBuilder::new(side * side)
         .model(Model::ALL_SIX[0])
         .network_fabric(FabricConfig::new(side, side));
@@ -139,7 +133,7 @@ fn large_mesh_low_load(
     }
     let mut machine = b.build();
     machine.set_reference(dense);
-    machine.set_par_threads(par);
+    machine.set_par_threads(1);
     let mut config = InjectorConfig::new(
         Pattern::Uniform,
         Topology::new(side, side),
@@ -254,73 +248,35 @@ fn main() {
         reps,
         || mesh_traffic(mesh_target),
     ));
-    // The large-mesh low-load point, hot-set vs dense vs sharded: wall clock
+    // The large-mesh low-load point, hot-set vs dense: wall clock
     // in the measurement, scan-effort meters in the counters. `dense_cost`
     // is what a full scan would examine — cycles × (channels + flows) — so
-    // `scanned_channels + scanned_flows` vs `dense_cost` is the win. The
-    // `_parN` points run the identical workload with the cycle sharded
-    // across N workers (`Machine::set_par_threads`); bit-identity guarantees
-    // their counters match the serial hot-set point exactly, so the only
-    // delta is wall clock — compare their `value` against the serial point
-    // to read the speedup, and their `host_threads` metadata for how many
-    // cores the host could actually offer.
+    // `scanned_channels + scanned_flows` vs `dense_cost` is the win. Every
+    // point runs one worker: these driven machines run no processor past
+    // cycle 0, so the parallel processor step has nothing to split.
     // The wide-format points (64×64, 128×128) divide the cycle budget —
     // per-cycle injector work is O(n), so equal budgets would swamp the run.
     // They pin the scaling of the machine loop and mesh fabric past the
-    // compact format's 256-node ceiling; the `_e2e` pair additionally runs
+    // compact format's 256-node ceiling; the `_e2e` point additionally runs
     // the delivery protocol, whose sparse flow store keys state by active
     // (src, dst) pair — the `active_flows`/`peak_flows` counters record the
     // footprint that the retired dense tables would have pinned at 2·n².
-    for (name, side, dense, delivery, par, div) in [
+    for (name, side, dense, delivery, div) in [
         (
             "large_mesh/16x16_uniform5pm_hotset",
             16usize,
             false,
             true,
-            1usize,
             1u64,
         ),
-        ("large_mesh/16x16_uniform5pm_dense", 16, true, true, 1, 1),
-        (
-            "large_mesh/16x16_uniform5pm_hotset_par2",
-            16,
-            false,
-            true,
-            2,
-            1,
-        ),
-        (
-            "large_mesh/16x16_uniform5pm_hotset_par4",
-            16,
-            false,
-            true,
-            4,
-            1,
-        ),
-        ("large_mesh/64x64_uniform5pm_hotset", 64, false, false, 1, 5),
-        (
-            "large_mesh/64x64_uniform5pm_hotset_par4",
-            64,
-            false,
-            false,
-            4,
-            5,
-        ),
-        ("large_mesh/64x64_uniform5pm_e2e", 64, false, true, 1, 5),
-        (
-            "large_mesh/64x64_uniform5pm_e2e_par4",
-            64,
-            false,
-            true,
-            4,
-            5,
-        ),
+        ("large_mesh/16x16_uniform5pm_dense", 16, true, true, 1),
+        ("large_mesh/64x64_uniform5pm_hotset", 64, false, false, 5),
+        ("large_mesh/64x64_uniform5pm_e2e", 64, false, true, 5),
         (
             "large_mesh/128x128_uniform5pm_hotset",
             128,
             false,
             false,
-            1,
             20,
         ),
     ] {
@@ -332,14 +288,14 @@ fn main() {
             point_cycles as f64,
             warmup,
             point_reps,
-            || large_mesh_low_load(side, point_cycles, dense, delivery, par),
+            || large_mesh_low_load(side, point_cycles, dense, delivery),
         );
-        let machine = large_mesh_low_load(side, point_cycles, dense, delivery, par);
+        let machine = large_mesh_low_load(side, point_cycles, dense, delivery);
         let scan = machine.net_stats().scan;
         let n = (side * side) as u64;
         let flows = if delivery { n * n } else { 0 };
         let dense_cost = machine.cycle() * (n * 5 + flows);
-        meas.tcni_threads = par;
+        meas.tcni_threads = 1;
         meas.counters = vec![
             ("cycles".into(), machine.cycle()),
             ("scanned_channels".into(), scan.scanned_channels),

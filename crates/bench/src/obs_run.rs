@@ -24,15 +24,19 @@ fn off(addr: u32) -> i16 {
 }
 
 /// The per-node ring program: send `k` single-flit type-2 messages to
-/// `dest`, then dispatch-and-consume `k` incoming messages, then halt.
-fn ring_program(dest: NodeId, k: u32) -> Program {
+/// `dest`, addressed in the machine's wire `format`, then
+/// dispatch-and-consume `k` incoming messages, then halt. It runs on the
+/// optimized on-chip model (`Model::ALL_SIX[1]`), whose interface window
+/// it drives with loads and stores, and needs input queues deep enough for
+/// a node's whole incoming burst.
+pub fn ring_program(dest: NodeId, k: u32, format: WireFormat) -> Program {
     assert!(k > 0, "a ring node must send at least one message");
     let send_cmd = NiCmd::send(MsgType::new(2).expect("type 2"));
     let mut a = Assembler::new();
     a.li(Reg::R9, NI_WINDOW_BASE);
     a.li(Reg::R2, 0x4000);
     a.st(Reg::R2, Reg::R9, off(reg_addr(InterfaceReg::IpBase)));
-    a.li(Reg::R2, dest.into_word_bits(WireFormat::Compact) | 0x1);
+    a.li(Reg::R2, dest.into_word_bits(format) | 0x1);
     a.li(Reg::R6, k); // messages left to send
     a.li(Reg::R5, k); // messages left to receive
     a.label("send");
@@ -74,9 +78,10 @@ pub fn ring_machine(width: usize, height: usize, k: u32) -> Machine {
         .model(Model::ALL_SIX[1]) // optimized on-chip: window ld/st idiom
         .ni_queues((k as usize).max(16), 16)
         .network_fabric(FabricConfig::new(width, height));
+    let format = WireFormat::for_nodes(n).expect("a mesh fits the wide format");
     for i in 0..n {
         let dest = NodeId::from_index((i + 1) % n);
-        b = b.program(i, ring_program(dest, k));
+        b = b.program(i, ring_program(dest, k, format));
     }
     b.build()
 }

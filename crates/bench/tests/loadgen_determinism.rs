@@ -53,12 +53,11 @@ fn artifact_is_bit_identical_across_thread_counts_and_runs() {
     assert_ne!(serial, small_sweep(43));
 }
 
-/// Machine-level coverage of the sharded cycle on the driven path: a mesh
-/// point (with the delivery protocol, so the per-domain timeout pump runs
-/// too) must produce byte-equal [`PointStats`] at any worker count. The
-/// mesh fabric with several nodes is the configuration where
-/// `Machine::run_driven` actually shards its cycle; the loadgen artifact
-/// test above covers the same contract end-to-end at the artifact level.
+/// Machine-level coverage of the worker count on the driven path: a mesh
+/// point (with the delivery protocol, so the timeout pump runs too) must
+/// produce byte-equal [`PointStats`] at any worker count. The loadgen
+/// artifact test above covers the same contract end-to-end at the artifact
+/// level.
 ///
 /// [`PointStats`]: tcni_workload::PointStats
 #[test]

@@ -11,27 +11,18 @@
 //! `stride - 1` = eject, which for the mesh reproduces the historical
 //! inject/east/west/north/south/eject layout exactly.
 //!
-//! # One body per channel operation
-//!
-//! The fabric ticks serially: one walk over the active-channel frontier
-//! (or every slot, under the dense cross-check) calls the one head-of-line
-//! move, `move_head`. Injection and ejection are written once too, as
-//! `inject_at`, `peek_at` and `eject_at` over the channels of a node
-//! range, and serve both the serial fabric and a domain of the machine's
-//! sharded cycle. They report every side effect beyond the channels —
-//! frontier and eject-ready bits, [`NetStats`] counters, the in-flight
-//! count, per-link counters — as an `Fx` to a `Sink`. The fabric's
-//! `Ledger` applies each `Fx` in place; a domain's [`NetRange`] logs it
-//! instead, and the barrier replays the logs into the ledger in domain
-//! order. The bare-or-faulty choice of the sharded cycle lives in
-//! [`NetworkKind::split_ranges`](crate::NetworkKind::split_ranges).
+//! Each tick walks the active-channel frontier (or every slot, under the
+//! dense cross-check) in ascending slot order and attempts one head-of-line
+//! move per occupied movable channel. Injection, the move and ejection each
+//! keep the frontier and eject-ready bitmaps, the [`NetStats`] counters, the
+//! in-flight count and, when observed, the per-link counters up to date in
+//! place.
 
 use std::collections::VecDeque;
 use std::fmt;
 
 use tcni_core::{Message, NodeId};
 
-use crate::fault::{FaultTally, RangeGates};
 use crate::stats::NetStats;
 use crate::topology::{Hop, Topology, TopologyKind};
 use crate::{InjectError, Network};
@@ -143,14 +134,13 @@ struct Packet {
     moved_at: u64,
 }
 
-// Channel-layout arithmetic as free functions of the topology, so the
-// channel bodies that domain ranges run (which cannot hold `&self` while
-// the channel vector is split) use the fabric's exact layout. A node's
-// channels are `node * stride + role` with role 0 = inject, role `1 + p` =
-// topology port `p`, role `stride - 1` = eject. Frontier slots order the
-// movable roles ports-first, inject-last: `node * move_slots + rank` with
-// rank `p` for port `p` and rank `ports` for inject — for the mesh this is
-// exactly the historical east/west/north/south/inject move order.
+// Channel-layout arithmetic, shared by the channel operations, the
+// invariant check and the link report. A node's channels are
+// `node * stride + role` with role 0 = inject, role `1 + p` = topology port
+// `p`, role `stride - 1` = eject. Frontier slots order the movable roles
+// ports-first, inject-last: `node * move_slots + rank` with rank `p` for
+// port `p` and rank `ports` for inject — for the mesh this is exactly the
+// historical east/west/north/south/inject move order.
 
 const INJECT_ROLE: usize = 0;
 
@@ -184,6 +174,12 @@ fn cap_of_c(config: &FabricConfig, role: usize, stride: usize) -> usize {
 
 fn chan_of(node: usize, role: usize, stride: usize) -> usize {
     node * stride + role
+}
+
+/// The ejection channel of node `dst`.
+fn eject_chan(topo: &TopologyKind, dst: NodeId) -> usize {
+    let stride = topo.stride();
+    chan_of(dst.index(), stride - 1, stride)
 }
 
 /// The node, role and channel index of frontier slot `slot`.
@@ -223,244 +219,6 @@ fn clear_bit(words: &mut [u64], i: usize) {
     words[i / 64] &= !(1u64 << (i % 64));
 }
 
-/// One side effect of a channel operation, beyond the channels themselves.
-/// Channel, slot and node indices fit `u32` (at most 65 536 nodes).
-#[derive(Debug, Clone, Copy)]
-enum Fx {
-    /// The head of channel `.0` could not move: its next buffer is full.
-    Blocked(u32),
-    /// Frontier slot `.0`'s channel emptied.
-    Emptied(u32),
-    /// Frontier slot `.0`'s channel became occupied.
-    Activated(u32),
-    /// Node `.0`'s ejection channel became occupied.
-    EjectReady(u32),
-    /// Channel `chan` holds `depth` packets after a push.
-    Pushed { chan: u32, depth: u32 },
-    /// An injection named a destination outside the fabric.
-    BadDest,
-    /// An injection found its entry buffer full.
-    Refused,
-    /// A packet entered the fabric.
-    Injected,
-    /// A packet left node `node`'s ejection channel after `latency` cycles
-    /// in the fabric; `emptied` when it was the last one there.
-    Ejected {
-        node: u32,
-        emptied: bool,
-        latency: u64,
-    },
-}
-
-/// Where channel operations send their [`Fx`]: the fabric's [`Ledger`]
-/// applies each in place; a buffered sink logs it for the ledger to apply
-/// at the barrier.
-trait Sink {
-    fn put(&mut self, fx: Fx);
-}
-
-/// A domain range's log. Per-link counters are off whenever the fabric is
-/// split, so pushes are not logged.
-impl Sink for Vec<Fx> {
-    fn put(&mut self, fx: Fx) {
-        if !matches!(fx, Fx::Pushed { .. }) {
-            self.push(fx);
-        }
-    }
-}
-
-/// The one head-of-line move attempt, for frontier slot `slot`: the
-/// frontier walk and the dense cross-check both call it. Packets stamped
-/// `moved_at == now` have already hopped this cycle.
-fn move_head(
-    cfg: &FabricConfig,
-    now: u64,
-    chans: &mut [VecDeque<Packet>],
-    slot: usize,
-    ledger: &mut Ledger,
-) {
-    let topo = cfg.topo;
-    let stride = topo.stride();
-    let (node, role, src) = slot_chan(&topo, slot);
-    // Only the dense scan visits empty channels; the frontier guarantees
-    // occupancy.
-    let Some(head) = chans[src].front() else {
-        return;
-    };
-    if head.moved_at >= now {
-        return;
-    }
-    let (loc, tgt_role, tgt) = next_hop(&topo, node, role, head.msg.dest().index());
-    if chans[tgt].len() >= cap_of_c(cfg, tgt_role, stride) {
-        ledger.put(Fx::Blocked(src as u32));
-        return;
-    }
-    let mut p = chans[src].pop_front().expect("head checked");
-    p.moved_at = now;
-    if chans[src].is_empty() {
-        ledger.put(Fx::Emptied(slot as u32));
-    }
-    let q = &mut chans[tgt];
-    q.push_back(p);
-    let depth = q.len();
-    if depth == 1 {
-        ledger.put(if tgt_role == stride - 1 {
-            Fx::EjectReady(loc as u32)
-        } else {
-            Fx::Activated((loc * topo.move_slots() + rank_of_role(tgt_role, topo.ports())) as u32)
-        });
-    }
-    ledger.put(Fx::Pushed {
-        chan: tgt as u32,
-        depth: depth as u32,
-    });
-}
-
-/// The one injection body, over the channels `chans` of nodes `lo..`
-/// (`lo == 0` and every channel for the serial fabric).
-fn inject_at(
-    cfg: &FabricConfig,
-    now: u64,
-    chans: &mut [VecDeque<Packet>],
-    lo: usize,
-    src: NodeId,
-    msg: Message,
-    sink: &mut impl Sink,
-) -> Result<(), InjectError> {
-    let topo = cfg.topo;
-    if msg.dest().index() >= topo.nodes() {
-        sink.put(Fx::BadDest);
-        return Err(InjectError::BadDest(msg));
-    }
-    let stride = topo.stride();
-    let node = src.index();
-    let q = &mut chans[chan_of(node - lo, INJECT_ROLE, stride)];
-    if q.len() >= cfg.inject_capacity {
-        sink.put(Fx::Refused);
-        return Err(InjectError::Refused(msg));
-    }
-    q.push_back(Packet {
-        msg,
-        injected_at: now,
-        moved_at: now,
-    });
-    let depth = q.len();
-    if depth == 1 {
-        let slot = node * topo.move_slots() + rank_of_role(INJECT_ROLE, topo.ports());
-        sink.put(Fx::Activated(slot as u32));
-    }
-    sink.put(Fx::Injected);
-    sink.put(Fx::Pushed {
-        chan: chan_of(node, INJECT_ROLE, stride) as u32,
-        depth: depth as u32,
-    });
-    Ok(())
-}
-
-/// The ejection channel of `dst` within the channels of nodes `lo..`.
-fn eject_chan(topo: &TopologyKind, lo: usize, dst: NodeId) -> usize {
-    let stride = topo.stride();
-    chan_of(dst.index() - lo, stride - 1, stride)
-}
-
-/// The one peek body, over the channels of nodes `lo..`.
-fn peek_at<'c>(
-    cfg: &FabricConfig,
-    chans: &'c [VecDeque<Packet>],
-    lo: usize,
-    dst: NodeId,
-) -> Option<&'c Message> {
-    chans[eject_chan(&cfg.topo, lo, dst)]
-        .front()
-        .map(|p| &p.msg)
-}
-
-/// The one ejection body, over the channels of nodes `lo..`.
-fn eject_at(
-    cfg: &FabricConfig,
-    now: u64,
-    chans: &mut [VecDeque<Packet>],
-    lo: usize,
-    dst: NodeId,
-    sink: &mut impl Sink,
-) -> Option<Message> {
-    let q = &mut chans[eject_chan(&cfg.topo, lo, dst)];
-    let p = q.pop_front()?;
-    sink.put(Fx::Ejected {
-        node: dst.index() as u32,
-        emptied: q.is_empty(),
-        latency: now - p.injected_at,
-    });
-    Some(p.msg)
-}
-
-/// The fabric's bookkeeping beside its channels. As a [`Sink`] it applies
-/// every [`Fx`] in place: directly for the serial fabric, and on replay of
-/// a buffered log for the sharded one.
-struct Ledger {
-    in_flight: usize,
-    stats: NetStats,
-    /// Whether per-link counters are maintained (off by default: the
-    /// per-hop updates, while cheap, are not free — see
-    /// [`set_observe`](Fabric::set_observe)).
-    observe: bool,
-    links: Vec<LinkStats>,
-    /// The active-channel frontier: bit `node * move_slots + rank` is set
-    /// iff that movable channel is non-empty. Maintained incrementally on
-    /// inject and on every head-of-line move (eject channels are untracked —
-    /// they drain via `eject`, not `tick`). Invariant: in hot-set mode,
-    /// `tick` visits exactly the set bits, in ascending slot order.
-    active: Vec<u64>,
-    /// The eject-ready set: bit `node` is set iff that node's ejection
-    /// channel is non-empty. Set where a packet enters an ejection channel
-    /// (a head-of-line move), cleared where `eject` empties it, so the
-    /// ejection phase visits only these nodes instead of every node.
-    eject_ready: Vec<u64>,
-}
-
-impl Sink for Ledger {
-    // Always inlined: every call site passes a constant variant, so the
-    // match folds away and the serial bodies keep their direct updates.
-    #[inline(always)]
-    fn put(&mut self, fx: Fx) {
-        match fx {
-            Fx::Blocked(src) => {
-                self.stats.blocked_hops += 1;
-                if self.observe {
-                    self.links[src as usize].blocked += 1;
-                }
-            }
-            Fx::Emptied(slot) => clear_bit(&mut self.active, slot as usize),
-            Fx::Activated(slot) => set_bit(&mut self.active, slot as usize),
-            Fx::EjectReady(node) => set_bit(&mut self.eject_ready, node as usize),
-            Fx::Pushed { chan, depth } => {
-                if self.observe {
-                    let link = &mut self.links[chan as usize];
-                    link.hwm = link.hwm.max(depth as usize);
-                }
-            }
-            Fx::BadDest => self.stats.bad_dest += 1,
-            Fx::Refused => self.stats.inject_refusals += 1,
-            Fx::Injected => {
-                self.in_flight += 1;
-                self.stats.injected += 1;
-                self.stats.in_flight_hwm = self.stats.in_flight_hwm.max(self.in_flight);
-            }
-            Fx::Ejected {
-                node,
-                emptied,
-                latency,
-            } => {
-                if emptied {
-                    clear_bit(&mut self.eject_ready, node as usize);
-                }
-                self.in_flight -= 1;
-                self.stats.record_delivery(latency);
-            }
-        }
-    }
-}
-
 /// A switched network over a [`TopologyKind`]: deterministic per-hop
 /// routing, one packet per link per cycle, finite per-channel FIFOs, and
 /// backpressure that propagates from a stalled receiver all the way to
@@ -488,7 +246,24 @@ pub struct Fabric {
     config: FabricConfig,
     chans: Vec<VecDeque<Packet>>,
     now: u64,
-    ledger: Ledger,
+    in_flight: usize,
+    stats: NetStats,
+    /// Whether per-link counters are maintained (off by default: the
+    /// per-hop updates, while cheap, are not free — see
+    /// [`set_observe`](Fabric::set_observe)).
+    observe: bool,
+    links: Vec<LinkStats>,
+    /// The active-channel frontier: bit `node * move_slots + rank` is set
+    /// iff that movable channel is non-empty. Maintained incrementally on
+    /// inject and on every head-of-line move (eject channels are untracked —
+    /// they drain via `eject`, not `tick`). Invariant: in hot-set mode,
+    /// `tick` visits exactly the set bits, in ascending slot order.
+    active: Vec<u64>,
+    /// The eject-ready set: bit `node` is set iff that node's ejection
+    /// channel is non-empty. Set where a packet enters an ejection channel
+    /// (a head-of-line move), cleared where `eject` empties it, so the
+    /// ejection phase visits only these nodes instead of every node.
+    eject_ready: Vec<u64>,
     /// Cross-check mode: `tick` scans every slot the way the pre-frontier
     /// code did (the frontier is still maintained, just not consulted).
     /// Behaviour is bit-identical either way; only the scan counters differ.
@@ -536,14 +311,12 @@ impl Fabric {
                 .map(|i| VecDeque::with_capacity(cap(i)))
                 .collect(),
             now: 0,
-            ledger: Ledger {
-                in_flight: 0,
-                stats: NetStats::default(),
-                observe: false,
-                links: Vec::new(),
-                active: vec![0; (n * config.topo.move_slots()).div_ceil(64)],
-                eject_ready: vec![0; n.div_ceil(64)],
-            },
+            in_flight: 0,
+            stats: NetStats::default(),
+            observe: false,
+            links: Vec::new(),
+            active: vec![0; (n * config.topo.move_slots()).div_ceil(64)],
+            eject_ready: vec![0; n.div_ceil(64)],
             dense_scan: false,
         })
     }
@@ -564,15 +337,14 @@ impl Fabric {
     pub fn check_invariants(&self) -> Result<(), String> {
         let topo = self.config.topo;
         let stride = topo.stride();
-        let ledger = &self.ledger;
         let mut held = 0;
         for (i, q) in self.chans.iter().enumerate() {
             let (node, role) = (i / stride, i % stride);
             let marked = if role == stride - 1 {
-                bit(&ledger.eject_ready, node)
+                bit(&self.eject_ready, node)
             } else {
                 bit(
-                    &ledger.active,
+                    &self.active,
                     node * topo.move_slots() + rank_of_role(role, topo.ports()),
                 )
             };
@@ -595,11 +367,11 @@ impl Fabric {
             }
             held += q.len();
         }
-        let s = &ledger.stats;
-        if held != ledger.in_flight || s.injected != s.delivered + held as u64 {
+        let s = &self.stats;
+        if held != self.in_flight || s.injected != s.delivered + held as u64 {
             return Err(format!(
                 "in_flight={} but the channels hold {held}; injected={}, delivered={}",
-                ledger.in_flight, s.injected, s.delivered
+                self.in_flight, s.injected, s.delivered
             ));
         }
         Ok(())
@@ -629,23 +401,22 @@ impl Fabric {
     /// are unchanged either way. Enabling mid-run starts the per-link
     /// counters from zero; disabling keeps the counts gathered so far.
     pub fn set_observe(&mut self, on: bool) {
-        if on && self.ledger.links.is_empty() {
-            self.ledger.links = vec![LinkStats::default(); self.chans.len()];
+        if on && self.links.is_empty() {
+            self.links = vec![LinkStats::default(); self.chans.len()];
         }
-        self.ledger.observe = on;
+        self.observe = on;
     }
 
     /// Whether per-link counters are being maintained.
     pub fn observe(&self) -> bool {
-        self.ledger.observe
+        self.observe
     }
 
     /// A snapshot of every channel's counters, in `(node, role)` order.
     /// Empty unless [`set_observe`](Fabric::set_observe) has been called.
     pub fn link_stats(&self) -> Vec<LinkReport> {
         let stride = self.config.topo.stride();
-        self.ledger
-            .links
+        self.links
             .iter()
             .enumerate()
             .map(|(i, &stats)| {
@@ -670,50 +441,53 @@ impl Fabric {
         self.config
     }
 
-    /// Splits the fabric into one [`NetRange`] per domain of `bounds`
-    /// (see [`NetworkKind::split_ranges`](crate::NetworkKind::split_ranges)),
-    /// behind `gates`, one per domain, when a fault layer wraps it.
-    pub(crate) fn split_ranges<'a>(
-        &'a mut self,
-        bounds: &[usize],
-        gates: Vec<RangeGates<'a>>,
-    ) -> Vec<NetRange<'a>> {
-        debug_assert!(!self.ledger.observe, "ranges do not keep link counters");
-        debug_assert_eq!(bounds[0], 0);
-        debug_assert_eq!(*bounds.last().expect("non-empty bounds"), self.node_count());
-        let stride = self.config.topo.stride();
-        let (cfg, now) = (self.config, self.now);
-        let eject_ready: &[u64] = &self.ledger.eject_ready;
-        let mut chans: &mut [VecDeque<Packet>] = self.chans.as_mut_slice();
-        let mut gates = gates.into_iter();
-        bounds
-            .windows(2)
-            .map(|w| {
-                let (head, tail) = std::mem::take(&mut chans).split_at_mut((w[1] - w[0]) * stride);
-                chans = tail;
-                NetRange {
-                    cfg,
-                    now,
-                    lo: w[0],
-                    chans: head,
-                    eject_ready,
-                    gates: gates.next(),
-                    log: Vec::new(),
-                }
-            })
-            .collect()
+    /// The one head-of-line move attempt, for frontier slot `slot`: the
+    /// frontier walk and the dense cross-check both call it. Packets stamped
+    /// `moved_at == now` have already hopped this cycle.
+    fn move_head(&mut self, slot: usize) {
+        let topo = self.config.topo;
+        let stride = topo.stride();
+        let (node, role, src) = slot_chan(&topo, slot);
+        // Only the dense scan visits empty channels; the frontier guarantees
+        // occupancy.
+        let Some(head) = self.chans[src].front() else {
+            return;
+        };
+        if head.moved_at >= self.now {
+            return;
+        }
+        let (loc, tgt_role, tgt) = next_hop(&topo, node, role, head.msg.dest().index());
+        if self.chans[tgt].len() >= cap_of_c(&self.config, tgt_role, stride) {
+            self.stats.blocked_hops += 1;
+            if self.observe {
+                self.links[src].blocked += 1;
+            }
+            return;
+        }
+        let mut p = self.chans[src].pop_front().expect("head checked");
+        p.moved_at = self.now;
+        if self.chans[src].is_empty() {
+            clear_bit(&mut self.active, slot);
+        }
+        self.chans[tgt].push_back(p);
+        if self.chans[tgt].len() == 1 {
+            if tgt_role == stride - 1 {
+                set_bit(&mut self.eject_ready, loc);
+            } else {
+                let rank = rank_of_role(tgt_role, topo.ports());
+                set_bit(&mut self.active, loc * topo.move_slots() + rank);
+            }
+        }
+        self.note_push(tgt);
     }
 
-    /// Replays range logs into the fabric, in domain order — the same
-    /// effects, in the same order, as the serial ascending-node walk — and
-    /// returns the ranges' summed fault tallies.
-    pub(crate) fn absorb(&mut self, deltas: impl IntoIterator<Item = NetRangeDelta>) -> FaultTally {
-        let mut faults = FaultTally::default();
-        for d in deltas {
-            d.log.into_iter().for_each(|fx| self.ledger.put(fx));
-            faults.add(d.faults);
+    /// Raises channel `chan`'s occupancy high-water mark after a push, when
+    /// per-link counters are on.
+    fn note_push(&mut self, chan: usize) {
+        if self.observe {
+            let link = &mut self.links[chan];
+            link.hwm = link.hwm.max(self.chans[chan].len());
         }
-        faults
     }
 }
 
@@ -738,125 +512,55 @@ fn next_set(words: &[u64], from: usize, to: usize) -> Option<usize> {
     }
 }
 
-/// Exclusive injection/ejection access to one spatial domain of a switched
-/// fabric, bare or fault-wrapped, produced by
-/// [`NetworkKind::split_ranges`](crate::NetworkKind::split_ranges). Its
-/// entry points run the same bodies as the serial [`Network`] ones — the
-/// fabric's inject/peek/eject and, behind a fault layer, the same stall
-/// gates and per-node fault draws — logging every shared effect for
-/// [`NetworkKind::absorb`](crate::NetworkKind::absorb).
-pub struct NetRange<'a> {
-    cfg: FabricConfig,
-    now: u64,
-    lo: usize,
-    chans: &'a mut [VecDeque<Packet>],
-    /// The whole fabric's eject-ready set, read-only while the fabric is
-    /// split; clears are logged.
-    eject_ready: &'a [u64],
-    gates: Option<RangeGates<'a>>,
-    log: Vec<Fx>,
-}
-
-impl NetRange<'_> {
-    /// Number of nodes attached to the whole fabric (not just this range) —
-    /// the destination validity domain, as in [`Network::node_count`].
-    pub fn node_count(&self) -> usize {
-        self.cfg.topo.nodes()
-    }
-
-    /// Offers a message for injection at `src` (a node of this range), as
-    /// [`Network::inject`] does.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Network::inject`]: `Refused` on a stalled port or a
-    /// full entry buffer, `BadDest` for a destination outside the fabric.
-    pub fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
-        let (cfg, now, lo) = (&self.cfg, self.now, self.lo);
-        let (chans, log) = (&mut *self.chans, &mut self.log);
-        let mut base = |s, m| inject_at(cfg, now, chans, lo, s, m, log);
-        match &mut self.gates {
-            Some(g) => g.inject(src, msg, base),
-            None => base(src, msg),
-        }
-    }
-
-    /// The message ready for delivery at `dst` this cycle, if any, as
-    /// [`Network::peek_eject`] reports it.
-    pub fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
-        self.eject_open(dst)
-            .then(|| peek_at(&self.cfg, self.chans, self.lo, dst))
-            .flatten()
-    }
-
-    /// Removes and returns the message ready at `dst`, as
-    /// [`Network::eject`] does.
-    pub fn eject(&mut self, dst: NodeId) -> Option<Message> {
-        self.eject_open(dst)
-            .then(|| eject_at(&self.cfg, self.now, self.chans, self.lo, dst, &mut self.log))
-            .flatten()
-    }
-
-    /// The first node in `from..to` (nodes of this range) whose ejection
-    /// channel was non-empty when the fabric was split; identical semantics
-    /// to [`Network::next_eject_ready`] for nodes this range has not yet
-    /// drained (a stalled eject port still hides the message from
-    /// [`peek_eject`](Self::peek_eject)).
-    pub fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
-        next_set(self.eject_ready, from, to)
-    }
-
-    /// Consumes the range, releasing its borrows and yielding the logged
-    /// effects for [`NetworkKind::absorb`](crate::NetworkKind::absorb).
-    pub fn into_delta(self) -> NetRangeDelta {
-        NetRangeDelta {
-            log: self.log,
-            faults: self.gates.map(|g| g.tally).unwrap_or_default(),
-        }
-    }
-
-    fn eject_open(&self, dst: NodeId) -> bool {
-        self.gates.as_ref().is_none_or(|g| g.eject_open(dst))
-    }
-}
-
-/// One [`NetRange`]'s logged effects; opaque to callers, who hand them back
-/// to [`NetworkKind::absorb`](crate::NetworkKind::absorb).
-pub struct NetRangeDelta {
-    log: Vec<Fx>,
-    faults: FaultTally,
-}
-
 impl Network for Fabric {
     fn node_count(&self) -> usize {
         self.config.topo.nodes()
     }
 
     fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
-        inject_at(
-            &self.config,
-            self.now,
-            &mut self.chans,
-            0,
-            src,
+        let topo = self.config.topo;
+        if msg.dest().index() >= topo.nodes() {
+            self.stats.bad_dest += 1;
+            return Err(InjectError::BadDest(msg));
+        }
+        let node = src.index();
+        let chan = chan_of(node, INJECT_ROLE, topo.stride());
+        let q = &mut self.chans[chan];
+        if q.len() >= self.config.inject_capacity {
+            self.stats.inject_refusals += 1;
+            return Err(InjectError::Refused(msg));
+        }
+        q.push_back(Packet {
             msg,
-            &mut self.ledger,
-        )
+            injected_at: self.now,
+            moved_at: self.now,
+        });
+        if q.len() == 1 {
+            let rank = rank_of_role(INJECT_ROLE, topo.ports());
+            set_bit(&mut self.active, node * topo.move_slots() + rank);
+        }
+        self.in_flight += 1;
+        self.stats.injected += 1;
+        self.stats.in_flight_hwm = self.stats.in_flight_hwm.max(self.in_flight);
+        self.note_push(chan);
+        Ok(())
     }
 
     fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
-        peek_at(&self.config, &self.chans, 0, dst)
+        self.chans[eject_chan(&self.config.topo, dst)]
+            .front()
+            .map(|p| &p.msg)
     }
 
     fn eject(&mut self, dst: NodeId) -> Option<Message> {
-        eject_at(
-            &self.config,
-            self.now,
-            &mut self.chans,
-            0,
-            dst,
-            &mut self.ledger,
-        )
+        let q = &mut self.chans[eject_chan(&self.config.topo, dst)];
+        let p = q.pop_front()?;
+        if q.is_empty() {
+            clear_bit(&mut self.eject_ready, dst.index());
+        }
+        self.in_flight -= 1;
+        self.stats.record_delivery(self.now - p.injected_at);
+        Some(p.msg)
     }
 
     fn tick(&mut self) {
@@ -864,22 +568,14 @@ impl Network for Fabric {
         // An empty fabric has nothing to move; returning here keeps the
         // scan counters identical between the naive loop and the quiescence
         // fast-forward (which never ticks an empty fabric).
-        if self.ledger.in_flight == 0 {
+        if self.in_flight == 0 {
             return;
         }
         let slots = self.node_count() * self.config.topo.move_slots();
-        let Fabric {
-            config,
-            chans,
-            now,
-            ledger,
-            dense_scan,
-        } = self;
-        let chans = chans.as_mut_slice();
         let mut visited = 0;
-        if *dense_scan {
+        if self.dense_scan {
             for slot in 0..slots {
-                move_head(config, *now, chans, slot, ledger);
+                self.move_head(slot);
             }
             visited = slots;
         } else {
@@ -890,32 +586,32 @@ impl Network for Fabric {
             // this cycle exactly as the dense scan would — while moves into
             // already-passed slots stay unvisited until next cycle, again
             // exactly like the dense scan.
-            for w in 0..ledger.active.len() {
-                let mut bits = ledger.active[w];
+            for w in 0..self.active.len() {
+                let mut bits = self.active[w];
                 while bits != 0 {
                     let b = bits.trailing_zeros();
-                    move_head(config, *now, chans, w * 64 + b as usize, ledger);
+                    self.move_head(w * 64 + b as usize);
                     visited += 1;
-                    bits = ledger.active[w] & ((!0u64 << b) << 1);
+                    bits = self.active[w] & ((!0u64 << b) << 1);
                 }
             }
         }
-        ledger.stats.scan.scanned_channels += visited as u64;
-        ledger.stats.scan.skipped_work += (slots - visited) as u64;
+        self.stats.scan.scanned_channels += visited as u64;
+        self.stats.scan.skipped_work += (slots - visited) as u64;
     }
 
     fn in_flight(&self) -> usize {
-        self.ledger.in_flight
+        self.in_flight
     }
 
     fn stats(&self) -> NetStats {
-        self.ledger.stats
+        self.stats
     }
 
     /// The first node in `from..to` whose ejection channel is non-empty
     /// (the eject-ready set).
     fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
-        next_set(&self.ledger.eject_ready, from, to)
+        next_set(&self.eject_ready, from, to)
     }
 }
 
@@ -1228,101 +924,6 @@ mod tests {
         }
     }
 
-    /// The per-domain inject/eject ranges plus delta absorption must match
-    /// the serial `Network` entry points byte for byte.
-    #[test]
-    fn node_ranges_match_serial_inject_and_eject() {
-        let drive = |split: bool| -> (Vec<(u16, u32)>, NetStats) {
-            let mut net = Fabric::new(FabricConfig::new(3, 2));
-            let n = net.node_count();
-            let bounds = [0usize, 2, 4, n];
-            let mut got = Vec::new();
-            let mut x = 0x0dd0_beef_1234_5678u64;
-            for step in 0..400u32 {
-                // Injection phase: every node offers one message; node 5
-                // sometimes offers one with an invalid destination.
-                if split {
-                    let mut ranges = net.split_ranges(&bounds, Vec::new());
-                    for (d, range) in ranges.iter_mut().enumerate() {
-                        for node in bounds[d]..bounds[d + 1] {
-                            x = x
-                                .wrapping_mul(6364136223846793005)
-                                .wrapping_add(1442695040888963407);
-                            // Hot-spot node 0 half the time so backpressure
-                            // reaches the injectors and refusals happen.
-                            let dst = if x & 1 == 0 {
-                                0
-                            } else {
-                                ((x >> 23) % (n as u64 + 1)) as u16
-                            };
-                            let _ = range.inject(NodeId::new(node as u16), msg(dst, step));
-                        }
-                    }
-                    let deltas: Vec<NetRangeDelta> =
-                        ranges.into_iter().map(NetRange::into_delta).collect();
-                    net.absorb(deltas);
-                } else {
-                    for node in 0..n {
-                        x = x
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        let dst = if x & 1 == 0 {
-                            0
-                        } else {
-                            ((x >> 23) % (n as u64 + 1)) as u16
-                        };
-                        let _ = net.inject(NodeId::new(node as u16), msg(dst, step));
-                    }
-                }
-                net.check_invariants().unwrap();
-                net.tick();
-                net.check_invariants().unwrap();
-                // Ejection phase: drain every eject-ready node,
-                // intermittently, so the hot-spot eject buffer backs up in
-                // between.
-                if step % 5 == 0 {
-                    if split {
-                        let mut ranges = net.split_ranges(&bounds, Vec::new());
-                        for (d, range) in ranges.iter_mut().enumerate() {
-                            let mut from = bounds[d];
-                            while let Some(node) = range.next_eject_ready(from, bounds[d + 1]) {
-                                from = node + 1;
-                                while range.peek_eject(NodeId::new(node as u16)).is_some() {
-                                    let m = range.eject(NodeId::new(node as u16)).unwrap();
-                                    got.push((node as u16, m.words[1]));
-                                }
-                            }
-                        }
-                        let deltas: Vec<NetRangeDelta> =
-                            ranges.into_iter().map(NetRange::into_delta).collect();
-                        net.absorb(deltas);
-                    } else {
-                        for node in 0..n {
-                            while net.peek_eject(NodeId::new(node as u16)).is_some() {
-                                let m = net.eject(NodeId::new(node as u16)).unwrap();
-                                got.push((node as u16, m.words[1]));
-                            }
-                        }
-                    }
-                    net.check_invariants().unwrap();
-                }
-            }
-            (got, net.stats())
-        };
-        let (serial, serial_stats) = drive(false);
-        let (split, split_stats) = drive(true);
-        assert_eq!(serial, split, "delivery stream");
-        assert_eq!(
-            serial_stats, split_stats,
-            "stats (hwm, bad_dest, refusals included)"
-        );
-        assert!(split_stats.bad_dest > 0, "the sweep exercised BadDest");
-        assert!(
-            split_stats.inject_refusals > 0,
-            "the sweep exercised Refused"
-        );
-    }
-
     /// Ticks of an empty fabric cost (and count) nothing — the property
     /// that keeps scan counters identical under the quiescence fast-forward.
     #[test]
@@ -1380,18 +981,18 @@ mod tests {
         assert!(Fabric::try_new(FabricConfig::new(2, 2)).is_ok());
     }
 
-    /// `check_invariants` notices a ledger that disagrees with its channels.
+    /// `check_invariants` notices bookkeeping that disagrees with its channels.
     #[test]
     fn invariant_check_catches_a_drifted_ledger() {
         let mut net = Fabric::new(FabricConfig::new(2, 2));
         net.inject(NodeId::new(0), msg(3, 1)).unwrap();
         net.check_invariants().unwrap();
-        net.ledger.in_flight += 1;
+        net.in_flight += 1;
         assert!(net.check_invariants().unwrap_err().contains("in_flight"));
-        net.ledger.in_flight -= 1;
-        net.ledger.stats.injected += 1;
+        net.in_flight -= 1;
+        net.stats.injected += 1;
         assert!(net.check_invariants().unwrap_err().contains("injected"));
-        net.ledger.stats.injected -= 1;
+        net.stats.injected -= 1;
         net.chans[0].front_mut().unwrap().moved_at = 5;
         assert!(net.check_invariants().unwrap_err().contains("moved at"));
     }

@@ -21,12 +21,7 @@
 //! stall schedule — so a schedule is a pure function of the seed and each
 //! node's own call sequence: two same-seed runs fault identically, and the
 //! draws of one node never depend on how much traffic *other* nodes
-//! offered. That independence is what lets the machine simulator shard a
-//! fault-wrapped fabric across worker threads (each domain's
-//! [`NetRange`](crate::NetRange) carries the fault gates of its nodes) and
-//! still reproduce the serial schedule bit for bit. The inject and eject
-//! gates are written once, on `Gates`, for the serial wrapper and for a
-//! domain's range alike. All rates are per-mille; a zero-rate wrapper is an
+//! offered. All rates are per-mille; a zero-rate wrapper is an
 //! observably exact pass-through (tested below), which is what lets the
 //! fault-free paper models stay bit-identical.
 
@@ -34,7 +29,7 @@ use tcni_check::Rng;
 use tcni_core::{Message, NodeId, MSG_WORDS};
 
 use crate::stats::NetStats;
-use crate::{Fabric, InjectError, Network, NetworkKind};
+use crate::{FaultCounters, InjectError, Network, NetworkKind};
 
 /// Per-mille fault rates plus the schedule seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,130 +98,27 @@ fn stream_seed(seed: u64, i: usize) -> u64 {
     seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// The fault tallies one port state keeps: the schedule's counters, plus
-/// the injections a stalled port refused (folded into
-/// `NetStats::inject_refusals`: a stall is a retryable refusal).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FaultTally {
-    counters: crate::FaultCounters,
-    stall_refusals: u64,
-}
-
-impl FaultTally {
-    pub(crate) fn add(&mut self, other: FaultTally) {
-        let (c, o) = (&mut self.counters, other.counters);
-        c.dropped += o.dropped;
-        c.duplicated += o.duplicated;
-        c.corrupted += o.corrupted;
-        c.stalls += o.stalls;
-        self.stall_refusals += other.stall_refusals;
-    }
-}
-
-/// The fault layer's gates over the ports of nodes `lo..`: the per-message
-/// fault streams `msg_rng`, the stall tables, and the tallies the gates
-/// keep. [`FaultyFabric`] owns one over every node (`Vec`s); the sharded
-/// cycle hands each domain one that borrows its nodes' streams exclusively
-/// and the whole stall tables read-only (the stall schedule only advances
-/// at the tick barrier). The inject and eject gates are written once, here,
-/// for both.
-pub(crate) struct Gates<R, S> {
-    config: FaultConfig,
-    now: u64,
-    lo: usize,
-    msg_rng: R,
-    inject_stall: S,
-    eject_stall: S,
-    pub(crate) tally: FaultTally,
-}
-
-/// A domain's gates in the sharded cycle.
-pub(crate) type RangeGates<'a> = Gates<&'a mut [Rng], &'a [u64]>;
-
-impl<R: AsMut<[Rng]>, S: AsRef<[u64]>> Gates<R, S> {
-    /// The inject gate. A stalled port refuses. Otherwise the message takes
-    /// its fault draws (drop → corrupt → duplicate, fixed order) from the
-    /// source node's private stream, and `base` carries the
-    /// possibly-corrupted wire copy into the base fabric.
-    pub(crate) fn inject(
-        &mut self,
-        src: NodeId,
-        msg: Message,
-        mut base: impl FnMut(NodeId, Message) -> Result<(), InjectError>,
-    ) -> Result<(), InjectError> {
-        let inject_stall = self.inject_stall.as_ref();
-        if self.now < inject_stall[src.index()] {
-            self.tally.stall_refusals += 1;
-            return Err(InjectError::Refused(msg));
-        }
-        // Nonexistent destinations keep the base fabric's accounting:
-        // `bad_dest` rejections are handed back, never faulted away.
-        if msg.dest().index() >= inject_stall.len() {
-            return base(src, msg);
-        }
-        let (rng, config) = (
-            &mut self.msg_rng.as_mut()[src.index() - self.lo],
-            &self.config,
-        );
-        let counters = &mut self.tally.counters;
-        let drop = hit(rng, config.drop_pm);
-        let corrupt = hit(rng, config.corrupt_pm);
-        let duplicate = hit(rng, config.duplicate_pm);
-        if drop {
-            // Accepted, then lost at the entry link. The sender's view is a
-            // successful send; only `faults.dropped` knows better.
-            counters.dropped += 1;
-            return Ok(());
-        }
-        let mut wire = msg;
-        if corrupt {
-            let word = 1 + rng.index(MSG_WORDS - 1);
-            let bit = rng.below(32) as u32;
-            wire.words[word] ^= 1 << bit;
-        }
-        match base(src, wire) {
-            Ok(()) => {
-                if corrupt {
-                    counters.corrupted += 1;
-                }
-                if duplicate {
-                    // A second copy rides right behind; losing it to a full
-                    // entry buffer is not a fault worth counting.
-                    if base(src, wire).is_ok() {
-                        counters.duplicated += 1;
-                    }
-                }
-                Ok(())
-            }
-            // Hand back the caller's original, not the corrupted copy.
-            Err(InjectError::Refused(_)) => Err(InjectError::Refused(msg)),
-            Err(InjectError::BadDest(_)) => Err(InjectError::BadDest(msg)),
-            Err(InjectError::NotParticipant(_)) => {
-                unreachable!("base fabrics do not emit NotParticipant")
-            }
-        }
-    }
-
-    /// The eject gate: whether `dst`'s eject port is open this cycle (a
-    /// stalled port hides deliverable messages from peek and eject).
-    pub(crate) fn eject_open(&self, dst: NodeId) -> bool {
-        self.now >= self.eject_stall.as_ref()[dst.index()]
-    }
-}
-
 /// A fault-injecting wrapper around a base fabric. See the module docs for
 /// the fault model; construct with [`FaultyFabric::new`] and drive through
 /// the ordinary [`Network`] trait (usually as a [`NetworkKind::Faulty`]).
 pub struct FaultyFabric {
     inner: Box<NetworkKind>,
-    /// The fault schedule, fabric time (counted in
-    /// [`tick`](Network::tick)s), the per-inject-port message streams, the
-    /// per-node cycle (exclusive) until which each inject and eject port is
-    /// stalled, and the fault tallies.
-    pub(crate) gates: Gates<Vec<Rng>, Vec<u64>>,
+    config: FaultConfig,
+    /// Fabric time, counted in [`tick`](Network::tick)s.
+    now: u64,
+    /// Per-inject-port streams drawing each message's faults.
+    msg_rng: Vec<Rng>,
     /// Per-node streams scheduling port stalls (separate streams: the stall
     /// schedule does not depend on how much traffic was offered).
     port_rng: Vec<Rng>,
+    /// Per node, the cycle (exclusive) until which its inject and its eject
+    /// port are stalled.
+    inject_stall: Vec<u64>,
+    eject_stall: Vec<u64>,
+    counters: FaultCounters,
+    /// Injections a stalled port refused (folded into
+    /// `NetStats::inject_refusals`: a stall is a retryable refusal).
+    stall_refusals: u64,
 }
 
 impl FaultyFabric {
@@ -242,22 +134,17 @@ impl FaultyFabric {
             "fault layers do not nest"
         );
         let nodes = inner.node_count();
+        let streams = |seed: u64| (0..nodes).map(|i| Rng::new(stream_seed(seed, i))).collect();
         FaultyFabric {
             inner: Box::new(inner),
-            gates: Gates {
-                config,
-                now: 0,
-                lo: 0,
-                msg_rng: (0..nodes)
-                    .map(|i| Rng::new(stream_seed(config.seed, i)))
-                    .collect(),
-                inject_stall: vec![0; nodes],
-                eject_stall: vec![0; nodes],
-                tally: FaultTally::default(),
-            },
-            port_rng: (0..nodes)
-                .map(|i| Rng::new(stream_seed(config.seed ^ PORT_SALT, i)))
-                .collect(),
+            config,
+            now: 0,
+            msg_rng: streams(config.seed),
+            port_rng: streams(config.seed ^ PORT_SALT),
+            inject_stall: vec![0; nodes],
+            eject_stall: vec![0; nodes],
+            counters: FaultCounters::default(),
+            stall_refusals: 0,
         }
     }
 
@@ -274,12 +161,18 @@ impl FaultyFabric {
 
     /// The fault schedule.
     pub fn config(&self) -> FaultConfig {
-        self.gates.config
+        self.config
     }
 
     /// Fault tallies so far (also surfaced via [`NetStats::faults`]).
-    pub fn counters(&self) -> crate::FaultCounters {
-        self.gates.tally.counters
+    pub fn counters(&self) -> FaultCounters {
+        self.counters
+    }
+
+    /// The eject gate: whether `dst`'s eject port is open this cycle (a
+    /// stalled port hides deliverable messages from peek and eject).
+    fn eject_open(&self, dst: NodeId) -> bool {
+        self.now >= self.eject_stall[dst.index()]
     }
 
     /// Ends a cycle of the base fabric: advances fabric time and rolls the
@@ -288,62 +181,25 @@ impl FaultyFabric {
     /// depends on outcomes, so the schedule is a pure function of the seed
     /// and the cycle number.
     fn end_tick(&mut self) {
-        let g = &mut self.gates;
-        g.now += 1;
-        if g.config.stall_pm == 0 {
+        self.now += 1;
+        let (now, cfg) = (self.now, self.config);
+        if cfg.stall_pm == 0 {
             return;
         }
         for (i, rng) in self.port_rng.iter_mut().enumerate() {
-            if hit(rng, g.config.stall_pm) {
-                if g.now >= g.inject_stall[i] {
-                    g.tally.counters.stalls += 1;
+            if hit(rng, cfg.stall_pm) {
+                if now >= self.inject_stall[i] {
+                    self.counters.stalls += 1;
                 }
-                g.inject_stall[i] = g.now + g.config.stall_len;
+                self.inject_stall[i] = now + cfg.stall_len;
             }
-            if hit(rng, g.config.stall_pm) {
-                if g.now >= g.eject_stall[i] {
-                    g.tally.counters.stalls += 1;
+            if hit(rng, cfg.stall_pm) {
+                if now >= self.eject_stall[i] {
+                    self.counters.stalls += 1;
                 }
-                g.eject_stall[i] = g.now + g.config.stall_len;
+                self.eject_stall[i] = now + cfg.stall_len;
             }
         }
-    }
-
-    /// Splits the gates into one per domain of `bounds`, beside the switched
-    /// base fabric they wrap. Each domain's gates own its nodes' message
-    /// streams; because every fault draw comes from the drawing node's own
-    /// stream, per-domain draw interleavings reproduce the serial
-    /// ascending-node schedule bit for bit. `now` is captured per split, so
-    /// inject stalls gate at cycle T and eject stalls at T+1 exactly as the
-    /// serial walk does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wrapped base fabric is not a switched fabric.
-    pub(crate) fn split(&mut self, bounds: &[usize]) -> (&mut Fabric, Vec<RangeGates<'_>>) {
-        let g = &mut self.gates;
-        let mut rngs: &mut [Rng] = g.msg_rng.as_mut_slice();
-        let gates = bounds
-            .windows(2)
-            .map(|w| {
-                let (head, tail) = std::mem::take(&mut rngs).split_at_mut(w[1] - w[0]);
-                rngs = tail;
-                Gates {
-                    config: g.config,
-                    now: g.now,
-                    lo: w[0],
-                    msg_rng: head,
-                    inject_stall: g.inject_stall.as_slice(),
-                    eject_stall: g.eject_stall.as_slice(),
-                    tally: FaultTally::default(),
-                }
-            })
-            .collect();
-        let fabric = self.inner.as_fabric_mut();
-        (
-            fabric.expect("fault ranges shard a switched base fabric"),
-            gates,
-        )
     }
 }
 
@@ -352,21 +208,65 @@ impl Network for FaultyFabric {
         self.inner.node_count()
     }
 
+    /// The inject gate. A stalled port refuses. Otherwise the message takes
+    /// its fault draws (drop → corrupt → duplicate, fixed order) from the
+    /// source node's private stream, and the possibly-corrupted wire copy
+    /// enters the base fabric.
     fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
-        let inner = &mut self.inner;
-        self.gates.inject(src, msg, |s, m| inner.inject(s, m))
+        if self.now < self.inject_stall[src.index()] {
+            self.stall_refusals += 1;
+            return Err(InjectError::Refused(msg));
+        }
+        // Nonexistent destinations keep the base fabric's accounting:
+        // `bad_dest` rejections are handed back, never faulted away.
+        if msg.dest().index() >= self.inject_stall.len() {
+            return self.inner.inject(src, msg);
+        }
+        let (rng, config) = (&mut self.msg_rng[src.index()], &self.config);
+        let drop = hit(rng, config.drop_pm);
+        let corrupt = hit(rng, config.corrupt_pm);
+        let duplicate = hit(rng, config.duplicate_pm);
+        if drop {
+            // Accepted, then lost at the entry link. The sender's view is a
+            // successful send; only `faults.dropped` knows better.
+            self.counters.dropped += 1;
+            return Ok(());
+        }
+        let mut wire = msg;
+        if corrupt {
+            let word = 1 + rng.index(MSG_WORDS - 1);
+            let bit = rng.below(32) as u32;
+            wire.words[word] ^= 1 << bit;
+        }
+        match self.inner.inject(src, wire) {
+            Ok(()) => {
+                if corrupt {
+                    self.counters.corrupted += 1;
+                }
+                // A second copy rides right behind; losing it to a full
+                // entry buffer is not a fault worth counting.
+                if duplicate && self.inner.inject(src, wire).is_ok() {
+                    self.counters.duplicated += 1;
+                }
+                Ok(())
+            }
+            // Hand back the caller's original, not the corrupted copy.
+            Err(InjectError::Refused(_)) => Err(InjectError::Refused(msg)),
+            Err(InjectError::BadDest(_)) => Err(InjectError::BadDest(msg)),
+            Err(InjectError::NotParticipant(_)) => {
+                unreachable!("base fabrics do not emit NotParticipant")
+            }
+        }
     }
 
     fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
-        self.gates
-            .eject_open(dst)
+        self.eject_open(dst)
             .then(|| self.inner.peek_eject(dst))
             .flatten()
     }
 
     fn eject(&mut self, dst: NodeId) -> Option<Message> {
-        self.gates
-            .eject_open(dst)
+        self.eject_open(dst)
             .then(|| self.inner.eject(dst))
             .flatten()
     }
@@ -382,12 +282,11 @@ impl Network for FaultyFabric {
 
     fn stats(&self) -> NetStats {
         let mut s = self.inner.stats();
-        let tally = &self.gates.tally;
         // Dropped messages were accepted at this boundary; see
         // `FaultCounters` for the conservation law.
-        s.injected += tally.counters.dropped;
-        s.inject_refusals += tally.stall_refusals;
-        s.faults = tally.counters;
+        s.injected += self.counters.dropped;
+        s.inject_refusals += self.stall_refusals;
+        s.faults = self.counters;
         s
     }
 
@@ -395,7 +294,7 @@ impl Network for FaultyFabric {
         // Without stalls the eject side is a pass-through, so the base
         // fabric's prediction stands. With stalls a predicted arrival could
         // be hidden, so the machine must tick cycle by cycle.
-        if self.gates.config.stall_pm == 0 {
+        if self.config.stall_pm == 0 {
             self.inner.next_arrival()
         } else {
             None
@@ -407,10 +306,10 @@ impl Network for FaultyFabric {
     }
 
     fn advance(&mut self, cycles: u64) {
-        if self.gates.config.stall_pm == 0 {
+        if self.config.stall_pm == 0 {
             // No per-cycle draws to make: bulk-advance the base fabric.
             self.inner.advance(cycles);
-            self.gates.now += cycles;
+            self.now += cycles;
         } else {
             for _ in 0..cycles {
                 self.tick();
@@ -422,7 +321,7 @@ impl Network for FaultyFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FabricConfig, IdealNetwork};
+    use crate::{Fabric, FabricConfig, IdealNetwork};
     use tcni_isa::MsgType;
 
     fn msg(dst: u16, tag: u32) -> Message {
@@ -610,67 +509,6 @@ mod tests {
         let s = net.stats();
         assert_eq!(s.bad_dest, 1);
         assert_eq!(s.faults.dropped, 1);
-    }
-
-    #[test]
-    fn sharded_ranges_reproduce_the_serial_schedule() {
-        // Drive two same-seed fault-wrapped meshes through identical offer
-        // sequences — one through the serial Network entry points, one
-        // through per-domain NetRanges — and demand bit-identical
-        // deliveries, counters, and stats.
-        let build = || {
-            NetworkKind::from(FaultyFabric::new(
-                Fabric::new(FabricConfig::new(4, 2)).into(),
-                FaultConfig::uniform(99, 180),
-            ))
-        };
-        let check = |net: &NetworkKind| net.as_fabric().unwrap().check_invariants().unwrap();
-        let bounds = [0usize, 3, 6, 8];
-        let mut serial = build();
-        let mut sharded = build();
-        let mut got_serial = Vec::new();
-        let mut got_sharded = Vec::new();
-        for cycle in 0..300u32 {
-            for i in 0..8u16 {
-                let m = msg((i + 1) % 8, cycle * 8 + u32::from(i));
-                let _ = serial.inject(NodeId::new(i), m);
-            }
-            serial.tick();
-            for d in 0..8u16 {
-                while let Some(m) = serial.eject(NodeId::new(d)) {
-                    got_serial.push((d, m));
-                }
-            }
-
-            let mut deltas = Vec::new();
-            for (w, mut range) in bounds.windows(2).zip(sharded.split_ranges(&bounds)) {
-                for i in w[0] as u16..w[1] as u16 {
-                    let m = msg((i + 1) % 8, cycle * 8 + u32::from(i));
-                    let _ = range.inject(NodeId::new(i), m);
-                }
-                deltas.push(range.into_delta());
-            }
-            sharded.absorb(deltas);
-            check(&sharded);
-            sharded.tick();
-            check(&sharded);
-            let mut deltas = Vec::new();
-            for (w, mut range) in bounds.windows(2).zip(sharded.split_ranges(&bounds)) {
-                for d in w[0]..w[1] {
-                    while let Some(m) = range.eject(NodeId::new(d as u16)) {
-                        got_sharded.push((d as u16, m));
-                    }
-                }
-                deltas.push(range.into_delta());
-            }
-            sharded.absorb(deltas);
-            check(&sharded);
-        }
-        let faults = |net: &NetworkKind| net.as_faulty().unwrap().counters();
-        assert_eq!(got_serial, got_sharded);
-        assert_eq!(faults(&serial), faults(&sharded));
-        assert_eq!(serial.stats(), sharded.stats());
-        assert!(faults(&serial).any(), "schedule actually faulted");
     }
 
     #[test]

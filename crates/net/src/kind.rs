@@ -1,14 +1,10 @@
-//! Static dispatch over the fabric implementations, and the one place that
-//! decides which fabric the machine's sharded cycle splits: a bare switched
-//! fabric or one behind a fault layer, through one range type
-//! ([`NetRange`]). Only injection and ejection are split; the fabric itself
-//! ticks serially ([`Network::tick`]) between those sharded phases.
+//! Static dispatch over the fabric implementations.
 
 use tcni_core::{Message, NodeId};
 
 use crate::stats::NetStats;
 use crate::topology::Topology as _;
-use crate::{Fabric, FaultyFabric, IdealNetwork, InjectError, NetRange, NetRangeDelta, Network};
+use crate::{Fabric, FaultyFabric, IdealNetwork, InjectError, Network};
 
 /// The fabrics, as a closed enum.
 ///
@@ -64,41 +60,6 @@ impl NetworkKind {
         }
     }
 
-    /// Splits a switched fabric — bare or behind a fault layer — into one
-    /// range per domain of `bounds`, for the machine simulator's sharded
-    /// cycle. `bounds` is an ascending node partition (`bounds[0] == 0`,
-    /// `bounds.last() == node_count()`); range `d` gets exclusive access to
-    /// the channels of nodes `bounds[d]..bounds[d + 1]` and, on a faulty
-    /// fabric, to those nodes' fault streams. Each range buffers its effects
-    /// into a [`NetRangeDelta`]; [`absorb`](Self::absorb) folds them back in
-    /// domain order, reproducing the serial ascending-node walk byte for
-    /// byte. Per-link observability must be off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the base fabric is the ideal network.
-    pub fn split_ranges(&mut self, bounds: &[usize]) -> Vec<NetRange<'_>> {
-        let (fabric, gates) = match self {
-            NetworkKind::Fabric(f) => (f, Vec::new()),
-            NetworkKind::Faulty(f) => f.split(bounds),
-            NetworkKind::Ideal(_) => panic!("{IDEAL_SHARD}"),
-        };
-        fabric.split_ranges(bounds, gates)
-    }
-
-    /// Folds one phase's range deltas back in, in domain order (see
-    /// [`split_ranges`](Self::split_ranges)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the base fabric is the ideal network.
-    pub fn absorb(&mut self, deltas: impl IntoIterator<Item = NetRangeDelta>) {
-        let faults = self.as_fabric_mut().expect(IDEAL_SHARD).absorb(deltas);
-        if let NetworkKind::Faulty(f) = self {
-            f.gates.tally.add(faults);
-        }
-    }
-
     /// Short name of the *base* fabric (`"ideal"` or the topology name —
     /// `"mesh"`, `"torus"`, `"ring"`, `"full"`), looking through a fault
     /// layer: the fault wrapper changes the link behaviour, not the
@@ -111,8 +72,6 @@ impl NetworkKind {
         }
     }
 }
-
-const IDEAL_SHARD: &str = "only a switched fabric shards";
 
 impl From<IdealNetwork> for NetworkKind {
     fn from(n: IdealNetwork) -> NetworkKind {

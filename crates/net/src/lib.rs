@@ -38,9 +38,7 @@ mod stats;
 mod topology;
 mod tree;
 
-pub use fabric::{
-    Fabric, FabricConfig, FabricError, LinkReport, LinkStats, NetRange, NetRangeDelta,
-};
+pub use fabric::{Fabric, FabricConfig, FabricError, LinkReport, LinkStats};
 pub use fault::{FaultConfig, FaultyFabric};
 pub use ideal::IdealNetwork;
 pub use kind::NetworkKind;

@@ -82,9 +82,7 @@ impl LatencyHist {
         unreachable!("rank <= total implies some bucket reaches it")
     }
 
-    /// Adds another histogram's counts into this one (per-bucket sum). Used
-    /// by the parallel tick to reduce per-domain delivery histograms back
-    /// into the fabric's aggregate in domain order.
+    /// Adds another histogram's counts into this one (per-bucket sum).
     pub fn merge(&mut self, other: &LatencyHist) {
         for (slot, add) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *slot += add;

@@ -50,14 +50,9 @@
 //! live tx slot per communicating pair and rx slots for in-progress
 //! receives.
 //!
-//! **Determinism.** Table lookups are metered (`ScanStats::flow_probes`),
-//! and the meter is invariant under the sharded cycle: every metered lookup
-//! is driven by its major node's own phase work in per-node program order,
-//! whichever view runs it, and a linear-probe lookup of an existing key
-//! is unaffected by later inserts (they only fill cells off its probe
-//! path). Timeout-list maintenance, whose neighbour lookups replay at a
-//! different point of the cycle when it is sharded, is excluded from
-//! the meter (see [`Delivery::link_tail`]), as are resize rehashes.
+//! **Metering.** Protocol lookups are metered (`ScanStats::flow_probes`);
+//! timeout-list maintenance (see [`Delivery::link_tail`]), invariant checks
+//! and resize rehashes are not.
 //!
 //! ## Hot-set scheduling
 //!
@@ -77,22 +72,6 @@
 //! ([`Machine::set_reference`](crate::Machine::set_reference)), examining
 //! the dense `nodes²` cost.
 //!
-//! ## One protocol body, two views
-//!
-//! The protocol is written once, as free functions over the
-//! [`DeliveryView`] trait, and runs against one of two views. The
-//! whole-machine [`Delivery`] applies every effect in place: the machine's
-//! one-domain cycle. Under the sharded cycle each spatial domain works
-//! through a [`DeliveryRange`]: `tx`/outbox tables are source-major and
-//! `rx` destination-major, so a domain's CPU-side sends and NI-side
-//! receives touch only its own tables. Whatever is *not* sliceable — the
-//! aggregate counters, the active-outbox set, and the intrusive timeout
-//! list — is buffered as a [`DeliveryDelta`] and replayed by
-//! [`Delivery::absorb_deltas`] in domain order, which is ascending node
-//! order, i.e. exactly the order the one-domain cycle applies it in. The
-//! timeout pump keeps its due-flow *collection* global (the list walk
-//! meters `scanned_flows`), then fires the due flows in place or, given
-//! enough of them and several domains, per domain in parallel.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -100,13 +79,8 @@ use std::collections::VecDeque;
 use tcni_core::{payload_crc, E2eHeader, E2eKind, Message, NodeId, WireFormat};
 use tcni_isa::MsgType;
 use tcni_net::ScanStats;
-use tcni_util::par::run_tasks;
 
-use crate::outbox::{Outbox, OutboxDelta, OutboxRange, OutboxView};
-
-/// Minimum due flows before the pump's fire phase goes parallel; below
-/// this, per-task bookkeeping costs more than it saves.
-const PAR_FIRE_MIN: usize = 8;
+use crate::outbox::Outbox;
 
 /// Null link of the intrusive timeout list. Links carry pair keys widened
 /// to `u64`: the widest legal pair key (65535, 65535) is `u32::MAX`, so a
@@ -143,8 +117,7 @@ fn pair_minor(pr: u32) -> usize {
 }
 
 /// SplitMix64 finalizer, spreading the 32-bit pair key over a
-/// power-of-two bucket space. Hashing the *global* key (not a row-local
-/// one) keeps serial and sharded probes on the same cells.
+/// power-of-two bucket space.
 #[inline]
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -211,24 +184,6 @@ pub struct DeliveryStats {
     pub corrupt_dropped: u64,
     /// Messages abandoned after the retransmit budget ran out.
     pub abandoned: u64,
-}
-
-impl DeliveryStats {
-    /// Adds another counter set into this one (per-domain deltas reduced in
-    /// domain order by the parallel cycle).
-    fn add(&mut self, o: &DeliveryStats) {
-        self.accepted += o.accepted;
-        self.retransmits += o.retransmits;
-        self.timeout_rounds += o.timeout_rounds;
-        self.acks_sent += o.acks_sent;
-        self.acks_coalesced += o.acks_coalesced;
-        self.acks_received += o.acks_received;
-        self.delivered_unique += o.delivered_unique;
-        self.dup_suppressed += o.dup_suppressed;
-        self.out_of_order_dropped += o.out_of_order_dropped;
-        self.corrupt_dropped += o.corrupt_dropped;
-        self.abandoned += o.abandoned;
-    }
 }
 
 /// What the receive side decided about an arrived protocol message.
@@ -309,8 +264,7 @@ pub(crate) struct NodeFlows<T> {
     /// High-water mark of `live`.
     peak: u32,
     /// Probe steps spent on metered lookups (`Cell`: read paths through
-    /// `&self` must count too; tables are reached through disjoint `&mut`
-    /// slices per worker, so no `Sync` is ever required of the cell).
+    /// `&self` must count too).
     probes: Cell<u64>,
 }
 
@@ -467,8 +421,8 @@ impl<T: Default> NodeFlows<T> {
     }
 
     /// Live entries in slab-slot order (deterministic: the slot layout is a
-    /// pure function of the table's operation history, which the sharded
-    /// tick replays identically). Callers who need key order sort.
+    /// pure function of the table's operation history). Callers who need
+    /// key order sort.
     fn iter(&self) -> impl Iterator<Item = (u32, &T)> + '_ {
         self.pair_of
             .iter()
@@ -621,13 +575,15 @@ impl Delivery {
         self.outbox.nodes()
     }
 
+    /// The head of `node`'s outbox.
+    pub(crate) fn outbox_front(&self, node: usize) -> Option<&Message> {
+        self.outbox.front(node)
+    }
+
     // --- timeout list ---------------------------------------------------------
     //
-    // List maintenance looks flows up without metering them: under the
-    // sharded cycle these operations replay in `absorb_deltas` after the
-    // phase that recorded them, when neighbouring tables may have grown past
-    // the state the one-domain cycle saw inline — metering them would make
-    // `flow_probes` depend on the worker count.
+    // List maintenance looks flows up without metering them: the meter
+    // counts the protocol's own lookups only.
 
     /// Appends flow `pr` at the tail (it has the newest `last_send`).
     fn link_tail(&mut self, pr: u32) {
@@ -666,6 +622,12 @@ impl Delivery {
             let n = next as u32;
             self.tx[pair_major(n)].get_quiet(n).expect(LIVE).prev = prev;
         }
+    }
+
+    /// Moves flow `pr`, whose `last_send` was just refreshed, to the tail.
+    fn move_to_tail(&mut self, pr: u32) {
+        self.unlink(pr);
+        self.link_tail(pr);
     }
 
     /// Collects the pair keys due for a timeout at `cycle`, ascending, and
@@ -715,15 +677,8 @@ impl Delivery {
 
     /// Fires due retransmission timeouts (called once per cycle, before the
     /// injection phase), so the copies contend for this cycle's injection
-    /// slots. `bounds` are the cycle's domain boundaries: due-flow
-    /// collection (and the scan meters) is global, while firing runs in
-    /// place or — with several domains and enough due flows — per domain in
-    /// parallel. Sound because a flow's table is source-major (each due flow
-    /// fires entirely inside its source's domain), the due list is ascending
-    /// by pair key (so per-domain chunks are contiguous), and every global
-    /// effect is buffered and replayed in domain order — which *is* the
-    /// ascending-key fire order.
-    pub(crate) fn pump(&mut self, cycle: u64, bounds: &[usize]) {
+    /// slots.
+    pub(crate) fn pump(&mut self, cycle: u64) {
         // No flow holds unacked data: nothing can be due. Returning before
         // any counting keeps the scan counters identical between the naive
         // loop and the fast-forward (both only reach a non-trivial pump
@@ -733,31 +688,8 @@ impl Delivery {
         }
         let dense_cost = (self.nodes * self.nodes) as u64;
         let (mut due, examined) = self.collect_due(cycle);
-        let domains = bounds.len().saturating_sub(1);
-        if domains < 2 || due.len() < PAR_FIRE_MIN {
-            for &pr in &due {
-                fire_timeout(self, pr, cycle);
-            }
-        } else {
-            let mut chunks: Vec<&[u32]> = Vec::with_capacity(domains);
-            let mut rest: &[u32] = &due;
-            for w in bounds.windows(2) {
-                let cut = rest.partition_point(|&pr| pair_major(pr) < w[1]);
-                let (head, tail) = rest.split_at(cut);
-                chunks.push(head);
-                rest = tail;
-            }
-            debug_assert!(rest.is_empty());
-            let mut tasks: Vec<(DeliveryRange<'_>, &[u32])> =
-                self.split_ranges(bounds).into_iter().zip(chunks).collect();
-            run_tasks(&mut tasks, |_, (range, chunk)| {
-                for &pr in *chunk {
-                    fire_timeout(range, pr, cycle);
-                }
-            });
-            let deltas: Vec<DeliveryDelta> =
-                tasks.into_iter().map(|(r, _)| r.into_delta()).collect();
-            self.absorb_deltas(deltas);
+        for &pr in &due {
+            self.fire_timeout(pr, cycle);
         }
         due.clear();
         self.due_scratch = due;
@@ -765,53 +697,7 @@ impl Delivery {
         self.scan.skipped_work += dense_cost - examined;
     }
 
-    /// Splits the protocol state into per-domain views for the sharded
-    /// cycle. Domain `d` of `bounds` owns `tx`/outbox tables of its source
-    /// nodes and `rx` tables of its destination nodes.
-    pub(crate) fn split_ranges(&mut self, bounds: &[usize]) -> Vec<DeliveryRange<'_>> {
-        debug_assert_eq!(bounds[0], 0);
-        debug_assert_eq!(*bounds.last().expect("non-empty bounds"), self.nodes);
-        let (config, format) = (self.config, self.format);
-        let mut tx = self.tx.as_mut_slice();
-        let mut rx = self.rx.as_mut_slice();
-        let mut out = Vec::with_capacity(bounds.len().saturating_sub(1));
-        for (w, outbox) in bounds.windows(2).zip(self.outbox.split(bounds)) {
-            let (tx_head, tx_tail) = tx.split_at_mut(w[1] - w[0]);
-            tx = tx_tail;
-            let (rx_head, rx_tail) = rx.split_at_mut(w[1] - w[0]);
-            rx = rx_tail;
-            out.push(DeliveryRange {
-                config,
-                format,
-                lo: w[0],
-                tx: tx_head,
-                rx: rx_head,
-                outbox,
-                stats: DeliveryStats::default(),
-                unacked: 0,
-                ops: Vec::new(),
-            });
-        }
-        out
-    }
-
-    /// Replays per-domain deltas, in domain order. Because domains are
-    /// contiguous ascending node ranges and each worker recorded its ops in
-    /// its own visit order, the concatenation is exactly the ascending-node
-    /// op sequence the one-domain cycle applies in place — the active-outbox
-    /// set and the intrusive timeout list end up identical.
-    pub(crate) fn absorb_deltas(&mut self, deltas: impl IntoIterator<Item = DeliveryDelta>) {
-        for d in deltas {
-            self.stats.add(&d.stats);
-            self.unacked(d.unacked);
-            self.outbox.absorb(d.outbox);
-            for (pr, op) in d.ops {
-                self.list(pr, op);
-            }
-        }
-    }
-
-    /// Checks the state the two views must keep consistent: a flow is on
+    /// Checks the protocol's bookkeeping against itself: a flow is on
     /// the timeout list iff its unacked window is non-empty, the list is
     /// ordered by `last_send`, the unacked and outbox totals match the
     /// tables and queues, the active-outbox set is exactly the nodes with
@@ -889,414 +775,245 @@ impl Delivery {
 
 // --- the protocol body ---------------------------------------------------------
 
-/// A deferred intrusive-timeout-list operation, applied in place by
-/// [`Delivery`] and recorded in visit order by a [`DeliveryRange`] for
-/// replay by [`Delivery::absorb_deltas`]. Workers never touch the
-/// `prev`/`next`/`linked` links directly — those thread through tables
-/// owned by other domains.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ListOp {
-    /// The flow joins at the tail (first unacked message).
-    LinkTail,
-    /// The flow leaves (fully acked or abandoned).
-    Unlink,
-    /// The flow's `last_send` was refreshed: unlink, then link at the tail.
-    MoveToTail,
-}
-
-/// The state surface the protocol body needs, implemented by the
-/// whole-machine [`Delivery`] (every effect applied in place) and by a
-/// domain's [`DeliveryRange`] (its own tables edited in place, machine-global
-/// effects buffered). Node indices and pair keys are global under both.
-pub(crate) trait DeliveryView {
-    /// The outbox discipline matching the view.
-    type Outbox: OutboxView;
-    fn config(&self) -> DeliveryConfig;
-    fn format(&self) -> WireFormat;
-    /// Sender flows of `src`, keyed `pair(src, dst)`.
-    fn tx(&mut self, src: usize) -> &mut NodeFlows<FlowTx>;
-    /// Receiver flows of `dst`, keyed `pair(dst, src)`.
-    fn rx(&mut self, dst: usize) -> &mut NodeFlows<FlowRx>;
-    fn outbox(&mut self) -> &mut Self::Outbox;
-    fn stats_mut(&mut self) -> &mut DeliveryStats;
-    /// Adds `n` to the machine-wide unacked total.
-    fn unacked(&mut self, n: i64);
-    /// Applies (or records) a timeout-list operation on flow `pr`.
-    fn list(&mut self, pr: u32, op: ListOp);
-}
-
-impl DeliveryView for Delivery {
-    type Outbox = Outbox;
-    #[inline]
-    fn config(&self) -> DeliveryConfig {
-        self.config
-    }
-    #[inline]
-    fn format(&self) -> WireFormat {
-        self.format
-    }
-    #[inline]
-    fn tx(&mut self, src: usize) -> &mut NodeFlows<FlowTx> {
-        &mut self.tx[src]
-    }
-    #[inline]
-    fn rx(&mut self, dst: usize) -> &mut NodeFlows<FlowRx> {
-        &mut self.rx[dst]
-    }
-    #[inline]
-    fn outbox(&mut self) -> &mut Outbox {
-        &mut self.outbox
-    }
-    #[inline]
-    fn stats_mut(&mut self) -> &mut DeliveryStats {
-        &mut self.stats
-    }
-    #[inline]
-    fn unacked(&mut self, n: i64) {
-        self.unacked_msgs = self
-            .unacked_msgs
-            .checked_add_signed(n)
-            .expect("unacked total cannot go negative");
-    }
-    #[inline]
-    fn list(&mut self, pr: u32, op: ListOp) {
-        match op {
-            ListOp::LinkTail => self.link_tail(pr),
-            ListOp::Unlink => self.unlink(pr),
-            ListOp::MoveToTail => {
-                self.unlink(pr);
-                self.link_tail(pr);
+impl Delivery {
+    /// Removes the head of `node`'s outbox after its injection, crediting the
+    /// flow it belongs to.
+    pub(crate) fn outbox_pop(&mut self, node: usize) {
+        let Some(m) = self.outbox.pop(node) else {
+            return;
+        };
+        match m.e2e {
+            // A retransmit copy left the outbox: credit the flow's pending
+            // counter (tx flows are never evicted, so the slot is live).
+            Some(h) if h.kind == E2eKind::Data => {
+                let pr = pair(node, m.dest().index());
+                let flow = self.tx[node].get_mut(pr);
+                let flow = flow.expect("pending copy's flow is live");
+                debug_assert!(flow.pending_copies > 0, "pop without a push");
+                flow.pending_copies -= 1;
             }
-        }
-    }
-}
-
-/// Removes the head of `node`'s outbox after its injection, crediting the
-/// flow it belongs to.
-pub(crate) fn outbox_pop<V: DeliveryView>(v: &mut V, node: usize) {
-    let Some(m) = v.outbox().pop(node) else {
-        return;
-    };
-    match m.e2e {
-        // A retransmit copy left the outbox: credit the flow's pending
-        // counter (tx flows are never evicted, so the slot is live).
-        Some(h) if h.kind == E2eKind::Data => {
-            let pr = pair(node, m.dest().index());
-            let flow = v.tx(node).get_mut(pr).expect("pending copy's flow is live");
-            debug_assert!(flow.pending_copies > 0, "pop without a push");
-            flow.pending_copies -= 1;
-        }
-        // The flow's pending ack left: the next arrival queues a fresh one
-        // instead of coalescing. An rx flow whose state is all defaults
-        // again (nothing ever delivered in order, no ack pending) is
-        // evicted — its slot reads back identically.
-        Some(h) if h.kind == E2eKind::Ack => {
-            let pr = pair(node, m.dest().index());
-            let rx = v.rx(node);
-            let flow = rx.get_mut(pr).expect("pending ack's flow is live");
-            flow.ack_pending = false;
-            if flow.expected == 0 {
-                rx.remove(pr);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Whether flow (src, dst) can take another first transmission.
-pub(crate) fn can_admit<V: DeliveryView>(v: &mut V, src: usize, dst: usize) -> bool {
-    let window = v.config().window;
-    v.tx(src)
-        .get(pair(src, dst))
-        .is_none_or(|flow| flow.unacked.len() < window)
-}
-
-/// Stamps `msg` with the flow's next header. Pure with respect to flow
-/// state: nothing advances until [`commit`], so a refused injection retries
-/// with the same sequence number.
-pub(crate) fn stamp<V: DeliveryView>(v: &mut V, src: usize, dst: usize, msg: &mut Message) {
-    let psn = v
-        .tx(src)
-        .get(pair(src, dst))
-        .map_or(0, |flow| flow.next_psn);
-    let crc = payload_crc(&msg.words, msg.mtype);
-    msg.e2e = Some(E2eHeader::data(NodeId::from_index(src), psn, crc));
-}
-
-/// Records an accepted first transmission of a stamped message.
-pub(crate) fn commit<V: DeliveryView>(v: &mut V, src: usize, dst: usize, msg: Message, cycle: u64) {
-    let pr = pair(src, dst);
-    let table = v.tx(src);
-    let flow = table.get_or_insert(pr);
-    let hdr = msg.e2e.expect("committed message is stamped");
-    debug_assert_eq!(hdr.psn, flow.next_psn);
-    let was_empty = flow.unacked.is_empty();
-    if was_empty {
-        flow.last_send = cycle;
-        flow.rounds = 0;
-    }
-    flow.unacked.push_back((hdr.psn, msg));
-    flow.next_psn += 1;
-    if was_empty {
-        // Only the sender's own phase commits, at most once per flow per
-        // cycle, so the pre-phase link flag is trustworthy under both views.
-        debug_assert!(table.peek(pr).is_some_and(|fl| !fl.linked));
-    }
-    v.unacked(1);
-    v.stats_mut().accepted += 1;
-    if was_empty {
-        // First unacked message: the flow joins the timeout list with the
-        // newest stamp, i.e. at the tail.
-        v.list(pr, ListOp::LinkTail);
-    }
-}
-
-/// One due flow's timeout: requeue the window (go-back-N), or just reset
-/// the timer if the previous round's copies are still queued, or abandon
-/// once the budget is spent.
-fn fire_timeout<V: DeliveryView>(v: &mut V, pr: u32, cycle: u64) {
-    let src = pair_major(pr);
-    // Copies from the previous round still await injection: the outbox is
-    // congested, not the receiver unresponsive. Reset the timer without
-    // burning a budget round.
-    if v.tx(src).get_mut(pr).expect(LIVE).pending_copies > 0 {
-        v.tx(src).get_mut(pr).expect(LIVE).last_send = cycle;
-        v.list(pr, ListOp::MoveToTail);
-        return;
-    }
-    {
-        let flow = v.tx(src).get_mut(pr).expect(LIVE);
-        flow.rounds += 1;
-        flow.last_send = cycle;
-    }
-    v.stats_mut().timeout_rounds += 1;
-    let limit = v.config().retransmit_limit;
-    if v.tx(src).get_mut(pr).expect(LIVE).rounds > limit {
-        // Budget exhausted: the receiver is unreachable. Abandon the window
-        // rather than wedging the machine. The flow slot (and its spent
-        // budget) stays live — see the eviction semantics.
-        let len = v.tx(src).get_mut(pr).expect(LIVE).unacked.len() as u64;
-        v.stats_mut().abandoned += len;
-        v.unacked(-(len as i64));
-        let flow = v.tx(src).get_mut(pr).expect(LIVE);
-        flow.unacked.clear();
-        flow.rounds = 0;
-        v.list(pr, ListOp::Unlink);
-        return;
-    }
-    // Go-back-N: requeue the whole window.
-    let count = v.tx(src).get_mut(pr).expect(LIVE).unacked.len();
-    for k in 0..count {
-        let m = v.tx(src).get_mut(pr).expect(LIVE).unacked[k].1;
-        v.outbox().push(src, m);
-    }
-    v.tx(src).get_mut(pr).expect(LIVE).pending_copies += count as u32;
-    v.stats_mut().retransmits += count as u64;
-    v.list(pr, ListOp::MoveToTail);
-}
-
-/// Classifies an arrived protocol message (pure; effects in
-/// [`on_delivered`]/[`on_consumed`]).
-pub(crate) fn rx_action<V: DeliveryView>(v: &mut V, dst: usize, msg: &Message) -> RxAction {
-    let hdr = msg.e2e.expect("rx_action on a protocol message");
-    if payload_crc(&msg.words, msg.mtype) != hdr.crc {
-        return RxAction::Consume;
-    }
-    match hdr.kind {
-        E2eKind::Ack => RxAction::Consume,
-        E2eKind::Data => {
-            let expected = v
-                .rx(dst)
-                .get(pair(dst, hdr.src.index()))
-                .map_or(0, |flow| flow.expected);
-            if hdr.psn == expected {
-                RxAction::Deliver
-            } else {
-                RxAction::Consume
-            }
-        }
-    }
-}
-
-/// Applies an in-order data delivery: advances the flow and queues the
-/// cumulative ack.
-pub(crate) fn on_delivered<V: DeliveryView>(v: &mut V, dst: usize, msg: &Message) {
-    let hdr = msg.e2e.expect("delivered message has a header");
-    let flow = v.rx(dst).get_or_insert(pair(dst, hdr.src.index()));
-    debug_assert_eq!(hdr.psn, flow.expected);
-    flow.expected += 1;
-    v.stats_mut().delivered_unique += 1;
-    queue_ack(v, dst, hdr.src.index());
-}
-
-/// Applies a consumed (non-delivered) arrival: ack bookkeeping for the
-/// sender, re-acks for duplicates and gaps, counters for everything.
-pub(crate) fn on_consumed<V: DeliveryView>(v: &mut V, dst: usize, msg: &Message, cycle: u64) {
-    let hdr = msg.e2e.expect("consumed message has a header");
-    if payload_crc(&msg.words, msg.mtype) != hdr.crc {
-        // Unverifiable header: trust nothing in it, count and move on.
-        v.stats_mut().corrupt_dropped += 1;
-        return;
-    }
-    match hdr.kind {
-        E2eKind::Ack => {
-            // `dst` is the flow's sender (its table is source-major, so
-            // local to `dst`'s domain); the header names the acker.
-            // Non-creating on purpose: an ack for a flow that never
-            // committed (possible only in synthetic scenarios) must not
-            // materialise sender state.
-            v.stats_mut().acks_received += 1;
-            let pr = pair(dst, hdr.src.index());
-            let Some(flow) = v.tx(dst).get_mut(pr) else {
-                return;
-            };
-            let mut acked = 0;
-            while flow.unacked.front().is_some_and(|&(psn, _)| psn < hdr.psn) {
-                flow.unacked.pop_front();
-                acked += 1;
-            }
-            if acked == 0 {
-                return;
-            }
-            flow.rounds = 0;
-            flow.last_send = cycle;
-            // Fully acked: off the timeout list. Otherwise the timer
-            // restarted at the newest stamp: tail.
-            let op = if flow.unacked.is_empty() {
-                ListOp::Unlink
-            } else {
-                ListOp::MoveToTail
-            };
-            v.unacked(-acked);
-            v.list(pr, op);
-        }
-        E2eKind::Data => {
-            let expected = v
-                .rx(dst)
-                .get(pair(dst, hdr.src.index()))
-                .map_or(0, |flow| flow.expected);
-            if hdr.psn < expected {
-                v.stats_mut().dup_suppressed += 1;
-            } else {
-                v.stats_mut().out_of_order_dropped += 1;
-            }
-            // Either way, remind the sender where the flow stands (a lost
-            // ack is recovered by the duplicate's re-ack).
-            queue_ack(v, dst, hdr.src.index());
-        }
-    }
-}
-
-/// Queues (or refreshes) the cumulative ack from `receiver` back to the
-/// flow's `sender`. At most one pending ack per flow lives in the outbox: a
-/// newer cumulative ack *coalesces* into it (highest sequence number wins)
-/// instead of enqueueing another — without this, every data arrival on a
-/// congested outbox would add an ack (an ack flood).
-fn queue_ack<V: DeliveryView>(v: &mut V, receiver: usize, sender: usize) {
-    let pr = pair(receiver, sender);
-    let psn = v.rx(receiver).get(pr).map_or(0, |f| f.expected);
-    // Full node ids end to end: the ack names its flow without casts, and
-    // is composed under the machine's wire format.
-    let sender_id = NodeId::from_index(sender);
-    let mut ack = Message::to_in(v.format(), sender_id, [0; 5], MsgType::default());
-    let crc = payload_crc(&ack.words, ack.mtype);
-    ack.e2e = Some(E2eHeader::ack(NodeId::from_index(receiver), psn, crc));
-    if v.rx(receiver).get(pr).is_some_and(|f| f.ack_pending) {
-        for m in v.outbox().queue_mut(receiver).iter_mut() {
-            if matches!(m.e2e, Some(h) if h.kind == E2eKind::Ack) && m.dest() == sender_id {
-                // Cumulative: only ever move the acked prefix forward
-                // (`expected` is monotone, so `<=` always holds — the guard
-                // is defense in depth).
-                if m.e2e.expect("matched above").psn <= psn {
-                    *m = ack;
+            // The flow's pending ack left: the next arrival queues a fresh one
+            // instead of coalescing. An rx flow whose state is all defaults
+            // again (nothing ever delivered in order, no ack pending) is
+            // evicted — its slot reads back identically.
+            Some(h) if h.kind == E2eKind::Ack => {
+                let pr = pair(node, m.dest().index());
+                let rx = &mut self.rx[node];
+                let flow = rx.get_mut(pr).expect("pending ack's flow is live");
+                flow.ack_pending = false;
+                if flow.expected == 0 {
+                    rx.remove(pr);
                 }
-                v.stats_mut().acks_coalesced += 1;
-                return;
+            }
+            _ => {}
+        }
+    }
+
+    /// Whether flow (src, dst) can take another first transmission.
+    pub(crate) fn can_admit(&self, src: usize, dst: usize) -> bool {
+        self.tx[src]
+            .get(pair(src, dst))
+            .is_none_or(|flow| flow.unacked.len() < self.config.window)
+    }
+
+    /// Stamps `msg` with the flow's next header. Pure with respect to flow
+    /// state: nothing advances until [`commit`](Self::commit), so a refused
+    /// injection retries with the same sequence number.
+    pub(crate) fn stamp(&self, src: usize, dst: usize, msg: &mut Message) {
+        let psn = self.tx[src]
+            .get(pair(src, dst))
+            .map_or(0, |flow| flow.next_psn);
+        let crc = payload_crc(&msg.words, msg.mtype);
+        msg.e2e = Some(E2eHeader::data(NodeId::from_index(src), psn, crc));
+    }
+
+    /// Records an accepted first transmission of a stamped message.
+    pub(crate) fn commit(&mut self, src: usize, dst: usize, msg: Message, cycle: u64) {
+        let pr = pair(src, dst);
+        let flow = self.tx[src].get_or_insert(pr);
+        let hdr = msg.e2e.expect("committed message is stamped");
+        debug_assert_eq!(hdr.psn, flow.next_psn);
+        let was_empty = flow.unacked.is_empty();
+        if was_empty {
+            flow.last_send = cycle;
+            flow.rounds = 0;
+        }
+        flow.unacked.push_back((hdr.psn, msg));
+        flow.next_psn += 1;
+        self.unacked_msgs += 1;
+        self.stats.accepted += 1;
+        if was_empty {
+            // First unacked message: the flow joins the timeout list with the
+            // newest stamp, i.e. at the tail.
+            self.link_tail(pr);
+        }
+    }
+
+    /// One due flow's timeout: requeue the window (go-back-N), or just reset
+    /// the timer if the previous round's copies are still queued, or abandon
+    /// once the budget is spent. Each step looks the flow up afresh, and
+    /// every lookup moves the probe meter.
+    fn fire_timeout(&mut self, pr: u32, cycle: u64) {
+        let src = pair_major(pr);
+        // Copies from the previous round still await injection: the outbox is
+        // congested, not the receiver unresponsive. Reset the timer without
+        // burning a budget round.
+        if self.tx[src].get_mut(pr).expect(LIVE).pending_copies > 0 {
+            self.tx[src].get_mut(pr).expect(LIVE).last_send = cycle;
+            self.move_to_tail(pr);
+            return;
+        }
+        {
+            let flow = self.tx[src].get_mut(pr).expect(LIVE);
+            flow.rounds += 1;
+            flow.last_send = cycle;
+        }
+        self.stats.timeout_rounds += 1;
+        if self.tx[src].get_mut(pr).expect(LIVE).rounds > self.config.retransmit_limit {
+            // Budget exhausted: the receiver is unreachable. Abandon the window
+            // rather than wedging the machine. The flow slot (and its spent
+            // budget) stays live — see the eviction semantics.
+            let len = self.tx[src].get_mut(pr).expect(LIVE).unacked.len() as u64;
+            self.stats.abandoned += len;
+            self.unacked_msgs -= len;
+            let flow = self.tx[src].get_mut(pr).expect(LIVE);
+            flow.unacked.clear();
+            flow.rounds = 0;
+            self.unlink(pr);
+            return;
+        }
+        // Go-back-N: requeue the whole window.
+        let count = self.tx[src].get_mut(pr).expect(LIVE).unacked.len();
+        for k in 0..count {
+            let m = self.tx[src].get_mut(pr).expect(LIVE).unacked[k].1;
+            self.outbox.push(src, m);
+        }
+        self.tx[src].get_mut(pr).expect(LIVE).pending_copies += count as u32;
+        self.stats.retransmits += count as u64;
+        self.move_to_tail(pr);
+    }
+
+    /// Classifies an arrived protocol message (pure; effects in
+    /// [`on_delivered`](Self::on_delivered)/[`on_consumed`](Self::on_consumed)).
+    pub(crate) fn rx_action(&self, dst: usize, msg: &Message) -> RxAction {
+        let hdr = msg.e2e.expect("rx_action on a protocol message");
+        if payload_crc(&msg.words, msg.mtype) != hdr.crc {
+            return RxAction::Consume;
+        }
+        match hdr.kind {
+            E2eKind::Ack => RxAction::Consume,
+            E2eKind::Data => {
+                let expected = self.rx[dst]
+                    .get(pair(dst, hdr.src.index()))
+                    .map_or(0, |flow| flow.expected);
+                if hdr.psn == expected {
+                    RxAction::Deliver
+                } else {
+                    RxAction::Consume
+                }
             }
         }
-        debug_assert!(false, "ack_pending set but no ack queued");
     }
-    v.rx(receiver).get_or_insert(pr).ack_pending = true;
-    v.outbox().push(receiver, ack);
-    v.stats_mut().acks_sent += 1;
-}
 
-// --- the sharded view ------------------------------------------------------------
+    /// Applies an in-order data delivery: advances the flow and queues the
+    /// cumulative ack.
+    pub(crate) fn on_delivered(&mut self, dst: usize, msg: &Message) {
+        let hdr = msg.e2e.expect("delivered message has a header");
+        let flow = self.rx[dst].get_or_insert(pair(dst, hdr.src.index()));
+        debug_assert_eq!(hdr.psn, flow.expected);
+        flow.expected += 1;
+        self.stats.delivered_unique += 1;
+        self.queue_ack(dst, hdr.src.index());
+    }
 
-/// The machine-global effects a [`DeliveryRange`] buffered during one
-/// sharded phase, replayed by [`Delivery::absorb_deltas`].
-#[derive(Debug, Default)]
-pub(crate) struct DeliveryDelta {
-    stats: DeliveryStats,
-    /// Net unacked message count change (acks/abandons make it negative).
-    unacked: i64,
-    /// Timeout-list operations (pair keys), in this domain's visit order.
-    ops: Vec<(u32, ListOp)>,
-    outbox: OutboxDelta,
-}
-
-/// One spatial domain's view of the protocol state during a sharded phase:
-/// the domain's own `tx`/outbox tables (source-major) and `rx` tables
-/// (destination-major), with every machine-global effect buffered.
-/// Out-of-domain indices panic on the slice bounds.
-pub(crate) struct DeliveryRange<'a> {
-    config: DeliveryConfig,
-    format: WireFormat,
-    /// First node of the domain (row offset of the slices).
-    lo: usize,
-    tx: &'a mut [NodeFlows<FlowTx>],
-    rx: &'a mut [NodeFlows<FlowRx>],
-    outbox: OutboxRange<'a>,
-    stats: DeliveryStats,
-    unacked: i64,
-    ops: Vec<(u32, ListOp)>,
-}
-
-impl DeliveryRange<'_> {
-    /// Surrenders the buffered global effects.
-    pub(crate) fn into_delta(self) -> DeliveryDelta {
-        DeliveryDelta {
-            stats: self.stats,
-            unacked: self.unacked,
-            ops: self.ops,
-            outbox: self.outbox.into_delta(),
+    /// Applies a consumed (non-delivered) arrival: ack bookkeeping for the
+    /// sender, re-acks for duplicates and gaps, counters for everything.
+    pub(crate) fn on_consumed(&mut self, dst: usize, msg: &Message, cycle: u64) {
+        let hdr = msg.e2e.expect("consumed message has a header");
+        if payload_crc(&msg.words, msg.mtype) != hdr.crc {
+            // Unverifiable header: trust nothing in it, count and move on.
+            self.stats.corrupt_dropped += 1;
+            return;
+        }
+        match hdr.kind {
+            E2eKind::Ack => {
+                // `dst` is the flow's sender; the header names the acker.
+                // Non-creating on purpose: an ack for a flow that never
+                // committed (possible only in synthetic scenarios) must not
+                // materialise sender state.
+                self.stats.acks_received += 1;
+                let pr = pair(dst, hdr.src.index());
+                let Some(flow) = self.tx[dst].get_mut(pr) else {
+                    return;
+                };
+                let mut acked = 0;
+                while flow.unacked.front().is_some_and(|&(psn, _)| psn < hdr.psn) {
+                    flow.unacked.pop_front();
+                    acked += 1;
+                }
+                if acked == 0 {
+                    return;
+                }
+                flow.rounds = 0;
+                flow.last_send = cycle;
+                let drained = flow.unacked.is_empty();
+                self.unacked_msgs -= acked;
+                // Fully acked: off the timeout list. Otherwise the timer
+                // restarted at the newest stamp: tail.
+                if drained {
+                    self.unlink(pr);
+                } else {
+                    self.move_to_tail(pr);
+                }
+            }
+            E2eKind::Data => {
+                let expected = self.rx[dst]
+                    .get(pair(dst, hdr.src.index()))
+                    .map_or(0, |flow| flow.expected);
+                if hdr.psn < expected {
+                    self.stats.dup_suppressed += 1;
+                } else {
+                    self.stats.out_of_order_dropped += 1;
+                }
+                // Either way, remind the sender where the flow stands (a lost
+                // ack is recovered by the duplicate's re-ack).
+                self.queue_ack(dst, hdr.src.index());
+            }
         }
     }
-}
 
-impl<'a> DeliveryView for DeliveryRange<'a> {
-    type Outbox = OutboxRange<'a>;
-    #[inline]
-    fn config(&self) -> DeliveryConfig {
-        self.config
-    }
-    #[inline]
-    fn format(&self) -> WireFormat {
-        self.format
-    }
-    #[inline]
-    fn tx(&mut self, src: usize) -> &mut NodeFlows<FlowTx> {
-        &mut self.tx[src - self.lo]
-    }
-    #[inline]
-    fn rx(&mut self, dst: usize) -> &mut NodeFlows<FlowRx> {
-        &mut self.rx[dst - self.lo]
-    }
-    #[inline]
-    fn outbox(&mut self) -> &mut OutboxRange<'a> {
-        &mut self.outbox
-    }
-    #[inline]
-    fn stats_mut(&mut self) -> &mut DeliveryStats {
-        &mut self.stats
-    }
-    #[inline]
-    fn unacked(&mut self, n: i64) {
-        self.unacked += n;
-    }
-    #[inline]
-    fn list(&mut self, pr: u32, op: ListOp) {
-        self.ops.push((pr, op));
+    /// Queues (or refreshes) the cumulative ack from `receiver` back to the
+    /// flow's `sender`. At most one pending ack per flow lives in the outbox: a
+    /// newer cumulative ack *coalesces* into it (highest sequence number wins)
+    /// instead of enqueueing another — without this, every data arrival on a
+    /// congested outbox would add an ack (an ack flood).
+    fn queue_ack(&mut self, receiver: usize, sender: usize) {
+        let pr = pair(receiver, sender);
+        let psn = self.rx[receiver].get(pr).map_or(0, |f| f.expected);
+        // Full node ids end to end: the ack names its flow without casts, and
+        // is composed under the machine's wire format.
+        let sender_id = NodeId::from_index(sender);
+        let mut ack = Message::to_in(self.format, sender_id, [0; 5], MsgType::default());
+        let crc = payload_crc(&ack.words, ack.mtype);
+        ack.e2e = Some(E2eHeader::ack(NodeId::from_index(receiver), psn, crc));
+        if self.rx[receiver].get(pr).is_some_and(|f| f.ack_pending) {
+            for m in self.outbox.queue_mut(receiver).iter_mut() {
+                if matches!(m.e2e, Some(h) if h.kind == E2eKind::Ack) && m.dest() == sender_id {
+                    // Cumulative: only ever move the acked prefix forward
+                    // (`expected` is monotone, so `<=` always holds — the guard
+                    // is defense in depth).
+                    if m.e2e.expect("matched above").psn <= psn {
+                        *m = ack;
+                    }
+                    self.stats.acks_coalesced += 1;
+                    return;
+                }
+            }
+            debug_assert!(false, "ack_pending set but no ack queued");
+        }
+        self.rx[receiver].get_or_insert(pr).ack_pending = true;
+        self.outbox.push(receiver, ack);
+        self.stats.acks_sent += 1;
     }
 }
 
@@ -1328,11 +1045,6 @@ mod tests {
                 .peek(pair(src, dst))
                 .and_then(|fl| fl.unacked.front().copied())
         }
-
-        /// The active-outbox set.
-        fn active_sorted(&self) -> Vec<usize> {
-            self.outbox.nodes().collect()
-        }
     }
 
     #[test]
@@ -1349,29 +1061,29 @@ mod tests {
         assert!(!d.active());
         // Fill the window.
         for tag in 0..2 {
-            assert!(can_admit(&mut d, 0, 1));
+            assert!(d.can_admit(0, 1));
             let mut m = data(1, tag);
-            stamp(&mut d, 0, 1, &mut m);
+            d.stamp(0, 1, &mut m);
             assert_eq!(m.e2e.unwrap().psn, tag);
-            commit(&mut d, 0, 1, m, 5);
+            d.commit(0, 1, m, 5);
         }
-        assert!(!can_admit(&mut d, 0, 1), "window full backs off");
+        assert!(!d.can_admit(0, 1), "window full backs off");
         assert!(d.active());
         assert_eq!(d.residency(), 2);
 
         // Receiver takes psn 0 in order and acks cumulatively.
         let mut m0 = data(1, 0);
         d.stamp_for_test(0, &mut m0, 0);
-        assert_eq!(rx_action(&mut d, 1, &m0), RxAction::Deliver);
-        on_delivered(&mut d, 1, &m0);
-        let ack = *d.outbox().front(1).expect("ack queued");
+        assert_eq!(d.rx_action(1, &m0), RxAction::Deliver);
+        d.on_delivered(1, &m0);
+        let ack = *d.outbox_front(1).expect("ack queued");
         assert_eq!(ack.dest(), NodeId::new(0));
         assert_eq!(ack.e2e.unwrap().psn, 1);
 
         // Sender consumes the ack: window slides.
-        assert_eq!(rx_action(&mut d, 0, &ack), RxAction::Consume);
-        on_consumed(&mut d, 0, &ack, 7);
-        assert!(can_admit(&mut d, 0, 1));
+        assert_eq!(d.rx_action(0, &ack), RxAction::Consume);
+        d.on_consumed(0, &ack, 7);
+        assert!(d.can_admit(0, 1));
         assert_eq!(d.stats().acks_received, 1);
         assert_eq!(d.stats().delivered_unique, 1);
     }
@@ -1381,24 +1093,24 @@ mod tests {
         let mut d = Delivery::new(2, DeliveryConfig::default(), WireFormat::Compact);
         let mut m0 = data(1, 7);
         d.stamp_for_test(0, &mut m0, 0);
-        on_delivered(&mut d, 1, &m0);
+        d.on_delivered(1, &m0);
         // The same psn again: duplicate.
-        assert_eq!(rx_action(&mut d, 1, &m0), RxAction::Consume);
-        on_consumed(&mut d, 1, &m0, 2);
+        assert_eq!(d.rx_action(1, &m0), RxAction::Consume);
+        d.on_consumed(1, &m0, 2);
         assert_eq!(d.stats().dup_suppressed, 1);
         // psn 5: a gap.
         let mut m5 = data(1, 8);
         d.stamp_for_test(0, &mut m5, 5);
-        assert_eq!(rx_action(&mut d, 1, &m5), RxAction::Consume);
-        on_consumed(&mut d, 1, &m5, 3);
+        assert_eq!(d.rx_action(1, &m5), RxAction::Consume);
+        d.on_consumed(1, &m5, 3);
         assert_eq!(d.stats().out_of_order_dropped, 1);
         // Exactly one coalesced ack is pending despite three arrivals.
         assert_eq!(d.stats().acks_sent, 1);
         assert_eq!(d.stats().acks_coalesced, 2, "two arrivals coalesced");
-        assert_eq!(d.outbox().front(1).unwrap().e2e.unwrap().psn, 1);
+        assert_eq!(d.outbox_front(1).unwrap().e2e.unwrap().psn, 1);
         // Once the pending ack drains, the next arrival queues a fresh one.
-        outbox_pop(&mut d, 1);
-        on_consumed(&mut d, 1, &m0, 4);
+        d.outbox_pop(1);
+        d.on_consumed(1, &m0, 4);
         assert_eq!(d.stats().acks_sent, 2);
         assert_eq!(d.stats().acks_coalesced, 2);
     }
@@ -1411,12 +1123,12 @@ mod tests {
         for psn in 0..2 {
             let mut m = data(1, psn);
             d.stamp_for_test(0, &mut m, psn);
-            assert_eq!(rx_action(&mut d, 1, &m), RxAction::Deliver);
-            on_delivered(&mut d, 1, &m);
+            assert_eq!(d.rx_action(1, &m), RxAction::Deliver);
+            d.on_delivered(1, &m);
         }
         assert_eq!(d.stats().acks_sent, 1);
         assert_eq!(d.stats().acks_coalesced, 1);
-        assert_eq!(d.outbox().front(1).unwrap().e2e.unwrap().psn, 2);
+        assert_eq!(d.outbox_front(1).unwrap().e2e.unwrap().psn, 2);
     }
 
     #[test]
@@ -1425,10 +1137,10 @@ mod tests {
         let mut m = data(1, 7);
         d.stamp_for_test(0, &mut m, 0);
         m.words[2] ^= 1 << 9; // fabric corruption after stamping
-        assert_eq!(rx_action(&mut d, 1, &m), RxAction::Consume);
-        on_consumed(&mut d, 1, &m, 1);
+        assert_eq!(d.rx_action(1, &m), RxAction::Consume);
+        d.on_consumed(1, &m, 1);
         assert_eq!(d.stats().corrupt_dropped, 1);
-        assert!(d.outbox().front(1).is_none(), "no ack for garbage");
+        assert!(d.outbox_front(1).is_none(), "no ack for garbage");
     }
 
     #[test]
@@ -1441,26 +1153,26 @@ mod tests {
         let mut d = Delivery::new(2, cfg, WireFormat::Compact);
         for tag in 0..2 {
             let mut m = data(1, tag);
-            stamp(&mut d, 0, 1, &mut m);
-            commit(&mut d, 0, 1, m, 0);
+            d.stamp(0, 1, &mut m);
+            d.commit(0, 1, m, 0);
         }
-        d.pump(5, &[0, d.nodes]);
+        d.pump(5);
         assert_eq!(d.stats().retransmits, 0, "not due yet");
-        d.pump(10, &[0, d.nodes]);
+        d.pump(10);
         assert_eq!(d.stats().retransmits, 2, "whole window requeued");
         assert_eq!(d.stats().timeout_rounds, 1);
         // Copies still pending in the outbox: the next round requeues
         // nothing more.
-        d.pump(20, &[0, d.nodes]);
+        d.pump(20);
         assert_eq!(d.stats().retransmits, 2);
         // Drain the outbox, then exhaust the budget.
-        outbox_pop(&mut d, 0);
-        outbox_pop(&mut d, 0);
-        d.pump(30, &[0, d.nodes]);
+        d.outbox_pop(0);
+        d.outbox_pop(0);
+        d.pump(30);
         assert_eq!(d.stats().retransmits, 4);
-        outbox_pop(&mut d, 0);
-        outbox_pop(&mut d, 0);
-        d.pump(40, &[0, d.nodes]);
+        d.outbox_pop(0);
+        d.outbox_pop(0);
+        d.pump(40);
         assert_eq!(d.stats().abandoned, 2, "budget exhausted");
         assert!(!d.active());
     }
@@ -1473,9 +1185,9 @@ mod tests {
         // default state and the slot is released.
         let mut m5 = data(1, 8);
         d.stamp_for_test(0, &mut m5, 5);
-        on_consumed(&mut d, 1, &m5, 1);
+        d.on_consumed(1, &m5, 1);
         assert_eq!(d.scan_stats().active_flows, 1, "rx slot carries the ack");
-        outbox_pop(&mut d, 1);
+        d.outbox_pop(1);
         assert_eq!(d.scan_stats().active_flows, 0, "default rx state evicted");
         assert_eq!(d.scan_stats().peak_flows, 1, "high-water mark survives");
 
@@ -1484,14 +1196,10 @@ mod tests {
         // survive the ack draining.
         let mut m0 = data(1, 7);
         d.stamp_for_test(0, &mut m0, 0);
-        on_delivered(&mut d, 1, &m0);
-        outbox_pop(&mut d, 1);
+        d.on_delivered(1, &m0);
+        d.outbox_pop(1);
         assert_eq!(d.scan_stats().active_flows, 1, "advanced rx state stays");
-        assert_eq!(
-            rx_action(&mut d, 1, &m0),
-            RxAction::Consume,
-            "still a duplicate"
-        );
+        assert_eq!(d.rx_action(1, &m0), RxAction::Consume, "still a duplicate");
     }
 
     #[test]
@@ -1503,15 +1211,15 @@ mod tests {
         };
         let mut d = Delivery::new(2, cfg, WireFormat::Compact);
         let mut m = data(1, 0);
-        stamp(&mut d, 0, 1, &mut m);
-        commit(&mut d, 0, 1, m, 0);
+        d.stamp(0, 1, &mut m);
+        d.commit(0, 1, m, 0);
         // Burn the whole retransmit budget until the window abandons.
         let mut cycle = 0;
         while d.active() {
             cycle += 10;
-            d.pump(cycle, &[0, d.nodes]);
-            while d.outbox().front(0).is_some() {
-                outbox_pop(&mut d, 0);
+            d.pump(cycle);
+            while d.outbox_front(0).is_some() {
+                d.outbox_pop(0);
             }
         }
         assert_eq!(d.stats().abandoned, 1);
@@ -1520,18 +1228,18 @@ mod tests {
         // receiver's duplicate horizon).
         assert_eq!(d.scan_stats().active_flows, 1, "tx slot survives abandon");
         let mut m2 = data(1, 1);
-        stamp(&mut d, 0, 1, &mut m2);
+        d.stamp(0, 1, &mut m2);
         assert_eq!(m2.e2e.unwrap().psn, 1, "psn continues, not reset");
         // Fully acked flows keep their slot too.
-        commit(&mut d, 0, 1, m2, cycle);
+        d.commit(0, 1, m2, cycle);
         let mut ack = Message::to(NodeId::from_index(0), [0; 5], MsgType::default());
         let crc = payload_crc(&ack.words, ack.mtype);
         ack.e2e = Some(E2eHeader::ack(NodeId::from_index(1), 2, crc));
-        on_consumed(&mut d, 0, &ack, cycle + 1);
+        d.on_consumed(0, &ack, cycle + 1);
         assert!(!d.active(), "window fully acked");
         assert_eq!(d.scan_stats().active_flows, 1, "tx slot survives full ack");
         let mut m3 = data(1, 2);
-        stamp(&mut d, 0, 1, &mut m3);
+        d.stamp(0, 1, &mut m3);
         assert_eq!(m3.e2e.unwrap().psn, 2, "psn continues after full ack");
     }
 
@@ -1694,19 +1402,19 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 let src = ((x >> 33) % nodes as u64) as usize;
                 let dst = ((x >> 13) % nodes as u64) as usize;
-                if src != dst && can_admit(&mut d, src, dst) && cycle % 3 == 0 {
+                if src != dst && d.can_admit(src, dst) && cycle % 3 == 0 {
                     let mut m = data(dst as u16, cycle as u32);
-                    stamp(&mut d, src, dst, &mut m);
-                    commit(&mut d, src, dst, m, cycle);
+                    d.stamp(src, dst, &mut m);
+                    d.commit(src, dst, m, cycle);
                 }
-                d.pump(cycle, &[0, d.nodes]);
+                d.pump(cycle);
                 // Drain one outbox message from a rotating node and record
                 // it; occasionally ack a flow's oldest message.
                 let node = (cycle % nodes as u64) as usize;
-                if let Some(m) = d.outbox().front(node).copied() {
+                if let Some(m) = d.outbox_front(node).copied() {
                     let h = m.e2e.unwrap();
                     drained.push((node, m.dest().index() as u32, h.psn));
-                    outbox_pop(&mut d, node);
+                    d.outbox_pop(node);
                 }
                 if cycle % 7 == 0 {
                     let sender = ((x >> 49) % nodes as u64) as usize;
@@ -1717,7 +1425,7 @@ mod tests {
                                 Message::to(NodeId::from_index(sender), [0; 5], MsgType::default());
                             let crc = payload_crc(&ack.words, ack.mtype);
                             ack.e2e = Some(E2eHeader::ack(NodeId::from_index(acker), psn + 1, crc));
-                            on_consumed(&mut d, sender, &ack, cycle);
+                            d.on_consumed(sender, &ack, cycle);
                         }
                     }
                 }
@@ -1731,85 +1439,5 @@ mod tests {
         assert_eq!(hot_order, dense_order, "outbox drain order must match");
         assert!(hot.retransmits > 0, "the scenario exercised timeouts");
         assert!(hot.abandoned > 0, "the scenario exercised abandons");
-    }
-
-    /// The sharded pump (global due collection, per-domain firing through
-    /// range views, delta replay) must be bit-identical to the one-domain
-    /// pump firing in place — counters, outbox drain order, active set, and
-    /// scan meters alike.
-    #[test]
-    fn parallel_pump_matches_serial_pump() {
-        let cfg = DeliveryConfig {
-            window: 4,
-            timeout: 8,
-            retransmit_limit: 3,
-        };
-        let nodes = 8usize;
-        let bounds = [0usize, 3, 5, 8];
-        // Counters, scan meters, outbox drain order, active set.
-        type Outcome = (DeliveryStats, ScanStats, Vec<(usize, u32, u32)>, Vec<usize>);
-        let run = |par: bool| -> Outcome {
-            let mut d = Delivery::new(nodes, cfg, WireFormat::Compact);
-            let mut drained = Vec::new();
-            // A burst across every source domain so one pump sees well over
-            // PAR_FIRE_MIN due flows at once (the parallel fire path).
-            for src in 0..nodes {
-                for dst in [(src + 1) % nodes, (src + 3) % nodes] {
-                    let mut m = data(dst as u16, (src * nodes + dst) as u32);
-                    stamp(&mut d, src, dst, &mut m);
-                    commit(&mut d, src, dst, m, 0);
-                }
-            }
-            let mut x = 0xdead_beef_cafe_f00du64;
-            for cycle in 0..400u64 {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let src = ((x >> 33) % nodes as u64) as usize;
-                let dst = ((x >> 13) % nodes as u64) as usize;
-                if src != dst && can_admit(&mut d, src, dst) && cycle % 3 == 0 {
-                    let mut m = data(dst as u16, cycle as u32);
-                    stamp(&mut d, src, dst, &mut m);
-                    commit(&mut d, src, dst, m, cycle);
-                }
-                if par {
-                    d.pump(cycle, &bounds);
-                } else {
-                    d.pump(cycle, &[0, d.nodes]);
-                }
-                let node = (cycle % nodes as u64) as usize;
-                if let Some(m) = d.outbox().front(node).copied() {
-                    let h = m.e2e.unwrap();
-                    drained.push((node, m.dest().index() as u32, h.psn));
-                    outbox_pop(&mut d, node);
-                }
-                if cycle % 7 == 0 {
-                    let sender = ((x >> 49) % nodes as u64) as usize;
-                    let acker = ((x >> 41) % nodes as u64) as usize;
-                    if sender != acker {
-                        if let Some((psn, _)) = d.unacked_front(sender, acker) {
-                            let mut ack =
-                                Message::to(NodeId::from_index(sender), [0; 5], MsgType::default());
-                            let crc = payload_crc(&ack.words, ack.mtype);
-                            ack.e2e = Some(E2eHeader::ack(NodeId::from_index(acker), psn + 1, crc));
-                            on_consumed(&mut d, sender, &ack, cycle);
-                        }
-                    }
-                }
-                d.check_invariants().unwrap();
-            }
-            (d.stats(), d.scan_stats(), drained, d.active_sorted())
-        };
-        // Force helper threads so the sharded path really runs concurrently.
-        tcni_util::par::set_threads(3);
-        let (ps, pscan, porder, pactive) = run(true);
-        tcni_util::par::set_threads(0);
-        let (ss, sscan, sorder, sactive) = run(false);
-        assert_eq!(ss, ps, "protocol counters must be bit-identical");
-        assert_eq!(sscan, pscan, "scan meters must be bit-identical");
-        assert_eq!(sorder, porder, "outbox drain order must match");
-        assert_eq!(sactive, pactive, "active-outbox set must match");
-        assert!(ss.retransmits > 0, "the scenario exercised timeouts");
-        assert!(ss.abandoned > 0, "the scenario exercised abandons");
     }
 }

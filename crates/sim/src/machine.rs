@@ -8,22 +8,26 @@ use tcni_cpu::{StepOutcome, TimingConfig};
 use tcni_isa::{MsgType, Program};
 use tcni_net::{
     CombiningTree, Fabric, FabricConfig, FabricError, FaultConfig, FaultyFabric, FullyConnected,
-    IdealNetwork, InjectError, NetRange, NetRangeDelta, NetStats, Network, NetworkKind,
-    Topology as _, TopologyKind,
+    IdealNetwork, InjectError, NetStats, Network, NetworkKind, Topology as _, TopologyKind,
 };
 use tcni_util::par::{domain_bounds, run_tasks};
 
-use crate::collective::{self, CollDelta, CollRange, CollView, Collective, CollectiveStats};
-use crate::delivery::{
-    self, Delivery, DeliveryConfig, DeliveryDelta, DeliveryRange, DeliveryStats, DeliveryView,
-    RxAction,
-};
+use crate::collective::{Collective, CollectiveStats};
+use crate::delivery::{Delivery, DeliveryConfig, DeliveryStats, RxAction};
 use crate::driver::{Activity, CycleDriver};
 use crate::model::{Model, NiMapping};
 use crate::node::Node;
 use crate::obs::{NodeRollup, Obs, ObsReport};
-use crate::outbox::OutboxView;
 use crate::trace::{Trace, TraceEvent};
+
+/// Fewest running processors per worker for which the processor step runs
+/// in parallel. Measured with the ring program of the `ring16_isa`
+/// benchmark on a 2-core host, alternating one and two workers window by
+/// window: two workers were 1.0–1.2× slower than one on 256 CPUs and
+/// 1.0–1.35× slower on 1 024, and 0.7–1.04× on 2 048. The fork/join and
+/// the cache traffic of handing nodes between cores outweigh a step of
+/// about 90 ns per processor until each worker has about a thousand.
+const PAR_STEP_MIN: usize = 1024;
 
 /// Why a [`MachineBuilder`] cannot produce a machine. Returned by the
 /// fallible [`MachineBuilder::try_new`]/[`MachineBuilder::try_build`] pair;
@@ -189,7 +193,7 @@ pub enum RunOutcome {
 /// backpressure, §2.1.1); the network advances one cycle; arrived messages
 /// move into interfaces that can accept them.
 ///
-/// The stepping loop is the simulator's hot path and carries three
+/// The stepping loop is the simulator's hot path and carries four
 /// optimizations, none of which change observable behaviour:
 ///
 /// * the fabric is a [`NetworkKind`] enum (static dispatch, inlinable);
@@ -201,7 +205,10 @@ pub enum RunOutcome {
 ///   replace full machine cycles, and the elapsed stall time is bulk-charged
 ///   to the processors afterwards. Cycle accounting is bit-identical to the
 ///   naive loop (see `tests/prop_fast_forward.rs`); the
-///   [reference mode](Machine::set_reference) disables it to cross-check.
+///   [reference mode](Machine::set_reference) disables it to cross-check;
+/// * with enough running processors, they step in parallel chunks (see
+///   [`set_par_threads`](Machine::set_par_threads)); every other phase is
+///   serial.
 ///
 /// # Example
 ///
@@ -268,17 +275,16 @@ pub struct Machine {
     outbox_scan: Vec<usize>,
     /// The collective engine's counterpart of `outbox_scan`.
     coll_scan: Vec<usize>,
-    /// Region outputs and scratch of the one-domain cycle, reused across
-    /// cycles.
+    /// Region A's outputs and scratch, reused across cycles.
     region_out: RegionOut,
     /// Whether node [`CollPort`](Node::coll_request) latches may hold
     /// requests. Set wherever external code could have latched one (list
     /// refresh after `node_mut`, every driven cycle); the injection phase
     /// only pays the O(nodes) latch scan while this is set.
     coll_poll: bool,
-    /// Worker count for the sharded cycle: `0` follows the process-wide
-    /// setting ([`tcni_util::par::threads`], i.e. `TCNI_THREADS`); any other
-    /// value overrides it for this machine.
+    /// Worker count for the parallel processor step: `0` follows the
+    /// process-wide setting ([`tcni_util::par::threads`], i.e.
+    /// `TCNI_THREADS`); any other value overrides it for this machine.
     par_threads: usize,
 }
 
@@ -466,8 +472,8 @@ impl Machine {
     /// machine the equivalence suites cross-check the optimised one
     /// against. In reference mode [`run`](Machine::run) never
     /// fast-forwards, the fabric visits every channel and the delivery
-    /// pump examines every flow each cycle, and the cycle runs as one
-    /// domain whatever the worker count. Behaviour is bit-identical either
+    /// pump examines every flow each cycle, and the processors step on one
+    /// thread whatever the worker count. Behaviour is bit-identical either
     /// way; only wall clock, [`skipped_cycles`](Machine::skipped_cycles)
     /// and the [`NetStats::scan`] effort meters differ.
     pub fn set_reference(&mut self, on: bool) {
@@ -485,13 +491,16 @@ impl Machine {
         self.reference
     }
 
-    /// Overrides the worker count of the sharded cycle for this machine:
+    /// Overrides the worker count of the processor step for this machine:
     /// `0` (the default) follows the process-wide setting
     /// ([`tcni_util::par::threads`], i.e. the `TCNI_THREADS` environment
-    /// variable), `1` forces the serial cycle, `n ≥ 2` shards the cycle
-    /// across `n` spatial domains. The cycle-by-cycle results are
-    /// bit-identical at any setting — parallelism is an implementation
-    /// detail — which the equivalence suites verify.
+    /// variable), `1` forces a serial step, `n ≥ 2` lets a cycle step its
+    /// running processors in up to `n` contiguous chunks in parallel — but
+    /// only chunks of at least a fixed minimum of processors, so a machine
+    /// with few running CPUs steps serially at any setting. Everything else
+    /// in the cycle (injection, the delivery pump, the fabric tick,
+    /// ejection) is serial. The results are bit-identical at any setting,
+    /// which the equivalence suites verify.
     pub fn set_par_threads(&mut self, n: usize) {
         self.par_threads = n;
     }
@@ -537,11 +546,11 @@ impl Machine {
             self.refresh_lists();
         }
         self.pending_known = false;
-        self.cycle_one(CpuPhase::Step);
+        self.cycle_one(CpuPhase::Step, 1);
     }
 
-    /// Checks, between cycles, the invariants both cycle disciplines must
-    /// preserve: in the network, whatever the [`NetworkKind`], the
+    /// Checks, between cycles, the invariants the cycle must preserve: in
+    /// the network, whatever the [`NetworkKind`], the
     /// conservation law `injected − faults.dropped == delivered +
     /// in_flight` (see [`tcni_net::FaultCounters`]); in a switched fabric,
     /// the frontier and the eject-ready set against the channels; in the
@@ -629,20 +638,19 @@ impl Machine {
         }
     }
 
-    /// The injection-phase prologue both cycles share, in this order:
-    /// latched collective requests feed the engine (serially —
-    /// contributions are sparse, driver-latched stimuli); due timeouts fire
-    /// over the cycle's domain `bounds`, so the copies contend for this
-    /// cycle's injection slots; then the outbox active sets are snapshotted
+    /// The injection-phase prologue, in this order: latched collective
+    /// requests feed the engine (contributions are sparse, driver-latched
+    /// stimuli); due timeouts fire, so the copies contend for this cycle's
+    /// injection slots; then the outbox active sets are snapshotted
     /// (ascending; injection pops edit the live sets mid-walk). Processors
     /// never touch either engine, so running this before the processor
     /// phase is invisible.
-    fn prologue(&mut self, bounds: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    fn prologue(&mut self) -> (Vec<usize>, Vec<usize>) {
         self.drain_coll_requests();
         let mut ob = std::mem::take(&mut self.outbox_scan);
         ob.clear();
         if let Some(del) = self.delivery.as_mut() {
-            del.pump(self.cycle, bounds);
+            del.pump(self.cycle);
             ob.extend(del.outbox_nodes());
         }
         let mut cob = std::mem::take(&mut self.coll_scan);
@@ -653,18 +661,31 @@ impl Machine {
         (ob, cob)
     }
 
-    /// One cycle with the whole machine as a single domain, run through the
-    /// direct views: every effect lands in place, so no delta is built and
-    /// nothing is replayed. `cpus` selects the processor phase. Returns
-    /// (every stepped processor environment-stalled, any interface state
-    /// changed by the network phases).
-    fn cycle_one(&mut self, cpus: CpuPhase) -> (bool, bool) {
+    /// The worker count for this run's processor step: one in reference
+    /// mode or when the running list is too short to fill two chunks,
+    /// otherwise the per-machine override or the process-wide setting. The
+    /// running list only shrinks during a run, so this is resolved once at
+    /// run entry.
+    fn step_workers(&self) -> usize {
+        if self.reference || self.running.len() < 2 * PAR_STEP_MIN {
+            1
+        } else if self.par_threads > 0 {
+            self.par_threads
+        } else {
+            tcni_util::par::threads()
+        }
+    }
+
+    /// One machine cycle. `cpus` selects the processor phase; `workers`
+    /// bounds the parallel processor step (see
+    /// [`set_par_threads`](Self::set_par_threads)). Returns (every stepped
+    /// processor environment-stalled, any interface state changed by the
+    /// network phases).
+    fn cycle_one(&mut self, cpus: CpuPhase, workers: usize) -> (bool, bool) {
         let cycle = self.cycle;
-        let n = self.nodes.len();
-        let (ob, cob) = self.prologue(&[0, n]);
+        let (ob, cob) = self.prologue();
         let mut out = std::mem::take(&mut self.region_out);
-        let mut cx = Domain {
-            lo: 0,
+        let mut cx = Phases {
             nodes: &mut self.nodes,
             net: &mut self.net,
             del: self.delivery.as_mut(),
@@ -678,16 +699,16 @@ impl Machine {
             outbox: &ob,
             coll_outbox: &cob,
         };
-        cx.region_a(cycle, cpus, &lists, &mut out);
-        std::mem::swap(&mut self.running, &mut out.running);
+        cx.region_a(cycle, cpus, workers, &lists, &mut out);
+        std::mem::swap(&mut self.running, &mut out.stepped.running);
         std::mem::swap(&mut self.draining, &mut out.draining);
         cx.net.tick();
         let mut changed = out.changed;
         self.arrived.clear();
         if cx.net.in_flight() > 0 {
-            changed |= cx.region_b(cycle, n, &mut self.arrived);
+            changed |= cx.region_b(cycle, &mut self.arrived);
         }
-        let all_stalled = out.all_stalled;
+        let all_stalled = out.stepped.all_stalled;
         self.region_out = out;
         self.outbox_scan = ob;
         self.coll_scan = cob;
@@ -744,7 +765,7 @@ impl Machine {
                     }
                 }
             }
-            let (_, changed) = self.cycle_one(CpuPhase::Skip);
+            let (_, changed) = self.cycle_one(CpuPhase::Skip, 1);
             skipped += 1;
             if changed {
                 break;
@@ -753,154 +774,6 @@ impl Machine {
         self.skipped_cycles += skipped;
         for &i in &self.running {
             self.nodes[i].skip_env_stall(skipped);
-        }
-    }
-
-    /// Builds the spatial-decomposition plan for the sharded cycle, or
-    /// `None` when this machine runs the one-domain cycle. Eligibility: a
-    /// switched fabric — bare or fault-wrapped ([`NetworkKind::split_ranges`]
-    /// hands each domain its nodes' fault streams) — observability off
-    /// (per-link counters, which only `enable_obs` turns on, and the span
-    /// collector exist only on the direct views), the reference mode off,
-    /// at least two nodes, and an effective worker count of at least two.
-    fn make_par_plan(&self) -> Option<ParPlan> {
-        if self.obs.is_some() || self.reference || self.nodes.len() < 2 {
-            return None;
-        }
-        let mesh = self.net.as_fabric()?;
-        let workers = if self.par_threads > 0 {
-            self.par_threads
-        } else {
-            tcni_util::par::threads()
-        };
-        if workers < 2 {
-            return None;
-        }
-        // Domains are carved over *mesh* slots (routing can cross slots
-        // beyond the last machine node); the machine-side phases use the
-        // same boundaries clamped to the node count — machine nodes are a
-        // prefix of the mesh slots.
-        let bounds = domain_bounds(mesh.node_count(), workers);
-        if bounds.len() < 3 {
-            return None;
-        }
-        let n = self.nodes.len();
-        let mbounds: Vec<usize> = bounds.iter().map(|&b| b.min(n)).collect();
-        Some(ParPlan {
-            bounds,
-            mbounds,
-            run_acc: Vec::new(),
-            drain_acc: Vec::new(),
-        })
-    }
-
-    /// One full cycle, sharded across spatial domains — bit-identical to
-    /// [`cycle_one`](Self::cycle_one) at any worker count.
-    ///
-    /// Each domain owns a contiguous node range: its processors,
-    /// interfaces, fabric channels, delivery tables, and collective slots.
-    /// Both cycles run the same region bodies; here each domain runs them
-    /// through range views that buffer every cross-domain effect — fabric
-    /// counters, frontier marks, outbox sets, the timeout list, protocol
-    /// counters, trace events — replayed in domain order, which *is* the
-    /// ascending-node order in which the one-domain cycle applies them.
-    /// Region A (processors, then injection) runs per domain, the fabric
-    /// ticks serially, then region B (ejection) runs per domain.
-    /// [`make_par_plan`](Self::make_par_plan) excludes observability; the
-    /// shards buffer trace events only when the machine is traced.
-    fn cycle_par(&mut self, plan: &mut ParPlan) -> (bool, bool) {
-        let cycle = self.cycle;
-        let traced = self.trace.is_some();
-        let (ob, cob) = self.prologue(&plan.mbounds);
-
-        // --- Region A: processors execute, interfaces inject ----------------
-        let [running, draining, outbox, coll_outbox] =
-            [&self.running, &self.draining, &ob, &cob].map(|l| partition_sorted(l, &plan.mbounds));
-        let mut tasks: Vec<(Shard<'_>, HotLists<'_>)> = split_shards(
-            &mut self.nodes,
-            &mut self.net,
-            self.delivery.as_mut(),
-            self.collective.as_mut(),
-            traced,
-            plan,
-        )
-        .into_iter()
-        .enumerate()
-        .map(|(d, s)| {
-            let lists = HotLists {
-                running: running[d],
-                draining: draining[d],
-                outbox: outbox[d],
-                coll_outbox: coll_outbox[d],
-            };
-            (s, lists)
-        })
-        .collect();
-        run_tasks(&mut tasks, |_, (s, lists)| {
-            let (mut cx, out) = s.parts();
-            cx.region_a(cycle, CpuPhase::Step, lists, out);
-        });
-        let (mut all_stalled, mut changed) = (true, false);
-        plan.run_acc.clear();
-        plan.drain_acc.clear();
-        for (s, _) in &tasks {
-            all_stalled &= s.out.all_stalled;
-            changed |= s.out.changed;
-            plan.run_acc.extend_from_slice(&s.out.running);
-            plan.drain_acc.extend_from_slice(&s.out.draining);
-        }
-        let deltas = Deltas::collect(tasks.into_iter().map(|(s, _)| s));
-        std::mem::swap(&mut self.running, &mut plan.run_acc);
-        std::mem::swap(&mut self.draining, &mut plan.drain_acc);
-        self.absorb(deltas);
-
-        // --- Phase 3: the fabric advances, serially --------------------------
-        self.net.tick();
-
-        // --- Region B: network → interfaces ----------------------------------
-        self.arrived.clear();
-        if self.net.in_flight() > 0 {
-            let mut shards = split_shards(
-                &mut self.nodes,
-                &mut self.net,
-                self.delivery.as_mut(),
-                self.collective.as_mut(),
-                traced,
-                plan,
-            );
-            run_tasks(&mut shards, |_, s| {
-                let hi = s.hi;
-                let (mut cx, out) = s.parts();
-                out.changed = cx.region_b(cycle, hi, &mut out.arrived);
-            });
-            for s in &shards {
-                changed |= s.out.changed;
-                self.arrived.extend_from_slice(&s.out.arrived);
-            }
-            let deltas = Deltas::collect(shards);
-            self.absorb(deltas);
-        }
-        self.outbox_scan = ob;
-        self.coll_scan = cob;
-        self.cycle += 1;
-        (all_stalled, changed)
-    }
-
-    /// Replays one sharded region's buffered effects, in domain order.
-    fn absorb(&mut self, d: Deltas) {
-        self.net.absorb(d.net);
-        if let Some(del) = self.delivery.as_mut() {
-            del.absorb_deltas(d.del);
-        }
-        if let Some(coll) = self.collective.as_mut() {
-            coll.absorb_deltas(d.coll);
-        }
-        if let Some(t) = self.trace.as_mut() {
-            // Processor-phase events (Halted/Faulted) precede network-phase
-            // ones (Sent/Delivered) within a cycle, each ascending by node.
-            for e in d.events.0.into_iter().flatten() {
-                t.record(e);
-            }
         }
     }
 
@@ -921,7 +794,7 @@ impl Machine {
         }
         self.pending_known = false;
         let limit = self.cycle.saturating_add(max_cycles);
-        let mut plan = self.make_par_plan();
+        let workers = self.step_workers();
         while self.cycle < limit {
             if self.running.is_empty() {
                 if self.is_quiescent() {
@@ -942,18 +815,12 @@ impl Machine {
                         || self.delivery.as_ref().is_some_and(Delivery::active)
                         || self.collective.as_ref().is_some_and(|c| c.outgoing() > 0))
                 {
-                    self.cycle_one(CpuPhase::Skip);
+                    self.cycle_one(CpuPhase::Skip, 1);
                     continue;
                 }
                 return RunOutcome::StoppedWithTraffic;
             }
-            let (all_stalled, changed) = match plan.as_mut() {
-                // The sharded cycle is bit-identical to the one-domain
-                // cycle, so mixing the two (the drain branch above, the
-                // fast-forward below) is safe.
-                Some(p) => self.cycle_par(p),
-                None => self.cycle_one(CpuPhase::Step),
-            };
+            let (all_stalled, changed) = self.cycle_one(CpuPhase::Step, workers);
             if !self.reference && all_stalled && !changed && !self.running.is_empty() {
                 self.fast_forward(limit);
             }
@@ -985,16 +852,13 @@ impl Machine {
     /// cycle instead.
     pub fn run_driven<D: CycleDriver>(&mut self, driver: &mut D, max_cycles: u64) -> RunOutcome {
         let limit = self.cycle.saturating_add(max_cycles);
-        let mut plan = self.make_par_plan();
         if self.lists_dirty {
             self.refresh_lists();
         }
+        let workers = self.step_workers();
         while self.cycle < limit {
             let go_on = self.drive(driver);
-            match plan.as_mut() {
-                Some(p) => self.cycle_par(p),
-                None => self.cycle_one(CpuPhase::Driven),
-            };
+            self.cycle_one(CpuPhase::Driven, workers);
             merge_sorted(&mut self.pending, &self.arrived);
             if !go_on {
                 return RunOutcome::DriverStopped;
@@ -1049,122 +913,20 @@ enum CpuPhase {
     Driven,
 }
 
-/// Spatial-decomposition plan for [`Machine::cycle_par`], built once per run
-/// entry (see [`Machine::make_par_plan`]).
-struct ParPlan {
-    /// Domain boundaries over mesh slots (drives the fabric's injection and
-    /// ejection ranges; routing can cross slots beyond the last machine
-    /// node).
-    bounds: Vec<usize>,
-    /// The same boundaries clamped to the machine's node count (drives the
-    /// processor, interface, delivery, and collective phases).
-    mbounds: Vec<usize>,
-    /// Reusable accumulators for the rebuilt running/draining lists.
-    run_acc: Vec<usize>,
-    drain_acc: Vec<usize>,
-}
-
 // --- the cycle body ------------------------------------------------------------
 
-/// The fabric surface the cycle body needs: the whole network (one-domain
-/// cycle) or one domain's range of it (sharded cycle).
-trait NetPort {
-    fn node_count(&self) -> usize;
-    fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError>;
-    fn peek_eject(&self, dst: NodeId) -> Option<&Message>;
-    fn eject(&mut self, dst: NodeId) -> Option<Message>;
-    fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize>;
-}
-
-impl NetPort for NetworkKind {
-    #[inline]
-    fn node_count(&self) -> usize {
-        Network::node_count(self)
-    }
-    #[inline]
-    fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
-        Network::inject(self, src, msg)
-    }
-    #[inline]
-    fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
-        Network::peek_eject(self, dst)
-    }
-    #[inline]
-    fn eject(&mut self, dst: NodeId) -> Option<Message> {
-        Network::eject(self, dst)
-    }
-    #[inline]
-    fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
-        Network::next_eject_ready(self, from, to)
-    }
-}
-
-impl NetPort for NetRange<'_> {
-    #[inline]
-    fn node_count(&self) -> usize {
-        self.node_count()
-    }
-    #[inline]
-    fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
-        self.inject(src, msg)
-    }
-    #[inline]
-    fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
-        self.peek_eject(dst)
-    }
-    #[inline]
-    fn eject(&mut self, dst: NodeId) -> Option<Message> {
-        self.eject(dst)
-    }
-    #[inline]
-    fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
-        self.next_eject_ready(from, to)
-    }
-}
-
-/// Where the cycle body's trace events go: straight into the machine's
-/// [`Trace`] (one-domain cycle), or into per-domain buffers the sharded
-/// cycle replays in domain order, processor-phase events (Halted/Faulted)
-/// ahead of network-phase ones (Sent/Delivered).
-trait EventSink {
-    fn push(&mut self, cpu_phase: bool, e: TraceEvent);
-}
-
-impl EventSink for Trace {
-    #[inline]
-    fn push(&mut self, _cpu_phase: bool, e: TraceEvent) {
-        self.record(e);
-    }
-}
-
-/// One domain's buffered trace events: processor phase, network phase.
-#[derive(Default)]
-struct EventBuf([Vec<TraceEvent>; 2]);
-
-impl EventSink for EventBuf {
-    #[inline]
-    fn push(&mut self, cpu_phase: bool, e: TraceEvent) {
-        self.0[usize::from(!cpu_phase)].push(e);
-    }
-}
-
-/// The ports one domain's cycle body runs against: a contiguous node range,
-/// the fabric, and the optional subsystems. The one-domain cycle fills it
-/// with direct views of the whole machine, whose effects land in place; the
-/// sharded cycle with per-domain ranges that buffer their global effects
-/// for replay. Observability exists only on the direct view.
-struct Domain<'a, N, D, C, S> {
-    /// First node of the domain (`nodes[0]`).
-    lo: usize,
+/// The machine's parts the cycle phases run against, borrowed apart from
+/// the hot lists they walk.
+struct Phases<'a> {
     nodes: &'a mut [Node],
-    net: &'a mut N,
-    del: Option<&'a mut D>,
-    coll: Option<&'a mut C>,
-    trace: Option<&'a mut S>,
+    net: &'a mut NetworkKind,
+    del: Option<&'a mut Delivery>,
+    coll: Option<&'a mut Collective>,
+    trace: Option<&'a mut Trace>,
     obs: Option<&'a mut Obs>,
 }
 
-/// Region A's inputs: one domain's slices of the machine's sorted hot lists.
+/// Region A's inputs: the machine's sorted hot lists.
 struct HotLists<'a> {
     running: &'a [usize],
     draining: &'a [usize],
@@ -1172,68 +934,127 @@ struct HotLists<'a> {
     coll_outbox: &'a [usize],
 }
 
-/// A region's outputs (merged in domain order by the sharded cycle) and
-/// region A's reusable scratch.
+/// Region A's outputs and reusable scratch.
 #[derive(Default)]
 struct RegionOut {
-    all_stalled: bool,
     changed: bool,
-    /// The domain's running list after the processor phase.
-    running: Vec<usize>,
-    /// The domain's draining list after the injection phase.
+    /// The processor phase's results (the running list among them).
+    stepped: Stepped,
+    /// The draining list after the injection phase.
     draining: Vec<usize>,
     /// The stopped-with-traffic set the injection phase walks.
     mid: Vec<usize>,
-    /// Region B's delivered-to nodes (sharded cycle).
-    arrived: Vec<usize>,
+    /// Per-chunk results of a parallel processor step.
+    chunks: Vec<Stepped>,
 }
 
-impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C, S> {
+/// What the processor step hands the serial phases, ascending by node and
+/// recorded while each node is still in the stepping thread's cache. The
+/// alignment keeps the parallel chunks, which fill neighbouring `Stepped`s
+/// concurrently, off each other's cache lines.
+#[derive(Default)]
+#[repr(align(128))]
+struct Stepped {
+    /// Every stepped processor was environment-stalled.
+    all_stalled: bool,
+    /// Processors still running after the step.
+    running: Vec<usize>,
+    /// Of those, the ones whose interface holds an outgoing message.
+    sending: Vec<usize>,
+    /// Processors that stopped in the step.
+    stopped: Vec<usize>,
+}
+
+impl Stepped {
+    fn clear(&mut self) {
+        self.all_stalled = true;
+        self.running.clear();
+        self.sending.clear();
+        self.stopped.clear();
+    }
+
+    /// Steps processors `ids` of `nodes`, whose first element is node
+    /// `base`, once each.
+    fn step(&mut self, nodes: &mut [Node], base: usize, ids: &[usize]) {
+        for &i in ids {
+            let node = &mut nodes[i - base];
+            self.all_stalled &= node.step() == StepOutcome::StalledEnv;
+            if node.is_stopped() {
+                self.stopped.push(i);
+            } else {
+                self.running.push(i);
+                if node.ni().peek_outgoing().is_some() {
+                    self.sending.push(i);
+                }
+            }
+        }
+    }
+
+    /// Appends a later chunk's results.
+    fn append(&mut self, chunk: &Stepped) {
+        self.all_stalled &= chunk.all_stalled;
+        self.running.extend_from_slice(&chunk.running);
+        self.sending.extend_from_slice(&chunk.sending);
+        self.stopped.extend_from_slice(&chunk.stopped);
+    }
+}
+
+impl Phases<'_> {
     /// Region A: phase 1 (processors execute) then phase 2 (interfaces
     /// inject), each in ascending node order.
-    fn region_a(&mut self, cycle: u64, cpus: CpuPhase, lists: &HotLists<'_>, out: &mut RegionOut) {
-        out.all_stalled = true;
+    fn region_a(
+        &mut self,
+        cycle: u64,
+        cpus: CpuPhase,
+        workers: usize,
+        lists: &HotLists<'_>,
+        out: &mut RegionOut,
+    ) {
         out.changed = false;
-        out.running.clear();
         out.draining.clear();
         out.mid.clear();
         // Phase 1: stopping processors leave the running list; those still
         // holding outgoing messages join the draining set.
+        let st = &mut out.stepped;
         if cpus == CpuPhase::Skip {
-            out.running.extend_from_slice(lists.running);
+            st.clear();
+            st.running.extend_from_slice(lists.running);
+            let nodes = &*self.nodes;
+            st.sending.extend(
+                lists
+                    .running
+                    .iter()
+                    .copied()
+                    .filter(|&i| nodes[i].ni().peek_outgoing().is_some()),
+            );
         } else {
-            for &i in lists.running {
-                let node = &mut self.nodes[i - self.lo];
-                if node.step() != StepOutcome::StalledEnv {
-                    out.all_stalled = false;
-                }
-                if let Some(o) = self.obs.as_deref_mut() {
+            step_running(self.nodes, lists.running, workers, st, &mut out.chunks);
+            // A serial pass in ascending node order does what the step
+            // shares beyond its node: observability and trace.
+            if let Some(o) = self.obs.as_deref_mut() {
+                for &i in lists.running {
                     // Output-depth increases are enqueues; input-depth
                     // decreases are dispatches. Both only happen while the
                     // CPU executes.
-                    mirror_depths(o, i, node, cycle);
+                    mirror_depths(o, i, &self.nodes[i], cycle);
                 }
-                if !node.is_stopped() {
-                    out.running.push(i);
-                    continue;
-                }
+            }
+            for &i in &st.stopped {
+                let node = &self.nodes[i];
                 if node.ni().peek_outgoing().is_some() {
                     out.mid.push(i);
                 }
                 if let Some(t) = self.trace.as_deref_mut() {
                     match node.cpu_state() {
                         tcni_cpu::CpuState::Halted => {
-                            t.push(true, TraceEvent::Halted { cycle, node: i });
+                            t.record(TraceEvent::Halted { cycle, node: i });
                         }
                         tcni_cpu::CpuState::Faulted { reason, .. } => {
-                            t.push(
-                                true,
-                                TraceEvent::Faulted {
-                                    cycle,
-                                    node: i,
-                                    reason: reason.clone(),
-                                },
-                            );
+                            t.record(TraceEvent::Faulted {
+                                cycle,
+                                node: i,
+                                reason: reason.clone(),
+                            });
                         }
                         tcni_cpu::CpuState::Running => {}
                     }
@@ -1245,8 +1066,8 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
                 // so enqueues and dispatches performed by the driver are
                 // stamped. Nodes already mirrored this cycle see unchanged
                 // depths — a no-op.
-                for (k, node) in self.nodes.iter().enumerate() {
-                    mirror_depths(o, self.lo + k, node, cycle);
+                for (i, node) in self.nodes.iter().enumerate() {
+                    mirror_depths(o, i, node, cycle);
                 }
             }
         }
@@ -1266,12 +1087,13 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
         // running/draining lists no longer scan — but those nodes are
         // exactly the ones on the outbox snapshots. Merging the sorted lists
         // visits the same nodes, in the same order, as a full scan would
-        // inject from: any node outside every list is stopped with an empty
-        // interface and empty outboxes.
+        // inject from: any node outside every list has an empty interface
+        // and empty outboxes.
+        let sending = &out.stepped.sending;
         let (mut r, mut d, mut o, mut c) = (0, 0, 0, 0);
         loop {
             let next = [
-                out.running.get(r).copied(),
+                sending.get(r).copied(),
                 mid.get(d).copied(),
                 lists.outbox.get(o).copied(),
                 lists.coll_outbox.get(c).copied(),
@@ -1280,18 +1102,18 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
             .flatten()
             .min();
             let Some(i) = next else { break };
-            r += usize::from(out.running.get(r) == Some(&i));
+            r += usize::from(sending.get(r) == Some(&i));
             d += usize::from(mid.get(d) == Some(&i));
             o += usize::from(lists.outbox.get(o) == Some(&i));
             c += usize::from(lists.coll_outbox.get(c) == Some(&i));
             out.changed |= self.inject_one(i, cycle);
         }
         // Stopped nodes whose last message just left stop being scanned.
-        let (nodes, lo) = (&*self.nodes, self.lo);
+        let nodes = &*self.nodes;
         out.draining.extend(
             mid.iter()
                 .copied()
-                .filter(|&i| nodes[i - lo].ni().peek_outgoing().is_some()),
+                .filter(|&i| nodes[i].ni().peek_outgoing().is_some()),
         );
     }
 
@@ -1303,7 +1125,7 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
     fn inject_one(&mut self, i: usize, cycle: u64) -> bool {
         let src = NodeId::from_index(i);
         if let Some(del) = self.del.as_deref_mut() {
-            if let Some(msg) = del.outbox().front(i).copied() {
+            if let Some(msg) = del.outbox_front(i).copied() {
                 return match self.net.inject(src, msg) {
                     // Congestion: the copy stays queued and retries.
                     Err(InjectError::Refused(_)) => false,
@@ -1311,19 +1133,19 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
                     // (real nodes) never are, but a bad message must not
                     // wedge the outbox.
                     _ => {
-                        delivery::outbox_pop(del, i);
+                        del.outbox_pop(i);
                         true
                     }
                 };
             }
         }
         if let Some(coll) = self.coll.as_deref_mut() {
-            if let Some(msg) = coll.outbox().front(i).copied() {
+            if let Some(msg) = coll.outbox_front(i).copied() {
                 let del = self.del.as_deref_mut();
                 return inject_coll_one(&mut *self.net, del, coll, i, msg, cycle);
             }
         }
-        let Some(mut msg) = self.nodes[i - self.lo].ni().peek_outgoing().copied() else {
+        let Some(mut msg) = self.nodes[i].ni().peek_outgoing().copied() else {
             return false;
         };
         if let Some(o) = self.obs.as_deref() {
@@ -1334,33 +1156,30 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
         if let Some(del) = self.del.as_deref_mut() {
             let dst = msg.dest().index();
             if dst < self.net.node_count() {
-                if !delivery::can_admit(del, i, dst) {
+                if !del.can_admit(i, dst) {
                     // Window full: back-pressure into the output queue
                     // exactly like a refused injection.
                     return false;
                 }
                 // Pure stamp: a refused injection retries with the same psn.
-                delivery::stamp(del, i, dst, &mut msg);
+                del.stamp(i, dst, &mut msg);
             }
         }
         match self.net.inject(src, msg) {
             Ok(()) => {
-                self.nodes[i - self.lo].ni_mut().pop_outgoing();
+                self.nodes[i].ni_mut().pop_outgoing();
                 if let (Some(del), Some(_)) = (self.del.as_deref_mut(), msg.e2e) {
-                    delivery::commit(del, i, msg.dest().index(), msg, cycle);
+                    del.commit(i, msg.dest().index(), msg, cycle);
                 }
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.on_inject(i, msg.seq, cycle);
                 }
                 if let Some(t) = self.trace.as_deref_mut() {
-                    t.push(
-                        false,
-                        TraceEvent::Sent {
-                            cycle,
-                            node: i,
-                            msg,
-                        },
-                    );
+                    t.record(TraceEvent::Sent {
+                        cycle,
+                        node: i,
+                        msg,
+                    });
                 }
                 true
             }
@@ -1368,25 +1187,25 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
             // cycle (backpressure, §2.1.1).
             Err(InjectError::Refused(_)) => false,
             Err(InjectError::BadDest(_) | InjectError::NotParticipant(_)) => {
-                drop_bad_dest(&mut self.nodes[i - self.lo], self.obs.as_deref_mut(), i);
+                drop_bad_dest(&mut self.nodes[i], self.obs.as_deref_mut(), i);
                 true
             }
         }
     }
 
-    /// Region B: network → interfaces for nodes `lo..hi`, visiting only
-    /// the nodes the fabric reports eject-ready. Appends every node whose
-    /// interface received a message to `arrived` (ascending). Returns
-    /// whether any interface state changed.
-    fn region_b(&mut self, cycle: u64, hi: usize, arrived: &mut Vec<usize>) -> bool {
+    /// Region B: network → interfaces, visiting only the nodes the fabric
+    /// reports eject-ready. Appends every node whose interface received a
+    /// message to `arrived` (ascending). Returns whether any interface state
+    /// changed.
+    fn region_b(&mut self, cycle: u64, arrived: &mut Vec<usize>) -> bool {
         let observed = self.obs.is_some();
         let mut changed = false;
-        let mut from = self.lo;
-        while let Some(i) = self.net.next_eject_ready(from, hi) {
+        let mut from = 0;
+        while let Some(i) = self.net.next_eject_ready(from, self.nodes.len()) {
             from = i + 1;
             let dst = NodeId::from_index(i);
             while let Some(peeked) = self.net.peek_eject(dst).copied() {
-                let node = &mut self.nodes[i - self.lo];
+                let node = &mut self.nodes[i];
                 // Collective traffic lands in the engine, which always
                 // accepts: it never enters (or backpressures) the NI input
                 // queue.
@@ -1400,7 +1219,7 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
                 let mut msg = if let Some(del) = protocol {
                     // A protocol-controlled arrival: the delivery layer
                     // decides its fate before the interface sees it.
-                    let deliver = delivery::rx_action(del, i, &peeked) == RxAction::Deliver;
+                    let deliver = del.rx_action(i, &peeked) == RxAction::Deliver;
                     if deliver && !engine_bound && !node.ni().can_accept(&peeked) {
                         break; // backpressure: leave it in the network
                     }
@@ -1409,10 +1228,10 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
                     if !deliver {
                         // Ack, duplicate, gap, or corruption: eaten by the
                         // protocol, never enters the interface.
-                        delivery::on_consumed(del, i, &msg, cycle);
+                        del.on_consumed(i, &msg, cycle);
                         continue;
                     }
-                    delivery::on_delivered(del, i, &msg);
+                    del.on_delivered(i, &msg);
                     msg
                 } else {
                     if !engine_bound && !node.ni().can_accept(&peeked) {
@@ -1425,7 +1244,7 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
                     // Collective plumbing stays out of the trace/obs streams
                     // (it models NI hardware, not program traffic).
                     msg.e2e = None;
-                    if let Some(done) = collective::on_message(coll, i, &msg) {
+                    if let Some(done) = coll.on_message(i, &msg) {
                         node.coll_push_done(done);
                     }
                     continue;
@@ -1434,14 +1253,11 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
                     // Stamped cycle+1: the first cycle the receiving CPU can
                     // observe the message, so Delivered − Sent equals the
                     // fabric-accounted latency (see `TraceEvent`).
-                    t.push(
-                        false,
-                        TraceEvent::Delivered {
-                            cycle: cycle + 1,
-                            node: i,
-                            msg,
-                        },
-                    );
+                    t.record(TraceEvent::Delivered {
+                        cycle: cycle + 1,
+                        node: i,
+                        msg,
+                    });
                 }
                 // The header is sideband plumbing; the interface receives
                 // the architected message.
@@ -1473,10 +1289,10 @@ impl<N: NetPort, D: DeliveryView, C: CollView, S: EventSink> Domain<'_, N, D, C,
 /// protocol, so combining trees ride the go-back-N edges over faulty
 /// fabrics) but invisible to trace/obs — it models NI hardware, not
 /// program traffic. Returns whether anything changed.
-fn inject_coll_one<N: NetPort, D: DeliveryView, C: CollView>(
-    net: &mut N,
-    mut del: Option<&mut D>,
-    coll: &mut C,
+fn inject_coll_one(
+    net: &mut NetworkKind,
+    mut del: Option<&mut Delivery>,
+    coll: &mut Collective,
     i: usize,
     mut msg: Message,
     cycle: u64,
@@ -1485,10 +1301,10 @@ fn inject_coll_one<N: NetPort, D: DeliveryView, C: CollView>(
         // Tree edges connect real nodes, so the destination always indexes
         // a delivery flow.
         let dst = msg.dest().index();
-        if !delivery::can_admit(del, i, dst) {
+        if !del.can_admit(i, dst) {
             return false;
         }
-        delivery::stamp(del, i, dst, &mut msg);
+        del.stamp(i, dst, &mut msg);
     }
     let result = net.inject(NodeId::from_index(i), msg);
     if matches!(result, Err(InjectError::Refused(_))) {
@@ -1497,9 +1313,9 @@ fn inject_coll_one<N: NetPort, D: DeliveryView, C: CollView>(
     }
     // Injected — or undeliverable (tree members are real nodes, but a bad
     // message must not wedge the outbox).
-    coll.outbox().pop(i);
+    coll.outbox_pop(i);
     if let (Some(del), Ok(())) = (del, result) {
-        delivery::commit(del, i, msg.dest().index(), msg, cycle);
+        del.commit(i, msg.dest().index(), msg, cycle);
     }
     true
 }
@@ -1526,110 +1342,45 @@ fn drop_bad_dest(node: &mut Node, obs: Option<&mut Obs>, i: usize) {
     }
 }
 
-// --- the sharded cycle's range views -----------------------------------------------
-
-/// One domain's range views for a sharded region.
-struct Shard<'a> {
-    lo: usize,
-    hi: usize,
-    nodes: &'a mut [Node],
-    net: NetRange<'a>,
-    del: Option<DeliveryRange<'a>>,
-    coll: Option<CollRange<'a>>,
-    /// Buffered trace events; `None` on an untraced machine.
-    events: Option<EventBuf>,
-    out: RegionOut,
-}
-
-impl<'a> Shard<'a> {
-    /// The shard as a cycle-body domain, plus its outputs.
-    #[allow(clippy::type_complexity)]
-    fn parts(
-        &mut self,
-    ) -> (
-        Domain<'_, NetRange<'a>, DeliveryRange<'a>, CollRange<'a>, EventBuf>,
-        &mut RegionOut,
-    ) {
-        let cx = Domain {
-            lo: self.lo,
-            nodes: &mut *self.nodes,
-            net: &mut self.net,
-            del: self.del.as_mut(),
-            coll: self.coll.as_mut(),
-            trace: self.events.as_mut(),
-            obs: None,
-        };
-        (cx, &mut self.out)
+/// Steps every running processor once, recording the results in `out`. A
+/// step touches only its own node, so with `workers ≥ 2` and at least
+/// [`PAR_STEP_MIN`] processors per chunk the running list is cut into
+/// contiguous chunks, each owning a disjoint node range, that step in
+/// parallel into `chunks` and are appended in order.
+fn step_running(
+    nodes: &mut [Node],
+    running: &[usize],
+    workers: usize,
+    out: &mut Stepped,
+    chunks: &mut Vec<Stepped>,
+) {
+    out.clear();
+    let n = workers.min(running.len() / PAR_STEP_MIN);
+    if n < 2 {
+        out.step(nodes, 0, running);
+        return;
     }
-}
-
-/// Splits the machine into per-domain shards for one sharded region.
-fn split_shards<'a>(
-    nodes: &'a mut [Node],
-    net: &'a mut NetworkKind,
-    del: Option<&'a mut Delivery>,
-    coll: Option<&'a mut Collective>,
-    traced: bool,
-    plan: &ParPlan,
-) -> Vec<Shard<'a>> {
-    let mut dels = del.map(|d| d.split_ranges(&plan.mbounds).into_iter());
-    let mut colls = coll.map(|c| c.split_ranges(&plan.mbounds).into_iter());
-    split_by_bounds(nodes, &plan.mbounds)
-        .into_iter()
-        .zip(net.split_ranges(&plan.bounds))
-        .zip(plan.mbounds.windows(2))
-        .map(|((nodes, net), w)| Shard {
-            lo: w[0],
-            hi: w[1],
-            nodes,
-            net,
-            del: dels.as_mut().and_then(Iterator::next),
-            coll: colls.as_mut().and_then(Iterator::next),
-            events: traced.then(EventBuf::default),
-            out: RegionOut::default(),
-        })
-        .collect()
-}
-
-/// One sharded region's buffered effects, gathered in domain order.
-#[derive(Default)]
-struct Deltas {
-    net: Vec<NetRangeDelta>,
-    del: Vec<DeliveryDelta>,
-    coll: Vec<CollDelta>,
-    events: EventBuf,
-}
-
-impl Deltas {
-    fn collect<'a>(shards: impl IntoIterator<Item = Shard<'a>>) -> Deltas {
-        let mut d = Deltas::default();
-        for s in shards {
-            d.net.push(s.net.into_delta());
-            d.del.extend(s.del.map(DeliveryRange::into_delta));
-            d.coll.extend(s.coll.map(CollRange::into_delta));
-            if let Some(events) = s.events {
-                for (all, phase) in d.events.0.iter_mut().zip(events.0) {
-                    all.extend(phase);
-                }
-            }
-        }
-        d
+    chunks.resize_with(n, Stepped::default);
+    let mut tasks = Vec::with_capacity(n);
+    let (mut rest, mut base) = (nodes, 0);
+    for (w, chunk) in domain_bounds(running.len(), n)
+        .windows(2)
+        .zip(chunks.iter_mut())
+    {
+        let ids = &running[w[0]..w[1]];
+        // The chunk owns the nodes up to its last running one.
+        let end = ids[ids.len() - 1] + 1;
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(end - base);
+        chunk.clear();
+        tasks.push((chunk, head, base, ids));
+        (rest, base) = (tail, end);
     }
-}
-
-/// Splits a sorted node-index list into per-domain subslices (contiguous
-/// because domains are contiguous ascending node ranges).
-fn partition_sorted<'a>(list: &'a [usize], mbounds: &[usize]) -> Vec<&'a [usize]> {
-    let mut out = Vec::with_capacity(mbounds.len().saturating_sub(1));
-    let mut rest = list;
-    for w in mbounds.windows(2) {
-        let cut = rest.partition_point(|&i| i < w[1]);
-        let (head, tail) = rest.split_at(cut);
-        out.push(head);
-        rest = tail;
+    run_tasks(&mut tasks, |_, (chunk, nodes, base, ids)| {
+        chunk.step(nodes, *base, ids);
+    });
+    for chunk in chunks.iter() {
+        out.append(chunk);
     }
-    debug_assert!(rest.is_empty(), "list entry beyond the last domain");
-    out
 }
 
 /// Adds the nodes of `add` to the ascending, duplicate-free list `into`,
@@ -1641,18 +1392,6 @@ fn merge_sorted(into: &mut Vec<usize>, add: &[usize]) {
         into.sort();
         into.dedup();
     }
-}
-
-/// Splits the node array into per-domain mutable chunks.
-fn split_by_bounds<'a>(nodes: &'a mut [Node], mbounds: &[usize]) -> Vec<&'a mut [Node]> {
-    let mut out = Vec::with_capacity(mbounds.len().saturating_sub(1));
-    let mut rest = nodes;
-    for w in mbounds.windows(2) {
-        let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-        out.push(head);
-        rest = tail;
-    }
-    out
 }
 
 /// Which network fabric a [`MachineBuilder`] instantiates.

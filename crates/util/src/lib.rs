@@ -5,8 +5,8 @@
 //!
 //! * the evaluation pipeline (`tcni-eval` and the bench bins) fans
 //!   independent measurements out with [`par::par_map`];
-//! * the machine simulator (`tcni-sim`) shards a *single* machine's cycle
-//!   across spatial domains with [`par::run_tasks`], which keeps a
+//! * the machine simulator (`tcni-sim`) steps a *single* machine's running
+//!   processors in parallel chunks with [`par::run_tasks`], which keeps a
 //!   persistent pool alive so the per-cycle fork/join costs microseconds,
 //!   not a thread spawn.
 //!

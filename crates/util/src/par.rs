@@ -12,8 +12,8 @@
 //!
 //! * [`par_map`] — fan independent whole jobs (Table-1 cells, sweep points)
 //!   over scoped threads; jobs are coarse, so spawning per call is fine;
-//! * [`run_tasks`] — run one short fork/join region (a machine-cycle phase)
-//!   over a *persistent* pool. The region is microseconds long and fires
+//! * [`run_tasks`] — run one short fork/join region (a machine cycle's
+//!   processor step) over a *persistent* pool. The region is microseconds long and fires
 //!   hundreds of thousands of times per run, so workers are spawned once
 //!   and rendezvous at cycle boundaries by spinning briefly on a lock-free
 //!   epoch hint before parking on a condvar (the spin bound is `SPIN_ITERS`).
@@ -316,8 +316,8 @@ fn pool_run(total: usize, helpers: usize, task: &(dyn Fn(usize) + Sync)) -> bool
 /// persistent pool, and returns when all are done (a fork/join barrier).
 ///
 /// This is the machine simulator's per-cycle primitive: each view is one
-/// spatial domain's mutable state, `f` is one phase of the cycle, and the
-/// join is the cycle-boundary exchange point. Guarantees:
+/// chunk of the running processors, `f` steps them, and the join hands
+/// their results back to the serial phases. Guarantees:
 ///
 /// * every index runs exactly once, with exclusive `&mut` access to its
 ///   view — callers need no interior synchronization;
@@ -327,8 +327,8 @@ fn pool_run(total: usize, helpers: usize, task: &(dyn Fn(usize) + Sync)) -> bool
 ///   [`par_map`] job) never deadlock: the inner region runs serially.
 ///
 /// No ordering between concurrently-running views is promised — callers
-/// keep bit-determinism by buffering cross-view effects and applying them
-/// in index order after the join.
+/// keep bit-determinism by giving each view only state of its own and
+/// combining the results in index order after the join.
 pub fn run_tasks<V: Send>(views: &mut [V], f: impl Fn(usize, &mut V) + Sync) {
     let total = views.len();
     let workers = threads().min(total);

@@ -65,10 +65,10 @@ grep -q '"fault_rates_pm": \[0, 50\]' target/BENCH_loadgen_faults.ci.json
 grep -q '"goodput_pm": ' target/BENCH_loadgen_faults.ci.json
 
 echo "== smoke: sharded 16x16 tick (TCNI_THREADS=4) matches serial =="
-# The 16×16 large-mesh point is where `Machine::run_driven` genuinely shards
-# its cycle across workers (mesh fabric, no observability), and the
-# tcni-load/1 artifact is its stats export: the serial and 4-worker runs
-# must be byte-identical.
+# The cycle is serial apart from the processor step, which runs in parallel
+# only with at least 1 024 running CPUs per worker; this 16×16 machine
+# stays below that. The tcni-load/1 artifact is its stats export: the
+# serial and 4-worker runs must be byte-identical.
 run_16x16() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \
         --width 16 --height 16 --models opt-reg --fabrics mesh \
@@ -82,7 +82,7 @@ cmp target/BENCH_loadgen_16x16.serial.json target/BENCH_loadgen_16x16.par4.json
 echo "== smoke: closed-loop 16x16 (reply-driven wakeups) matches serial under TCNI_THREADS=4 =="
 # Closed-loop injectors reopen their window only when a reply arrives, so
 # this export exercises the pending-input list and the calendar's window
-# reopenings in both the one-domain and the sharded cycle.
+# reopenings; the 4-worker run must match the serial one byte for byte.
 run_16x16_closed() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \
         --width 16 --height 16 --models opt-reg --fabrics mesh \
@@ -95,8 +95,8 @@ cmp target/BENCH_loadgen_16x16_closed.serial.json target/BENCH_loadgen_16x16_clo
 
 echo "== smoke: topology axis (torus/ring/full sharded runs, ring/full schema, torus collective) =="
 # `--topology` pins the sweep to one switched fabric. The torus, ring and
-# full 16×16 points shard across workers exactly like the mesh one and must
-# export the same tcni-load/1 bytes serial vs parallel; ring and full also
+# full 16×16 points must export the same tcni-load/1 bytes at one and at
+# four workers, like the mesh one; ring and full also
 # get 4×4 schema smokes; the faulty torus collective proves the
 # wrap-embedded tree computes correctly.
 run_torus_16x16() {
@@ -111,8 +111,7 @@ cmp target/BENCH_loadgen_torus.serial.json target/BENCH_loadgen_torus.par4.json
 grep -q '"fabric": "torus"' target/BENCH_loadgen_torus.serial.json
 # Ring and fully-connected fabrics are the two channel layouts furthest from
 # the mesh's (four dateline-VC ports per node, one port per destination),
-# so these two exports check the sharded injection and ejection ranges and
-# their merge on both.
+# so these two exports check injection and ejection on both.
 run_topo_16x16() {
     TCNI_THREADS="$2" cargo run --release --offline -p tcni-bench --bin loadgen -- \
         --width 16 --height 16 --models opt-reg --topology "$1" \
@@ -145,8 +144,10 @@ grep -q '"wrong_results": 0' target/BENCH_collective_torus.ci.json
 echo "== smoke: wide-format 64x64 sweep (TCNI_THREADS=4) matches the committed snapshot =="
 # 4096 nodes sits past the compact format's 256-node ceiling, so this run
 # exercises the wide wire format end to end. The tcni-load/1 export is
-# pinned byte-for-byte against a committed snapshot, and the sharded run
-# must reproduce it exactly — wide ids, serial or parallel, same bytes.
+# pinned byte-for-byte against a committed snapshot, and the 4-worker run
+# must reproduce it exactly. Its first cycle steps all 4 096 CPUs (which
+# halt at once) in four parallel chunks, so this is also the end-to-end
+# check of the parallel processor step.
 run_64x64() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \
         --width 64 --height 64 --models opt-reg --fabrics mesh \
@@ -175,8 +176,10 @@ cmp target/BENCH_loadgen_64x64_e2e.serial.json target/BENCH_loadgen_64x64_e2e.pa
 grep -q '"goodput_pm": ' target/BENCH_loadgen_64x64_e2e.serial.json
 
 echo "== smoke: tcni-trace/1 export unchanged under TCNI_THREADS=4 =="
-# Observability pins the serial fallback by design, so the instrumented
-# 16×16 export must not move at all when the env var asks for workers.
+# This instrumented 16×16 ring (256 running CPUs) stays below the parallel
+# processor step's threshold, so the export must not move at all when the
+# env var asks for workers. The instrumented parallel step is the
+# tcni-bench `prop_par_step` property.
 run_netstats_16x16() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin netstats -- \
         --width 16 --height 16 --msgs 2 --quiet --out "$2"
@@ -201,7 +204,7 @@ grep -q '"fault_pm": 25' target/BENCH_collective_faults.ci.json
 grep -q '"wrong_results": 0' target/BENCH_collective_faults.ci.json
 
 echo "== smoke: collective 16x16 export (TCNI_THREADS=4) matches serial =="
-# The collective engine shards with the rest of the cycle; the tcni-coll/1
+# The collective engine runs in the serial network phases; the tcni-coll/1
 # export of a 16×16 storm must be byte-identical serial vs 4 workers.
 run_coll_16x16() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \

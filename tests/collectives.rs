@@ -100,7 +100,7 @@ fn nic_machine(width: usize, height: usize, fault: Option<(u64, u32)>) -> Machin
     b.build()
 }
 
-/// Worker threads are an implementation detail: the sharded cycle with the
+/// Worker threads are an implementation detail: a machine with the
 /// collective engine enabled — including over a fault-wrapped mesh with the
 /// delivery protocol retransmitting around a seeded fault schedule — must
 /// produce bit-identical completions, counters, and timing at any thread

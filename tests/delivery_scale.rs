@@ -4,7 +4,7 @@
 //! * **64×64 uniform sweep** — a 4096-node delivery-enabled machine runs an
 //!   open-loop uniform sweep; the new footprint meters prove flow state is
 //!   proportional to the *active* pair set, orders of magnitude below the
-//!   2·N² slots the dense tables would pin, and the sharded run reproduces
+//!   2·N² slots the dense tables would pin, and the 4-worker run reproduces
 //!   every meter byte for byte; the machine's invariants hold at the end of
 //!   both runs.
 //! * **256×256 smoke** — a 65 536-node wide-format machine (double the old
@@ -48,7 +48,7 @@ fn run_64x64_delivery_sweep(par: usize, cycles: u64) -> (Machine, InjectCounters
 /// Uniform traffic at 64×64 with the delivery protocol on: flow state must
 /// stay proportional to the set of (src, dst) pairs that actually carried
 /// traffic — the dense tables would pin 2·4096² slots up front — and the
-/// sharded run must reproduce every statistic, footprint meters included.
+/// 4-worker run must reproduce every statistic, footprint meters included.
 #[test]
 fn uniform_delivery_at_64x64_keeps_flow_state_sparse() {
     let n = 64u64 * 64;
@@ -81,9 +81,9 @@ fn uniform_delivery_at_64x64_keeps_flow_state_sparse() {
         "flow state must stay far below the 2*N^2 dense footprint"
     );
 
-    // The sharded sweep is bit-identical, footprint meters included: the
-    // probe meter only counts phase-driven lookups, which replay in the
-    // same per-node order at any worker count.
+    // The 4-worker sweep is bit-identical, footprint meters included: its
+    // first cycle steps the 4 096 CPUs in parallel chunks, and everything
+    // else in the cycle is serial.
     let (m4, c4) = run_64x64_delivery_sweep(4, cycles);
     assert_eq!(c4, counters, "par4: injector counters");
     assert_eq!(m4.cycle(), machine.cycle(), "par4: machine cycle");

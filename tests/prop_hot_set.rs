@@ -11,21 +11,23 @@
 //!
 //! The delivery flow *store* is checked from the inside: with the protocol
 //! on, [`Machine::check_invariants`] runs after every cycle of the
-//! thread-count and topology sweeps, so the one-domain cycle's in-place
-//! edits and the sharded cycle's replayed deltas must both keep the
-//! timeout list, the outbox sets, and the per-flow counters consistent.
-//! (The store's own oracle — a `BTreeMap` model — lives beside it in
-//! `tcni-sim`.)
+//! thread-count and topology sweeps, so the protocol's edits must keep the
+//! timeout list, the outbox sets, the per-flow counters and every flow
+//! table consistent. The topology sweep also runs flows of several messages
+//! over a dropping fabric, where a gap arrival creates receiver state that
+//! its re-ack then evicts. (The store's own oracle — a `BTreeMap` model —
+//! lives beside it in `tcni-sim`.)
 //!
 //! [`Machine::set_reference`]: tcni::sim::Machine::set_reference
 //! [`Machine::check_invariants`]: tcni::sim::Machine::check_invariants
 //! [`ScanStats`]: tcni::net::ScanStats
 
-use tcni::core::NodeId;
+use tcni::core::{NodeId, WireFormat};
 use tcni::eval::handlers::remote_read::{self, REMOTE_ADDR, RESULT_ADDR};
 use tcni::isa::Reg;
 use tcni::net::{FabricConfig, FaultConfig, ScanStats, TopologyKind};
 use tcni::sim::{DeliveryConfig, Machine, MachineBuilder, Model, RunOutcome};
+use tcni_bench::obs_run::ring_program;
 use tcni_check::check;
 
 const SECRET: u32 = 0xFEED_0042;
@@ -184,17 +186,16 @@ fn build_par(cfg: &Config, trace_cap: Option<usize>, par_threads: usize) -> Mach
     m
 }
 
-/// Parallelism is an implementation detail: the sharded cycle must be
-/// bit-identical to the serial cycle at any worker count — same bytes on
-/// every observable surface, including the [`ScanStats`] effort meters
-/// (the sharded cycle ticks the fabric through the same serial frontier
-/// walk). The sweep crosses the §4 models with both fabrics, E2E
-/// on/off, trace-only and trace+obs instrumentation, seeded fault
-/// schedules, and worker counts {1, 2, 3, 8}. Fault-wrapped meshes shard
-/// too (the per-node fault streams reproduce domain by domain); ineligible
-/// configurations (ideal fabric, observability) run the one-domain cycle,
-/// and keeping them in the sweep pins that. With the delivery protocol on,
-/// both machines check their invariants after every cycle.
+/// Parallelism is an implementation detail: a machine must be bit-identical
+/// to the one-worker machine at any worker count — same bytes on every
+/// observable surface, including the [`ScanStats`] effort meters. The
+/// sweep crosses the §4 models with both fabrics, E2E on/off, trace-only
+/// and trace+obs instrumentation, seeded fault schedules, and worker counts
+/// {1, 2, 3, 8}. Two nodes stay below the parallel processor step's
+/// threshold, so this pins that the worker count alone changes nothing;
+/// `prop_par_step` in `tcni-bench` runs the parallel step itself. With the
+/// delivery protocol on, both machines check their invariants after every
+/// cycle.
 #[test]
 fn parallel_tick_is_equivalent_at_any_thread_count() {
     check(
@@ -267,8 +268,8 @@ fn parallel_tick_is_equivalent_at_any_thread_count() {
                 assert!(ts.events().eq(tp.events()), "{ctx} trace events");
             }
             if cfg.instrument.is_some() {
-                // Observability pins the one-domain cycle, so even the
-                // serialized report (scan meters included) is byte-equal.
+                // Even the serialized report (scan meters included) is
+                // byte-equal.
                 let (rs, rp) = (serial.obs_report().unwrap(), sharded.obs_report().unwrap());
                 assert_eq!(rs.to_json(), rp.to_json(), "{ctx} tcni-trace/1 report");
             }
@@ -276,11 +277,10 @@ fn parallel_tick_is_equivalent_at_any_thread_count() {
     );
 }
 
-/// The fault-wrapped mesh is parallel-eligible, not a serial fallback: pin
-/// the sharded cycle against the serial one across worker counts with a
-/// seeded fault schedule mangling traffic and the delivery protocol
-/// retransmitting around it — the inner fabric tick, the per-node fault
-/// streams, and the stall-roll timing must all reproduce domain by domain.
+/// The fault-wrapped mesh across worker counts, with a seeded fault
+/// schedule mangling traffic and the delivery protocol retransmitting
+/// around it: the fabric tick, the per-node fault streams, and the
+/// stall-roll timing must not depend on the worker count.
 #[test]
 fn fault_wrapped_mesh_shards_bit_identically() {
     check("fault_wrapped_mesh_shards_bit_identically", 24, |rng| {
@@ -353,13 +353,16 @@ fn hot_set_is_equivalent_under_fault_schedules() {
 }
 
 /// The §4 matrix config for the flow-store sweep, with the fabric topology
-/// and the worker count as explicit axes.
+/// and the worker count as explicit axes. `ring` replaces the remote read
+/// with the ring program on both nodes, each sending that many messages to
+/// the other.
 struct StoreConfig {
     model: Model,
     topo: TopologyKind,
     fault: Option<(u64, u32)>,
     instrument: Option<usize>,
     par: usize,
+    ring: Option<u32>,
 }
 
 /// Every switched topology, sized so both machine nodes exist (extra fabric
@@ -375,19 +378,24 @@ fn store_fabric_axis() -> [TopologyKind; 5] {
 }
 
 fn build_store(cfg: &StoreConfig, par: usize) -> Machine {
-    let mut b = MachineBuilder::new(2)
-        .model(cfg.model)
-        .program(
-            0,
-            remote_read::requester(cfg.model, NodeId::new(0), NodeId::new(1)),
-        )
-        .program(1, remote_read::server(cfg.model))
-        .topology(cfg.topo)
-        .delivery(DeliveryConfig {
-            window: 4,
-            timeout: 24,
-            retransmit_limit: 10_000,
-        });
+    let b = MachineBuilder::new(2).model(cfg.model);
+    let b = match cfg.ring {
+        Some(k) => b
+            .ni_queues((k as usize).max(16), 16)
+            .program(0, ring_program(NodeId::new(1), k, WireFormat::Compact))
+            .program(1, ring_program(NodeId::new(0), k, WireFormat::Compact)),
+        None => b
+            .program(
+                0,
+                remote_read::requester(cfg.model, NodeId::new(0), NodeId::new(1)),
+            )
+            .program(1, remote_read::server(cfg.model)),
+    };
+    let mut b = b.topology(cfg.topo).delivery(DeliveryConfig {
+        window: 4,
+        timeout: 24,
+        retransmit_limit: 10_000,
+    });
     if let Some((seed, rate_pm)) = cfg.fault {
         b = b.network_fault(FaultConfig::uniform(seed, rate_pm));
     }
@@ -408,21 +416,31 @@ fn build_store(cfg: &StoreConfig, par: usize) -> Machine {
 /// consistent (the live count never exceeds its high-water mark, and
 /// protocol traffic occupies and meters flow slots). Crosses the §4
 /// models, seeded fault schedules, instrumentation, and worker counts
-/// {1, 2, 3, 8}.
+/// {1, 2, 3, 8}. Half the cases run flows of two to six messages over a
+/// dropping fabric instead of the one-message remote read: losing a
+/// flow's first message turns its successor into a gap arrival, whose
+/// re-ack creates receiver state that is evicted when the ack drains — the
+/// one path that removes a flow, so the per-cycle table checks see it.
 #[test]
 fn flow_store_invariants_hold_on_every_topology() {
     check("flow_store_invariants_hold_on_every_topology", 48, |rng| {
+        let ring = rng.bool().then(|| rng.range(2, 7) as u32);
         let cfg = StoreConfig {
-            model: *rng.pick(&Model::ALL_SIX),
+            model: if ring.is_some() {
+                Model::ALL_SIX[1]
+            } else {
+                *rng.pick(&Model::ALL_SIX)
+            },
             topo: *rng.pick(&store_fabric_axis()),
-            fault: rng.bool().then(|| (rng.u64(), rng.range(20, 120) as u32)),
+            fault: (ring.is_some() || rng.bool()).then(|| (rng.u64(), rng.range(20, 120) as u32)),
             instrument: rng.bool().then(|| rng.range(1, 24) as usize),
             par: *rng.pick(&[1usize, 2, 3, 8]),
+            ring,
         };
         let budget = rng.range(8_000, 40_000);
         let ctx = format!(
-            "{} {:?} fault={:?} instrument={:?} par={}",
-            cfg.model, cfg.topo, cfg.fault, cfg.instrument, cfg.par
+            "{} {:?} fault={:?} instrument={:?} par={} ring={:?}",
+            cfg.model, cfg.topo, cfg.fault, cfg.instrument, cfg.par, cfg.ring
         );
         let mut serial = build_store(&cfg, 1);
         let mut sharded = build_store(&cfg, cfg.par);
