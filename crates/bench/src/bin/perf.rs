@@ -133,7 +133,6 @@ fn large_mesh_low_load(side: usize, cycles: u64, dense: bool, delivery: bool) ->
     }
     let mut machine = b.build();
     machine.set_reference(dense);
-    machine.set_par_threads(1);
     let mut config = InjectorConfig::new(
         Pattern::Uniform,
         Topology::new(side, side),
@@ -154,7 +153,6 @@ fn topology_low_load(cfg_net: FabricConfig, cycles: u64) -> Machine {
         .network_fabric(cfg_net)
         .delivery(DeliveryConfig::default())
         .build();
-    machine.set_par_threads(1);
     let mut config = InjectorConfig::new(
         Pattern::Uniform,
         Topology::new(16, 16),
@@ -251,9 +249,7 @@ fn main() {
     // The large-mesh low-load point, hot-set vs dense: wall clock
     // in the measurement, scan-effort meters in the counters. `dense_cost`
     // is what a full scan would examine — cycles × (channels + flows) — so
-    // `scanned_channels + scanned_flows` vs `dense_cost` is the win. Every
-    // point runs one worker: these driven machines run no processor past
-    // cycle 0, so the parallel processor step has nothing to split.
+    // `scanned_channels + scanned_flows` vs `dense_cost` is the win.
     // The wide-format points (64×64, 128×128) divide the cycle budget —
     // per-cycle injector work is O(n), so equal budgets would swamp the run.
     // They pin the scaling of the machine loop and mesh fabric past the

@@ -10,8 +10,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use tcni_bench::load::LoadgenConfig;
 use tcni_eval::par;
-use tcni_sim::Model;
-use tcni_workload::{run_point, Fabric, LoopMode, Pattern, SweepConfig, Topology};
+use tcni_workload::{Pattern, SweepConfig, Topology};
 
 /// Serializes tests that flip the process-global thread override.
 fn threads_lock() -> MutexGuard<'static, ()> {
@@ -51,37 +50,4 @@ fn artifact_is_bit_identical_across_thread_counts_and_runs() {
     assert!(serial.contains("\"schema\": \"tcni-load/1\""));
     // A different seed is a genuinely different experiment.
     assert_ne!(serial, small_sweep(43));
-}
-
-/// Machine-level coverage of the worker count on the driven path: a mesh
-/// point (with the delivery protocol, so the timeout pump runs too) must
-/// produce byte-equal [`PointStats`] at any worker count. The loadgen
-/// artifact test above covers the same contract end-to-end at the artifact
-/// level.
-///
-/// [`PointStats`]: tcni_workload::PointStats
-#[test]
-fn mesh_point_is_bit_identical_across_machine_thread_counts() {
-    let _guard = threads_lock();
-    let go = || {
-        let mut s = SweepConfig::new(Topology::new(4, 4));
-        s.warmup = 500;
-        s.measure = 2000;
-        s.samples = 4;
-        s.delivery = true;
-        run_point(
-            Model::ALL_SIX[3],
-            Fabric::Mesh,
-            Pattern::Hotspot { hot_pm: 300 },
-            LoopMode::Open { rate_pm: 300 },
-            &s,
-        )
-    };
-    par::set_threads(1);
-    let serial = go();
-    for t in [2, 3, 8] {
-        par::set_threads(t);
-        assert_eq!(serial, go(), "TCNI_THREADS=1 vs {t} must be byte-equal");
-    }
-    par::set_threads(1);
 }

@@ -6,9 +6,9 @@
 //! [`par_map`] fans those out over a shared work queue so the full pipeline
 //! scales with cores, while preserving output order.
 //!
-//! The implementation (thread-count resolution from `TCNI_THREADS`, the
-//! scoped map, and the machine simulator's persistent worker pool) lives in
-//! `tcni-util` so eval and sim resolve the thread count in exactly one
-//! place; this module remains as the evaluation pipeline's import path.
+//! The implementation (thread-count resolution from `TCNI_THREADS` and the
+//! scoped map) lives in `tcni-util`, so the thread count is resolved in
+//! exactly one place; this module remains as the evaluation pipeline's
+//! import path.
 
 pub use tcni_util::par::{par_map, par_map_array, set_threads, threads};

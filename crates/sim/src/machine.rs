@@ -10,7 +10,6 @@ use tcni_net::{
     CombiningTree, Fabric, FabricConfig, FabricError, FaultConfig, FaultyFabric, FullyConnected,
     IdealNetwork, InjectError, NetStats, Network, NetworkKind, Topology as _, TopologyKind,
 };
-use tcni_util::par::{domain_bounds, run_tasks};
 
 use crate::collective::{Collective, CollectiveStats};
 use crate::delivery::{Delivery, DeliveryConfig, DeliveryStats, RxAction};
@@ -19,15 +18,6 @@ use crate::model::{Model, NiMapping};
 use crate::node::Node;
 use crate::obs::{NodeRollup, Obs, ObsReport};
 use crate::trace::{Trace, TraceEvent};
-
-/// Fewest running processors per worker for which the processor step runs
-/// in parallel. Measured with the ring program of the `ring16_isa`
-/// benchmark on a 2-core host, alternating one and two workers window by
-/// window: two workers were 1.0–1.2× slower than one on 256 CPUs and
-/// 1.0–1.35× slower on 1 024, and 0.7–1.04× on 2 048. The fork/join and
-/// the cache traffic of handing nodes between cores outweigh a step of
-/// about 90 ns per processor until each worker has about a thousand.
-const PAR_STEP_MIN: usize = 1024;
 
 /// Why a [`MachineBuilder`] cannot produce a machine. Returned by the
 /// fallible [`MachineBuilder::try_new`]/[`MachineBuilder::try_build`] pair;
@@ -193,7 +183,7 @@ pub enum RunOutcome {
 /// backpressure, §2.1.1); the network advances one cycle; arrived messages
 /// move into interfaces that can accept them.
 ///
-/// The stepping loop is the simulator's hot path and carries four
+/// The stepping loop is the simulator's hot path and carries three
 /// optimizations, none of which change observable behaviour:
 ///
 /// * the fabric is a [`NetworkKind`] enum (static dispatch, inlinable);
@@ -205,10 +195,7 @@ pub enum RunOutcome {
 ///   replace full machine cycles, and the elapsed stall time is bulk-charged
 ///   to the processors afterwards. Cycle accounting is bit-identical to the
 ///   naive loop (see `tests/prop_fast_forward.rs`); the
-///   [reference mode](Machine::set_reference) disables it to cross-check;
-/// * with enough running processors, they step in parallel chunks (see
-///   [`set_par_threads`](Machine::set_par_threads)); every other phase is
-///   serial.
+///   [reference mode](Machine::set_reference) disables it to cross-check.
 ///
 /// # Example
 ///
@@ -282,9 +269,8 @@ pub struct Machine {
     /// refresh after `node_mut`, every driven cycle); the injection phase
     /// only pays the O(nodes) latch scan while this is set.
     coll_poll: bool,
-    /// Worker count for the parallel processor step: `0` follows the
-    /// process-wide setting ([`tcni_util::par::threads`], i.e.
-    /// `TCNI_THREADS`); any other value overrides it for this machine.
+    /// The recorded worker count (see
+    /// [`set_par_threads`](Machine::set_par_threads)).
     par_threads: usize,
 }
 
@@ -472,8 +458,7 @@ impl Machine {
     /// machine the equivalence suites cross-check the optimised one
     /// against. In reference mode [`run`](Machine::run) never
     /// fast-forwards, the fabric visits every channel and the delivery
-    /// pump examines every flow each cycle, and the processors step on one
-    /// thread whatever the worker count. Behaviour is bit-identical either
+    /// pump examines every flow each cycle. Behaviour is bit-identical either
     /// way; only wall clock, [`skipped_cycles`](Machine::skipped_cycles)
     /// and the [`NetStats::scan`] effort meters differ.
     pub fn set_reference(&mut self, on: bool) {
@@ -491,21 +476,19 @@ impl Machine {
         self.reference
     }
 
-    /// Overrides the worker count of the processor step for this machine:
-    /// `0` (the default) follows the process-wide setting
-    /// ([`tcni_util::par::threads`], i.e. the `TCNI_THREADS` environment
-    /// variable), `1` forces a serial step, `n ≥ 2` lets a cycle step its
-    /// running processors in up to `n` contiguous chunks in parallel — but
-    /// only chunks of at least a fixed minimum of processors, so a machine
-    /// with few running CPUs steps serially at any setting. Everything else
-    /// in the cycle (injection, the delivery pump, the fabric tick,
-    /// ejection) is serial. The results are bit-identical at any setting,
-    /// which the equivalence suites verify.
+    /// Records a worker count for this machine (`0`, the default, stands
+    /// for the process-wide setting). The cycle is serial at every setting:
+    /// a parallel processor step measured slower than the serial one below
+    /// about 2 048 running CPUs on a 2-core host, and no benchmark workload
+    /// runs that many, so the machine has no parallel path for the count to
+    /// select. The equivalence suites still sweep it; they are the check a
+    /// future parallel cycle must pass, and the option goes with them once
+    /// they are retired (ROADMAP item 2).
     pub fn set_par_threads(&mut self, n: usize) {
         self.par_threads = n;
     }
 
-    /// The per-machine worker-count override (`0` = process-wide setting).
+    /// The recorded worker count (`0` = process-wide setting).
     pub fn par_threads(&self) -> usize {
         self.par_threads
     }
@@ -546,7 +529,7 @@ impl Machine {
             self.refresh_lists();
         }
         self.pending_known = false;
-        self.cycle_one(CpuPhase::Step, 1);
+        self.cycle_one(CpuPhase::Step);
     }
 
     /// Checks, between cycles, the invariants the cycle must preserve: in
@@ -661,27 +644,10 @@ impl Machine {
         (ob, cob)
     }
 
-    /// The worker count for this run's processor step: one in reference
-    /// mode or when the running list is too short to fill two chunks,
-    /// otherwise the per-machine override or the process-wide setting. The
-    /// running list only shrinks during a run, so this is resolved once at
-    /// run entry.
-    fn step_workers(&self) -> usize {
-        if self.reference || self.running.len() < 2 * PAR_STEP_MIN {
-            1
-        } else if self.par_threads > 0 {
-            self.par_threads
-        } else {
-            tcni_util::par::threads()
-        }
-    }
-
-    /// One machine cycle. `cpus` selects the processor phase; `workers`
-    /// bounds the parallel processor step (see
-    /// [`set_par_threads`](Self::set_par_threads)). Returns (every stepped
-    /// processor environment-stalled, any interface state changed by the
-    /// network phases).
-    fn cycle_one(&mut self, cpus: CpuPhase, workers: usize) -> (bool, bool) {
+    /// One machine cycle. `cpus` selects the processor phase. Returns
+    /// (every stepped processor environment-stalled, any interface state
+    /// changed by the network phases).
+    fn cycle_one(&mut self, cpus: CpuPhase) -> (bool, bool) {
         let cycle = self.cycle;
         let (ob, cob) = self.prologue();
         let mut out = std::mem::take(&mut self.region_out);
@@ -699,7 +665,7 @@ impl Machine {
             outbox: &ob,
             coll_outbox: &cob,
         };
-        cx.region_a(cycle, cpus, workers, &lists, &mut out);
+        cx.region_a(cycle, cpus, &lists, &mut out);
         std::mem::swap(&mut self.running, &mut out.stepped.running);
         std::mem::swap(&mut self.draining, &mut out.draining);
         cx.net.tick();
@@ -765,7 +731,7 @@ impl Machine {
                     }
                 }
             }
-            let (_, changed) = self.cycle_one(CpuPhase::Skip, 1);
+            let (_, changed) = self.cycle_one(CpuPhase::Skip);
             skipped += 1;
             if changed {
                 break;
@@ -794,7 +760,6 @@ impl Machine {
         }
         self.pending_known = false;
         let limit = self.cycle.saturating_add(max_cycles);
-        let workers = self.step_workers();
         while self.cycle < limit {
             if self.running.is_empty() {
                 if self.is_quiescent() {
@@ -815,12 +780,12 @@ impl Machine {
                         || self.delivery.as_ref().is_some_and(Delivery::active)
                         || self.collective.as_ref().is_some_and(|c| c.outgoing() > 0))
                 {
-                    self.cycle_one(CpuPhase::Skip, 1);
+                    self.cycle_one(CpuPhase::Skip);
                     continue;
                 }
                 return RunOutcome::StoppedWithTraffic;
             }
-            let (all_stalled, changed) = self.cycle_one(CpuPhase::Step, workers);
+            let (all_stalled, changed) = self.cycle_one(CpuPhase::Step);
             if !self.reference && all_stalled && !changed && !self.running.is_empty() {
                 self.fast_forward(limit);
             }
@@ -855,10 +820,9 @@ impl Machine {
         if self.lists_dirty {
             self.refresh_lists();
         }
-        let workers = self.step_workers();
         while self.cycle < limit {
             let go_on = self.drive(driver);
-            self.cycle_one(CpuPhase::Driven, workers);
+            self.cycle_one(CpuPhase::Driven);
             merge_sorted(&mut self.pending, &self.arrived);
             if !go_on {
                 return RunOutcome::DriverStopped;
@@ -944,16 +908,11 @@ struct RegionOut {
     draining: Vec<usize>,
     /// The stopped-with-traffic set the injection phase walks.
     mid: Vec<usize>,
-    /// Per-chunk results of a parallel processor step.
-    chunks: Vec<Stepped>,
 }
 
-/// What the processor step hands the serial phases, ascending by node and
-/// recorded while each node is still in the stepping thread's cache. The
-/// alignment keeps the parallel chunks, which fill neighbouring `Stepped`s
-/// concurrently, off each other's cache lines.
+/// What the processor step hands the injection phase, ascending by node
+/// and recorded while each node is still in cache.
 #[derive(Default)]
-#[repr(align(128))]
 struct Stepped {
     /// Every stepped processor was environment-stalled.
     all_stalled: bool,
@@ -973,11 +932,11 @@ impl Stepped {
         self.stopped.clear();
     }
 
-    /// Steps processors `ids` of `nodes`, whose first element is node
-    /// `base`, once each.
-    fn step(&mut self, nodes: &mut [Node], base: usize, ids: &[usize]) {
-        for &i in ids {
-            let node = &mut nodes[i - base];
+    /// Steps every processor of `running` once.
+    fn step(&mut self, nodes: &mut [Node], running: &[usize]) {
+        self.clear();
+        for &i in running {
+            let node = &mut nodes[i];
             self.all_stalled &= node.step() == StepOutcome::StalledEnv;
             if node.is_stopped() {
                 self.stopped.push(i);
@@ -989,27 +948,12 @@ impl Stepped {
             }
         }
     }
-
-    /// Appends a later chunk's results.
-    fn append(&mut self, chunk: &Stepped) {
-        self.all_stalled &= chunk.all_stalled;
-        self.running.extend_from_slice(&chunk.running);
-        self.sending.extend_from_slice(&chunk.sending);
-        self.stopped.extend_from_slice(&chunk.stopped);
-    }
 }
 
 impl Phases<'_> {
     /// Region A: phase 1 (processors execute) then phase 2 (interfaces
     /// inject), each in ascending node order.
-    fn region_a(
-        &mut self,
-        cycle: u64,
-        cpus: CpuPhase,
-        workers: usize,
-        lists: &HotLists<'_>,
-        out: &mut RegionOut,
-    ) {
+    fn region_a(&mut self, cycle: u64, cpus: CpuPhase, lists: &HotLists<'_>, out: &mut RegionOut) {
         out.changed = false;
         out.draining.clear();
         out.mid.clear();
@@ -1028,8 +972,8 @@ impl Phases<'_> {
                     .filter(|&i| nodes[i].ni().peek_outgoing().is_some()),
             );
         } else {
-            step_running(self.nodes, lists.running, workers, st, &mut out.chunks);
-            // A serial pass in ascending node order does what the step
+            st.step(self.nodes, lists.running);
+            // A second pass in ascending node order does what the step
             // shares beyond its node: observability and trace.
             if let Some(o) = self.obs.as_deref_mut() {
                 for &i in lists.running {
@@ -1339,47 +1283,6 @@ fn drop_bad_dest(node: &mut Node, obs: Option<&mut Obs>, i: usize) {
     node.ni_mut().pop_outgoing();
     if let Some(o) = obs {
         o.on_bad_dest(i);
-    }
-}
-
-/// Steps every running processor once, recording the results in `out`. A
-/// step touches only its own node, so with `workers ≥ 2` and at least
-/// [`PAR_STEP_MIN`] processors per chunk the running list is cut into
-/// contiguous chunks, each owning a disjoint node range, that step in
-/// parallel into `chunks` and are appended in order.
-fn step_running(
-    nodes: &mut [Node],
-    running: &[usize],
-    workers: usize,
-    out: &mut Stepped,
-    chunks: &mut Vec<Stepped>,
-) {
-    out.clear();
-    let n = workers.min(running.len() / PAR_STEP_MIN);
-    if n < 2 {
-        out.step(nodes, 0, running);
-        return;
-    }
-    chunks.resize_with(n, Stepped::default);
-    let mut tasks = Vec::with_capacity(n);
-    let (mut rest, mut base) = (nodes, 0);
-    for (w, chunk) in domain_bounds(running.len(), n)
-        .windows(2)
-        .zip(chunks.iter_mut())
-    {
-        let ids = &running[w[0]..w[1]];
-        // The chunk owns the nodes up to its last running one.
-        let end = ids[ids.len() - 1] + 1;
-        let (head, tail) = std::mem::take(&mut rest).split_at_mut(end - base);
-        chunk.clear();
-        tasks.push((chunk, head, base, ids));
-        (rest, base) = (tail, end);
-    }
-    run_tasks(&mut tasks, |_, (chunk, nodes, base, ids)| {
-        chunk.step(nodes, *base, ids);
-    });
-    for chunk in chunks.iter() {
-        out.append(chunk);
     }
 }
 

@@ -1016,7 +1016,7 @@ mod tests {
 
     /// Both storm drivers visit only the nodes with input waiting or a
     /// backlog to send; they must match the full-visit path exactly, on
-    /// every fabric, with and without faults, at any worker count.
+    /// every fabric, with and without faults.
     #[test]
     fn storm_drivers_match_the_full_visit_path() {
         tcni_check::check("storm_drivers_match_the_full_visit_path", 24, |rng| {
@@ -1037,13 +1037,11 @@ mod tests {
             }
             let op = *rng.pick(&CollectiveOp::ALL);
             let rate = *rng.pick(&[0, 5, 50]);
-            let threads = *rng.pick(&[1usize, 2, 3, 8]);
             let chunk_seed = rng.u64();
             let nodes = cfg.topo.nodes();
             for mode in [CollMode::Nic, CollMode::Soft] {
                 let run = |full: bool| {
-                    let mut m = build_machine(mode, &cfg);
-                    m.set_par_threads(if full { 1 } else { threads });
+                    let m = build_machine(mode, &cfg);
                     let storm = Storm::new(op, cfg.seed, rate, cfg.rounds, nodes);
                     match mode {
                         CollMode::Nic => drive(m, NicDriver { storm }, full, chunk_seed),

@@ -64,11 +64,11 @@ grep -q '"schema": "tcni-load/1"' target/BENCH_loadgen_faults.ci.json
 grep -q '"fault_rates_pm": \[0, 50\]' target/BENCH_loadgen_faults.ci.json
 grep -q '"goodput_pm": ' target/BENCH_loadgen_faults.ci.json
 
-echo "== smoke: sharded 16x16 tick (TCNI_THREADS=4) matches serial =="
-# The cycle is serial apart from the processor step, which runs in parallel
-# only with at least 1 024 running CPUs per worker; this 16×16 machine
-# stays below that. The tcni-load/1 artifact is its stats export: the
-# serial and 4-worker runs must be byte-identical.
+echo "== smoke: 16x16 mesh export (TCNI_THREADS=4) matches serial =="
+# The machine's cycle is serial at any worker count; TCNI_THREADS widens
+# only the loadgen's cell fan-out. The tcni-load/1 artifact is the
+# machine's stats export: the serial and 4-worker runs must be
+# byte-identical, so the worker-count setting reaches no simulated byte.
 run_16x16() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \
         --width 16 --height 16 --models opt-reg --fabrics mesh \
@@ -93,7 +93,7 @@ run_16x16_closed 1 target/BENCH_loadgen_16x16_closed.serial.json
 run_16x16_closed 4 target/BENCH_loadgen_16x16_closed.par4.json
 cmp target/BENCH_loadgen_16x16_closed.serial.json target/BENCH_loadgen_16x16_closed.par4.json
 
-echo "== smoke: topology axis (torus/ring/full sharded runs, ring/full schema, torus collective) =="
+echo "== smoke: topology axis (torus/ring/full at 1 and 4 workers, ring/full schema, torus collective) =="
 # `--topology` pins the sweep to one switched fabric. The torus, ring and
 # full 16×16 points must export the same tcni-load/1 bytes at one and at
 # four workers, like the mesh one; ring and full also
@@ -145,9 +145,7 @@ echo "== smoke: wide-format 64x64 sweep (TCNI_THREADS=4) matches the committed s
 # 4096 nodes sits past the compact format's 256-node ceiling, so this run
 # exercises the wide wire format end to end. The tcni-load/1 export is
 # pinned byte-for-byte against a committed snapshot, and the 4-worker run
-# must reproduce it exactly. Its first cycle steps all 4 096 CPUs (which
-# halt at once) in four parallel chunks, so this is also the end-to-end
-# check of the parallel processor step.
+# must reproduce it exactly.
 run_64x64() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \
         --width 64 --height 64 --models opt-reg --fabrics mesh \
@@ -176,10 +174,9 @@ cmp target/BENCH_loadgen_64x64_e2e.serial.json target/BENCH_loadgen_64x64_e2e.pa
 grep -q '"goodput_pm": ' target/BENCH_loadgen_64x64_e2e.serial.json
 
 echo "== smoke: tcni-trace/1 export unchanged under TCNI_THREADS=4 =="
-# This instrumented 16×16 ring (256 running CPUs) stays below the parallel
-# processor step's threshold, so the export must not move at all when the
-# env var asks for workers. The instrumented parallel step is the
-# tcni-bench `prop_par_step` property.
+# An instrumented 16×16 ring (256 running CPUs): the machine's cycle is
+# serial, so the export must not move at all when the env var asks for
+# workers.
 run_netstats_16x16() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin netstats -- \
         --width 16 --height 16 --msgs 2 --quiet --out "$2"

@@ -4,9 +4,8 @@
 //! * **64×64 uniform sweep** — a 4096-node delivery-enabled machine runs an
 //!   open-loop uniform sweep; the new footprint meters prove flow state is
 //!   proportional to the *active* pair set, orders of magnitude below the
-//!   2·N² slots the dense tables would pin, and the 4-worker run reproduces
-//!   every meter byte for byte; the machine's invariants hold at the end of
-//!   both runs.
+//!   2·N² slots the dense tables would pin; the machine's invariants hold
+//!   at the end of the run.
 //! * **256×256 smoke** — a 65 536-node wide-format machine (double the old
 //!   dense ceiling) builds with delivery enabled and completes a
 //!   faulty-fabric flow test exactly once and in order, with every flow
@@ -22,7 +21,7 @@ use tcni::workload::{InjectCounters, Injector, InjectorConfig, LoopMode, Pattern
 
 /// Builds a delivery-enabled 64×64 mesh machine under a seeded fault
 /// schedule and runs a uniform open-loop sweep over it.
-fn run_64x64_delivery_sweep(par: usize, cycles: u64) -> (Machine, InjectCounters) {
+fn run_64x64_delivery_sweep(cycles: u64) -> (Machine, InjectCounters) {
     let side = 64usize;
     let mut machine = MachineBuilder::new(side * side)
         .model(Model::ALL_SIX[0])
@@ -31,7 +30,6 @@ fn run_64x64_delivery_sweep(par: usize, cycles: u64) -> (Machine, InjectCounters
         .delivery(DeliveryConfig::default())
         .build();
     assert_eq!(machine.wire_format(), WireFormat::Wide);
-    machine.set_par_threads(par);
     let mut config = InjectorConfig::new(
         Pattern::Uniform,
         Topology::new(side, side),
@@ -47,13 +45,12 @@ fn run_64x64_delivery_sweep(par: usize, cycles: u64) -> (Machine, InjectCounters
 
 /// Uniform traffic at 64×64 with the delivery protocol on: flow state must
 /// stay proportional to the set of (src, dst) pairs that actually carried
-/// traffic — the dense tables would pin 2·4096² slots up front — and the
-/// 4-worker run must reproduce every statistic, footprint meters included.
+/// traffic — the dense tables would pin 2·4096² slots up front.
 #[test]
 fn uniform_delivery_at_64x64_keeps_flow_state_sparse() {
     let n = 64u64 * 64;
     let cycles = 600;
-    let (machine, counters) = run_64x64_delivery_sweep(1, cycles);
+    let (machine, counters) = run_64x64_delivery_sweep(cycles);
     let del = machine.delivery_stats().expect("protocol enabled");
     assert!(
         counters.issued > 0 && del.accepted > 0,
@@ -79,24 +76,6 @@ fn uniform_delivery_at_64x64_keeps_flow_state_sparse() {
     assert!(
         scan.peak_flows < n * n / 8,
         "flow state must stay far below the 2*N^2 dense footprint"
-    );
-
-    // The 4-worker sweep is bit-identical, footprint meters included: its
-    // first cycle steps the 4 096 CPUs in parallel chunks, and everything
-    // else in the cycle is serial.
-    let (m4, c4) = run_64x64_delivery_sweep(4, cycles);
-    assert_eq!(c4, counters, "par4: injector counters");
-    assert_eq!(m4.cycle(), machine.cycle(), "par4: machine cycle");
-    assert_eq!(m4.net_stats(), machine.net_stats(), "par4: network stats");
-    assert_eq!(
-        m4.net_stats().scan,
-        machine.net_stats().scan,
-        "par4: scan meters must be byte-identical, footprint included"
-    );
-    assert_eq!(
-        m4.delivery_stats(),
-        machine.delivery_stats(),
-        "par4: delivery stats"
     );
 }
 

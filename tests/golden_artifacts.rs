@@ -228,9 +228,9 @@ fn golden_loadgen_ring_16x16() {
 /// The paper-scale collective comparison, pinned as the serialized
 /// `tcni-coll/1` artifact: NIC combining vs the flat software emulation for
 /// barrier and reduce on the 16×16 mesh. Every latency, occupancy, and
-/// engine counter is byte-exact — and because the machine reads
-/// `TCNI_THREADS` for its processor step, re-running this test at different
-/// thread counts doubles as a determinism check (ci.sh runs it at 1 and 4).
+/// engine counter is byte-exact — and ci.sh re-runs this test at
+/// `TCNI_THREADS=4`, pinning that the worker-count setting leaves the
+/// machine's serial cycle alone.
 #[test]
 fn golden_collective() {
     let mut cfg = CollStormConfig::new(Topology::new(16, 16));

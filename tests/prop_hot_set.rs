@@ -13,9 +13,9 @@
 //! on, [`Machine::check_invariants`] runs after every cycle of the
 //! thread-count and topology sweeps, so the protocol's edits must keep the
 //! timeout list, the outbox sets, the per-flow counters and every flow
-//! table consistent. The topology sweep also runs flows of several messages
-//! over a dropping fabric, where a gap arrival creates receiver state that
-//! its re-ack then evicts. (The store's own oracle — a `BTreeMap` model —
+//! table consistent. A separate sweep runs flows of several messages over
+//! a dropping fabric, where a gap arrival creates receiver state that its
+//! re-ack then evicts. (The store's own oracle — a `BTreeMap` model —
 //! lives beside it in `tcni-sim`.)
 //!
 //! [`Machine::set_reference`]: tcni::sim::Machine::set_reference
@@ -23,6 +23,7 @@
 //! [`ScanStats`]: tcni::net::ScanStats
 
 use tcni::core::{NodeId, WireFormat};
+use tcni::cpu::CpuState;
 use tcni::eval::handlers::remote_read::{self, REMOTE_ADDR, RESULT_ADDR};
 use tcni::isa::Reg;
 use tcni::net::{FabricConfig, FaultConfig, ScanStats, TopologyKind};
@@ -186,16 +187,13 @@ fn build_par(cfg: &Config, trace_cap: Option<usize>, par_threads: usize) -> Mach
     m
 }
 
-/// Parallelism is an implementation detail: a machine must be bit-identical
-/// to the one-worker machine at any worker count — same bytes on every
-/// observable surface, including the [`ScanStats`] effort meters. The
-/// sweep crosses the §4 models with both fabrics, E2E on/off, trace-only
-/// and trace+obs instrumentation, seeded fault schedules, and worker counts
-/// {1, 2, 3, 8}. Two nodes stay below the parallel processor step's
-/// threshold, so this pins that the worker count alone changes nothing;
-/// `prop_par_step` in `tcni-bench` runs the parallel step itself. With the
-/// delivery protocol on, both machines check their invariants after every
-/// cycle.
+/// The worker count is not an input of the simulation: a machine must be
+/// bit-identical to the one-worker machine at any worker count — same
+/// bytes on every observable surface, including the [`ScanStats`] effort
+/// meters. The sweep crosses the §4 models with both fabrics, E2E on/off,
+/// trace-only and trace+obs instrumentation, seeded fault schedules, and
+/// worker counts {1, 2, 3, 8}. With the delivery protocol on, both
+/// machines check their invariants after every cycle.
 #[test]
 fn parallel_tick_is_equivalent_at_any_thread_count() {
     check(
@@ -353,16 +351,13 @@ fn hot_set_is_equivalent_under_fault_schedules() {
 }
 
 /// The §4 matrix config for the flow-store sweep, with the fabric topology
-/// and the worker count as explicit axes. `ring` replaces the remote read
-/// with the ring program on both nodes, each sending that many messages to
-/// the other.
+/// and the worker count as explicit axes.
 struct StoreConfig {
     model: Model,
     topo: TopologyKind,
     fault: Option<(u64, u32)>,
     instrument: Option<usize>,
     par: usize,
-    ring: Option<u32>,
 }
 
 /// Every switched topology, sized so both machine nodes exist (extra fabric
@@ -378,24 +373,19 @@ fn store_fabric_axis() -> [TopologyKind; 5] {
 }
 
 fn build_store(cfg: &StoreConfig, par: usize) -> Machine {
-    let b = MachineBuilder::new(2).model(cfg.model);
-    let b = match cfg.ring {
-        Some(k) => b
-            .ni_queues((k as usize).max(16), 16)
-            .program(0, ring_program(NodeId::new(1), k, WireFormat::Compact))
-            .program(1, ring_program(NodeId::new(0), k, WireFormat::Compact)),
-        None => b
-            .program(
-                0,
-                remote_read::requester(cfg.model, NodeId::new(0), NodeId::new(1)),
-            )
-            .program(1, remote_read::server(cfg.model)),
-    };
-    let mut b = b.topology(cfg.topo).delivery(DeliveryConfig {
-        window: 4,
-        timeout: 24,
-        retransmit_limit: 10_000,
-    });
+    let mut b = MachineBuilder::new(2)
+        .model(cfg.model)
+        .program(
+            0,
+            remote_read::requester(cfg.model, NodeId::new(0), NodeId::new(1)),
+        )
+        .program(1, remote_read::server(cfg.model))
+        .topology(cfg.topo)
+        .delivery(DeliveryConfig {
+            window: 4,
+            timeout: 24,
+            retransmit_limit: 10_000,
+        });
     if let Some((seed, rate_pm)) = cfg.fault {
         b = b.network_fault(FaultConfig::uniform(seed, rate_pm));
     }
@@ -416,31 +406,21 @@ fn build_store(cfg: &StoreConfig, par: usize) -> Machine {
 /// consistent (the live count never exceeds its high-water mark, and
 /// protocol traffic occupies and meters flow slots). Crosses the §4
 /// models, seeded fault schedules, instrumentation, and worker counts
-/// {1, 2, 3, 8}. Half the cases run flows of two to six messages over a
-/// dropping fabric instead of the one-message remote read: losing a
-/// flow's first message turns its successor into a gap arrival, whose
-/// re-ack creates receiver state that is evicted when the ack drains — the
-/// one path that removes a flow, so the per-cycle table checks see it.
+/// {1, 2, 3, 8}.
 #[test]
 fn flow_store_invariants_hold_on_every_topology() {
     check("flow_store_invariants_hold_on_every_topology", 48, |rng| {
-        let ring = rng.bool().then(|| rng.range(2, 7) as u32);
         let cfg = StoreConfig {
-            model: if ring.is_some() {
-                Model::ALL_SIX[1]
-            } else {
-                *rng.pick(&Model::ALL_SIX)
-            },
+            model: *rng.pick(&Model::ALL_SIX),
             topo: *rng.pick(&store_fabric_axis()),
-            fault: (ring.is_some() || rng.bool()).then(|| (rng.u64(), rng.range(20, 120) as u32)),
+            fault: rng.bool().then(|| (rng.u64(), rng.range(20, 120) as u32)),
             instrument: rng.bool().then(|| rng.range(1, 24) as usize),
             par: *rng.pick(&[1usize, 2, 3, 8]),
-            ring,
         };
         let budget = rng.range(8_000, 40_000);
         let ctx = format!(
-            "{} {:?} fault={:?} instrument={:?} par={} ring={:?}",
-            cfg.model, cfg.topo, cfg.fault, cfg.instrument, cfg.par, cfg.ring
+            "{} {:?} fault={:?} instrument={:?} par={}",
+            cfg.model, cfg.topo, cfg.fault, cfg.instrument, cfg.par
         );
         let mut serial = build_store(&cfg, 1);
         let mut sharded = build_store(&cfg, cfg.par);
@@ -478,4 +458,67 @@ fn flow_store_invariants_hold_on_every_topology() {
         );
         assert!(ss.flow_probes > 0, "{ctx} flow lookups are metered");
     });
+}
+
+/// Flows of several messages over a dropping fabric, on every fabric
+/// topology: both nodes run the ring program, each sending `k` messages to
+/// the other, under the delivery protocol and a uniform fault schedule,
+/// with the machine's invariants checked after every cycle. Losing a
+/// flow's first message turns its successor into a gap arrival, whose
+/// re-ack creates receiver state that is evicted when the ack drains — the
+/// one path that removes a flow, which the one-message remote reads of the
+/// sweep above never take. Every message must arrive exactly once, so both
+/// programs halt and the machine quiesces.
+#[test]
+fn multi_message_flows_keep_the_flow_store_consistent() {
+    check(
+        "multi_message_flows_keep_the_flow_store_consistent",
+        32,
+        |rng| {
+            let k = rng.range(2, 7) as u32;
+            let topo = *rng.pick(&store_fabric_axis());
+            let (seed, rate_pm) = (rng.u64(), rng.range(20, 120) as u32);
+            let instrument = rng.bool().then(|| rng.range(1, 24) as usize);
+            let ctx = format!("{topo:?} fault=({seed}, {rate_pm}) instrument={instrument:?} k={k}");
+            let mut machine = MachineBuilder::new(2)
+                .model(Model::ALL_SIX[1]) // the ring program's model
+                .ni_queues(16, 16)
+                .program(0, ring_program(NodeId::new(1), k, WireFormat::Compact))
+                .program(1, ring_program(NodeId::new(0), k, WireFormat::Compact))
+                .topology(topo)
+                .delivery(DeliveryConfig {
+                    window: 4,
+                    timeout: 24,
+                    retransmit_limit: 10_000,
+                })
+                .network_fault(FaultConfig::uniform(seed, rate_pm))
+                .build();
+            if let Some(capacity) = instrument {
+                machine.enable_trace(capacity);
+                machine.enable_obs(capacity);
+            }
+            let outcome = run_checked(&mut machine, 40_000, &ctx);
+            assert_eq!(outcome, RunOutcome::Quiescent, "{ctx} outcome");
+            for i in 0..2 {
+                let node = machine.node(i);
+                assert!(
+                    matches!(node.cpu_state(), CpuState::Halted),
+                    "{ctx} node {i} halts"
+                );
+                assert_eq!(
+                    node.cpu().reg(Reg::R5),
+                    0,
+                    "{ctx} node {i} received all {k}"
+                );
+            }
+            let del = machine.delivery_stats().expect("protocol enabled");
+            assert_eq!(del.accepted, 2 * u64::from(k), "{ctx} accepted sends");
+            let scan = machine.net_stats().scan;
+            assert!(scan.active_flows <= scan.peak_flows, "{ctx} live <= peak");
+            assert!(
+                scan.peak_flows > 0,
+                "{ctx} delivery traffic occupies flow slots"
+            );
+        },
+    );
 }

@@ -12,9 +12,10 @@
 //!   must be bit-identical to the dense scan — and conserve effort — on the
 //!   torus, ring, and fully-connected fabrics exactly as on the mesh, across
 //!   the six §4 models, E2E delivery on/off, and seeded fault schedules.
-//! * **Sharded-cycle equivalence on every topology**: worker counts
-//!   {2, 3, 8} must reproduce the serial cycle byte for byte on every
-//!   observable surface, again across models × topologies × fault schedules.
+//! * **Worker-count equivalence on every topology**: machines set to
+//!   {2, 3, 8} workers must match the one-worker machine byte for byte on
+//!   every observable surface, again across models × topologies × fault
+//!   schedules.
 //!
 //! [`Topology`]: tcni::net::Topology
 //! [`Topology::distance`]: tcni::net::Topology::distance
