@@ -84,7 +84,7 @@ fn main() {
         }));
     }
 
-    for (sanity, body) in tcni_eval::par::par_map(panels, |panel| panel()) {
+    for (sanity, body) in tcni_util::par::par_map(panels, |panel| panel()) {
         eprintln!("{sanity}");
         println!("{body}");
     }

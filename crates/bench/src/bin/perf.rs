@@ -1,8 +1,8 @@
 //! In-tree performance benches of the simulators (`cargo bench` replacement).
 //!
-//! Measures the three hot paths the ISSUE names — machine stepping
-//! (cycles/sec), mesh delivery (messages/sec), and the full Table 1 +
-//! sensitivity pipeline (wall time, serial vs parallel) — and writes the
+//! Measures machine stepping (cycles/sec), mesh delivery (messages/sec),
+//! the 16×16 topology sensitivity points, and the full Table 1 +
+//! sensitivity pipeline (wall time, serial vs parallel), and writes the
 //! results to `BENCH_simulator.json` (override the path with
 //! `TCNI_BENCH_OUT`).
 //!
@@ -13,17 +13,14 @@
 use std::time::Instant;
 
 use tcni_bench::perf::{bench, PipelineTiming, Report};
-use tcni_core::{CollectiveOp, Message, NodeId, WireFormat};
+use tcni_core::{Message, NodeId, WireFormat};
 use tcni_eval::sweep;
 use tcni_eval::table1::Table1;
 use tcni_isa::{Assembler, MsgType, Program, Reg};
 use tcni_net::{Fabric, FabricConfig, Network};
 use tcni_sim::{DeliveryConfig, Machine, MachineBuilder, Model};
 use tcni_tam::programs;
-use tcni_workload::{
-    run_coll_point, CollMode, CollStormConfig, Injector, InjectorConfig, LoopMode, Pattern,
-    Topology,
-};
+use tcni_workload::{Injector, InjectorConfig, LoopMode, Pattern, Topology};
 
 /// An infinite busy loop: the cheapest always-running processor.
 fn spin_program() -> Program {
@@ -116,37 +113,9 @@ fn mesh_traffic(target: u64) -> u64 {
     delivered
 }
 
-/// A `side × side` mesh driven by a uniform open-loop injector at 5‰
-/// offered load for `cycles` cycles — the hot-set scheduler's target case: a
-/// large machine whose active set is a tiny fraction of its channels and
-/// flows. `dense` selects the reference mode (every-channel/every-flow
-/// scan) for contrast; `delivery` turns the end-to-end protocol on (its flow state is
-/// quadratic in the node count, so the widest meshes run fabric-only). A
-/// 16×16 mesh runs the compact wire format, anything wider the wide one —
-/// the builder picks it, the injector follows via `machine.wire_format()`.
-fn large_mesh_low_load(side: usize, cycles: u64, dense: bool, delivery: bool) -> Machine {
-    let mut b = MachineBuilder::new(side * side)
-        .model(Model::ALL_SIX[0])
-        .network_fabric(FabricConfig::new(side, side));
-    if delivery {
-        b = b.delivery(DeliveryConfig::default());
-    }
-    let mut machine = b.build();
-    machine.set_reference(dense);
-    let mut config = InjectorConfig::new(
-        Pattern::Uniform,
-        Topology::new(side, side),
-        LoopMode::Open { rate_pm: 5 },
-    );
-    config.format = machine.wire_format();
-    let mut injector = Injector::new(config);
-    machine.run_driven(&mut injector, cycles);
-    machine
-}
-
-/// The topology sensitivity point: the same 256-node machine and uniform
-/// 5‰ open-loop drive as the 16×16 large-mesh point, but on a selectable
-/// switched fabric (mesh / torus / ring). Serial, delivery on.
+/// The topology sensitivity point: a 256-node machine under a uniform 5‰
+/// open-loop drive with the delivery protocol on, on a selectable switched
+/// fabric (mesh / torus / ring).
 fn topology_low_load(cfg_net: FabricConfig, cycles: u64) -> Machine {
     let mut machine = MachineBuilder::new(256)
         .model(Model::ALL_SIX[0])
@@ -246,65 +215,6 @@ fn main() {
         reps,
         || mesh_traffic(mesh_target),
     ));
-    // The large-mesh low-load point, hot-set vs dense: wall clock
-    // in the measurement, scan-effort meters in the counters. `dense_cost`
-    // is what a full scan would examine — cycles × (channels + flows) — so
-    // `scanned_channels + scanned_flows` vs `dense_cost` is the win.
-    // The wide-format points (64×64, 128×128) divide the cycle budget —
-    // per-cycle injector work is O(n), so equal budgets would swamp the run.
-    // They pin the scaling of the machine loop and mesh fabric past the
-    // compact format's 256-node ceiling; the `_e2e` point additionally runs
-    // the delivery protocol, whose sparse flow store keys state by active
-    // (src, dst) pair — the `active_flows`/`peak_flows` counters record the
-    // footprint that the retired dense tables would have pinned at 2·n².
-    for (name, side, dense, delivery, div) in [
-        (
-            "large_mesh/16x16_uniform5pm_hotset",
-            16usize,
-            false,
-            true,
-            1u64,
-        ),
-        ("large_mesh/16x16_uniform5pm_dense", 16, true, true, 1),
-        ("large_mesh/64x64_uniform5pm_hotset", 64, false, false, 5),
-        ("large_mesh/64x64_uniform5pm_e2e", 64, false, true, 5),
-        (
-            "large_mesh/128x128_uniform5pm_hotset",
-            128,
-            false,
-            false,
-            20,
-        ),
-    ] {
-        let point_cycles = (cycles / div).max(1_000);
-        let point_reps = if side > 16 { reps.min(3) } else { reps };
-        let mut meas = bench(
-            name,
-            "cycles/sec",
-            point_cycles as f64,
-            warmup,
-            point_reps,
-            || large_mesh_low_load(side, point_cycles, dense, delivery),
-        );
-        let machine = large_mesh_low_load(side, point_cycles, dense, delivery);
-        let scan = machine.net_stats().scan;
-        let n = (side * side) as u64;
-        let flows = if delivery { n * n } else { 0 };
-        let dense_cost = machine.cycle() * (n * 5 + flows);
-        meas.tcni_threads = 1;
-        meas.counters = vec![
-            ("cycles".into(), machine.cycle()),
-            ("scanned_channels".into(), scan.scanned_channels),
-            ("scanned_flows".into(), scan.scanned_flows),
-            ("skipped_work".into(), scan.skipped_work),
-            ("dense_cost".into(), dense_cost),
-            ("active_flows".into(), scan.active_flows),
-            ("peak_flows".into(), scan.peak_flows),
-            ("flow_probes".into(), scan.flow_probes),
-        ];
-        report.results.push(meas);
-    }
-
     // The topology sensitivity axis: the identical 16×16 uniform-5‰ point
     // on the mesh, the wrap-around torus, and the 256-node ring. Wall
     // clock tracks the per-topology simulation cost (the torus scans twice
@@ -332,43 +242,6 @@ fn main() {
         report.results.push(meas);
     }
 
-    // The collective subsystem: one NIC-combining point and one
-    // software-emulation point, barrier and reduce, on the 16×16 mesh. The
-    // measurement times the whole point (build + storm); the counters carry
-    // the simulated verdict — `sim_cycles` and `lat_mean_x100` are what the
-    // tentpole claims NIC combining wins, and pinning them here alongside
-    // wall clock means a perf trajectory exists for both the simulator and
-    // the simulated NIC.
-    {
-        let mut cfg = CollStormConfig::new(Topology::new(16, 16));
-        cfg.rounds = if quick { 8 } else { 32 };
-        for (mode, op) in [
-            (CollMode::Nic, CollectiveOp::Barrier),
-            (CollMode::Nic, CollectiveOp::Sum),
-            (CollMode::Soft, CollectiveOp::Barrier),
-            (CollMode::Soft, CollectiveOp::Sum),
-        ] {
-            let name = format!("collective/16x16_{}_{}", mode.key(), op.key());
-            let mut meas = bench(
-                &name,
-                "rounds/sec",
-                f64::from(cfg.rounds),
-                warmup,
-                reps,
-                || run_coll_point(mode, op, 0, &cfg),
-            );
-            let p = run_coll_point(mode, op, 0, &cfg);
-            meas.counters = vec![
-                ("rounds_done".into(), u64::from(p.rounds_done)),
-                ("sim_cycles".into(), p.cycles),
-                ("lat_mean_x100".into(), p.lat_mean_x100.unwrap_or(0)),
-                ("fabric_delivered".into(), p.fabric_delivered),
-                ("combined".into(), p.combined),
-            ];
-            report.results.push(meas);
-        }
-    }
-
     for m in &report.results {
         println!("{}", m.summary());
     }
@@ -378,10 +251,10 @@ fn main() {
     // itself an aggregate of hundreds of machine runs, so a single pass is
     // already well averaged.
     let counts = programs::matmul::run(8, 4).expect("matmul runs").counts;
-    tcni_eval::par::set_threads(1);
+    tcni_util::par::set_threads(1);
     let serial_ms = pipeline(&counts);
-    tcni_eval::par::set_threads(0);
-    let threads = tcni_eval::par::threads();
+    tcni_util::par::set_threads(0);
+    let threads = tcni_util::par::threads();
     let parallel_ms = pipeline(&counts);
     let timing = PipelineTiming {
         serial_ms,

@@ -2,13 +2,13 @@
 //! of {model × fabric × pattern}, each cell yielding an open-loop curve (and
 //! optionally a closed-loop one), fanned out across worker threads.
 //!
-//! Parallelism is cell-grained via [`tcni_eval::par::par_map`]: every cell
+//! Parallelism is cell-grained via [`tcni_util::par::par_map`]: every cell
 //! builds its machines from the shared master seed, so the artifact is
 //! byte-identical at any `TCNI_THREADS` — `par_map` preserves input order
 //! and no cell's randomness depends on another's schedule.
 
-use tcni_eval::par::par_map;
 use tcni_sim::Model;
+use tcni_util::par::par_map;
 use tcni_workload::{
     run_closed_curve, run_open_curve, Curve, Fabric, LoadReport, Pattern, SweepConfig,
 };

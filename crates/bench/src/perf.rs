@@ -49,9 +49,9 @@ pub struct Measurement {
     /// `std::thread::available_parallelism` reported — the ceiling any
     /// speedup could reach on this host).
     pub host_threads: usize,
-    /// Effective worker count the measured code ran with: the resolved
-    /// `TCNI_THREADS` at measurement time, or the per-machine override for
-    /// points that pin their own count (the `_parN` large-mesh points).
+    /// The resolved `TCNI_THREADS` at measurement time: the width of any
+    /// `par_map` fan-out inside the measured code. A machine's cycle is
+    /// serial, so it does not widen a single machine's run.
     pub tcni_threads: usize,
 }
 

@@ -1,10 +1,7 @@
-//! Pins the acceptance criterion of the hot-set scheduler's perf point: on
-//! a 16×16 mesh at 5‰ uniform offered load with the delivery protocol on,
-//! the scheduler must examine at least 2× fewer channels+flows than the
-//! dense cost `cycles × (nodes × dirs + nodes²)`, and must actually skip
-//! work. The `perf` binary reports the same quantities as counters on the
-//! `large_mesh/16x16_uniform5pm_*` measurements in `BENCH_simulator.json`;
-//! this test is the fast in-tree guard on the same property.
+//! Pins the hot-set scheduler's work-skipping criterion: on a 16×16 mesh
+//! at 5‰ uniform offered load with the delivery protocol on, the scheduler
+//! must examine at least 2× fewer channels+flows than the dense cost
+//! `cycles × (nodes × dirs + nodes²)`, and must actually skip work.
 
 use tcni_net::FabricConfig;
 use tcni_sim::{DeliveryConfig, Machine, MachineBuilder, Model};

@@ -9,7 +9,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use tcni_bench::load::LoadgenConfig;
-use tcni_eval::par;
+use tcni_util::par;
 use tcni_workload::{Pattern, SweepConfig, Topology};
 
 /// Serializes tests that flip the process-global thread override.

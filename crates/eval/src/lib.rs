@@ -13,8 +13,9 @@
 //!   ablation studies (queue sizing, individual optimizations).
 //!
 //! Every measurement point (model × timing × workload) is independent, so
-//! the harness fans them out across threads (see [`par`]); set
-//! `TCNI_THREADS=1` or call [`par::set_threads`]`(1)` for the serial path.
+//! the harness fans them out across threads with [`tcni_util::par::par_map`];
+//! set `TCNI_THREADS=1` or call [`tcni_util::par::set_threads`]`(1)` for the
+//! serial path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +24,6 @@ pub mod figure12;
 pub mod handlers;
 pub mod harness;
 pub mod paper;
-pub mod par;
 pub mod protocol;
 pub mod sweep;
 pub mod table1;

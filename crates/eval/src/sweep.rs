@@ -38,7 +38,7 @@ pub struct OffchipPoint {
 /// expanding the same dynamic counts. Points are measured in parallel.
 pub fn offchip_sweep(counts: &TamCounts, extras: &[u32]) -> Vec<OffchipPoint> {
     let base = NonMessageCosts::new();
-    crate::par::par_map(extras.to_vec(), |e| {
+    tcni_util::par::par_map(extras.to_vec(), |e| {
         let t = Table1::measure_with(TimingConfig::new().with_offchip_load_extra(e));
         OffchipPoint {
             load_extra: e,
@@ -96,7 +96,7 @@ pub fn feature_ablation(counts: &TamCounts) -> Vec<AblationRow> {
         ),
         ("all (optimized)", FeatureSet::OPTIMIZED),
     ];
-    crate::par::par_map(sets.to_vec(), |(label, features)| {
+    tcni_util::par::par_map(sets.to_vec(), |(label, features)| {
         let per_mapping = Table1::measure_features(features, TimingConfig::new());
         let comm = std::array::from_fn(|i| {
             let b = breakdown(counts, &per_mapping[i], &base);
@@ -194,7 +194,7 @@ fn consumer_program() -> tcni_isa::Program {
 ///
 /// Panics if a run fails to quiesce (would indicate a flow-control bug).
 pub fn queue_sweep(capacities: &[usize]) -> Vec<QueuePoint> {
-    crate::par::par_map(capacities.to_vec(), |cap| {
+    tcni_util::par::par_map(capacities.to_vec(), |cap| {
         let model = Model::new(NiMapping::RegisterFile, FeatureLevel::Optimized);
         // A finite-buffered fabric, so congestion genuinely backs up
         // into the sender's output queue (§2.1.1).

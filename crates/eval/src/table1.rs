@@ -128,7 +128,7 @@ impl Table1 {
     /// off-chip latency sweep of §4.2.3 uses this). The six models are
     /// measured in parallel (each on its own private simulator).
     pub fn measure_with(timing: TimingConfig) -> Table1 {
-        let models = crate::par::par_map_array(Model::ALL_SIX, |m| {
+        let models = tcni_util::par::par_map_array(Model::ALL_SIX, |m| {
             measure_model(Ctx::from_model(m), timing)
         });
         Table1 { timing, models }
@@ -141,7 +141,7 @@ impl Table1 {
         features: tcni_core::FeatureSet,
         timing: TimingConfig,
     ) -> [ModelCosts; 3] {
-        crate::par::par_map_array(NiMapping::ALL, |mapping| {
+        tcni_util::par::par_map_array(NiMapping::ALL, |mapping| {
             measure_model(Ctx { mapping, features }, timing)
         })
     }

@@ -851,44 +851,39 @@ impl Delivery {
 
     /// One due flow's timeout: requeue the window (go-back-N), or just reset
     /// the timer if the previous round's copies are still queued, or abandon
-    /// once the budget is spent. Each step looks the flow up afresh, and
-    /// every lookup moves the probe meter.
+    /// once the budget is spent. The flow is looked up (and metered) once;
+    /// the timeout-list edits after it use unmetered lookups.
     fn fire_timeout(&mut self, pr: u32, cycle: u64) {
         let src = pair_major(pr);
+        let flow = self.tx[src].get_mut(pr).expect(LIVE);
+        flow.last_send = cycle;
         // Copies from the previous round still await injection: the outbox is
         // congested, not the receiver unresponsive. Reset the timer without
         // burning a budget round.
-        if self.tx[src].get_mut(pr).expect(LIVE).pending_copies > 0 {
-            self.tx[src].get_mut(pr).expect(LIVE).last_send = cycle;
+        if flow.pending_copies > 0 {
             self.move_to_tail(pr);
             return;
         }
-        {
-            let flow = self.tx[src].get_mut(pr).expect(LIVE);
-            flow.rounds += 1;
-            flow.last_send = cycle;
-        }
+        flow.rounds += 1;
         self.stats.timeout_rounds += 1;
-        if self.tx[src].get_mut(pr).expect(LIVE).rounds > self.config.retransmit_limit {
+        if flow.rounds > self.config.retransmit_limit {
             // Budget exhausted: the receiver is unreachable. Abandon the window
             // rather than wedging the machine. The flow slot (and its spent
             // budget) stays live — see the eviction semantics.
-            let len = self.tx[src].get_mut(pr).expect(LIVE).unacked.len() as u64;
+            let len = flow.unacked.len() as u64;
             self.stats.abandoned += len;
             self.unacked_msgs -= len;
-            let flow = self.tx[src].get_mut(pr).expect(LIVE);
             flow.unacked.clear();
             flow.rounds = 0;
             self.unlink(pr);
             return;
         }
         // Go-back-N: requeue the whole window.
-        let count = self.tx[src].get_mut(pr).expect(LIVE).unacked.len();
-        for k in 0..count {
-            let m = self.tx[src].get_mut(pr).expect(LIVE).unacked[k].1;
+        for &(_, m) in &flow.unacked {
             self.outbox.push(src, m);
         }
-        self.tx[src].get_mut(pr).expect(LIVE).pending_copies += count as u32;
+        let count = flow.unacked.len();
+        flow.pending_copies += count as u32;
         self.stats.retransmits += count as u64;
         self.move_to_tail(pr);
     }
@@ -1175,6 +1170,28 @@ mod tests {
         d.pump(40);
         assert_eq!(d.stats().abandoned, 2, "budget exhausted");
         assert!(!d.active());
+    }
+
+    #[test]
+    fn a_fired_timeout_looks_its_flow_up_once() {
+        let k = 3;
+        let mut d = Delivery::new(2, DeliveryConfig::default(), WireFormat::Compact);
+        let mut sent = Vec::new();
+        for tag in 0..k {
+            let mut m = data(1, tag);
+            d.stamp(0, 1, &mut m);
+            d.commit(0, 1, m, 0);
+            sent.push(m);
+        }
+        let before = d.scan_stats().flow_probes;
+        d.fire_timeout(pair(0, 1), 50);
+        assert_eq!(d.scan_stats().flow_probes - before, 1, "one lookup");
+        assert_eq!(d.stats().retransmits, u64::from(k));
+        for m in &sent {
+            assert_eq!(d.outbox_front(0), Some(m), "copies requeue in order");
+            d.outbox_pop(0);
+        }
+        assert!(d.outbox_front(0).is_none());
     }
 
     #[test]

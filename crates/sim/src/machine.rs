@@ -269,9 +269,6 @@ pub struct Machine {
     /// refresh after `node_mut`, every driven cycle); the injection phase
     /// only pays the O(nodes) latch scan while this is set.
     coll_poll: bool,
-    /// The recorded worker count (see
-    /// [`set_par_threads`](Machine::set_par_threads)).
-    par_threads: usize,
 }
 
 impl Machine {
@@ -474,23 +471,6 @@ impl Machine {
     /// Whether the reference mode is on.
     pub fn reference(&self) -> bool {
         self.reference
-    }
-
-    /// Records a worker count for this machine (`0`, the default, stands
-    /// for the process-wide setting). The cycle is serial at every setting:
-    /// a parallel processor step measured slower than the serial one below
-    /// about 2 048 running CPUs on a 2-core host, and no benchmark workload
-    /// runs that many, so the machine has no parallel path for the count to
-    /// select. The equivalence suites still sweep it; they are the check a
-    /// future parallel cycle must pass, and the option goes with them once
-    /// they are retired (ROADMAP item 2).
-    pub fn set_par_threads(&mut self, n: usize) {
-        self.par_threads = n;
-    }
-
-    /// The recorded worker count (`0` = process-wide setting).
-    pub fn par_threads(&self) -> usize {
-        self.par_threads
     }
 
     /// Cycles that were fast-forwarded (charged in bulk rather than stepped)
@@ -1649,7 +1629,6 @@ impl MachineBuilder {
             coll_scan: Vec::new(),
             region_out: RegionOut::default(),
             coll_poll: false,
-            par_threads: 0,
         };
         machine.refresh_lists();
         Ok(machine)

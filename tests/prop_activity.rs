@@ -18,8 +18,7 @@
 //! collective bookkeeping). The injector counters, network statistics with
 //! their scan meters, delivery counters and trace must match byte for
 //! byte, across all five patterns, open and closed loop, every fabric,
-//! faults with delivery, unit and Table-1 costs, and worker counts
-//! 1/2/3/8.
+//! faults with delivery, and unit and Table-1 costs.
 //!
 //! [`Machine::run_driven`]: tcni::sim::Machine::run_driven
 //! [`Machine::check_invariants`]: tcni::sim::Machine::check_invariants
@@ -41,7 +40,6 @@ struct Case {
     fault_pm: Option<u32>,
     model: Model,
     config: InjectorConfig,
-    threads: usize,
     traced: bool,
 }
 
@@ -85,7 +83,6 @@ fn draw(rng: &mut Rng) -> Case {
         fault_pm: rng.bool().then(|| *rng.pick(&[10u32, 40])),
         model,
         config,
-        threads: *rng.pick(&[1usize, 2, 3, 8]),
         traced: rng.below(4) == 0,
     }
 }
@@ -188,9 +185,7 @@ fn observe(m: &Machine, inj: &Injector) -> String {
 
 fn run_pair(c: &Case, ops: &[Op]) -> (String, String, InjectCounters) {
     let mut active = build(c);
-    active.set_par_threads(c.threads);
     let mut oracle = build(c);
-    oracle.set_par_threads(1);
     let mut inj_a = Injector::new(c.config);
     let mut inj_o = Injector::new(c.config);
     for &op in ops {
@@ -242,7 +237,6 @@ fn sparse_open_loop_offers_exactly_on_schedule() {
         fault_pm: None,
         model: Model::ALL_SIX[0],
         config,
-        threads: 1,
         traced: true,
     };
     let ops = [Op::Driven {
@@ -273,7 +267,6 @@ fn closure_drivers_keep_the_fallback() {
         fault_pm: None,
         model: Model::ALL_SIX[0],
         config,
-        threads: 1,
         traced: false,
     };
     let mut m = build(&c);

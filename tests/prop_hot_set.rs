@@ -10,8 +10,8 @@
 //! dense cost on both sides.
 //!
 //! The delivery flow *store* is checked from the inside: with the protocol
-//! on, [`Machine::check_invariants`] runs after every cycle of the
-//! thread-count and topology sweeps, so the protocol's edits must keep the
+//! on, [`Machine::check_invariants`] runs after every cycle of the checked
+//! and topology sweeps, so the protocol's edits must keep the
 //! timeout list, the outbox sets, the per-flow counters and every flow
 //! table consistent. A separate sweep runs flows of several messages over
 //! a dropping fabric, where a gap arrival creates receiver state that its
@@ -39,7 +39,10 @@ struct Config {
     latency: u64,
     e2e: bool,
     fault: Option<(u64, u32)>,
+    /// Trace and observability, both at this capacity.
     instrument: Option<usize>,
+    /// The trace alone, at this capacity.
+    trace: Option<usize>,
 }
 
 fn build(cfg: &Config, dense: bool) -> Machine {
@@ -70,18 +73,34 @@ fn build(cfg: &Config, dense: bool) -> Machine {
         machine.enable_trace(capacity);
         machine.enable_obs(capacity);
     }
+    if let Some(capacity) = cfg.trace {
+        machine.enable_trace(capacity);
+    }
     machine.node_mut(1).mem_mut().poke(REMOTE_ADDR, SECRET);
     machine
 }
 
-/// Drives the hot-set and dense machines through the same budget and checks
-/// every observable surface for bit-identity, then the conservation law on
-/// the effort meters. Returns both run outcomes for caller assertions.
-fn assert_equivalent(cfg: &Config, budget: u64, ctx: &str) -> (RunOutcome, RunOutcome) {
+/// Drives the hot-set and dense machines through the same budget — one
+/// cycle at a time with the invariants checked after each when `checked` —
+/// and checks every observable surface for bit-identity, then the
+/// conservation law on the effort meters. Returns both run outcomes for
+/// caller assertions.
+fn assert_equivalent(
+    cfg: &Config,
+    budget: u64,
+    checked: bool,
+    ctx: &str,
+) -> (RunOutcome, RunOutcome) {
     let mut hot = build(cfg, false);
     let mut dense = build(cfg, true);
-    let oh = hot.run(budget);
-    let od = dense.run(budget);
+    let (oh, od) = if checked {
+        (
+            run_checked(&mut hot, budget, ctx),
+            run_checked(&mut dense, budget, ctx),
+        )
+    } else {
+        (hot.run(budget), dense.run(budget))
+    };
 
     assert_eq!(oh, od, "{ctx} outcome");
     assert_eq!(hot.cycle(), dense.cycle(), "{ctx} machine cycle");
@@ -100,10 +119,12 @@ fn assert_equivalent(cfg: &Config, budget: u64, ctx: &str) -> (RunOutcome, RunOu
             assert_eq!(h.cpu().reg(r), d.cpu().reg(r), "{ctx} node {i} reg {r}");
         }
     }
-    if cfg.instrument.is_some() {
+    if cfg.instrument.is_some() || cfg.trace.is_some() {
         let (th, td) = (hot.trace().unwrap(), dense.trace().unwrap());
         assert_eq!(th.dropped(), td.dropped(), "{ctx} trace dropped");
         assert!(th.events().eq(td.events()), "{ctx} trace events");
+    }
+    if cfg.instrument.is_some() {
         // The serialized report carries the scan meters, which are the one
         // legitimate difference; zero them on both sides, then demand
         // byte-identity of everything else.
@@ -144,13 +165,14 @@ fn hot_set_is_equivalent_on_all_six_models() {
             e2e: rng.bool(),
             fault: None,
             instrument: rng.bool().then(|| rng.range(1, 24) as usize),
+            trace: None,
         };
         let budget = rng.range(4_000, 20_000);
         let ctx = format!(
             "{} mesh={} latency={} e2e={} instrument={:?}",
             cfg.model, cfg.mesh, cfg.latency, cfg.e2e, cfg.instrument
         );
-        let (oh, _) = assert_equivalent(&cfg, budget, &ctx);
+        let (oh, _) = assert_equivalent(&cfg, budget, false, &ctx);
         assert_eq!(oh, RunOutcome::Quiescent, "{ctx} must finish in {budget}");
 
         // The protocol completed, so both requesters observed the value.
@@ -176,154 +198,36 @@ fn run_checked(m: &mut Machine, budget: u64, ctx: &str) -> RunOutcome {
     }
 }
 
-/// Builds a machine for the parallel sweep: hot scan, optional trace-only
-/// instrumentation, and an explicit per-machine worker count.
-fn build_par(cfg: &Config, trace_cap: Option<usize>, par_threads: usize) -> Machine {
-    let mut m = build(cfg, false);
-    if let Some(c) = trace_cap {
-        m.enable_trace(c);
-    }
-    m.set_par_threads(par_threads);
-    m
-}
-
-/// The worker count is not an input of the simulation: a machine must be
-/// bit-identical to the one-worker machine at any worker count — same
-/// bytes on every observable surface, including the [`ScanStats`] effort
-/// meters. The sweep crosses the §4 models with both fabrics, E2E on/off,
-/// trace-only and trace+obs instrumentation, seeded fault schedules, and
-/// worker counts {1, 2, 3, 8}. With the delivery protocol on, both
-/// machines check their invariants after every cycle.
+/// The hot-set machine against the reference with the per-cycle
+/// invariant checks on: with the delivery protocol on, both machines run one
+/// cycle at a time and check their invariants after each. The sweep crosses
+/// the §4 models with both fabrics, E2E on/off, seeded fault schedules
+/// (also without the protocol, where faults simply lose or mangle
+/// traffic), and trace+obs or trace-only instrumentation.
 #[test]
 fn parallel_tick_is_equivalent_at_any_thread_count() {
     check(
         "parallel_tick_is_equivalent_at_any_thread_count",
         64,
         |rng| {
+            let instrument = rng.bool().then(|| rng.range(1, 24) as usize);
             let cfg = Config {
                 model: *rng.pick(&Model::ALL_SIX),
                 mesh: rng.bool(),
                 latency: rng.below(40),
                 e2e: rng.bool(),
                 fault: rng.bool().then(|| (rng.u64(), rng.range(20, 120) as u32)),
-                instrument: rng.bool().then(|| rng.range(1, 24) as usize),
+                instrument,
+                trace: (instrument.is_none() && rng.bool()).then(|| rng.range(1, 24) as usize),
             };
-            let trace_cap =
-                (cfg.instrument.is_none() && rng.bool()).then(|| rng.range(1, 24) as usize);
-            let par = *rng.pick(&[1usize, 2, 3, 8]);
             let budget = rng.range(4_000, 30_000);
             let ctx = format!(
-                "{} mesh={} latency={} e2e={} fault={:?} instrument={:?} trace={:?} par={}",
-                cfg.model,
-                cfg.mesh,
-                cfg.latency,
-                cfg.e2e,
-                cfg.fault,
-                cfg.instrument,
-                trace_cap,
-                par
+                "{} mesh={} latency={} e2e={} fault={:?} instrument={:?} trace={:?}",
+                cfg.model, cfg.mesh, cfg.latency, cfg.e2e, cfg.fault, cfg.instrument, cfg.trace
             );
-            let mut serial = build_par(&cfg, trace_cap, 1);
-            let mut sharded = build_par(&cfg, trace_cap, par);
-            let (os, op) = if cfg.e2e {
-                (
-                    run_checked(&mut serial, budget, &ctx),
-                    run_checked(&mut sharded, budget, &ctx),
-                )
-            } else {
-                (serial.run(budget), sharded.run(budget))
-            };
-
-            assert_eq!(os, op, "{ctx} outcome");
-            assert_eq!(serial.cycle(), sharded.cycle(), "{ctx} machine cycle");
-            assert_eq!(serial.net_stats(), sharded.net_stats(), "{ctx} net stats");
-            assert_eq!(
-                serial.net_stats().scan,
-                sharded.net_stats().scan,
-                "{ctx} scan meters must be byte-identical, not merely conserved"
-            );
-            assert_eq!(
-                serial.delivery_stats(),
-                sharded.delivery_stats(),
-                "{ctx} delivery stats"
-            );
-            assert_eq!(
-                serial.skipped_cycles(),
-                sharded.skipped_cycles(),
-                "{ctx} fast-forward accounting"
-            );
-            for i in 0..2 {
-                let (s, p) = (serial.node(i), sharded.node(i));
-                assert_eq!(s.cpu().cycle(), p.cpu().cycle(), "{ctx} node {i} cycles");
-                assert_eq!(s.cpu().stats(), p.cpu().stats(), "{ctx} node {i} stats");
-                for r in Reg::ALL {
-                    assert_eq!(s.cpu().reg(r), p.cpu().reg(r), "{ctx} node {i} reg {r}");
-                }
-            }
-            if trace_cap.is_some() || cfg.instrument.is_some() {
-                let (ts, tp) = (serial.trace().unwrap(), sharded.trace().unwrap());
-                assert_eq!(ts.dropped(), tp.dropped(), "{ctx} trace dropped");
-                assert!(ts.events().eq(tp.events()), "{ctx} trace events");
-            }
-            if cfg.instrument.is_some() {
-                // Even the serialized report (scan meters included) is
-                // byte-equal.
-                let (rs, rp) = (serial.obs_report().unwrap(), sharded.obs_report().unwrap());
-                assert_eq!(rs.to_json(), rp.to_json(), "{ctx} tcni-trace/1 report");
-            }
+            assert_equivalent(&cfg, budget, cfg.e2e, &ctx);
         },
     );
-}
-
-/// The fault-wrapped mesh across worker counts, with a seeded fault
-/// schedule mangling traffic and the delivery protocol retransmitting
-/// around it: the fabric tick, the per-node fault streams, and the
-/// stall-roll timing must not depend on the worker count.
-#[test]
-fn fault_wrapped_mesh_shards_bit_identically() {
-    check("fault_wrapped_mesh_shards_bit_identically", 24, |rng| {
-        let cfg = Config {
-            model: *rng.pick(&Model::ALL_SIX),
-            mesh: true,
-            latency: 0,
-            e2e: true,
-            fault: Some((rng.u64(), rng.range(20, 150) as u32)),
-            instrument: None,
-        };
-        let trace_cap = rng.bool().then(|| rng.range(1, 24) as usize);
-        let budget = rng.range(10_000, 40_000);
-        let ctx = format!("{} fault={:?} trace={:?}", cfg.model, cfg.fault, trace_cap);
-        let mut serial = build_par(&cfg, trace_cap, 1);
-        let baseline = serial.run(budget);
-        for par in [2usize, 3, 8] {
-            let mut sharded = build_par(&cfg, trace_cap, par);
-            let op = sharded.run(budget);
-            assert_eq!(baseline, op, "{ctx} par={par} outcome");
-            assert_eq!(serial.cycle(), sharded.cycle(), "{ctx} par={par} cycle");
-            assert_eq!(
-                serial.net_stats(),
-                sharded.net_stats(),
-                "{ctx} par={par} net stats (fault counters included)"
-            );
-            assert_eq!(
-                serial.delivery_stats(),
-                sharded.delivery_stats(),
-                "{ctx} par={par} delivery stats"
-            );
-            for i in 0..2 {
-                let (s, p) = (serial.node(i), sharded.node(i));
-                assert_eq!(s.cpu().cycle(), p.cpu().cycle(), "{ctx} node {i} cycles");
-                for r in Reg::ALL {
-                    assert_eq!(s.cpu().reg(r), p.cpu().reg(r), "{ctx} node {i} reg {r}");
-                }
-            }
-            if trace_cap.is_some() {
-                let (ts, tp) = (serial.trace().unwrap(), sharded.trace().unwrap());
-                assert_eq!(ts.dropped(), tp.dropped(), "{ctx} par={par} trace dropped");
-                assert!(ts.events().eq(tp.events()), "{ctx} par={par} trace events");
-            }
-        }
-    });
 }
 
 /// The same bit-identity must hold when a seeded fault schedule is mangling
@@ -340,24 +244,24 @@ fn hot_set_is_equivalent_under_fault_schedules() {
             e2e: true,
             fault: Some((rng.u64(), rng.range(20, 120) as u32)),
             instrument: rng.bool().then(|| rng.range(1, 24) as usize),
+            trace: None,
         };
         let budget = rng.range(20_000, 60_000);
         let ctx = format!(
             "{} mesh={} latency={} fault={:?} instrument={:?}",
             cfg.model, cfg.mesh, cfg.latency, cfg.fault, cfg.instrument
         );
-        assert_equivalent(&cfg, budget, &ctx);
+        assert_equivalent(&cfg, budget, false, &ctx);
     });
 }
 
 /// The §4 matrix config for the flow-store sweep, with the fabric topology
-/// and the worker count as explicit axes.
+/// as an explicit axis.
 struct StoreConfig {
     model: Model,
     topo: TopologyKind,
     fault: Option<(u64, u32)>,
     instrument: Option<usize>,
-    par: usize,
 }
 
 /// Every switched topology, sized so both machine nodes exist (extra fabric
@@ -372,7 +276,7 @@ fn store_fabric_axis() -> [TopologyKind; 5] {
     ]
 }
 
-fn build_store(cfg: &StoreConfig, par: usize) -> Machine {
+fn build_store(cfg: &StoreConfig) -> Machine {
     let mut b = MachineBuilder::new(2)
         .model(cfg.model)
         .program(
@@ -395,18 +299,15 @@ fn build_store(cfg: &StoreConfig, par: usize) -> Machine {
         machine.enable_obs(capacity);
     }
     machine.node_mut(1).mem_mut().poke(REMOTE_ADDR, SECRET);
-    machine.set_par_threads(par);
     machine
 }
 
 /// The sparse flow store under the delivery protocol, on every fabric
-/// topology: the machine's invariants hold after every cycle — at one
-/// worker and at the swept worker count — the two runs agree on every
-/// surface including the footprint meters, and the footprint stays
-/// consistent (the live count never exceeds its high-water mark, and
-/// protocol traffic occupies and meters flow slots). Crosses the §4
-/// models, seeded fault schedules, instrumentation, and worker counts
-/// {1, 2, 3, 8}.
+/// topology: the machine's invariants hold after every cycle, and the
+/// footprint stays consistent (the live count never exceeds its high-water
+/// mark, and protocol traffic occupies and meters flow slots). Crosses the
+/// §4 models, seeded fault schedules and instrumentation. (The hot-set
+/// equivalence on every topology lives in `prop_topology.rs`.)
 #[test]
 fn flow_store_invariants_hold_on_every_topology() {
     check("flow_store_invariants_hold_on_every_topology", 48, |rng| {
@@ -415,48 +316,22 @@ fn flow_store_invariants_hold_on_every_topology() {
             topo: *rng.pick(&store_fabric_axis()),
             fault: rng.bool().then(|| (rng.u64(), rng.range(20, 120) as u32)),
             instrument: rng.bool().then(|| rng.range(1, 24) as usize),
-            par: *rng.pick(&[1usize, 2, 3, 8]),
         };
         let budget = rng.range(8_000, 40_000);
         let ctx = format!(
-            "{} {:?} fault={:?} instrument={:?} par={}",
-            cfg.model, cfg.topo, cfg.fault, cfg.instrument, cfg.par
+            "{} {:?} fault={:?} instrument={:?}",
+            cfg.model, cfg.topo, cfg.fault, cfg.instrument
         );
-        let mut serial = build_store(&cfg, 1);
-        let mut sharded = build_store(&cfg, cfg.par);
-        let os = run_checked(&mut serial, budget, &ctx);
-        let op = run_checked(&mut sharded, budget, &ctx);
+        let mut machine = build_store(&cfg);
+        run_checked(&mut machine, budget, &ctx);
 
-        assert_eq!(os, op, "{ctx} outcome");
-        assert_eq!(serial.cycle(), sharded.cycle(), "{ctx} machine cycle");
-        assert_eq!(serial.net_stats(), sharded.net_stats(), "{ctx} net stats");
-        assert_eq!(
-            serial.delivery_stats(),
-            sharded.delivery_stats(),
-            "{ctx} delivery stats"
-        );
-        for i in 0..2 {
-            let (s, p) = (serial.node(i), sharded.node(i));
-            assert_eq!(s.cpu().cycle(), p.cpu().cycle(), "{ctx} node {i} cycles");
-            for r in Reg::ALL {
-                assert_eq!(s.cpu().reg(r), p.cpu().reg(r), "{ctx} node {i} reg {r}");
-            }
-        }
-        if cfg.instrument.is_some() {
-            let (ts, tp) = (serial.trace().unwrap(), sharded.trace().unwrap());
-            assert!(ts.events().eq(tp.events()), "{ctx} trace events");
-            let (rs, rp) = (serial.obs_report().unwrap(), sharded.obs_report().unwrap());
-            assert_eq!(rs.to_json(), rp.to_json(), "{ctx} tcni-trace/1 report");
-        }
-
-        let (ss, sp) = (serial.net_stats().scan, sharded.net_stats().scan);
-        assert_eq!(ss, sp, "{ctx} scan meters, footprint included");
-        assert!(ss.active_flows <= ss.peak_flows, "{ctx} live <= peak");
+        let scan = machine.net_stats().scan;
+        assert!(scan.active_flows <= scan.peak_flows, "{ctx} live <= peak");
         assert!(
-            ss.peak_flows > 0,
+            scan.peak_flows > 0,
             "{ctx} delivery traffic occupies flow slots"
         );
-        assert!(ss.flow_probes > 0, "{ctx} flow lookups are metered");
+        assert!(scan.flow_probes > 0, "{ctx} flow lookups are metered");
     });
 }
 

@@ -2,9 +2,8 @@
 //! observability, end-to-end delivery (here always over a fault-wrapped
 //! fabric) and the in-network collective engine — are each an `Option` the
 //! one stepping body reads at its use sites. This property runs every one
-//! of their sixteen combinations, at one and at three workers, on a 2×2
-//! mesh where a corner-to-corner remote read runs beside an all-node
-//! reduction, and requires:
+//! of their sixteen combinations on a 2×2 mesh where a corner-to-corner
+//! remote read runs beside an all-node reduction, and requires:
 //!
 //! * the optimised machine and the reference mode
 //!   ([`Machine::set_reference`]) agree on every surface, the serialized
@@ -65,7 +64,7 @@ fn contribution(i: usize) -> u32 {
     7 * i as u32 + 1
 }
 
-fn build(case: &Case, sub: Subsystems, par: usize, reference: bool) -> Machine {
+fn build(case: &Case, sub: Subsystems, reference: bool) -> Machine {
     let model = case.model;
     let mut b = MachineBuilder::new(4)
         .model(model)
@@ -98,7 +97,6 @@ fn build(case: &Case, sub: Subsystems, par: usize, reference: bool) -> Machine {
         m.enable_obs(1 << 12);
     }
     m.set_reference(reference);
-    m.set_par_threads(par);
     m.node_mut(3).mem_mut().poke(REMOTE_ADDR, SECRET);
     if sub.coll {
         for i in 0..4 {
@@ -162,77 +160,74 @@ fn every_subsystem_combination_is_invisible_and_matches_the_reference() {
                 model: *rng.pick(&Model::ALL_SIX),
                 fault: (rng.u64(), rng.range(20, 80) as u32),
             };
-            for par in [1usize, 3] {
-                for sub in Subsystems::all() {
-                    let ctx = format!("{} fault={:?} par={par} {sub:?}", case.model, case.fault);
-                    let mut opt = build(&case, sub, par, false);
-                    let mut reference = build(&case, sub, par, true);
-                    let oo = run_checked(&mut opt, &ctx);
-                    let or = run_checked(&mut reference, &ctx);
-                    assert_eq!(oo, or, "{ctx} outcome");
-                    for m in [&opt, &reference] {
-                        let got = m.node(0).mem().peek(RESULT_ADDR);
-                        assert_eq!(got, SECRET, "{ctx} the requester read the remote word");
-                    }
+            for sub in Subsystems::all() {
+                let ctx = format!("{} fault={:?} {sub:?}", case.model, case.fault);
+                let mut opt = build(&case, sub, false);
+                let mut reference = build(&case, sub, true);
+                let oo = run_checked(&mut opt, &ctx);
+                let or = run_checked(&mut reference, &ctx);
+                assert_eq!(oo, or, "{ctx} outcome");
+                for m in [&opt, &reference] {
+                    let got = m.node(0).mem().peek(RESULT_ADDR);
+                    assert_eq!(got, SECRET, "{ctx} the requester read the remote word");
+                }
 
-                    if sub.trace {
-                        let (to, tr) = (opt.trace().unwrap(), reference.trace().unwrap());
-                        assert_eq!(to.dropped(), 0, "{ctx} trace capacity");
-                        assert!(to.events().eq(tr.events()), "{ctx} trace events");
-                        let collective = to.events().find(|e| match e {
-                            TraceEvent::Sent { msg, .. } | TraceEvent::Delivered { msg, .. } => {
-                                msg.mtype == MsgType::COLLECTIVE
-                            }
-                            _ => false,
-                        });
-                        assert!(collective.is_none(), "{ctx} traced {collective:?}");
-                    }
-                    if sub.obs {
-                        let (mut ro, mut rr) =
-                            (opt.obs_report().unwrap(), reference.obs_report().unwrap());
-                        let (so, sr) = (ro.net.scan, rr.net.scan);
-                        assert_eq!(sr.skipped_work, 0, "{ctx} the reference skips nothing");
-                        assert_eq!(
-                            so.scanned_channels + so.scanned_flows + so.skipped_work,
-                            sr.scanned_channels + sr.scanned_flows,
-                            "{ctx} optimised scanned + skipped must equal the reference's scanned"
-                        );
-                        ro.net.scan = ScanStats::default();
-                        rr.net.scan = ScanStats::default();
-                        assert_eq!(ro.to_json(), rr.to_json(), "{ctx} tcni-trace/1 report");
+                if sub.trace {
+                    let (to, tr) = (opt.trace().unwrap(), reference.trace().unwrap());
+                    assert_eq!(to.dropped(), 0, "{ctx} trace capacity");
+                    assert!(to.events().eq(tr.events()), "{ctx} trace events");
+                    let collective = to.events().find(|e| match e {
+                        TraceEvent::Sent { msg, .. } | TraceEvent::Delivered { msg, .. } => {
+                            msg.mtype == MsgType::COLLECTIVE
+                        }
+                        _ => false,
+                    });
+                    assert!(collective.is_none(), "{ctx} traced {collective:?}");
+                }
+                if sub.obs {
+                    let (mut ro, mut rr) =
+                        (opt.obs_report().unwrap(), reference.obs_report().unwrap());
+                    let (so, sr) = (ro.net.scan, rr.net.scan);
+                    assert_eq!(sr.skipped_work, 0, "{ctx} the reference skips nothing");
+                    assert_eq!(
+                        so.scanned_channels + so.scanned_flows + so.skipped_work,
+                        sr.scanned_channels + sr.scanned_flows,
+                        "{ctx} optimised scanned + skipped must equal the reference's scanned"
+                    );
+                    ro.net.scan = ScanStats::default();
+                    rr.net.scan = ScanStats::default();
+                    assert_eq!(ro.to_json(), rr.to_json(), "{ctx} tcni-trace/1 report");
 
-                        // One span per program message, complete or open:
-                        // collective traffic never takes a sequence number.
-                        let obs = opt.obs().unwrap();
-                        let spans =
-                            obs.spans().len() as u64 + obs.spans_dropped() + obs.spans_open();
-                        let sent: u64 = opt.nodes().iter().map(|n| n.ni().stats().sends).sum();
-                        assert_eq!(spans, sent, "{ctx} spans vs program sends");
-                    }
-                    assert_same_simulation(&opt, &reference, &ctx);
-                    let done = completions(&mut opt);
-                    assert_eq!(done, completions(&mut reference), "{ctx} completions");
+                    // One span per program message, complete or open:
+                    // collective traffic never takes a sequence number.
+                    let obs = opt.obs().unwrap();
+                    let spans = obs.spans().len() as u64 + obs.spans_dropped() + obs.spans_open();
+                    let sent: u64 = opt.nodes().iter().map(|n| n.ni().stats().sends).sum();
+                    assert_eq!(spans, sent, "{ctx} spans vs program sends");
+                }
+                assert_same_simulation(&opt, &reference, &ctx);
+                let done = completions(&mut opt);
+                assert_eq!(done, completions(&mut reference), "{ctx} completions");
 
-                    if sub.trace || sub.obs {
-                        let plain_sub = Subsystems {
-                            trace: false,
-                            obs: false,
-                            ..sub
-                        };
-                        let mut plain = build(&case, plain_sub, par, false);
-                        run_checked(&mut plain, &ctx);
-                        let ctx = format!("{ctx} vs uninstrumented");
-                        assert_same_simulation(&plain, &opt, &ctx);
-                        assert_eq!(completions(&mut plain), done, "{ctx} completions");
-                    }
-                    let sum: u32 = (0..4).map(contribution).sum();
-                    for (i, d) in done.iter().enumerate() {
-                        assert_eq!(
-                            d.map(|d| d.value),
-                            sub.coll.then_some(sum),
-                            "{ctx} node {i} reduction"
-                        );
-                    }
+                if sub.trace || sub.obs {
+                    let plain_sub = Subsystems {
+                        trace: false,
+                        obs: false,
+                        ..sub
+                    };
+                    let mut plain = build(&case, plain_sub, false);
+                    run_checked(&mut plain, &ctx);
+                    let ctx = format!("{ctx} vs uninstrumented");
+                    assert_same_simulation(&plain, &opt, &ctx);
+                    assert_eq!(completions(&mut plain), done, "{ctx} completions");
+                }
+                let sum: u32 = (0..4).map(contribution).sum();
+                for (i, d) in done.iter().enumerate() {
+                    assert_eq!(
+                        d.map(|d| d.value),
+                        sub.coll.then_some(sum),
+                        "{ctx} node {i} reduction"
+                    );
                 }
             }
         },
