@@ -491,25 +491,16 @@ impl Fabric {
     }
 }
 
-/// The first set bit of `words` in `from..to`: one word per 64 positions,
-/// so a sparse set costs its length over 64 plus its population.
-fn next_set(words: &[u64], from: usize, to: usize) -> Option<usize> {
-    if from >= to {
-        return None;
-    }
+/// The first set bit of `words` at or after `from`: one word per 64
+/// positions, so a sparse set costs its length over 64 plus its population.
+fn next_set(words: &[u64], from: usize) -> Option<usize> {
     let mut w = from / 64;
-    let mut bits = words[w] & (!0u64 << (from % 64));
-    loop {
-        if bits != 0 {
-            let i = w * 64 + bits.trailing_zeros() as usize;
-            return (i < to).then_some(i);
-        }
+    let mut bits = *words.get(w)? & (!0u64 << (from % 64));
+    while bits == 0 {
         w += 1;
-        if w * 64 >= to {
-            return None;
-        }
-        bits = words[w];
+        bits = *words.get(w)?;
     }
+    Some(w * 64 + bits.trailing_zeros() as usize)
 }
 
 impl Network for Fabric {
@@ -608,10 +599,10 @@ impl Network for Fabric {
         self.stats
     }
 
-    /// The first node in `from..to` whose ejection channel is non-empty
-    /// (the eject-ready set).
-    fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
-        next_set(&self.eject_ready, from, to)
+    /// The first node at or after `from` whose ejection channel is
+    /// non-empty (the eject-ready set).
+    fn next_eject_ready(&self, from: usize) -> Option<usize> {
+        next_set(&self.eject_ready, from)
     }
 }
 

@@ -301,8 +301,8 @@ impl Network for FaultyFabric {
         }
     }
 
-    fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
-        self.inner.next_eject_ready(from, to)
+    fn next_eject_ready(&self, from: usize) -> Option<usize> {
+        self.inner.next_eject_ready(from)
     }
 
     fn advance(&mut self, cycles: u64) {

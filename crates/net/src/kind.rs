@@ -138,8 +138,8 @@ impl Network for NetworkKind {
         delegate!(self, n => n.advance(cycles))
     }
 
-    fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
-        delegate!(self, n => n.next_eject_ready(from, to))
+    fn next_eject_ready(&self, from: usize) -> Option<usize> {
+        delegate!(self, n => n.next_eject_ready(from))
     }
 }
 

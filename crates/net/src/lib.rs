@@ -138,13 +138,13 @@ pub trait Network {
         }
     }
 
-    /// The first node in `from..to` that may have a message ready for
+    /// The first node at or after `from` that may have a message ready for
     /// ejection: every node whose [`peek_eject`](Network::peek_eject) could
     /// return a message is reported, so an ejection phase that walks these
     /// nodes in order sees exactly what a walk over every node would.
     /// Fabrics that track which ejection buffers are occupied (the switched
     /// [`Fabric`]) skip the empty ones; the default reports every node.
-    fn next_eject_ready(&self, from: usize, to: usize) -> Option<usize> {
-        (from < to).then_some(from)
+    fn next_eject_ready(&self, from: usize) -> Option<usize> {
+        (from < self.node_count()).then_some(from)
     }
 }

@@ -206,17 +206,14 @@ pub struct ScanStats {
     /// Dense-scan slots/flows the active-set frontier skipped (the saved
     /// work: dense cost minus what was scanned).
     pub skipped_work: u64,
-    /// Live delivery flow-table entries (tx + rx) at sampling time — the
-    /// sparse flow store's current footprint. Zero under the dense
-    /// cross-check layout, whose rows are not entry-counted.
+    /// Live delivery flow-map entries (tx + rx) at sampling time — the
+    /// sparse flow store's current footprint.
     pub active_flows: u64,
-    /// Sum of the per-node flow-table high-water marks — an upper bound on
-    /// the sparse store's peak footprint, deterministic at any worker count
-    /// (each node's table evolves locally).
+    /// High-water mark of [`active_flows`](Self::active_flows) over the
+    /// whole machine.
     pub peak_flows: u64,
-    /// Open-addressing probe steps spent on flow-table lookups, inserts,
-    /// and evictions (resize rehashes excluded). Zero under the dense
-    /// cross-check layout.
+    /// Flow lookups made by the delivery protocol, one per lookup
+    /// (timer maintenance and invariant checks are not counted).
     pub flow_probes: u64,
 }
 

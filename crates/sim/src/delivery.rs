@@ -30,51 +30,50 @@
 //!
 //! Flow state is keyed by the packed pair key `(major << 16) | minor`
 //! ([`pair`]; tx is source-major, rx destination-major) and lives in one
-//! [`NodeFlows`] open-addressing table per major node: SplitMix64-hashed
-//! linear probing over a power-of-two index whose entries point into a
-//! slab of flow slots. Memory is proportional to the *active* pairs — the
-//! invariant a real NIC lives under, its per-flow state bounded by scarce
-//! NIC memory — instead of the dense `nodes²` table a wide-format machine
-//! could never afford. An absent entry reads as a default flow, so the
-//! layout is invisible to behaviour. The store's oracle lives in this
-//! module's tests: a `BTreeMap` model driven through the same random
-//! insert/get/remove/iterate sequences.
+//! `std` [`HashMap`] per major node, hashed by [`DefaultHasher`] under its
+//! fixed keys so that every run lays out and iterates the maps alike.
+//! Memory is proportional to the *active* pairs — the invariant a real NIC
+//! lives under, its per-flow state bounded by scarce NIC memory — instead
+//! of the dense `nodes²` table a wide-format machine could never afford.
+//! An absent entry reads as a default flow, so the layout is invisible to
+//! behaviour.
 //!
 //! **Eviction semantics.** A tx flow is *never* evicted: its `next_psn`
 //! seeds every future stamp and its `rounds` budget must not silently
-//! reset, so the slot stays live once a first transmission commits. An rx
+//! reset, so the entry stays live once a first transmission commits. An rx
 //! flow is evicted exactly when it returns to its default state — its
 //! pending ack drains while `expected` is still 0 (only gap or duplicate
-//! arrivals ever reached it) — which a fresh default slot represents
+//! arrivals ever reached it) — which an absent entry represents
 //! identically. Long-running uniform traffic therefore converges to one
-//! live tx slot per communicating pair and rx slots for in-progress
+//! live tx entry per communicating pair and rx entries for in-progress
 //! receives.
 //!
-//! **Metering.** Protocol lookups are metered (`ScanStats::flow_probes`);
-//! timeout-list maintenance (see [`Delivery::link_tail`]), invariant checks
-//! and resize rehashes are not.
+//! **Metering.** Each protocol lookup counts one `ScanStats::flow_probes`
+//! (see [`FlowMeter`]); timer maintenance and invariant checks are not
+//! metered. `active_flows` is the number of live entries over all maps and
+//! `peak_flows` its machine-wide high-water mark.
 //!
 //! ## Hot-set scheduling
 //!
 //! The per-cycle retransmission pump does **not** scan all active flows:
-//! flows holding unacked data are linked on an intrusive *timeout list*
-//! ordered by `last_send`. Every `last_send` update stamps the current
-//! cycle and moves the flow to the tail, so the list stays sorted without
-//! ever being sorted — the pump walks from the oldest end and stops at the
-//! first flow that is not yet due. The flows due on one cycle are then
-//! fired in ascending pair key, which is exactly the (src, dst) order of
-//! the old dense scan, so retransmit copies enter each outbox
-//! bit-identically. A flow joins the list when its first unacked message
-//! is committed and leaves when its window fully acks or is abandoned. The
-//! old per-fire outbox rescan ("copies from the previous round still
-//! pending?") is a per-flow `pending_copies` counter maintained at outbox
-//! push/pop. The dense scan survives in the machine's reference mode
+//! each flow holding unacked data has exactly one `(last_send, pair)` entry
+//! in an ordered timer set, and every `last_send` update replaces it. The
+//! pump walks the set from the oldest stamp and stops at the first flow
+//! that is not yet due. The flows due on one cycle are then fired in
+//! ascending pair key, which is exactly the (src, dst) order of the dense
+//! scan, so retransmit copies enter each outbox bit-identically. A flow
+//! gains its timer when its first unacked message is committed and loses
+//! it when its window fully acks or is abandoned. Whether a flow's
+//! copies from the previous round still wait in the outbox is a per-flow
+//! `pending_copies` counter maintained at outbox push/pop. The dense scan
+//! survives in the machine's reference mode
 //! ([`Machine::set_reference`](crate::Machine::set_reference)), examining
 //! the dense `nodes²` cost.
 //!
 
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use tcni_core::{payload_crc, E2eHeader, E2eKind, Message, NodeId, WireFormat};
 use tcni_isa::MsgType;
@@ -82,20 +81,8 @@ use tcni_net::ScanStats;
 
 use crate::outbox::Outbox;
 
-/// Null link of the intrusive timeout list. Links carry pair keys widened
-/// to `u64`: the widest legal pair key (65535, 65535) is `u32::MAX`, so a
-/// 32-bit sentinel would collide with a real flow on a 65536-node machine.
-const NONE_LINK: u64 = u64::MAX;
-
-/// Vacant cell of a [`NodeFlows`] probe index.
-const EMPTY_SLOT: u32 = u32::MAX;
-
-/// Slab slot on the free list (no pair owns it). `u64` for the same
-/// sentinel-collision reason as [`NONE_LINK`].
-const FREE_PAIR: u64 = u64::MAX;
-
-/// Expect message for lookups of flows the timeout list proves live.
-const LIVE: &str = "timeout-list flow is live";
+/// One major node's flows, keyed by pair key.
+type FlowMap<T> = HashMap<u32, T, BuildHasherDefault<DefaultHasher>>;
 
 /// Packs a (major, minor) node pair into the 32-bit flow key. Ascending
 /// key order is lexicographic (major, minor) order — the dense scan's
@@ -114,19 +101,6 @@ fn pair_major(pr: u32) -> usize {
 #[inline]
 fn pair_minor(pr: u32) -> usize {
     (pr & 0xFFFF) as usize
-}
-
-/// SplitMix64 finalizer, spreading the 32-bit pair key over a
-/// power-of-two bucket space.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
 }
 
 /// Tuning knobs of the delivery protocol.
@@ -195,7 +169,7 @@ pub(crate) enum RxAction {
     Consume,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct FlowTx {
     /// Next sequence number to assign.
     next_psn: u32,
@@ -206,29 +180,8 @@ pub(crate) struct FlowTx {
     /// Consecutive timeout rounds without ack progress.
     rounds: u32,
     /// Retransmit copies of this flow's data currently sitting in the
-    /// sender's outbox (maintained at push/pop; replaces the old per-pump
-    /// outbox rescan).
+    /// sender's outbox (maintained at push/pop).
     pending_copies: u32,
-    /// Intrusive timeout-list links (pair keys; [`NONE_LINK`] at the ends).
-    prev: u64,
-    next: u64,
-    /// Whether the flow is on the timeout list (⟺ `unacked` is non-empty).
-    linked: bool,
-}
-
-impl Default for FlowTx {
-    fn default() -> FlowTx {
-        FlowTx {
-            next_psn: 0,
-            unacked: VecDeque::new(),
-            last_send: 0,
-            rounds: 0,
-            pending_copies: 0,
-            prev: NONE_LINK,
-            next: NONE_LINK,
-            linked: false,
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -240,232 +193,42 @@ pub(crate) struct FlowRx {
     ack_pending: bool,
 }
 
-// --- sparse flow store -------------------------------------------------------
-
-/// One major node's flow table: SplitMix64-hashed linear probing over a
-/// power-of-two `index` whose cells hold slab slot numbers. Removed slots
-/// go on a free list and are reset to `T::default()`, so a recycled slot
-/// is indistinguishable from a fresh one. The table starts empty and
-/// allocates its first 8-cell index on the first insert, so a silent node
-/// costs a few pointers.
-#[derive(Debug)]
-pub(crate) struct NodeFlows<T> {
-    /// Probe index: slab slot numbers, [`EMPTY_SLOT`] for vacant cells.
-    /// Power-of-two length, load factor at most 1/2.
-    index: Box<[u32]>,
-    /// Flow slots, addressed by the index cells.
-    slab: Vec<T>,
-    /// The pair key owning each slab slot ([`FREE_PAIR`] when free).
-    pair_of: Vec<u64>,
-    /// Recycled slab slots.
-    free: Vec<u32>,
-    /// Live entries.
-    live: u32,
+/// The flow store's footprint and lookup meters. Every protocol lookup
+/// goes through [`get`](Self::get), [`get_mut`](Self::get_mut) or
+/// [`upsert`](Self::upsert) and counts once.
+#[derive(Debug, Default)]
+struct FlowMeter {
+    /// Metered lookups (`Cell`: the pure `&self` lookups count too).
+    lookups: Cell<u64>,
+    /// Live entries over every tx and rx map.
+    live: u64,
     /// High-water mark of `live`.
-    peak: u32,
-    /// Probe steps spent on metered lookups (`Cell`: read paths through
-    /// `&self` must count too).
-    probes: Cell<u64>,
+    peak: u64,
 }
 
-impl<T: Default> NodeFlows<T> {
-    fn new() -> NodeFlows<T> {
-        NodeFlows {
-            index: Box::new([]),
-            slab: Vec::new(),
-            pair_of: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            peak: 0,
-            probes: Cell::new(0),
-        }
+impl FlowMeter {
+    fn count(&self) {
+        self.lookups.set(self.lookups.get() + 1);
     }
 
-    /// Index cell holding `pr`, metering one probe per cell examined when
-    /// `METER` (unmetered lookups serve timeout-list maintenance and
-    /// checks; see [`Delivery::link_tail`]). An empty table answers without
-    /// probing.
-    fn find<const METER: bool>(&self, pr: u32) -> Option<usize> {
-        if self.index.is_empty() {
-            return None;
-        }
-        let mask = self.index.len() - 1;
-        let mut i = (splitmix64(u64::from(pr)) as usize) & mask;
-        loop {
-            if METER {
-                self.probes.set(self.probes.get() + 1);
-            }
-            let slot = self.index[i];
-            if slot == EMPTY_SLOT {
-                return None;
-            }
-            if self.pair_of[slot as usize] == u64::from(pr) {
-                return Some(i);
-            }
-            i = (i + 1) & mask;
-        }
+    fn get<'m, T>(&self, map: &'m FlowMap<T>, pr: u32) -> Option<&'m T> {
+        self.count();
+        map.get(&pr)
     }
 
-    fn entry<const METER: bool>(&self, pr: u32) -> Option<&T> {
-        let i = self.find::<METER>(pr)?;
-        Some(&self.slab[self.index[i] as usize])
+    fn get_mut<'m, T>(&self, map: &'m mut FlowMap<T>, pr: u32) -> Option<&'m mut T> {
+        self.count();
+        map.get_mut(&pr)
     }
 
-    fn entry_mut<const METER: bool>(&mut self, pr: u32) -> Option<&mut T> {
-        let slot = self.index[self.find::<METER>(pr)?] as usize;
-        Some(&mut self.slab[slot])
-    }
-
-    fn get(&self, pr: u32) -> Option<&T> {
-        self.entry::<true>(pr)
-    }
-
-    fn get_mut(&mut self, pr: u32) -> Option<&mut T> {
-        self.entry_mut::<true>(pr)
-    }
-
-    fn get_quiet(&mut self, pr: u32) -> Option<&mut T> {
-        self.entry_mut::<false>(pr)
-    }
-
-    fn peek(&self, pr: u32) -> Option<&T> {
-        self.entry::<false>(pr)
-    }
-
-    fn get_or_insert(&mut self, pr: u32) -> &mut T {
-        if let Some(i) = self.find::<true>(pr) {
-            let slot = self.index[i] as usize;
-            return &mut self.slab[slot];
-        }
-        if (self.live as usize + 1) * 2 > self.index.len() {
-            self.grow();
-        }
-        let slot = match self.free.pop() {
-            Some(s) => {
-                debug_assert_eq!(self.pair_of[s as usize], FREE_PAIR);
-                self.pair_of[s as usize] = u64::from(pr);
-                s
-            }
-            None => {
-                self.slab.push(T::default());
-                self.pair_of.push(u64::from(pr));
-                (self.slab.len() - 1) as u32
-            }
-        };
-        let mask = self.index.len() - 1;
-        let mut i = (splitmix64(u64::from(pr)) as usize) & mask;
-        loop {
-            self.probes.set(self.probes.get() + 1);
-            if self.index[i] == EMPTY_SLOT {
-                break;
-            }
-            i = (i + 1) & mask;
-        }
-        self.index[i] = slot;
-        self.live += 1;
-        self.peak = self.peak.max(self.live);
-        &mut self.slab[slot as usize]
-    }
-
-    /// Doubles the probe index (at least 8 cells) and rehashes every live
-    /// slot. Resize rehashes are excluded from the probe meter.
-    fn grow(&mut self) {
-        let cap = (self.index.len() * 2).max(8);
-        let mut index = vec![EMPTY_SLOT; cap].into_boxed_slice();
-        let mask = cap - 1;
-        for (slot, &pr) in self.pair_of.iter().enumerate() {
-            if pr == FREE_PAIR {
-                continue;
-            }
-            let mut i = (splitmix64(pr) as usize) & mask;
-            while index[i] != EMPTY_SLOT {
-                i = (i + 1) & mask;
-            }
-            index[i] = slot as u32;
-        }
-        self.index = index;
-    }
-
-    /// Removes `pr`, resetting its slab slot to `T::default()` and closing
-    /// the probe chain by backward-shift deletion (no tombstones, so probe
-    /// lengths never degrade).
-    fn remove(&mut self, pr: u32) {
-        let Some(pos) = self.find::<true>(pr) else {
-            debug_assert!(false, "remove of an absent flow");
-            return;
-        };
-        let mask = self.index.len() - 1;
-        let slot = self.index[pos] as usize;
-        self.slab[slot] = T::default();
-        self.pair_of[slot] = FREE_PAIR;
-        self.free.push(slot as u32);
-        self.live -= 1;
-        let mut hole = pos;
-        let mut j = pos;
-        loop {
-            j = (j + 1) & mask;
-            self.probes.set(self.probes.get() + 1);
-            let s = self.index[j];
-            if s == EMPTY_SLOT {
-                break;
-            }
-            let home = (splitmix64(self.pair_of[s as usize]) as usize) & mask;
-            // `s` may shift back iff the hole lies on its probe path, i.e.
-            // its home is at or before the hole (cyclic distance).
-            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
-                self.index[hole] = s;
-                hole = j;
-            }
-        }
-        self.index[hole] = EMPTY_SLOT;
-    }
-
-    /// Live entries in slab-slot order (deterministic: the slot layout is a
-    /// pure function of the table's operation history). Callers who need
-    /// key order sort.
-    fn iter(&self) -> impl Iterator<Item = (u32, &T)> + '_ {
-        self.pair_of
-            .iter()
-            .enumerate()
-            .filter(|&(_, &pr)| pr != FREE_PAIR)
-            .map(|(slot, &pr)| (pr as u32, &self.slab[slot]))
-    }
-
-    /// Checks the table against itself: `live` counts the slab slots that
-    /// hold a pair, `peak` is at least `live`, and every held pair is found
-    /// by its own (unmetered) index probe at a cell naming its slot. So the
-    /// `active_flows` meter is the sum of the tables' entry counts.
-    fn check(&self) -> Result<(), String> {
-        let mut held = 0;
-        for (slot, &pr) in self.pair_of.iter().enumerate() {
-            if pr == FREE_PAIR {
-                continue;
-            }
-            held += 1;
-            let pr = pr as u32;
-            let found = self.find::<false>(pr).map(|i| self.index[i] as usize);
-            if found != Some(slot) {
-                return Err(format!(
-                    "flow {}->{} in slot {slot} is probed to {found:?}",
-                    pair_major(pr),
-                    pair_minor(pr)
-                ));
-            }
-        }
-        if held != self.live || self.peak < self.live {
-            return Err(format!(
-                "live={} peak={} but {held} slots hold a pair",
-                self.live, self.peak
-            ));
-        }
-        Ok(())
-    }
-
-    /// Adds this table's footprint to the scan meters.
-    fn account(&self, s: &mut ScanStats) {
-        s.active_flows += u64::from(self.live);
-        s.peak_flows += u64::from(self.peak);
-        s.flow_probes += self.probes.get();
+    /// Flow `pr` of `map`, inserted in its default state if absent.
+    fn upsert<'m, T: Default>(&mut self, map: &'m mut FlowMap<T>, pr: u32) -> &'m mut T {
+        self.count();
+        map.entry(pr).or_insert_with(|| {
+            self.live += 1;
+            self.peak = self.peak.max(self.live);
+            T::default()
+        })
     }
 }
 
@@ -482,30 +245,29 @@ pub struct Delivery {
     format: WireFormat,
     /// Sender state, source-major: `tx[src]` holds flows keyed
     /// `pair(src, dst)`.
-    tx: Vec<NodeFlows<FlowTx>>,
+    tx: Vec<FlowMap<FlowTx>>,
     /// Receiver state, destination-major: `rx[dst]` holds flows keyed
     /// `pair(dst, src)`.
-    rx: Vec<NodeFlows<FlowRx>>,
+    rx: Vec<FlowMap<FlowRx>>,
+    /// Footprint and lookup meters of `tx` and `rx`.
+    meter: FlowMeter,
     /// Per-node protocol traffic (acks, retransmits) awaiting injection.
     /// Drains at one message per node per cycle, ahead of fresh NI sends.
     outbox: Outbox,
     /// Total unacked messages across all flows.
     unacked_msgs: u64,
-    /// Head/tail of the intrusive timeout list: flows with unacked data,
-    /// oldest `last_send` first (see the module docs). Pair keys widened to
-    /// `u64` ([`NONE_LINK`] when empty).
-    to_head: u64,
-    to_tail: u64,
+    /// `(last_send, pair)` of every tx flow with unacked data, oldest stamp
+    /// first (see the module docs).
+    timers: BTreeSet<(u64, u32)>,
     /// Reusable scratch of due pair keys (no allocation per pump in the
     /// steady state).
     due_scratch: Vec<u32>,
-    /// Simulator effort meters (merged into `NetStats::scan` by the
-    /// machine). Flow-footprint meters are computed on demand from the
-    /// per-node tables; see [`scan_stats`](Self::scan_stats).
+    /// The pump's effort meters (merged into `NetStats::scan` by the
+    /// machine together with the flow meters; see
+    /// [`scan_stats`](Self::scan_stats)).
     scan: ScanStats,
-    /// Cross-check mode: the pump examines the dense N² flow cost like the
-    /// pre-timeout-list code. Behaviour is bit-identical; only the scan
-    /// counters differ.
+    /// Cross-check mode: the pump examines the dense N² flow cost.
+    /// Behaviour is bit-identical; only the scan counters differ.
     dense_scan: bool,
 }
 
@@ -521,12 +283,12 @@ impl Delivery {
             stats: DeliveryStats::default(),
             nodes,
             format,
-            tx: (0..nodes).map(|_| NodeFlows::new()).collect(),
-            rx: (0..nodes).map(|_| NodeFlows::new()).collect(),
+            tx: (0..nodes).map(|_| FlowMap::default()).collect(),
+            rx: (0..nodes).map(|_| FlowMap::default()).collect(),
+            meter: FlowMeter::default(),
             outbox: Outbox::new(nodes),
             unacked_msgs: 0,
-            to_head: NONE_LINK,
-            to_tail: NONE_LINK,
+            timers: BTreeSet::new(),
             due_scratch: Vec::new(),
             scan: ScanStats::default(),
             dense_scan: false,
@@ -539,17 +301,15 @@ impl Delivery {
     }
 
     /// Flow-scan effort and footprint counters (merged into the machine's
-    /// `NetStats::scan`): the pump meters plus, summed over the per-node
-    /// sparse tables, live entries, high-water marks, and probe steps.
+    /// `NetStats::scan`): the pump meters plus the flow store's live
+    /// entries, their high-water mark, and its metered lookups.
     pub(crate) fn scan_stats(&self) -> ScanStats {
-        let mut s = self.scan;
-        for t in &self.tx {
-            t.account(&mut s);
+        ScanStats {
+            active_flows: self.meter.live,
+            peak_flows: self.meter.peak,
+            flow_probes: self.meter.lookups.get(),
+            ..self.scan
         }
-        for t in &self.rx {
-            t.account(&mut s);
-        }
-        s
     }
 
     /// Enables or disables the dense-pump cross-check.
@@ -580,56 +340,6 @@ impl Delivery {
         self.outbox.front(node)
     }
 
-    // --- timeout list ---------------------------------------------------------
-    //
-    // List maintenance looks flows up without metering them: the meter
-    // counts the protocol's own lookups only.
-
-    /// Appends flow `pr` at the tail (it has the newest `last_send`).
-    fn link_tail(&mut self, pr: u32) {
-        let tail = self.to_tail;
-        let flow = self.tx[pair_major(pr)].get_quiet(pr).expect(LIVE);
-        debug_assert!(!flow.linked, "double link");
-        flow.linked = true;
-        flow.prev = tail;
-        flow.next = NONE_LINK;
-        if tail == NONE_LINK {
-            self.to_head = u64::from(pr);
-        } else {
-            let t = tail as u32;
-            self.tx[pair_major(t)].get_quiet(t).expect(LIVE).next = u64::from(pr);
-        }
-        self.to_tail = u64::from(pr);
-    }
-
-    /// Removes flow `pr` from the list.
-    fn unlink(&mut self, pr: u32) {
-        let flow = self.tx[pair_major(pr)].get_quiet(pr).expect(LIVE);
-        debug_assert!(flow.linked, "unlink of an unlinked flow");
-        let (prev, next) = (flow.prev, flow.next);
-        flow.linked = false;
-        flow.prev = NONE_LINK;
-        flow.next = NONE_LINK;
-        if prev == NONE_LINK {
-            self.to_head = next;
-        } else {
-            let p = prev as u32;
-            self.tx[pair_major(p)].get_quiet(p).expect(LIVE).next = next;
-        }
-        if next == NONE_LINK {
-            self.to_tail = prev;
-        } else {
-            let n = next as u32;
-            self.tx[pair_major(n)].get_quiet(n).expect(LIVE).prev = prev;
-        }
-    }
-
-    /// Moves flow `pr`, whose `last_send` was just refreshed, to the tail.
-    fn move_to_tail(&mut self, pr: u32) {
-        self.unlink(pr);
-        self.link_tail(pr);
-    }
-
     /// Collects the pair keys due for a timeout at `cycle`, ascending, and
     /// the number of flows examined.
     fn collect_due(&mut self, cycle: u64) -> (Vec<u32>, u64) {
@@ -642,7 +352,7 @@ impl Delivery {
             // cost`).
             examined = (self.nodes * self.nodes) as u64;
             for t in &self.tx {
-                for (pr, flow) in t.iter() {
+                for (&pr, flow) in t {
                     if !flow.unacked.is_empty()
                         && cycle.saturating_sub(flow.last_send) >= self.config.timeout
                     {
@@ -651,26 +361,20 @@ impl Delivery {
                 }
             }
         } else {
-            // Walk from the oldest end; the list is sorted by `last_send`
-            // (every update stamps the current cycle and moves the flow to
-            // the tail), so the first not-yet-due flow ends the walk.
-            let mut cur = self.to_head;
-            while cur != NONE_LINK {
+            // Walk from the oldest stamp; the first not-yet-due flow ends
+            // the walk.
+            for &(last_send, pr) in &self.timers {
                 examined += 1;
-                let pr = cur as u32;
-                let flow = self.tx[pair_major(pr)].get(pr).expect(LIVE);
-                debug_assert!(!flow.unacked.is_empty(), "linked flow has no unacked");
-                if cycle.saturating_sub(flow.last_send) < self.config.timeout {
+                if cycle.saturating_sub(last_send) < self.config.timeout {
                     break;
                 }
                 due.push(pr);
-                cur = flow.next;
             }
         }
         // Fire in ascending pair key — the (src, dst) order of the dense
         // scan — so retransmit copies append to each outbox bit-identically
-        // (the table iteration above is slab order, the list walk is
-        // `last_send` order; both need the sort).
+        // (map iteration is hash order, the timer walk is `last_send`
+        // order; both need the sort).
         due.sort_unstable();
         (due, examined)
     }
@@ -683,7 +387,7 @@ impl Delivery {
         // any counting keeps the scan counters identical between the naive
         // loop and the fast-forward (both only reach a non-trivial pump
         // while the protocol is active, which forces step-by-step cycles).
-        if self.to_head == NONE_LINK {
+        if self.timers.is_empty() {
             return;
         }
         let dense_cost = (self.nodes * self.nodes) as u64;
@@ -697,25 +401,24 @@ impl Delivery {
         self.scan.skipped_work += dense_cost - examined;
     }
 
-    /// Checks the protocol's bookkeeping against itself: a flow is on
-    /// the timeout list iff its unacked window is non-empty, the list is
-    /// ordered by `last_send`, the unacked and outbox totals match the
-    /// tables and queues, the active-outbox set is exactly the nodes with
-    /// queued traffic, each flow's `pending_copies` counts its queued data
-    /// copies, and `ack_pending` holds iff an ack for the flow is queued.
-    /// Every tx and rx table also passes its own check (`live`, `peak` and
-    /// the probe index agree with the slab). Lookups here are unmetered.
+    /// Checks the protocol's bookkeeping against itself: the timer set
+    /// holds exactly `(last_send, pair)` for every flow with unacked data,
+    /// the live-flow meter counts the map entries, the unacked and outbox
+    /// totals match the maps and queues, the active-outbox set is exactly
+    /// the nodes with queued traffic, each flow's `pending_copies` counts
+    /// its queued data copies, and `ack_pending` holds iff an ack for the
+    /// flow is queued. Lookups here are unmetered.
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
         fn ensure(ok: bool, what: impl FnOnce() -> String) -> Result<(), String> {
             ok.then_some(()).ok_or_else(what)
         }
         self.outbox.check("delivery")?;
-        for (node, t) in self.tx.iter().enumerate() {
-            t.check().map_err(|e| format!("tx table {node}: {e}"))?;
-        }
-        for (node, t) in self.rx.iter().enumerate() {
-            t.check().map_err(|e| format!("rx table {node}: {e}"))?;
-        }
+        let entries = self.tx.iter().map(HashMap::len).sum::<usize>()
+            + self.rx.iter().map(HashMap::len).sum::<usize>();
+        let FlowMeter { live, peak, .. } = self.meter;
+        ensure(entries as u64 == live && peak >= live, || {
+            format!("{entries} flows but live={live} peak={peak}")
+        })?;
         let name = |pr: u32| format!("flow {}->{}", pair_major(pr), pair_minor(pr));
         let queued = |node: usize, kind: E2eKind, peer: Option<usize>| {
             let hit = |m: &&Message| {
@@ -724,39 +427,29 @@ impl Delivery {
             };
             self.outbox.queue(node).iter().filter(hit).count()
         };
-        let (mut unacked, mut linked) = (0, 0);
-        for (pr, flow) in self.tx.iter().flat_map(NodeFlows::iter) {
+        let (mut unacked, mut timed) = (0, 0);
+        for (&pr, flow) in self.tx.iter().flatten() {
             let (n, copies) = (flow.unacked.len(), flow.pending_copies as usize);
-            ensure(flow.linked == (n > 0), || {
-                format!("{}: {n} unacked", name(pr))
+            let timer = self.timers.contains(&(flow.last_send, pr));
+            ensure(timer == (n > 0), || {
+                format!("{}: {n} unacked, timer {timer}", name(pr))
             })?;
             let queued = queued(pair_major(pr), E2eKind::Data, Some(pair_minor(pr)));
             ensure(queued == copies, || {
                 format!("{}: {queued} copies", name(pr))
             })?;
             unacked += n as u64;
-            linked += u64::from(flow.linked);
+            timed += usize::from(timer);
         }
         ensure(unacked == self.unacked_msgs, || {
             format!("{unacked} unacked")
         })?;
-        let (mut cur, mut prev, mut last, mut len) = (self.to_head, NONE_LINK, 0, 0);
-        while cur != NONE_LINK && len <= linked {
-            let pr = cur as u32;
-            let flow = self.tx[pair_major(pr)].peek(pr).filter(|f| f.linked);
-            let flow = flow.ok_or_else(|| format!("{} listed, not linked", name(pr)))?;
-            ensure(flow.prev == prev, || format!("{}: broken link", name(pr)))?;
-            ensure(flow.last_send >= last, || {
-                format!("{}: out of order", name(pr))
-            })?;
-            (last, prev, cur, len) = (flow.last_send, cur, flow.next, len + 1);
-        }
-        ensure(prev == self.to_tail && len == linked, || {
-            format!("timeout list holds {len} of {linked} linked flows")
+        ensure(timed == self.timers.len(), || {
+            format!("{} timers for {timed} timed flows", self.timers.len())
         })?;
         let mut awaited = 0;
         for (dst, t) in self.rx.iter().enumerate() {
-            for (pr, flow) in t.iter() {
+            for (&pr, flow) in t {
                 let acks = queued(dst, E2eKind::Ack, Some(pair_minor(pr)));
                 ensure(acks == usize::from(flow.ack_pending), || {
                     format!("{}: {acks} acks queued", name(pr))
@@ -782,12 +475,12 @@ impl Delivery {
         let Some(m) = self.outbox.pop(node) else {
             return;
         };
+        let pr = pair(node, m.dest().index());
         match m.e2e {
             // A retransmit copy left the outbox: credit the flow's pending
-            // counter (tx flows are never evicted, so the slot is live).
+            // counter (tx flows are never evicted, so the entry is live).
             Some(h) if h.kind == E2eKind::Data => {
-                let pr = pair(node, m.dest().index());
-                let flow = self.tx[node].get_mut(pr);
+                let flow = self.meter.get_mut(&mut self.tx[node], pr);
                 let flow = flow.expect("pending copy's flow is live");
                 debug_assert!(flow.pending_copies > 0, "pop without a push");
                 flow.pending_copies -= 1;
@@ -795,14 +488,17 @@ impl Delivery {
             // The flow's pending ack left: the next arrival queues a fresh one
             // instead of coalescing. An rx flow whose state is all defaults
             // again (nothing ever delivered in order, no ack pending) is
-            // evicted — its slot reads back identically.
+            // evicted — its absent entry reads back identically.
             Some(h) if h.kind == E2eKind::Ack => {
-                let pr = pair(node, m.dest().index());
                 let rx = &mut self.rx[node];
-                let flow = rx.get_mut(pr).expect("pending ack's flow is live");
+                let flow = self
+                    .meter
+                    .get_mut(rx, pr)
+                    .expect("pending ack's flow is live");
                 flow.ack_pending = false;
                 if flow.expected == 0 {
-                    rx.remove(pr);
+                    rx.remove(&pr);
+                    self.meter.live -= 1;
                 }
             }
             _ => {}
@@ -811,8 +507,8 @@ impl Delivery {
 
     /// Whether flow (src, dst) can take another first transmission.
     pub(crate) fn can_admit(&self, src: usize, dst: usize) -> bool {
-        self.tx[src]
-            .get(pair(src, dst))
+        self.meter
+            .get(&self.tx[src], pair(src, dst))
             .is_none_or(|flow| flow.unacked.len() < self.config.window)
     }
 
@@ -820,8 +516,9 @@ impl Delivery {
     /// state: nothing advances until [`commit`](Self::commit), so a refused
     /// injection retries with the same sequence number.
     pub(crate) fn stamp(&self, src: usize, dst: usize, msg: &mut Message) {
-        let psn = self.tx[src]
-            .get(pair(src, dst))
+        let psn = self
+            .meter
+            .get(&self.tx[src], pair(src, dst))
             .map_or(0, |flow| flow.next_psn);
         let crc = payload_crc(&msg.words, msg.mtype);
         msg.e2e = Some(E2eHeader::data(NodeId::from_index(src), psn, crc));
@@ -830,52 +527,50 @@ impl Delivery {
     /// Records an accepted first transmission of a stamped message.
     pub(crate) fn commit(&mut self, src: usize, dst: usize, msg: Message, cycle: u64) {
         let pr = pair(src, dst);
-        let flow = self.tx[src].get_or_insert(pr);
+        let flow = self.meter.upsert(&mut self.tx[src], pr);
         let hdr = msg.e2e.expect("committed message is stamped");
         debug_assert_eq!(hdr.psn, flow.next_psn);
-        let was_empty = flow.unacked.is_empty();
-        if was_empty {
+        if flow.unacked.is_empty() {
+            // First unacked message: the flow's timer starts.
             flow.last_send = cycle;
             flow.rounds = 0;
+            self.timers.insert((cycle, pr));
         }
         flow.unacked.push_back((hdr.psn, msg));
         flow.next_psn += 1;
         self.unacked_msgs += 1;
         self.stats.accepted += 1;
-        if was_empty {
-            // First unacked message: the flow joins the timeout list with the
-            // newest stamp, i.e. at the tail.
-            self.link_tail(pr);
-        }
     }
 
     /// One due flow's timeout: requeue the window (go-back-N), or just reset
     /// the timer if the previous round's copies are still queued, or abandon
-    /// once the budget is spent. The flow is looked up (and metered) once;
-    /// the timeout-list edits after it use unmetered lookups.
+    /// once the budget is spent. The flow is looked up (and metered) once.
     fn fire_timeout(&mut self, pr: u32, cycle: u64) {
         let src = pair_major(pr);
-        let flow = self.tx[src].get_mut(pr).expect(LIVE);
+        let flow = self
+            .meter
+            .get_mut(&mut self.tx[src], pr)
+            .expect("timed flow is live");
+        self.timers.remove(&(flow.last_send, pr));
         flow.last_send = cycle;
         // Copies from the previous round still await injection: the outbox is
         // congested, not the receiver unresponsive. Reset the timer without
         // burning a budget round.
         if flow.pending_copies > 0 {
-            self.move_to_tail(pr);
+            self.timers.insert((cycle, pr));
             return;
         }
         flow.rounds += 1;
         self.stats.timeout_rounds += 1;
         if flow.rounds > self.config.retransmit_limit {
             // Budget exhausted: the receiver is unreachable. Abandon the window
-            // rather than wedging the machine. The flow slot (and its spent
+            // rather than wedging the machine. The flow entry (and its spent
             // budget) stays live — see the eviction semantics.
             let len = flow.unacked.len() as u64;
             self.stats.abandoned += len;
             self.unacked_msgs -= len;
             flow.unacked.clear();
             flow.rounds = 0;
-            self.unlink(pr);
             return;
         }
         // Go-back-N: requeue the whole window.
@@ -885,7 +580,7 @@ impl Delivery {
         let count = flow.unacked.len();
         flow.pending_copies += count as u32;
         self.stats.retransmits += count as u64;
-        self.move_to_tail(pr);
+        self.timers.insert((cycle, pr));
     }
 
     /// Classifies an arrived protocol message (pure; effects in
@@ -898,8 +593,9 @@ impl Delivery {
         match hdr.kind {
             E2eKind::Ack => RxAction::Consume,
             E2eKind::Data => {
-                let expected = self.rx[dst]
-                    .get(pair(dst, hdr.src.index()))
+                let expected = self
+                    .meter
+                    .get(&self.rx[dst], pair(dst, hdr.src.index()))
                     .map_or(0, |flow| flow.expected);
                 if hdr.psn == expected {
                     RxAction::Deliver
@@ -914,7 +610,9 @@ impl Delivery {
     /// cumulative ack.
     pub(crate) fn on_delivered(&mut self, dst: usize, msg: &Message) {
         let hdr = msg.e2e.expect("delivered message has a header");
-        let flow = self.rx[dst].get_or_insert(pair(dst, hdr.src.index()));
+        let flow = self
+            .meter
+            .upsert(&mut self.rx[dst], pair(dst, hdr.src.index()));
         debug_assert_eq!(hdr.psn, flow.expected);
         flow.expected += 1;
         self.stats.delivered_unique += 1;
@@ -938,7 +636,7 @@ impl Delivery {
                 // materialise sender state.
                 self.stats.acks_received += 1;
                 let pr = pair(dst, hdr.src.index());
-                let Some(flow) = self.tx[dst].get_mut(pr) else {
+                let Some(flow) = self.meter.get_mut(&mut self.tx[dst], pr) else {
                     return;
                 };
                 let mut acked = 0;
@@ -949,21 +647,20 @@ impl Delivery {
                 if acked == 0 {
                     return;
                 }
+                // Progress restarts the timer at this cycle; a fully acked
+                // flow has none.
+                self.timers.remove(&(flow.last_send, pr));
                 flow.rounds = 0;
                 flow.last_send = cycle;
-                let drained = flow.unacked.is_empty();
-                self.unacked_msgs -= acked;
-                // Fully acked: off the timeout list. Otherwise the timer
-                // restarted at the newest stamp: tail.
-                if drained {
-                    self.unlink(pr);
-                } else {
-                    self.move_to_tail(pr);
+                if !flow.unacked.is_empty() {
+                    self.timers.insert((cycle, pr));
                 }
+                self.unacked_msgs -= acked;
             }
             E2eKind::Data => {
-                let expected = self.rx[dst]
-                    .get(pair(dst, hdr.src.index()))
+                let expected = self
+                    .meter
+                    .get(&self.rx[dst], pair(dst, hdr.src.index()))
                     .map_or(0, |flow| flow.expected);
                 if hdr.psn < expected {
                     self.stats.dup_suppressed += 1;
@@ -984,14 +681,15 @@ impl Delivery {
     /// congested outbox would add an ack (an ack flood).
     fn queue_ack(&mut self, receiver: usize, sender: usize) {
         let pr = pair(receiver, sender);
-        let psn = self.rx[receiver].get(pr).map_or(0, |f| f.expected);
+        let flow = self.meter.get(&self.rx[receiver], pr);
+        let (psn, pending) = flow.map_or((0, false), |f| (f.expected, f.ack_pending));
         // Full node ids end to end: the ack names its flow without casts, and
         // is composed under the machine's wire format.
         let sender_id = NodeId::from_index(sender);
         let mut ack = Message::to_in(self.format, sender_id, [0; 5], MsgType::default());
         let crc = payload_crc(&ack.words, ack.mtype);
         ack.e2e = Some(E2eHeader::ack(NodeId::from_index(receiver), psn, crc));
-        if self.rx[receiver].get(pr).is_some_and(|f| f.ack_pending) {
+        if pending {
             for m in self.outbox.queue_mut(receiver).iter_mut() {
                 if matches!(m.e2e, Some(h) if h.kind == E2eKind::Ack) && m.dest() == sender_id {
                     // Cumulative: only ever move the acked prefix forward
@@ -1006,7 +704,7 @@ impl Delivery {
             }
             debug_assert!(false, "ack_pending set but no ack queued");
         }
-        self.rx[receiver].get_or_insert(pr).ack_pending = true;
+        self.meter.upsert(&mut self.rx[receiver], pr).ack_pending = true;
         self.outbox.push(receiver, ack);
         self.stats.acks_sent += 1;
     }
@@ -1037,7 +735,7 @@ mod tests {
         /// only one of them calls this).
         fn unacked_front(&self, src: usize, dst: usize) -> Option<(u32, Message)> {
             self.tx[src]
-                .peek(pair(src, dst))
+                .get(&pair(src, dst))
                 .and_then(|fl| fl.unacked.front().copied())
         }
     }
@@ -1199,11 +897,11 @@ mod tests {
         let mut d = Delivery::new(2, DeliveryConfig::default(), WireFormat::Compact);
         // A gap arrival creates rx state only to carry the pending re-ack:
         // expected stays 0, so draining the ack returns the flow to its
-        // default state and the slot is released.
+        // default state and the entry is evicted.
         let mut m5 = data(1, 8);
         d.stamp_for_test(0, &mut m5, 5);
         d.on_consumed(1, &m5, 1);
-        assert_eq!(d.scan_stats().active_flows, 1, "rx slot carries the ack");
+        assert_eq!(d.scan_stats().active_flows, 1, "rx entry carries the ack");
         d.outbox_pop(1);
         assert_eq!(d.scan_stats().active_flows, 0, "default rx state evicted");
         assert_eq!(d.scan_stats().peak_flows, 1, "high-water mark survives");
@@ -1240,163 +938,51 @@ mod tests {
             }
         }
         assert_eq!(d.stats().abandoned, 1);
-        // The spent flow keeps its slot: its sequence numbering must
-        // survive (a fresh slot would re-stamp psn 0 and corrupt the
+        // The spent flow keeps its entry: its sequence numbering must
+        // survive (a fresh entry would re-stamp psn 0 and corrupt the
         // receiver's duplicate horizon).
-        assert_eq!(d.scan_stats().active_flows, 1, "tx slot survives abandon");
+        assert_eq!(d.scan_stats().active_flows, 1, "tx entry survives abandon");
         let mut m2 = data(1, 1);
         d.stamp(0, 1, &mut m2);
         assert_eq!(m2.e2e.unwrap().psn, 1, "psn continues, not reset");
-        // Fully acked flows keep their slot too.
+        // Fully acked flows keep their entry too.
         d.commit(0, 1, m2, cycle);
         let mut ack = Message::to(NodeId::from_index(0), [0; 5], MsgType::default());
         let crc = payload_crc(&ack.words, ack.mtype);
         ack.e2e = Some(E2eHeader::ack(NodeId::from_index(1), 2, crc));
         d.on_consumed(0, &ack, cycle + 1);
         assert!(!d.active(), "window fully acked");
-        assert_eq!(d.scan_stats().active_flows, 1, "tx slot survives full ack");
+        assert_eq!(d.scan_stats().active_flows, 1, "tx entry survives full ack");
         let mut m3 = data(1, 2);
         d.stamp(0, 1, &mut m3);
         assert_eq!(m3.e2e.unwrap().psn, 2, "psn continues after full ack");
     }
 
+    /// The invariant check notices a flow whose `last_send` moved without
+    /// its timer, a timer no flow owns, and a live-flow meter that
+    /// disagrees with the maps.
     #[test]
-    fn the_sparse_table_survives_churn() {
-        // Insert/remove churn across growth: every surviving key reads its
-        // own value, removed keys read absent, and the free list recycles
-        // slots without leaking.
-        let mut t: NodeFlows<FlowRx> = NodeFlows::new();
-        assert!(t.get(pair(7, 7)).is_none(), "empty table answers clean");
-        for minor in 0..64usize {
-            t.get_or_insert(pair(3, minor)).expected = minor as u32 + 1;
-        }
-        assert_eq!(t.live, 64);
-        assert_eq!(t.peak, 64);
-        for minor in (0..64usize).step_by(2) {
-            t.remove(pair(3, minor));
-        }
-        assert_eq!(t.live, 32);
-        assert_eq!(t.peak, 64, "peak is a high-water mark");
-        for minor in 0..64usize {
-            let got = t.get(pair(3, minor));
-            if minor % 2 == 0 {
-                assert!(got.is_none(), "removed key {minor} still present");
-            } else {
-                assert_eq!(got.unwrap().expected, minor as u32 + 1);
-            }
-        }
-        // Reinsert into recycled slots: state starts from default.
-        for minor in (0..64usize).step_by(2) {
-            assert_eq!(t.get_or_insert(pair(3, minor)).expected, 0);
-        }
-        assert_eq!(t.live, 64);
-        assert_eq!(t.slab.len(), 64, "recycled slots, no slab growth");
-        assert!(t.probes.get() > 0, "lookups were metered");
-        t.check().unwrap();
+    fn the_check_catches_a_timer_that_missed_its_flow() {
+        let mut d = Delivery::new(2, DeliveryConfig::default(), WireFormat::Compact);
+        let mut m = data(1, 0);
+        d.stamp(0, 1, &mut m);
+        d.commit(0, 1, m, 3);
+        d.check_invariants().unwrap();
+        d.tx[0].get_mut(&pair(0, 1)).unwrap().last_send = 9;
+        let err = d.check_invariants().unwrap_err();
+        assert!(err.contains("flow 0->1: 1 unacked, timer false"), "{err}");
+        d.tx[0].get_mut(&pair(0, 1)).unwrap().last_send = 3;
+        d.check_invariants().unwrap();
+        d.timers.insert((5, pair(1, 0)));
+        let err = d.check_invariants().unwrap_err();
+        assert!(err.contains("2 timers for 1 timed flows"), "{err}");
+        d.timers.remove(&(5, pair(1, 0)));
+        d.meter.live += 1;
+        let err = d.check_invariants().unwrap_err();
+        assert!(err.contains("1 flows but live=2"), "{err}");
     }
 
-    /// The table check notices counts or an index that disagree with the
-    /// slab.
-    #[test]
-    fn the_table_check_catches_a_drifted_table() {
-        let mut t: NodeFlows<FlowRx> = NodeFlows::new();
-        for minor in 0..6usize {
-            t.get_or_insert(pair(1, minor));
-        }
-        t.remove(pair(1, 2));
-        t.check().unwrap();
-        t.live += 1;
-        assert!(t.check().unwrap_err().contains("live=6"));
-        t.live -= 1;
-        t.peak = 1;
-        assert!(t.check().unwrap_err().contains("peak=1"));
-        t.peak = 6;
-        let cell = t.find::<false>(pair(1, 4)).unwrap();
-        t.index[cell] = EMPTY_SLOT;
-        assert!(t.check().unwrap_err().contains("flow 1->4"));
-    }
-
-    /// The sparse table against a `BTreeMap` model: one random
-    /// insert/get/get_or_insert/remove/iterate sequence must leave both
-    /// with the same entries, values, and live/peak counts. Each case grows
-    /// the table through several resizes, then churns and finally drains it
-    /// with removals whose backward-shift deletions must keep every
-    /// surviving key reachable along its probe chain.
-    #[test]
-    fn node_flows_match_a_btreemap_model() {
-        use std::collections::BTreeMap;
-
-        fn assert_same(t: &NodeFlows<FlowRx>, model: &BTreeMap<u32, u32>) {
-            let mut got: Vec<(u32, u32)> = t.iter().map(|(k, f)| (k, f.expected)).collect();
-            got.sort_unstable();
-            let want: Vec<(u32, u32)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-            assert_eq!(got, want, "iteration");
-            for (&k, &v) in model {
-                assert_eq!(
-                    t.peek(k).map(|f| f.expected),
-                    Some(v),
-                    "probe chain to {k:#x}"
-                );
-            }
-        }
-
-        tcni_check::check("node_flows_match_a_btreemap_model", 64, |rng| {
-            let mut t: NodeFlows<FlowRx> = NodeFlows::new();
-            let mut model: BTreeMap<u32, u32> = BTreeMap::new();
-            let mut peak = 0;
-            // Few majors and a pool larger than the table keeps absent-key
-            // lookups common.
-            let pool = rng.range(40, 600) as usize;
-            let keys: Vec<u32> = (0..pool)
-                .map(|_| pair(rng.index(4), rng.index(1 << 16)))
-                .collect();
-            let steps = 6 * pool;
-            for step in 0..steps {
-                let k = *rng.pick(&keys);
-                match rng.below(10) {
-                    0..=3 => {
-                        let v = rng.u32();
-                        t.get_or_insert(k).expected = v;
-                        model.insert(k, v);
-                    }
-                    4 | 5 => {
-                        let got = t.get(k).map(|f| f.expected);
-                        assert_eq!(got, model.get(&k).copied(), "get {k:#x}");
-                    }
-                    6 => {
-                        let got = t.get_or_insert(k).expected;
-                        assert_eq!(got, *model.entry(k).or_insert(0), "get_or_insert {k:#x}");
-                    }
-                    // Removals are rare while the table grows (the first
-                    // half), then dominate the churn.
-                    _ if step < steps / 2 && rng.below(4) != 0 => {}
-                    _ => {
-                        if model.remove(&k).is_some() {
-                            t.remove(k);
-                        }
-                    }
-                }
-                peak = peak.max(model.len());
-                assert_eq!((t.live as usize, t.peak as usize), (model.len(), peak));
-                if step % 97 == 0 {
-                    assert_same(&t, &model);
-                }
-            }
-            assert_same(&t, &model);
-            // Drain in random order, re-proving every survivor each time.
-            let mut rest: Vec<u32> = model.keys().copied().collect();
-            while !rest.is_empty() {
-                let k = rest.swap_remove(rng.index(rest.len()));
-                t.remove(k);
-                model.remove(&k);
-                assert_same(&t, &model);
-            }
-            assert_eq!(t.live, 0);
-            assert_eq!(t.slab.len(), t.free.len(), "every slot recycled");
-        });
-    }
-
-    /// The intrusive timeout list and the dense N²-flow scan must fire the
+    /// The timer set and the dense N²-flow scan must fire the
     /// same retransmissions in the same order across interleaved commits,
     /// partial acks, congestion resets, and abandons.
     #[test]

@@ -520,7 +520,7 @@ impl Machine {
     /// machine, the running and draining lists against what
     /// `refresh_lists()` would derive, and the pending-input list (when
     /// known) against every `msg_valid`; in the delivery protocol and the
-    /// collective engine, the timeout list against the unacked windows, the
+    /// collective engine, the timer set against the unacked windows, the
     /// outbox sets and totals against the queues, and the per-flow copy and
     /// ack bookkeeping. Meant for property tests: it walks every node,
     /// channel, flow and queue, and moves no meter.
@@ -1125,7 +1125,7 @@ impl Phases<'_> {
         let observed = self.obs.is_some();
         let mut changed = false;
         let mut from = 0;
-        while let Some(i) = self.net.next_eject_ready(from, self.nodes.len()) {
+        while let Some(i) = self.net.next_eject_ready(from) {
             from = i + 1;
             let dst = NodeId::from_index(i);
             while let Some(peeked) = self.net.peek_eject(dst).copied() {

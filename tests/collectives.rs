@@ -105,7 +105,7 @@ fn nic_machine(width: usize, height: usize, fault: Option<(u64, u32)>) -> Machin
 /// around a seeded fault schedule — must produce completions, counters and
 /// timing bit-identical to the reference mode's.
 #[test]
-fn sharded_collectives_are_bit_identical_at_any_thread_count() {
+fn collective_storm_matches_the_reference() {
     for fault in [None, Some((0x5EED, 60))] {
         let mut reference = nic_machine(8, 8, fault);
         reference.set_reference(true);

@@ -3,9 +3,10 @@
 //! sweep — are pinned byte-for-byte against snapshots in `tests/golden/`.
 //!
 //! A silent regression in any of these numbers used to pass tier-1; now it
-//! fails here with a diff. The snapshots were taken from the fault-free
-//! models, so they double as the guarantee that the fault-injection layer
-//! and the delivery protocol are invisible when disabled.
+//! fails here with a diff. All snapshots but one were taken from the
+//! fault-free models, so they double as the guarantee that the
+//! fault-injection layer and the delivery protocol are invisible when
+//! disabled; `loadgen_e2e_faulty_16x16.json` pins the protocol itself.
 //!
 //! ## Updating a snapshot (the bless workflow)
 //!
@@ -223,6 +224,42 @@ fn golden_loadgen_ring_16x16() {
         curves,
     };
     assert_golden("loadgen_ring_16x16.json", &report.to_json());
+}
+
+/// The delivery-protocol point: the 16×16 mesh over a 20/1000 faulty
+/// fabric with the end-to-end protocol on, pinned as a serialized
+/// `tcni-load/1` artifact. Its per-point retransmit, abandon and goodput
+/// fields move if the flow store, the timeout scheduling or the ack
+/// coalescing changes any protocol decision; the optimised-vs-reference
+/// suites cannot catch such a change, because both modes share the flow
+/// state.
+#[test]
+fn golden_loadgen_e2e_faulty_16x16() {
+    let mut sweep = SweepConfig::new(Topology::new(16, 16));
+    sweep.warmup = 200;
+    sweep.measure = 800;
+    sweep.samples = 4;
+    sweep.fault_pm = 20;
+    sweep.delivery = true;
+    let rates = vec![5, 20];
+    let curves = vec![run_open_curve(
+        Model::ALL_SIX[3],
+        Fabric::Mesh,
+        Pattern::Uniform,
+        &rates,
+        &sweep,
+    )];
+    let report = LoadReport {
+        topo: sweep.topo,
+        seed: sweep.seed,
+        warmup: sweep.warmup,
+        measure: sweep.measure,
+        rates_pm: rates,
+        windows: Vec::new(),
+        fault_rates_pm: vec![sweep.fault_pm],
+        curves,
+    };
+    assert_golden("loadgen_e2e_faulty_16x16.json", &report.to_json());
 }
 
 /// The paper-scale collective comparison, pinned as the serialized

@@ -1,5 +1,5 @@
 //! Hot-set scheduler equivalence across the full §4 matrix: the optimised
-//! machine (the active-channel frontier, the delivery timeout list and the
+//! machine (the active-channel frontier, the delivery timer set and the
 //! quiescence fast-forward, all on by default) must be bit-identical to the
 //! reference mode ([`Machine::set_reference`]: dense scans, no
 //! fast-forward) — registers, per-node cycles, statistics, trace events,
@@ -12,11 +12,10 @@
 //! The delivery flow *store* is checked from the inside: with the protocol
 //! on, [`Machine::check_invariants`] runs after every cycle of the checked
 //! and topology sweeps, so the protocol's edits must keep the
-//! timeout list, the outbox sets, the per-flow counters and every flow
-//! table consistent. A separate sweep runs flows of several messages over
+//! timer set, the outbox sets, the per-flow counters and the live-flow
+//! count consistent. A separate sweep runs flows of several messages over
 //! a dropping fabric, where a gap arrival creates receiver state that its
-//! re-ack then evicts. (The store's own oracle — a `BTreeMap` model —
-//! lives beside it in `tcni-sim`.)
+//! re-ack then evicts.
 //!
 //! [`Machine::set_reference`]: tcni::sim::Machine::set_reference
 //! [`Machine::check_invariants`]: tcni::sim::Machine::check_invariants
@@ -145,7 +144,7 @@ fn assert_equivalent(
     );
     assert!(
         sh.scanned_flows <= sd.scanned_flows,
-        "{ctx} timeout list must not examine more flows than the dense scan"
+        "{ctx} timer set must not examine more flows than the dense scan"
     );
     assert_eq!(
         sh.scanned_channels + sh.scanned_flows + sh.skipped_work,
@@ -205,9 +204,9 @@ fn run_checked(m: &mut Machine, budget: u64, ctx: &str) -> RunOutcome {
 /// (also without the protocol, where faults simply lose or mangle
 /// traffic), and trace+obs or trace-only instrumentation.
 #[test]
-fn parallel_tick_is_equivalent_at_any_thread_count() {
+fn hot_set_under_faults_and_tracing_matches_the_reference() {
     check(
-        "parallel_tick_is_equivalent_at_any_thread_count",
+        "hot_set_under_faults_and_tracing_matches_the_reference",
         64,
         |rng| {
             let instrument = rng.bool().then(|| rng.range(1, 24) as usize);
@@ -232,7 +231,7 @@ fn parallel_tick_is_equivalent_at_any_thread_count() {
 
 /// The same bit-identity must hold when a seeded fault schedule is mangling
 /// traffic and the delivery protocol is retransmitting around it — the
-/// hardest case for the timeout list, since flows join, refresh, and leave
+/// hardest case for the timer set, since flows join, refresh, and leave
 /// it continuously.
 #[test]
 fn hot_set_is_equivalent_under_fault_schedules() {

@@ -9,7 +9,7 @@
 //!   leaves the X dimension it never re-enters it) that makes the schedule
 //!   deadlock-free.
 //! * **Hot-set equivalence on every topology**: the optimised machine (the
-//!   active-channel frontier, the delivery timeout list and the
+//!   active-channel frontier, the delivery timer set and the
 //!   fast-forward) must be bit-identical to the reference mode — and
 //!   conserve effort — on the torus, ring, and fully-connected fabrics
 //!   exactly as on the mesh, across the six §4 models with E2E delivery
@@ -253,11 +253,11 @@ fn hot_set_is_equivalent_on_every_topology() {
 }
 
 /// The delivery protocol retransmitting around a seeded fault schedule on
-/// every topology: flows join, refresh and leave the timeout list
+/// every topology: flows join, refresh and leave the timer set
 /// continuously while the frontier tracks retransmitted traffic.
 #[test]
-fn sharded_tick_is_equivalent_on_every_topology() {
-    check("sharded_tick_is_equivalent_on_every_topology", 32, |rng| {
+fn faulty_e2e_matches_the_reference_per_topology() {
+    check("faulty_e2e_matches_the_reference_per_topology", 32, |rng| {
         let cfg = Config {
             model: *rng.pick(&Model::ALL_SIX),
             topo: *rng.pick(&fabric_axis()),
