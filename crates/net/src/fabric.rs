@@ -22,6 +22,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use tcni_core::{Message, NodeId};
+use tcni_util::bits::Bitmap;
 
 use crate::stats::NetStats;
 use crate::topology::{Hop, Topology, TopologyKind};
@@ -206,19 +207,6 @@ fn next_hop(topo: &TopologyKind, node: usize, role: usize, dst: usize) -> (usize
     (loc, role, chan_of(loc, role, topo.stride()))
 }
 
-/// Whether bit `i` of a bitmap is set.
-fn bit(words: &[u64], i: usize) -> bool {
-    words[i / 64] & (1u64 << (i % 64)) != 0
-}
-
-fn set_bit(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1u64 << (i % 64);
-}
-
-fn clear_bit(words: &mut [u64], i: usize) {
-    words[i / 64] &= !(1u64 << (i % 64));
-}
-
 /// A switched network over a [`TopologyKind`]: deterministic per-hop
 /// routing, one packet per link per cycle, finite per-channel FIFOs, and
 /// backpressure that propagates from a stalled receiver all the way to
@@ -258,12 +246,12 @@ pub struct Fabric {
     /// inject and on every head-of-line move (eject channels are untracked —
     /// they drain via `eject`, not `tick`). Invariant: in hot-set mode,
     /// `tick` visits exactly the set bits, in ascending slot order.
-    active: Vec<u64>,
+    active: Bitmap,
     /// The eject-ready set: bit `node` is set iff that node's ejection
     /// channel is non-empty. Set where a packet enters an ejection channel
     /// (a head-of-line move), cleared where `eject` empties it, so the
     /// ejection phase visits only these nodes instead of every node.
-    eject_ready: Vec<u64>,
+    eject_ready: Bitmap,
     /// Cross-check mode: `tick` scans every slot the way the pre-frontier
     /// code did (the frontier is still maintained, just not consulted).
     /// Behaviour is bit-identical either way; only the scan counters differ.
@@ -315,8 +303,8 @@ impl Fabric {
             stats: NetStats::default(),
             observe: false,
             links: Vec::new(),
-            active: vec![0; (n * config.topo.move_slots()).div_ceil(64)],
-            eject_ready: vec![0; n.div_ceil(64)],
+            active: Bitmap::new(n * config.topo.move_slots()),
+            eject_ready: Bitmap::new(n),
             dense_scan: false,
         })
     }
@@ -341,12 +329,10 @@ impl Fabric {
         for (i, q) in self.chans.iter().enumerate() {
             let (node, role) = (i / stride, i % stride);
             let marked = if role == stride - 1 {
-                bit(&self.eject_ready, node)
+                self.eject_ready.contains(node)
             } else {
-                bit(
-                    &self.active,
-                    node * topo.move_slots() + rank_of_role(role, topo.ports()),
-                )
+                self.active
+                    .contains(node * topo.move_slots() + rank_of_role(role, topo.ports()))
             };
             if marked == q.is_empty() {
                 return Err(format!(
@@ -467,15 +453,15 @@ impl Fabric {
         let mut p = self.chans[src].pop_front().expect("head checked");
         p.moved_at = self.now;
         if self.chans[src].is_empty() {
-            clear_bit(&mut self.active, slot);
+            self.active.remove(slot);
         }
         self.chans[tgt].push_back(p);
         if self.chans[tgt].len() == 1 {
             if tgt_role == stride - 1 {
-                set_bit(&mut self.eject_ready, loc);
+                self.eject_ready.insert(loc);
             } else {
                 let rank = rank_of_role(tgt_role, topo.ports());
-                set_bit(&mut self.active, loc * topo.move_slots() + rank);
+                self.active.insert(loc * topo.move_slots() + rank);
             }
         }
         self.note_push(tgt);
@@ -489,18 +475,6 @@ impl Fabric {
             link.hwm = link.hwm.max(self.chans[chan].len());
         }
     }
-}
-
-/// The first set bit of `words` at or after `from`: one word per 64
-/// positions, so a sparse set costs its length over 64 plus its population.
-fn next_set(words: &[u64], from: usize) -> Option<usize> {
-    let mut w = from / 64;
-    let mut bits = *words.get(w)? & (!0u64 << (from % 64));
-    while bits == 0 {
-        w += 1;
-        bits = *words.get(w)?;
-    }
-    Some(w * 64 + bits.trailing_zeros() as usize)
 }
 
 impl Network for Fabric {
@@ -528,7 +502,7 @@ impl Network for Fabric {
         });
         if q.len() == 1 {
             let rank = rank_of_role(INJECT_ROLE, topo.ports());
-            set_bit(&mut self.active, node * topo.move_slots() + rank);
+            self.active.insert(node * topo.move_slots() + rank);
         }
         self.in_flight += 1;
         self.stats.injected += 1;
@@ -547,7 +521,7 @@ impl Network for Fabric {
         let q = &mut self.chans[eject_chan(&self.config.topo, dst)];
         let p = q.pop_front()?;
         if q.is_empty() {
-            clear_bit(&mut self.eject_ready, dst.index());
+            self.eject_ready.remove(dst.index());
         }
         self.in_flight -= 1;
         self.stats.record_delivery(self.now - p.injected_at);
@@ -570,21 +544,17 @@ impl Network for Fabric {
             }
             visited = slots;
         } else {
-            // Iterate set bits in ascending slot order. The word is re-read
-            // after each move with a strictly-above mask: a move can set a
-            // *later* bit in the current word (a packet entering a channel
-            // the dense scan had not reached yet), which must be visited
-            // this cycle exactly as the dense scan would — while moves into
-            // already-passed slots stay unvisited until next cycle, again
-            // exactly like the dense scan.
-            for w in 0..self.active.len() {
-                let mut bits = self.active[w];
-                while bits != 0 {
-                    let b = bits.trailing_zeros();
-                    self.move_head(w * 64 + b as usize);
-                    visited += 1;
-                    bits = self.active[w] & ((!0u64 << b) << 1);
-                }
+            // Visit set bits in ascending slot order, re-reading the set
+            // past each visited slot: a move can set a *later* bit (a packet
+            // entering a channel the dense scan had not reached yet), which
+            // must be visited this cycle exactly as the dense scan would —
+            // while moves into already-passed slots stay unvisited until
+            // next cycle, again exactly like the dense scan.
+            let mut from = 0;
+            while let Some(slot) = self.active.next(from) {
+                self.move_head(slot);
+                visited += 1;
+                from = slot + 1;
             }
         }
         self.stats.scan.scanned_channels += visited as u64;
@@ -602,7 +572,7 @@ impl Network for Fabric {
     /// The first node at or after `from` whose ejection channel is
     /// non-empty (the eject-ready set).
     fn next_eject_ready(&self, from: usize) -> Option<usize> {
-        next_set(&self.eject_ready, from)
+        self.eject_ready.next(from)
     }
 }
 

@@ -217,10 +217,11 @@ impl Collective {
         Ok(self.try_complete(node))
     }
 
-    /// The nodes with queued outgoing collective messages, ascending
-    /// (merged into the machine's injection scan like the delivery outbox).
-    pub(crate) fn outbox_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.outbox.nodes()
+    /// The first node at or after `from` with queued outgoing collective
+    /// messages (merged into the machine's injection walk like the delivery
+    /// outbox).
+    pub(crate) fn next_outbox_node(&self, from: usize) -> Option<usize> {
+        self.outbox.next_node(from)
     }
 
     /// Checks the outbox bookkeeping and the busy-slot total against the
@@ -388,7 +389,7 @@ mod tests {
         // Deliver every queued message directly to its destination, like a
         // zero-latency fabric, until the engine drains.
         while c.outgoing() > 0 {
-            let node = c.outbox_nodes().next().expect("a queued message");
+            let node = c.next_outbox_node(0).expect("a queued message");
             let msg = c.outbox.pop(node).expect("active node has a message");
             let dst = msg.dest().index();
             if let Some(d) = c.on_message(dst, &msg) {

@@ -59,11 +59,12 @@
 //! each flow holding unacked data has exactly one `(last_send, pair)` entry
 //! in an ordered timer set, and every `last_send` update replaces it. The
 //! pump walks the set from the oldest stamp and stops at the first flow
-//! that is not yet due. The flows due on one cycle are then fired in
-//! ascending pair key, which is exactly the (src, dst) order of the dense
-//! scan, so retransmit copies enter each outbox bit-identically. A flow
-//! gains its timer when its first unacked message is committed and loses
-//! it when its window fully acks or is abandoned. Whether a flow's
+//! that is not yet due. The pump runs every cycle while any timer exists,
+//! so the flows due on one cycle share one stamp and the set yields them
+//! in ascending pair key, the (src, dst) order of the dense scan:
+//! retransmit copies enter each outbox bit-identically with no sort. A
+//! flow gains its timer when its first unacked message is committed and
+//! loses it when its window fully acks or is abandoned. Whether a flow's
 //! copies from the previous round still wait in the outbox is a per-flow
 //! `pending_copies` counter maintained at outbox push/pop. The dense scan
 //! survives in the machine's reference mode
@@ -330,9 +331,9 @@ impl Delivery {
         self.outbox.msgs() + self.unacked_msgs
     }
 
-    /// The nodes whose outbox is non-empty, ascending.
-    pub(crate) fn outbox_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.outbox.nodes()
+    /// The first node at or after `from` whose outbox is non-empty.
+    pub(crate) fn next_outbox_node(&self, from: usize) -> Option<usize> {
+        self.outbox.next_node(from)
     }
 
     /// The head of `node`'s outbox.
@@ -349,7 +350,7 @@ impl Delivery {
         if self.dense_scan {
             // The cross-check examines the dense N² flow cost, preserving
             // the scheduler's conservation law (`scanned + skipped == dense
-            // cost`).
+            // cost`); map iteration is hash order, hence the sort.
             examined = (self.nodes * self.nodes) as u64;
             for t in &self.tx {
                 for (&pr, flow) in t {
@@ -360,9 +361,11 @@ impl Delivery {
                     }
                 }
             }
+            due.sort_unstable();
         } else {
             // Walk from the oldest stamp; the first not-yet-due flow ends
-            // the walk.
+            // the walk. The due flows share one stamp (see `check_timers`),
+            // so they come out in pair-key order.
             for &(last_send, pr) in &self.timers {
                 examined += 1;
                 if cycle.saturating_sub(last_send) < self.config.timeout {
@@ -370,12 +373,8 @@ impl Delivery {
                 }
                 due.push(pr);
             }
+            debug_assert!(due.is_sorted(), "due timers out of pair order");
         }
-        // Fire in ascending pair key — the (src, dst) order of the dense
-        // scan — so retransmit copies append to each outbox bit-identically
-        // (map iteration is hash order, the timer walk is `last_send`
-        // order; both need the sort).
-        due.sort_unstable();
         (due, examined)
     }
 
@@ -399,6 +398,22 @@ impl Delivery {
         self.due_scratch = due;
         self.scan.scanned_flows += examined;
         self.scan.skipped_work += dense_cost - examined;
+    }
+
+    /// Checks, between cycles, that no timer is older than `cycle -
+    /// max(timeout, 1)`, `cycle` being the next to run: a pump every cycle
+    /// re-stamps or retires each timer as it falls due, so the flows due on
+    /// one cycle share one stamp and the timer set yields them in pair order.
+    pub(crate) fn check_timers(&self, cycle: u64) -> Result<(), String> {
+        let horizon = cycle.saturating_sub(self.config.timeout.max(1));
+        match self.timers.first() {
+            Some(&(stamp, pr)) if stamp < horizon => Err(format!(
+                "flow {}->{} overdue: stamped {stamp} before cycle {cycle}",
+                pair_major(pr),
+                pair_minor(pr)
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// Checks the protocol's bookkeeping against itself: the timer set
@@ -870,6 +885,26 @@ mod tests {
         assert!(!d.active());
     }
 
+    /// A pump skipped past a due timer leaves it overdue for the next
+    /// cycle; pumping on the due cycle re-stamps it.
+    #[test]
+    fn the_timer_check_catches_a_skipped_pump() {
+        let cfg = DeliveryConfig {
+            window: 4,
+            timeout: 10,
+            retransmit_limit: 2,
+        };
+        let mut d = Delivery::new(2, cfg, WireFormat::Compact);
+        let mut m = data(1, 0);
+        d.stamp(0, 1, &mut m);
+        d.commit(0, 1, m, 0);
+        d.check_timers(10).unwrap();
+        let err = d.check_timers(11).unwrap_err();
+        assert!(err.contains("flow 0->1 overdue"), "{err}");
+        d.pump(10);
+        d.check_timers(11).unwrap();
+    }
+
     #[test]
     fn a_fired_timeout_looks_its_flow_up_once() {
         let k = 3;
@@ -1033,6 +1068,7 @@ mod tests {
                     }
                 }
                 d.check_invariants().unwrap();
+                d.check_timers(cycle + 1).unwrap();
             }
             (d.stats(), drained)
         };

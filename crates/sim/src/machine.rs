@@ -232,38 +232,38 @@ pub struct Machine {
     /// broadcast / reduce; see [`Collective`]).
     collective: Option<Collective>,
     /// Indices of nodes whose processor is still running, ascending. The
-    /// ascending order matters: phase 2 injects in node order, which is the
-    /// fabric's arbitration order for same-destination traffic.
+    /// ascending order matters: the injection step injects in node order,
+    /// which is the fabric's arbitration order for same-destination
+    /// traffic.
     running: Vec<usize>,
+    /// Of the running nodes, those whose interface held an outgoing message
+    /// after this cycle's processor step, ascending.
+    sending: Vec<usize>,
+    /// The processor step's scratch: it rebuilds `running` into this list,
+    /// measured faster than compacting in place on a 256-CPU ring.
+    spare: Vec<usize>,
     /// Stopped nodes whose interface still holds outgoing messages,
-    /// ascending. Shrinks monotonically (a stopped processor sends nothing).
+    /// ascending. Only a processor that stops while holding traffic, or a
+    /// driver queuing on a stopped node, adds to it.
     draining: Vec<usize>,
     /// Set by [`node_mut`](Machine::node_mut): external mutation may have
     /// restarted or stopped a processor, so the lists must be rebuilt.
     lists_dirty: bool,
     /// Nodes whose input registers may hold a message, ascending: a
     /// superset of the nodes with `msg_valid` while `pending_known`. Driven
-    /// cycles keep it (region B adds every node it delivered to; after the
+    /// cycles keep it (ejection adds every node it delivered to; after the
     /// driver it is re-filtered on `msg_valid`) and hand it to the driver;
     /// any other cycle, and [`node_mut`](Machine::node_mut), make it
     /// unknown until the next driven cycle rebuilds it.
     pending: Vec<usize>,
     pending_known: bool,
-    /// The nodes region B delivered to this cycle, ascending.
+    /// The nodes ejection delivered to this cycle, ascending.
     arrived: Vec<usize>,
     /// The nodes a driver reported touching this cycle.
     touched: Vec<usize>,
     /// The reference mode (see [`set_reference`](Machine::set_reference)).
     reference: bool,
     skipped_cycles: u64,
-    /// Reusable snapshot of the delivery outbox's active-node list for the
-    /// E2E injection phase (taken per cycle; injection pops edit the live
-    /// list mid-walk).
-    outbox_scan: Vec<usize>,
-    /// The collective engine's counterpart of `outbox_scan`.
-    coll_scan: Vec<usize>,
-    /// Region A's outputs and scratch, reused across cycles.
-    region_out: RegionOut,
     /// Whether node [`CollPort`](Node::coll_request) latches may hold
     /// requests. Set wherever external code could have latched one (list
     /// refresh after `node_mut`, every driven cycle); the injection phase
@@ -542,24 +542,17 @@ impl Machine {
             fabric.check_invariants()?;
         }
         if !self.lists_dirty {
-            let (mut running, mut draining) = (Vec::new(), Vec::new());
-            for (i, n) in self.nodes.iter().enumerate() {
-                if !n.is_stopped() {
-                    running.push(i);
-                } else if n.ni().peek_outgoing().is_some() {
-                    draining.push(i);
-                }
-            }
-            if running != self.running {
+            let nodes = &self.nodes;
+            let running: Vec<usize> = (0..nodes.len())
+                .filter(|&i| !nodes[i].is_stopped())
+                .collect();
+            let draining: Vec<usize> = (0..nodes.len())
+                .filter(|&i| nodes[i].is_stopped() && nodes[i].ni().peek_outgoing().is_some())
+                .collect();
+            if (&running, &draining) != (&self.running, &self.draining) {
                 return Err(format!(
-                    "running list {:?} but running nodes {running:?}",
-                    self.running
-                ));
-            }
-            if draining != self.draining {
-                return Err(format!(
-                    "draining list {:?} but stopped nodes with traffic {draining:?}",
-                    self.draining
+                    "running/draining lists {:?}/{:?} but nodes {running:?}/{draining:?}",
+                    self.running, self.draining
                 ));
             }
         }
@@ -572,6 +565,7 @@ impl Machine {
         }
         if let Some(del) = &self.delivery {
             del.check_invariants()?;
+            del.check_timers(self.cycle)?;
         }
         if let Some(coll) = &self.collective {
             coll.check_invariants()?;
@@ -601,65 +595,290 @@ impl Machine {
         }
     }
 
-    /// The injection-phase prologue, in this order: latched collective
-    /// requests feed the engine (contributions are sparse, driver-latched
-    /// stimuli); due timeouts fire, so the copies contend for this cycle's
-    /// injection slots; then the outbox active sets are snapshotted
-    /// (ascending; injection pops edit the live sets mid-walk). Processors
-    /// never touch either engine, so running this before the processor
-    /// phase is invisible.
-    fn prologue(&mut self) -> (Vec<usize>, Vec<usize>) {
-        self.drain_coll_requests();
-        let mut ob = std::mem::take(&mut self.outbox_scan);
-        ob.clear();
-        if let Some(del) = self.delivery.as_mut() {
-            del.pump(self.cycle);
-            ob.extend(del.outbox_nodes());
-        }
-        let mut cob = std::mem::take(&mut self.coll_scan);
-        cob.clear();
-        if let Some(coll) = self.collective.as_ref() {
-            cob.extend(coll.outbox_nodes());
-        }
-        (ob, cob)
-    }
-
-    /// One machine cycle. `cpus` selects the processor phase. Returns
+    /// One machine cycle in the paper's three steps: processors execute,
+    /// interfaces inject into the network, which advances (pushing back on
+    /// them, §2.1.1), and arrivals move into the input queues. Collective
+    /// latches and due timeouts go first so their messages contend for this
+    /// cycle's injection slots (processors touch neither engine). Returns
     /// (every stepped processor environment-stalled, any interface state
     /// changed by the network phases).
     fn cycle_one(&mut self, cpus: CpuPhase) -> (bool, bool) {
-        let cycle = self.cycle;
-        let (ob, cob) = self.prologue();
-        let mut out = std::mem::take(&mut self.region_out);
-        let mut cx = Phases {
-            nodes: &mut self.nodes,
-            net: &mut self.net,
-            del: self.delivery.as_mut(),
-            coll: self.collective.as_mut(),
-            trace: self.trace.as_mut(),
-            obs: self.obs.as_mut(),
-        };
-        let lists = HotLists {
-            running: &self.running,
-            draining: &self.draining,
-            outbox: &ob,
-            coll_outbox: &cob,
-        };
-        cx.region_a(cycle, cpus, &lists, &mut out);
-        std::mem::swap(&mut self.running, &mut out.stepped.running);
-        std::mem::swap(&mut self.draining, &mut out.draining);
-        cx.net.tick();
-        let mut changed = out.changed;
-        self.arrived.clear();
-        if cx.net.in_flight() > 0 {
-            changed |= cx.region_b(cycle, &mut self.arrived);
+        self.drain_coll_requests();
+        if let Some(del) = self.delivery.as_mut() {
+            del.pump(self.cycle);
         }
-        let all_stalled = out.stepped.all_stalled;
-        self.region_out = out;
-        self.outbox_scan = ob;
-        self.coll_scan = cob;
+        let all_stalled = self.step_cpus(cpus);
+        let mut changed = self.inject();
+        self.net.tick();
+        self.arrived.clear();
+        if self.net.in_flight() > 0 {
+            changed |= self.eject();
+        }
         self.cycle += 1;
         (all_stalled, changed)
+    }
+
+    /// The processor step: one ascending pass over the running list that
+    /// steps each processor, mirrors its queue depths for observability,
+    /// traces a stop, and sorts every node onto the list it now belongs to:
+    /// still running (and onto `sending` if its interface holds an outgoing
+    /// message), or stopped, joining `draining` if it still holds one.
+    /// Returns whether every stepped processor was environment-stalled.
+    fn step_cpus(&mut self, cpus: CpuPhase) -> bool {
+        let cycle = self.cycle;
+        self.sending.clear();
+        let mut all_stalled = true;
+        let mut stopped_sending = false;
+        let running = std::mem::take(&mut self.running);
+        let mut kept = std::mem::take(&mut self.spare);
+        kept.clear();
+        for &i in &running {
+            let node = &mut self.nodes[i];
+            if cpus != CpuPhase::Skip {
+                all_stalled &= node.step() == StepOutcome::StalledEnv;
+                if let Some(o) = self.obs.as_mut() {
+                    // Output-depth increases are enqueues; input-depth
+                    // decreases are dispatches. Both only happen while the
+                    // CPU executes.
+                    mirror_depths(o, i, node, cycle);
+                }
+            }
+            let sends = node.ni().peek_outgoing().is_some();
+            if !node.is_stopped() {
+                kept.push(i);
+                if sends {
+                    self.sending.push(i);
+                }
+                continue;
+            }
+            if sends {
+                self.draining.push(i);
+                stopped_sending = true;
+            }
+            if let Some(t) = self.trace.as_mut() {
+                trace_stop(t, node, i, cycle);
+            }
+        }
+        self.spare = running;
+        self.running = kept;
+        if stopped_sending {
+            // A processor stopped holding traffic: rare, so a sort beats a
+            // merge.
+            self.draining.sort_unstable();
+        }
+        if let (CpuPhase::Driven, Some(o)) = (cpus, self.obs.as_mut()) {
+            // The driver's interface operations bypass the mirroring above
+            // (it only visits running nodes); re-mirror every node so
+            // enqueues and dispatches performed by the driver are stamped.
+            // Nodes already mirrored this cycle see unchanged depths — a
+            // no-op.
+            for (i, node) in self.nodes.iter().enumerate() {
+                mirror_depths(o, i, node, cycle);
+            }
+        }
+        all_stalled
+    }
+
+    /// The injection step: one attempt per node with possible traffic, in
+    /// ascending node order (the fabric's arbitration order). Protocol
+    /// traffic can come from stopped nodes the lists no longer hold, but
+    /// exactly those are on the outboxes, so merging `sending`, `draining`
+    /// and the live outbox sets visits what a full scan would; an injection
+    /// only ever empties the outbox of the node it serves, so no snapshot is
+    /// needed. Returns whether anything changed.
+    fn inject(&mut self) -> bool {
+        let next_del = |m: &Machine, from| m.delivery.as_ref()?.next_outbox_node(from);
+        let next_coll = |m: &Machine, from| m.collective.as_ref()?.next_outbox_node(from);
+        let (mut r, mut d) = (0, 0);
+        let (mut del, mut coll) = (next_del(self, 0), next_coll(self, 0));
+        let mut changed = false;
+        loop {
+            let (run, drain) = (self.sending.get(r).copied(), self.draining.get(d).copied());
+            let Some(i) = [run, drain, del, coll].into_iter().flatten().min() else {
+                break;
+            };
+            changed |= self.inject_one(i);
+            r += usize::from(run == Some(i));
+            d += usize::from(drain == Some(i));
+            if del == Some(i) {
+                del = next_del(self, i + 1);
+            }
+            if coll == Some(i) {
+                coll = next_coll(self, i + 1);
+            }
+        }
+        let nodes = &self.nodes;
+        self.draining
+            .retain(|&i| nodes[i].ni().peek_outgoing().is_some());
+        changed
+    }
+
+    /// The injection step for one node: at most one injection per cycle.
+    /// Protocol copies (acks, retransmits) take the slot ahead of queued
+    /// collective messages, which take it ahead of fresh NI sends; fresh
+    /// sends under the protocol are stamped, window-gated, and buffered for
+    /// retransmission. Returns whether anything changed.
+    fn inject_one(&mut self, i: usize) -> bool {
+        let cycle = self.cycle;
+        let src = NodeId::from_index(i);
+        if let Some(del) = self.delivery.as_mut() {
+            if let Some(msg) = del.outbox_front(i).copied() {
+                return match self.net.inject(src, msg) {
+                    // Congestion: the copy stays queued and retries.
+                    Err(InjectError::Refused(_)) => false,
+                    // Injected — or undeliverable, which protocol peers
+                    // (real nodes) never are, but a bad message must not
+                    // wedge the outbox.
+                    _ => {
+                        del.outbox_pop(i);
+                        true
+                    }
+                };
+            }
+        }
+        if let Some(coll) = self.collective.as_mut() {
+            if let Some(msg) = coll.outbox_front(i).copied() {
+                let del = self.delivery.as_mut();
+                return inject_coll_one(&mut self.net, del, coll, i, msg, cycle);
+            }
+        }
+        let Some(mut msg) = self.nodes[i].ni().peek_outgoing().copied() else {
+            return false;
+        };
+        if let Some(o) = self.obs.as_ref() {
+            // Stamp the would-be sequence number; it is committed only if
+            // the fabric accepts the injection.
+            msg.seq = o.peek_seq();
+        }
+        if let Some(del) = self.delivery.as_mut() {
+            let dst = msg.dest().index();
+            if dst < self.net.node_count() {
+                if !del.can_admit(i, dst) {
+                    // Window full: back-pressure into the output queue
+                    // exactly like a refused injection.
+                    return false;
+                }
+                // Pure stamp: a refused injection retries with the same psn.
+                del.stamp(i, dst, &mut msg);
+            }
+        }
+        match self.net.inject(src, msg) {
+            Ok(()) => {
+                self.nodes[i].ni_mut().pop_outgoing();
+                if let (Some(del), Some(_)) = (self.delivery.as_mut(), msg.e2e) {
+                    del.commit(i, msg.dest().index(), msg, cycle);
+                }
+                if let Some(o) = self.obs.as_mut() {
+                    o.on_inject(i, msg.seq, cycle);
+                }
+                if let Some(t) = self.trace.as_mut() {
+                    t.record(TraceEvent::Sent {
+                        cycle,
+                        node: i,
+                        msg,
+                    });
+                }
+                true
+            }
+            // Congestion: the message stays queued and the send retries next
+            // cycle (backpressure, §2.1.1).
+            Err(InjectError::Refused(_)) => false,
+            Err(InjectError::BadDest(_) | InjectError::NotParticipant(_)) => {
+                drop_bad_dest(&mut self.nodes[i], self.obs.as_mut(), i);
+                true
+            }
+        }
+    }
+
+    /// The ejection step: network → interfaces, visiting only the nodes
+    /// the fabric reports eject-ready. Appends every node whose interface
+    /// received a message to `arrived` (ascending). Returns whether any
+    /// interface state changed.
+    fn eject(&mut self) -> bool {
+        let cycle = self.cycle;
+        let observed = self.obs.is_some();
+        let mut changed = false;
+        let mut from = 0;
+        while let Some(i) = self.net.next_eject_ready(from) {
+            from = i + 1;
+            let dst = NodeId::from_index(i);
+            while let Some(peeked) = self.net.peek_eject(dst).copied() {
+                let node = &mut self.nodes[i];
+                // Collective traffic lands in the engine, which always
+                // accepts: it never enters (or backpressures) the NI input
+                // queue.
+                let engine = if peeked.mtype == MsgType::COLLECTIVE {
+                    self.collective.as_mut()
+                } else {
+                    None
+                };
+                let engine_bound = engine.is_some();
+                let protocol = peeked.e2e.and(self.delivery.as_mut());
+                let mut msg = if let Some(del) = protocol {
+                    // A protocol-controlled arrival: the delivery layer
+                    // decides its fate before the interface sees it.
+                    let deliver = del.rx_action(i, &peeked) == RxAction::Deliver;
+                    if deliver && !engine_bound && !node.ni().can_accept(&peeked) {
+                        break; // backpressure: leave it in the network
+                    }
+                    let msg = self.net.eject(dst).expect("peeked");
+                    changed = true;
+                    if !deliver {
+                        // Ack, duplicate, gap, or corruption: eaten by the
+                        // protocol, never enters the interface.
+                        del.on_consumed(i, &msg, cycle);
+                        continue;
+                    }
+                    del.on_delivered(i, &msg);
+                    msg
+                } else {
+                    if !engine_bound && !node.ni().can_accept(&peeked) {
+                        break; // backpressure: leave it in the network
+                    }
+                    changed = true;
+                    self.net.eject(dst).expect("peeked")
+                };
+                if let Some(coll) = engine {
+                    // Collective plumbing stays out of the trace/obs streams
+                    // (it models NI hardware, not program traffic).
+                    msg.e2e = None;
+                    if let Some(done) = coll.on_message(i, &msg) {
+                        node.coll_push_done(done);
+                    }
+                    continue;
+                }
+                if let Some(t) = self.trace.as_mut() {
+                    // Stamped cycle+1: the first cycle the receiving CPU can
+                    // observe the message, so Delivered − Sent equals the
+                    // fabric-accounted latency (see `TraceEvent`).
+                    t.record(TraceEvent::Delivered {
+                        cycle: cycle + 1,
+                        node: i,
+                        msg,
+                    });
+                }
+                // The header is sideband plumbing; the interface receives
+                // the architected message.
+                msg.e2e = None;
+                let ni = node.ni_mut();
+                let depth_before = if observed {
+                    ni.input_len() + usize::from(ni.msg_valid())
+                } else {
+                    0
+                };
+                ni.push_incoming(msg).expect("can_accept checked");
+                if self.arrived.last() != Some(&i) {
+                    self.arrived.push(i);
+                }
+                if let Some(o) = self.obs.as_mut() {
+                    // An unchanged input depth means the interface diverted
+                    // the message to the privileged queue.
+                    let depth_after = ni.input_len() + usize::from(ni.msg_valid());
+                    o.on_deliver(i, msg.seq, cycle + 1, depth_after == depth_before);
+                }
+            }
+        }
+        changed
     }
 
     /// Whether any node (running or draining) holds outgoing messages.
@@ -857,362 +1076,11 @@ enum CpuPhase {
     Driven,
 }
 
-// --- the cycle body ------------------------------------------------------------
-
-/// The machine's parts the cycle phases run against, borrowed apart from
-/// the hot lists they walk.
-struct Phases<'a> {
-    nodes: &'a mut [Node],
-    net: &'a mut NetworkKind,
-    del: Option<&'a mut Delivery>,
-    coll: Option<&'a mut Collective>,
-    trace: Option<&'a mut Trace>,
-    obs: Option<&'a mut Obs>,
-}
-
-/// Region A's inputs: the machine's sorted hot lists.
-struct HotLists<'a> {
-    running: &'a [usize],
-    draining: &'a [usize],
-    outbox: &'a [usize],
-    coll_outbox: &'a [usize],
-}
-
-/// Region A's outputs and reusable scratch.
-#[derive(Default)]
-struct RegionOut {
-    changed: bool,
-    /// The processor phase's results (the running list among them).
-    stepped: Stepped,
-    /// The draining list after the injection phase.
-    draining: Vec<usize>,
-    /// The stopped-with-traffic set the injection phase walks.
-    mid: Vec<usize>,
-}
-
-/// What the processor step hands the injection phase, ascending by node
-/// and recorded while each node is still in cache.
-#[derive(Default)]
-struct Stepped {
-    /// Every stepped processor was environment-stalled.
-    all_stalled: bool,
-    /// Processors still running after the step.
-    running: Vec<usize>,
-    /// Of those, the ones whose interface holds an outgoing message.
-    sending: Vec<usize>,
-    /// Processors that stopped in the step.
-    stopped: Vec<usize>,
-}
-
-impl Stepped {
-    fn clear(&mut self) {
-        self.all_stalled = true;
-        self.running.clear();
-        self.sending.clear();
-        self.stopped.clear();
-    }
-
-    /// Steps every processor of `running` once.
-    fn step(&mut self, nodes: &mut [Node], running: &[usize]) {
-        self.clear();
-        for &i in running {
-            let node = &mut nodes[i];
-            self.all_stalled &= node.step() == StepOutcome::StalledEnv;
-            if node.is_stopped() {
-                self.stopped.push(i);
-            } else {
-                self.running.push(i);
-                if node.ni().peek_outgoing().is_some() {
-                    self.sending.push(i);
-                }
-            }
-        }
-    }
-}
-
-impl Phases<'_> {
-    /// Region A: phase 1 (processors execute) then phase 2 (interfaces
-    /// inject), each in ascending node order.
-    fn region_a(&mut self, cycle: u64, cpus: CpuPhase, lists: &HotLists<'_>, out: &mut RegionOut) {
-        out.changed = false;
-        out.draining.clear();
-        out.mid.clear();
-        // Phase 1: stopping processors leave the running list; those still
-        // holding outgoing messages join the draining set.
-        let st = &mut out.stepped;
-        if cpus == CpuPhase::Skip {
-            st.clear();
-            st.running.extend_from_slice(lists.running);
-            let nodes = &*self.nodes;
-            st.sending.extend(
-                lists
-                    .running
-                    .iter()
-                    .copied()
-                    .filter(|&i| nodes[i].ni().peek_outgoing().is_some()),
-            );
-        } else {
-            st.step(self.nodes, lists.running);
-            // A second pass in ascending node order does what the step
-            // shares beyond its node: observability and trace.
-            if let Some(o) = self.obs.as_deref_mut() {
-                for &i in lists.running {
-                    // Output-depth increases are enqueues; input-depth
-                    // decreases are dispatches. Both only happen while the
-                    // CPU executes.
-                    mirror_depths(o, i, &self.nodes[i], cycle);
-                }
-            }
-            for &i in &st.stopped {
-                let node = &self.nodes[i];
-                if node.ni().peek_outgoing().is_some() {
-                    out.mid.push(i);
-                }
-                if let Some(t) = self.trace.as_deref_mut() {
-                    match node.cpu_state() {
-                        tcni_cpu::CpuState::Halted => {
-                            t.record(TraceEvent::Halted { cycle, node: i });
-                        }
-                        tcni_cpu::CpuState::Faulted { reason, .. } => {
-                            t.record(TraceEvent::Faulted {
-                                cycle,
-                                node: i,
-                                reason: reason.clone(),
-                            });
-                        }
-                        tcni_cpu::CpuState::Running => {}
-                    }
-                }
-            }
-            if let (CpuPhase::Driven, Some(o)) = (cpus, self.obs.as_deref_mut()) {
-                // The driver's interface operations bypass the mirroring
-                // above (it only visits running nodes); re-mirror every node
-                // so enqueues and dispatches performed by the driver are
-                // stamped. Nodes already mirrored this cycle see unchanged
-                // depths — a no-op.
-                for (i, node) in self.nodes.iter().enumerate() {
-                    mirror_depths(o, i, node, cycle);
-                }
-            }
-        }
-        // The stopped-with-traffic set the injection phase walks: the
-        // draining list plus any processor that just stopped holding
-        // messages (rare, so a sort beats a merge).
-        let mid = if out.mid.is_empty() {
-            lists.draining
-        } else {
-            out.mid.extend_from_slice(lists.draining);
-            out.mid.sort_unstable();
-            &out.mid
-        };
-        // Phase 2: one injection attempt per node with possible traffic, in
-        // ascending node order. Protocol traffic (acks, retransmits,
-        // collective combines) can originate at stopped nodes the
-        // running/draining lists no longer scan — but those nodes are
-        // exactly the ones on the outbox snapshots. Merging the sorted lists
-        // visits the same nodes, in the same order, as a full scan would
-        // inject from: any node outside every list has an empty interface
-        // and empty outboxes.
-        let sending = &out.stepped.sending;
-        let (mut r, mut d, mut o, mut c) = (0, 0, 0, 0);
-        loop {
-            let next = [
-                sending.get(r).copied(),
-                mid.get(d).copied(),
-                lists.outbox.get(o).copied(),
-                lists.coll_outbox.get(c).copied(),
-            ]
-            .into_iter()
-            .flatten()
-            .min();
-            let Some(i) = next else { break };
-            r += usize::from(sending.get(r) == Some(&i));
-            d += usize::from(mid.get(d) == Some(&i));
-            o += usize::from(lists.outbox.get(o) == Some(&i));
-            c += usize::from(lists.coll_outbox.get(c) == Some(&i));
-            out.changed |= self.inject_one(i, cycle);
-        }
-        // Stopped nodes whose last message just left stop being scanned.
-        let nodes = &*self.nodes;
-        out.draining.extend(
-            mid.iter()
-                .copied()
-                .filter(|&i| nodes[i].ni().peek_outgoing().is_some()),
-        );
-    }
-
-    /// Phase-2 body for one node: at most one injection per cycle. Protocol
-    /// copies (acks, retransmits) take the slot ahead of queued collective
-    /// messages, which take it ahead of fresh NI sends; fresh sends under
-    /// the protocol are stamped, window-gated, and buffered for
-    /// retransmission. Returns whether anything changed.
-    fn inject_one(&mut self, i: usize, cycle: u64) -> bool {
-        let src = NodeId::from_index(i);
-        if let Some(del) = self.del.as_deref_mut() {
-            if let Some(msg) = del.outbox_front(i).copied() {
-                return match self.net.inject(src, msg) {
-                    // Congestion: the copy stays queued and retries.
-                    Err(InjectError::Refused(_)) => false,
-                    // Injected — or undeliverable, which protocol peers
-                    // (real nodes) never are, but a bad message must not
-                    // wedge the outbox.
-                    _ => {
-                        del.outbox_pop(i);
-                        true
-                    }
-                };
-            }
-        }
-        if let Some(coll) = self.coll.as_deref_mut() {
-            if let Some(msg) = coll.outbox_front(i).copied() {
-                let del = self.del.as_deref_mut();
-                return inject_coll_one(&mut *self.net, del, coll, i, msg, cycle);
-            }
-        }
-        let Some(mut msg) = self.nodes[i].ni().peek_outgoing().copied() else {
-            return false;
-        };
-        if let Some(o) = self.obs.as_deref() {
-            // Stamp the would-be sequence number; it is committed only if
-            // the fabric accepts the injection.
-            msg.seq = o.peek_seq();
-        }
-        if let Some(del) = self.del.as_deref_mut() {
-            let dst = msg.dest().index();
-            if dst < self.net.node_count() {
-                if !del.can_admit(i, dst) {
-                    // Window full: back-pressure into the output queue
-                    // exactly like a refused injection.
-                    return false;
-                }
-                // Pure stamp: a refused injection retries with the same psn.
-                del.stamp(i, dst, &mut msg);
-            }
-        }
-        match self.net.inject(src, msg) {
-            Ok(()) => {
-                self.nodes[i].ni_mut().pop_outgoing();
-                if let (Some(del), Some(_)) = (self.del.as_deref_mut(), msg.e2e) {
-                    del.commit(i, msg.dest().index(), msg, cycle);
-                }
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.on_inject(i, msg.seq, cycle);
-                }
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.record(TraceEvent::Sent {
-                        cycle,
-                        node: i,
-                        msg,
-                    });
-                }
-                true
-            }
-            // Congestion: the message stays queued and the send retries next
-            // cycle (backpressure, §2.1.1).
-            Err(InjectError::Refused(_)) => false,
-            Err(InjectError::BadDest(_) | InjectError::NotParticipant(_)) => {
-                drop_bad_dest(&mut self.nodes[i], self.obs.as_deref_mut(), i);
-                true
-            }
-        }
-    }
-
-    /// Region B: network → interfaces, visiting only the nodes the fabric
-    /// reports eject-ready. Appends every node whose interface received a
-    /// message to `arrived` (ascending). Returns whether any interface state
-    /// changed.
-    fn region_b(&mut self, cycle: u64, arrived: &mut Vec<usize>) -> bool {
-        let observed = self.obs.is_some();
-        let mut changed = false;
-        let mut from = 0;
-        while let Some(i) = self.net.next_eject_ready(from) {
-            from = i + 1;
-            let dst = NodeId::from_index(i);
-            while let Some(peeked) = self.net.peek_eject(dst).copied() {
-                let node = &mut self.nodes[i];
-                // Collective traffic lands in the engine, which always
-                // accepts: it never enters (or backpressures) the NI input
-                // queue.
-                let engine = if peeked.mtype == MsgType::COLLECTIVE {
-                    self.coll.as_deref_mut()
-                } else {
-                    None
-                };
-                let engine_bound = engine.is_some();
-                let protocol = peeked.e2e.and(self.del.as_deref_mut());
-                let mut msg = if let Some(del) = protocol {
-                    // A protocol-controlled arrival: the delivery layer
-                    // decides its fate before the interface sees it.
-                    let deliver = del.rx_action(i, &peeked) == RxAction::Deliver;
-                    if deliver && !engine_bound && !node.ni().can_accept(&peeked) {
-                        break; // backpressure: leave it in the network
-                    }
-                    let msg = self.net.eject(dst).expect("peeked");
-                    changed = true;
-                    if !deliver {
-                        // Ack, duplicate, gap, or corruption: eaten by the
-                        // protocol, never enters the interface.
-                        del.on_consumed(i, &msg, cycle);
-                        continue;
-                    }
-                    del.on_delivered(i, &msg);
-                    msg
-                } else {
-                    if !engine_bound && !node.ni().can_accept(&peeked) {
-                        break; // backpressure: leave it in the network
-                    }
-                    changed = true;
-                    self.net.eject(dst).expect("peeked")
-                };
-                if let Some(coll) = engine {
-                    // Collective plumbing stays out of the trace/obs streams
-                    // (it models NI hardware, not program traffic).
-                    msg.e2e = None;
-                    if let Some(done) = coll.on_message(i, &msg) {
-                        node.coll_push_done(done);
-                    }
-                    continue;
-                }
-                if let Some(t) = self.trace.as_deref_mut() {
-                    // Stamped cycle+1: the first cycle the receiving CPU can
-                    // observe the message, so Delivered − Sent equals the
-                    // fabric-accounted latency (see `TraceEvent`).
-                    t.record(TraceEvent::Delivered {
-                        cycle: cycle + 1,
-                        node: i,
-                        msg,
-                    });
-                }
-                // The header is sideband plumbing; the interface receives
-                // the architected message.
-                msg.e2e = None;
-                let ni = node.ni_mut();
-                let depth_before = if observed {
-                    ni.input_len() + usize::from(ni.msg_valid())
-                } else {
-                    0
-                };
-                ni.push_incoming(msg).expect("can_accept checked");
-                if arrived.last() != Some(&i) {
-                    arrived.push(i);
-                }
-                if let Some(o) = self.obs.as_deref_mut() {
-                    // An unchanged input depth means the interface diverted
-                    // the message to the privileged queue.
-                    let depth_after = ni.input_len() + usize::from(ni.msg_valid());
-                    o.on_deliver(i, msg.seq, cycle + 1, depth_after == depth_before);
-                }
-            }
-        }
-        changed
-    }
-}
-
-/// Phase-2 body for the head of node `i`'s collective outbox: injected
-/// like a fresh NI send (window-gated and stamped under the delivery
-/// protocol, so combining trees ride the go-back-N edges over faulty
-/// fabrics) but invisible to trace/obs — it models NI hardware, not
-/// program traffic. Returns whether anything changed.
+/// Injects the head of node `i`'s collective outbox like a fresh NI send
+/// (window-gated and stamped under the delivery protocol, so combining
+/// trees ride the go-back-N edges over faulty fabrics) but invisible to
+/// trace/obs — it models NI hardware, not program traffic. Returns whether
+/// anything changed.
 fn inject_coll_one(
     net: &mut NetworkKind,
     mut del: Option<&mut Delivery>,
@@ -1244,6 +1112,20 @@ fn inject_coll_one(
     true
 }
 
+/// Records stopped node `i`'s `Halted` or `Faulted` event.
+#[cold]
+fn trace_stop(t: &mut Trace, node: &Node, i: usize, cycle: u64) {
+    match node.cpu_state() {
+        tcni_cpu::CpuState::Halted => t.record(TraceEvent::Halted { cycle, node: i }),
+        tcni_cpu::CpuState::Faulted { reason, .. } => t.record(TraceEvent::Faulted {
+            cycle,
+            node: i,
+            reason: reason.clone(),
+        }),
+        tcni_cpu::CpuState::Running => {}
+    }
+}
+
 /// Mirrors node `i`'s interface queue depths into the observability
 /// collector.
 fn mirror_depths(obs: &mut Obs, i: usize, node: &Node, cycle: u64) {
@@ -1253,7 +1135,7 @@ fn mirror_depths(obs: &mut Obs, i: usize, node: &Node, cycle: u64) {
     obs.after_cpu_node(i, out_len, in_depth, cycle);
 }
 
-/// The undeliverable-message path of phase 2, out of line: dropping it
+/// The undeliverable-message path of injection, out of line: dropping it
 /// beats wedging the output queue forever behind a message no fabric can
 /// route, and keeping the code out of the injection loop keeps the common
 /// path tight.
@@ -1617,6 +1499,8 @@ impl MachineBuilder {
             delivery,
             collective,
             running: Vec::new(),
+            sending: Vec::new(),
+            spare: Vec::new(),
             draining: Vec::new(),
             lists_dirty: true,
             pending: Vec::new(),
@@ -1625,9 +1509,6 @@ impl MachineBuilder {
             touched: Vec::new(),
             reference: false,
             skipped_cycles: 0,
-            outbox_scan: Vec::new(),
-            coll_scan: Vec::new(),
-            region_out: RegionOut::default(),
             coll_poll: false,
         };
         machine.refresh_lists();

@@ -4,22 +4,23 @@
 //!
 //! The machine's injection phase drains at most one message per node per
 //! cycle and visits only the nodes whose queue is non-empty, in ascending
-//! node order. The outbox keeps that set as a bitmap: O(1) activation and
-//! deactivation, and an ascending walk that costs one word per 64 nodes,
-//! so the per-cycle snapshot needs no sort.
+//! node order. The outbox keeps that set as a [`Bitmap`]: O(1) activation
+//! and deactivation, and an ascending walk that costs one word per 64
+//! nodes. The walk reads the live set: an injection only ever empties the
+//! queue of the node it serves, so no snapshot is needed.
 
 use std::collections::VecDeque;
 
 use tcni_core::Message;
+use tcni_util::bits::Bitmap;
 
 /// Every node's outgoing queue, the set of nodes with a non-empty one, and
 /// the message total.
 #[derive(Debug)]
 pub(crate) struct Outbox {
     queues: Vec<VecDeque<Message>>,
-    /// Bit `node % 64` of word `node / 64` is set iff `node`'s queue is
-    /// non-empty.
-    active: Vec<u64>,
+    /// The nodes whose queue is non-empty.
+    active: Bitmap,
     /// Messages across all queues.
     msgs: u64,
 }
@@ -28,34 +29,19 @@ impl Outbox {
     pub(crate) fn new(nodes: usize) -> Outbox {
         Outbox {
             queues: vec![VecDeque::new(); nodes],
-            active: vec![0; nodes.div_ceil(64)],
+            active: Bitmap::new(nodes),
             msgs: 0,
         }
     }
 
-    /// The nodes with a non-empty queue, ascending.
-    pub(crate) fn nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.active.iter().enumerate().flat_map(|(w, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    w * 64 + b
-                })
-            })
-        })
+    /// The first node at or after `from` with a non-empty queue.
+    pub(crate) fn next_node(&self, from: usize) -> Option<usize> {
+        self.active.next(from)
     }
 
     /// Messages queued across all nodes.
     pub(crate) fn msgs(&self) -> u64 {
         self.msgs
-    }
-
-    fn mark(&mut self, node: usize, on: bool) {
-        let bit = 1u64 << (node % 64);
-        debug_assert_eq!(self.active[node / 64] & bit != 0, !on, "set already {on}");
-        self.active[node / 64] ^= bit;
     }
 
     /// `node`'s queue.
@@ -77,9 +63,7 @@ impl Outbox {
     pub(crate) fn push(&mut self, node: usize, msg: Message) {
         self.queues[node].push_back(msg);
         self.msgs += 1;
-        if self.queues[node].len() == 1 {
-            self.mark(node, true);
-        }
+        self.active.insert(node);
     }
 
     /// Removes the head of `node`'s queue.
@@ -87,7 +71,7 @@ impl Outbox {
         let m = self.queues[node].pop_front()?;
         self.msgs -= 1;
         if self.queues[node].is_empty() {
-            self.mark(node, false);
+            self.active.remove(node);
         }
         Some(m)
     }
@@ -98,7 +82,7 @@ impl Outbox {
         let mut total = 0u64;
         for (node, q) in self.queues.iter().enumerate() {
             total += q.len() as u64;
-            let listed = self.active[node / 64] & (1 << (node % 64)) != 0;
+            let listed = self.active.contains(node);
             if listed == q.is_empty() {
                 return Err(format!(
                     "{what} outbox of node {node}: {} queued but listed={listed}",
@@ -153,7 +137,8 @@ mod tests {
             }
             outbox.check("model").unwrap();
             let busy = (0..nodes).filter(|&n| !model[n].is_empty());
-            assert!(outbox.nodes().eq(busy), "round {round} active set");
+            let walked = std::iter::successors(outbox.next_node(0), |&n| outbox.next_node(n + 1));
+            assert!(walked.eq(busy), "round {round} active set");
             assert!((0..nodes).all(|n| *outbox.queue(n) == model[n]));
         }
         assert!(outbox.msgs() > 0, "the scenario left traffic queued");

@@ -185,6 +185,19 @@ run_netstats_16x16 1 target/TRACE_netstats_16x16.serial.json
 run_netstats_16x16 4 target/TRACE_netstats_16x16.par4.json
 cmp target/TRACE_netstats_16x16.serial.json target/TRACE_netstats_16x16.par4.json
 
+echo "== smoke: 4x4 ring tcni-trace/1 export matches the committed snapshot =="
+# The instrumented ring with running CPUs (obs mirroring, span order, the
+# injection walk over running, halting and draining nodes), pinned
+# byte-for-byte against the golden snapshot at 1 and 4 workers.
+run_netstats_4x4() {
+    TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin netstats -- \
+        --width 4 --height 4 --msgs 8 --spans 16 --quiet --out "$2"
+}
+run_netstats_4x4 1 target/TRACE_netstats_4x4.serial.json
+run_netstats_4x4 4 target/TRACE_netstats_4x4.par4.json
+cmp tests/golden/netstats_ring_4x4.json target/TRACE_netstats_4x4.serial.json
+cmp tests/golden/netstats_ring_4x4.json target/TRACE_netstats_4x4.par4.json
+
 echo "== smoke: loadgen collective (tcni-coll/1 artifact) =="
 # NIC combining vs software gather/scatter on a small mesh, fault-free and
 # with the delivery protocol over a faulty fabric. The console summary line

@@ -6,7 +6,8 @@
 //! fails here with a diff. All snapshots but one were taken from the
 //! fault-free models, so they double as the guarantee that the
 //! fault-injection layer and the delivery protocol are invisible when
-//! disabled; `loadgen_e2e_faulty_16x16.json` pins the protocol itself.
+//! disabled; `loadgen_e2e_faulty_16x16.json` pins the protocol itself, and
+//! `netstats_ring_4x4.json` pins a `tcni-trace/1` run whose CPUs execute.
 //!
 //! ## Updating a snapshot (the bless workflow)
 //!
@@ -34,6 +35,7 @@ use tcni::workload::{
     run_coll_sweep, run_open_curve, CollReport, CollStormConfig, Fabric, LoadReport, Pattern,
     SweepConfig, Topology,
 };
+use tcni_bench::obs_run;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -281,4 +283,17 @@ fn golden_collective() {
         points,
     };
     assert_golden("collective_16x16.json", &report.to_json());
+}
+
+/// The instrumented ring (every CPU sends 8 messages to its successor and
+/// consumes 8) on a 4×4 mesh, pinned as the `tcni-trace/1` artifact that
+/// `netstats --width 4 --height 4 --msgs 8 --spans 16` writes. The other
+/// goldens run either the counting path or driven machines whose CPUs halt
+/// at cycle 0; this one pins what the cycle does while processors run:
+/// queue-depth mirroring, span order, and the injection walk over running,
+/// halting and draining nodes.
+#[test]
+fn golden_netstats_ring_4x4() {
+    let report = obs_run::run_instrumented(obs_run::ring_machine(4, 4, 8), 16, 200_000);
+    assert_golden("netstats_ring_4x4.json", &report.to_json());
 }
