@@ -11,6 +11,22 @@
 //! `stride - 1` = eject, which for the mesh reproduces the historical
 //! inject/east/west/north/south/eject layout exactly.
 //!
+//! The channels are stored flat, in four arrays:
+//!
+//! * `chans` — one `(head, len)` cursor per channel, indexed as above;
+//! * `ring` — one `u32` array of packet ids. Node `n` owns the block of
+//!   `inject + ports × channel + eject` slots starting at `n × block`, and
+//!   its channels' rings sit in it in role order, so each role keeps its own
+//!   capacity. Slot `i` of a channel's FIFO is `start + (head + i) % cap`;
+//! * `pool` — the packets in flight, each caching its destination node
+//!   (decoded once at injection), and `free`, a LIFO of reusable pool ids.
+//!   The pool grows on demand, so it tracks the peak number of packets in
+//!   flight rather than the channel count.
+//!
+//! A head-of-line move copies one id from one ring to another; a packet
+//! never moves in memory from injection to ejection. Building a fabric
+//! allocates the zeroed ring and the cursors and nothing per channel.
+//!
 //! Each tick walks the active-channel frontier (or every slot, under the
 //! dense cross-check) in ascending slot order and attempts one head-of-line
 //! move per occupied movable channel. Injection, the move and ejection each
@@ -18,7 +34,6 @@
 //! in-flight count and, when observed, the per-link counters up to date in
 //! place.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use tcni_core::{Message, NodeId};
@@ -89,6 +104,15 @@ pub enum FabricError {
     /// A channel, injection or ejection capacity is zero: no packet could
     /// ever pass that FIFO.
     ZeroCapacity,
+    /// The buffers hold more packets in all than a fabric can index: every
+    /// packet id and ring cursor is a `u32`.
+    TooDeep {
+        /// Packets the buffers would hold in all (`usize::MAX` if that
+        /// overflows).
+        slots: usize,
+        /// The ceiling, `u32::MAX`.
+        max: usize,
+    },
 }
 
 impl fmt::Display for FabricError {
@@ -99,6 +123,10 @@ impl fmt::Display for FabricError {
                 "fabric of {nodes} nodes is larger than the {max}-node NodeId address space"
             ),
             FabricError::ZeroCapacity => write!(f, "fabric buffer capacities must be non-zero"),
+            FabricError::TooDeep { slots, max } => write!(
+                f,
+                "fabric buffers hold {slots} packets in all, more than the {max} a fabric indexes"
+            ),
         }
     }
 }
@@ -128,11 +156,34 @@ pub struct LinkReport {
     pub stats: LinkStats,
 }
 
+/// A packet in flight: its message, the cycle its injection was accepted,
+/// the cycle it last moved (it moves at most one hop per cycle), and its
+/// destination node, decoded from the message once at injection so no hop
+/// decodes `m0` again.
 #[derive(Debug)]
 struct Packet {
     msg: Message,
     injected_at: u64,
     moved_at: u64,
+    dest: usize,
+}
+
+/// One channel's FIFO state: the ring slot of its head packet and how many
+/// packets it holds.
+#[derive(Debug, Clone, Copy, Default)]
+struct Chan {
+    head: u32,
+    len: u32,
+}
+
+/// Where one channel lives in the store: its index in `Fabric::chans`, the
+/// first slot of its ring in `Fabric::ring`, and its capacity (the ring's
+/// length).
+#[derive(Debug, Clone, Copy)]
+struct Ring {
+    chan: usize,
+    start: usize,
+    cap: usize,
 }
 
 // Channel-layout arithmetic, shared by the channel operations, the
@@ -163,38 +214,40 @@ fn rank_of_role(role: usize, ports: usize) -> usize {
     }
 }
 
-fn cap_of_c(config: &FabricConfig, role: usize, stride: usize) -> usize {
-    if role == INJECT_ROLE {
-        config.inject_capacity
-    } else if role == stride - 1 {
-        config.eject_capacity
+/// Channel `(node, role)`'s place in the store. Each node owns a block of
+/// `inject + ports × channel + eject` ring slots holding its channels' rings
+/// in role order, so every role keeps its own capacity.
+fn ring_of(config: &FabricConfig, node: usize, role: usize) -> Ring {
+    let ports = config.topo.ports();
+    let link = config.channel_capacity;
+    let eject_at = config.inject_capacity + ports * link;
+    let (offset, cap) = if role == INJECT_ROLE {
+        (0, config.inject_capacity)
+    } else if role == ports + 1 {
+        (eject_at, config.eject_capacity)
     } else {
-        config.channel_capacity
+        (config.inject_capacity + (role - 1) * link, link)
+    };
+    Ring {
+        chan: node * (ports + 2) + role,
+        start: node * (eject_at + config.eject_capacity) + offset,
+        cap,
     }
 }
 
-fn chan_of(node: usize, role: usize, stride: usize) -> usize {
-    node * stride + role
-}
-
-/// The ejection channel of node `dst`.
-fn eject_chan(topo: &TopologyKind, dst: NodeId) -> usize {
-    let stride = topo.stride();
-    chan_of(dst.index(), stride - 1, stride)
-}
-
-/// The node, role and channel index of frontier slot `slot`.
-fn slot_chan(topo: &TopologyKind, slot: usize) -> (usize, usize, usize) {
-    let move_slots = topo.move_slots();
-    let node = slot / move_slots;
-    let role = role_of_rank(slot % move_slots, topo.ports());
-    (node, role, chan_of(node, role, topo.stride()))
+/// The node, role and ring of frontier slot `slot`.
+fn slot_ring(config: &FabricConfig, slot: usize) -> (usize, usize, Ring) {
+    let topo = &config.topo;
+    let node = slot / topo.move_slots();
+    let role = role_of_rank(slot % topo.move_slots(), topo.ports());
+    (node, role, ring_of(config, node, role))
 }
 
 /// The next hop of a packet bound for `dst` at the head of movable channel
 /// `(node, role)`: the node it is located at (a link's far end, or the node
-/// itself for inject), and the role and index of the channel it moves into.
-fn next_hop(topo: &TopologyKind, node: usize, role: usize, dst: usize) -> (usize, usize, usize) {
+/// itself for inject), and the role and ring of the channel it moves into.
+fn next_hop(config: &FabricConfig, node: usize, role: usize, dst: usize) -> (usize, usize, Ring) {
+    let topo = &config.topo;
     let loc = if role == INJECT_ROLE {
         node
     } else {
@@ -204,7 +257,7 @@ fn next_hop(topo: &TopologyKind, node: usize, role: usize, dst: usize) -> (usize
         Hop::Port(p) => 1 + p,
         Hop::Eject => topo.stride() - 1,
     };
-    (loc, role, chan_of(loc, role, topo.stride()))
+    (loc, role, ring_of(config, loc, role))
 }
 
 /// A switched network over a [`TopologyKind`]: deterministic per-hop
@@ -216,6 +269,12 @@ fn next_hop(topo: &TopologyKind, node: usize, role: usize, dst: usize) -> (usize
 /// per-port FIFOs is deadlock-free, and because every source/destination
 /// pair uses a single deterministic path of FIFOs, point-to-point
 /// ordering is preserved (required by SCROLL flits, §2.1.2).
+///
+/// The channels are stored flat. Packets live in one pool, recycled through
+/// a free list, so the pool grows to the peak number in flight. Each channel
+/// is a fixed-capacity ring of packet ids inside one shared `u32` array,
+/// plus a `(head, len)` cursor; a head-of-line move copies one id between
+/// two rings and never moves a packet.
 ///
 /// # Example
 ///
@@ -232,7 +291,14 @@ fn next_hop(topo: &TopologyKind, node: usize, role: usize, dst: usize) -> (usize
 /// ```
 pub struct Fabric {
     config: FabricConfig,
-    chans: Vec<VecDeque<Packet>>,
+    /// Every channel's cursor, indexed `node * stride + role`.
+    chans: Vec<Chan>,
+    /// Every channel's ring of packet ids (see `ring_of` for the layout).
+    ring: Vec<u32>,
+    /// The packets, indexed by id; slots listed in `free` hold stale packets.
+    pool: Vec<Packet>,
+    /// Pool slots free for reuse, most recently freed last.
+    free: Vec<u32>,
     now: u64,
     in_flight: usize,
     stats: NetStats,
@@ -276,7 +342,9 @@ impl Fabric {
     ///
     /// [`FabricError::TooLarge`] if the topology exceeds [`NodeId`]'s
     /// wide-format address space, [`FabricError::ZeroCapacity`] if any
-    /// capacity is zero. Both are checked before anything is allocated.
+    /// capacity is zero, [`FabricError::TooDeep`] if the buffers hold more
+    /// than `u32::MAX` packets in all. All are checked before anything is
+    /// allocated.
     pub fn try_new(config: FabricConfig) -> Result<Fabric, FabricError> {
         let n = config.topo.nodes();
         if n > NodeId::MAX_NODES {
@@ -289,15 +357,27 @@ impl Fabric {
         {
             return Err(FabricError::ZeroCapacity);
         }
-        let stride = config.topo.stride();
-        // Every FIFO is preallocated to its capacity so the steady-state
-        // tick/inject path never allocates.
-        let cap = |i: usize| cap_of_c(&config, i % stride, stride);
+        let max = u32::MAX as usize;
+        let slots = config
+            .topo
+            .ports()
+            .checked_mul(config.channel_capacity)
+            .and_then(|s| s.checked_add(config.inject_capacity))
+            .and_then(|s| s.checked_add(config.eject_capacity))
+            .and_then(|block| block.checked_mul(n))
+            .unwrap_or(usize::MAX);
+        if slots > max {
+            return Err(FabricError::TooDeep { slots, max });
+        }
+        // The ring is one zeroed allocation whose pages are first written
+        // when a packet reaches them; the pool starts empty and grows to the
+        // peak number of packets in flight.
         Ok(Fabric {
             config,
-            chans: (0..n * stride)
-                .map(|i| VecDeque::with_capacity(cap(i)))
-                .collect(),
+            chans: vec![Chan::default(); n * config.topo.stride()],
+            ring: vec![0; slots],
+            pool: Vec::new(),
+            free: Vec::new(),
             now: 0,
             in_flight: 0,
             stats: NetStats::default(),
@@ -314,10 +394,14 @@ impl Fabric {
     ///
     /// * a frontier bit is set iff its movable channel is occupied, and an
     ///   eject-ready bit is set iff its node's ejection channel is;
-    /// * no channel holds more packets than its capacity;
-    /// * no packet has moved later than the current cycle;
-    /// * the in-flight count is the sum of the channel lengths, and every
-    ///   injected packet is either delivered or in flight.
+    /// * every channel's head slot lies inside its ring, and no channel
+    ///   holds more packets than its capacity;
+    /// * every live packet id sits in exactly one ring slot, the free list
+    ///   holds no id twice and no live id, and the live ids number
+    ///   `pool.len() − free.len()`, which is the in-flight count;
+    /// * every live packet's cached destination is its message's, and no
+    ///   packet has moved later than the current cycle;
+    /// * every injected packet is either delivered or in flight.
     ///
     /// # Errors
     ///
@@ -325,38 +409,76 @@ impl Fabric {
     pub fn check_invariants(&self) -> Result<(), String> {
         let topo = self.config.topo;
         let stride = topo.stride();
+        let mut free = vec![false; self.pool.len()];
+        for &id in &self.free {
+            match free.get_mut(id as usize) {
+                None => return Err(format!("free id {id} lies past the pool")),
+                Some(true) => return Err(format!("the free list holds id {id} twice")),
+                Some(slot) => *slot = true,
+            }
+        }
+        let mut placed = vec![false; self.pool.len()];
         let mut held = 0;
-        for (i, q) in self.chans.iter().enumerate() {
+        for (i, c) in self.chans.iter().enumerate() {
             let (node, role) = (i / stride, i % stride);
+            let (head, len) = (c.head as usize, c.len as usize);
             let marked = if role == stride - 1 {
                 self.eject_ready.contains(node)
             } else {
                 self.active
                     .contains(node * topo.move_slots() + rank_of_role(role, topo.ports()))
             };
-            if marked == q.is_empty() {
+            if marked == (len == 0) {
                 return Err(format!(
-                    "node {node} role {role} holds {} packets but its frontier or \
-                     eject-ready bit is {marked}",
-                    q.len()
+                    "node {node} role {role} holds {len} packets but its frontier or \
+                     eject-ready bit is {marked}"
                 ));
             }
-            let cap = cap_of_c(&self.config, role, stride);
-            if q.len() > cap {
-                return Err(format!("channel {i} holds {} > capacity {cap}", q.len()));
-            }
-            if let Some(p) = q.iter().find(|p| p.moved_at > self.now) {
+            let r = ring_of(&self.config, node, role);
+            if len > r.cap || head >= r.cap {
                 return Err(format!(
-                    "channel {i}: a packet moved at cycle {} after now={}",
-                    p.moved_at, self.now
+                    "channel {i} has head {head} and length {len} but capacity {}",
+                    r.cap
                 ));
             }
-            held += q.len();
+            for k in 0..len {
+                let id = self.ring[r.start + (head + k) % r.cap] as usize;
+                let Some(p) = self.pool.get(id) else {
+                    return Err(format!("channel {i} holds id {id}, past the pool"));
+                };
+                if free[id] {
+                    return Err(format!("packet id {id} is in channel {i} and free"));
+                }
+                if std::mem::replace(&mut placed[id], true) {
+                    return Err(format!("packet id {id} sits in two ring slots"));
+                }
+                if p.dest != p.msg.dest().index() {
+                    return Err(format!(
+                        "packet id {id} caches destination {} but its message is bound for {}",
+                        p.dest,
+                        p.msg.dest().index()
+                    ));
+                }
+                if p.moved_at > self.now {
+                    return Err(format!(
+                        "channel {i}: a packet moved at cycle {} after now={}",
+                        p.moved_at, self.now
+                    ));
+                }
+            }
+            held += len;
+        }
+        if let Some(id) = (0..self.pool.len()).find(|&id| !free[id] && !placed[id]) {
+            return Err(format!(
+                "packet id {id} is neither free nor in a ring (leaked)"
+            ));
         }
         let s = &self.stats;
-        if held != self.in_flight || s.injected != s.delivered + held as u64 {
+        let live = self.pool.len() - self.free.len();
+        if held != self.in_flight || live != held || s.injected != s.delivered + held as u64 {
             return Err(format!(
-                "in_flight={} but the channels hold {held}; injected={}, delivered={}",
+                "in_flight={} but the channels hold {held} and the pool {live}; \
+                 injected={}, delivered={}",
                 self.in_flight, s.injected, s.delivered
             ));
         }
@@ -427,44 +549,74 @@ impl Fabric {
         self.config
     }
 
+    /// The id of the packet at the head of `r`, if it holds one.
+    fn front(&self, r: Ring) -> Option<u32> {
+        let c = self.chans[r.chan];
+        (c.len > 0).then(|| self.ring[r.start + c.head as usize])
+    }
+
+    /// Removes the head of non-empty `r`; returns whether `r` is now empty.
+    fn pop(&mut self, r: Ring) -> bool {
+        let c = &mut self.chans[r.chan];
+        c.head = if c.head as usize + 1 == r.cap {
+            0
+        } else {
+            c.head + 1
+        };
+        c.len -= 1;
+        c.len == 0
+    }
+
+    /// Appends packet `id` to `r`, which has room; returns whether `r` was
+    /// empty before.
+    fn push(&mut self, r: Ring, id: u32) -> bool {
+        let c = &mut self.chans[r.chan];
+        let mut at = c.head as usize + c.len as usize;
+        if at >= r.cap {
+            at -= r.cap;
+        }
+        self.ring[r.start + at] = id;
+        c.len += 1;
+        c.len == 1
+    }
+
     /// The one head-of-line move attempt, for frontier slot `slot`: the
     /// frontier walk and the dense cross-check both call it. Packets stamped
     /// `moved_at == now` have already hopped this cycle.
     fn move_head(&mut self, slot: usize) {
-        let topo = self.config.topo;
-        let stride = topo.stride();
-        let (node, role, src) = slot_chan(&topo, slot);
+        let config = self.config;
+        let (node, role, src) = slot_ring(&config, slot);
         // Only the dense scan visits empty channels; the frontier guarantees
         // occupancy.
-        let Some(head) = self.chans[src].front() else {
+        let Some(id) = self.front(src) else {
             return;
         };
+        let head = &self.pool[id as usize];
         if head.moved_at >= self.now {
             return;
         }
-        let (loc, tgt_role, tgt) = next_hop(&topo, node, role, head.msg.dest().index());
-        if self.chans[tgt].len() >= cap_of_c(&self.config, tgt_role, stride) {
+        let (loc, tgt_role, tgt) = next_hop(&config, node, role, head.dest);
+        if self.chans[tgt.chan].len as usize >= tgt.cap {
             self.stats.blocked_hops += 1;
             if self.observe {
-                self.links[src].blocked += 1;
+                self.links[src.chan].blocked += 1;
             }
             return;
         }
-        let mut p = self.chans[src].pop_front().expect("head checked");
-        p.moved_at = self.now;
-        if self.chans[src].is_empty() {
+        self.pool[id as usize].moved_at = self.now;
+        if self.pop(src) {
             self.active.remove(slot);
         }
-        self.chans[tgt].push_back(p);
-        if self.chans[tgt].len() == 1 {
-            if tgt_role == stride - 1 {
+        if self.push(tgt, id) {
+            let topo = config.topo;
+            if tgt_role == topo.stride() - 1 {
                 self.eject_ready.insert(loc);
             } else {
                 let rank = rank_of_role(tgt_role, topo.ports());
                 self.active.insert(loc * topo.move_slots() + rank);
             }
         }
-        self.note_push(tgt);
+        self.note_push(tgt.chan);
     }
 
     /// Raises channel `chan`'s occupancy high-water mark after a push, when
@@ -472,8 +624,15 @@ impl Fabric {
     fn note_push(&mut self, chan: usize) {
         if self.observe {
             let link = &mut self.links[chan];
-            link.hwm = link.hwm.max(self.chans[chan].len());
+            link.hwm = link.hwm.max(self.chans[chan].len as usize);
         }
+    }
+
+    /// The ejection ring of node `dst`, or `None` if the fabric has no such
+    /// node.
+    fn eject_ring(&self, dst: NodeId) -> Option<Ring> {
+        let topo = &self.config.topo;
+        (dst.index() < topo.nodes()).then(|| ring_of(&self.config, dst.index(), topo.stride() - 1))
     }
 }
 
@@ -484,46 +643,57 @@ impl Network for Fabric {
 
     fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
         let topo = self.config.topo;
-        if msg.dest().index() >= topo.nodes() {
+        let (node, dest) = (src.index(), msg.dest().index());
+        if node >= topo.nodes() || dest >= topo.nodes() {
             self.stats.bad_dest += 1;
             return Err(InjectError::BadDest(msg));
         }
-        let node = src.index();
-        let chan = chan_of(node, INJECT_ROLE, topo.stride());
-        let q = &mut self.chans[chan];
-        if q.len() >= self.config.inject_capacity {
+        let r = ring_of(&self.config, node, INJECT_ROLE);
+        if self.chans[r.chan].len as usize >= r.cap {
             self.stats.inject_refusals += 1;
             return Err(InjectError::Refused(msg));
         }
-        q.push_back(Packet {
+        let packet = Packet {
             msg,
             injected_at: self.now,
             moved_at: self.now,
-        });
-        if q.len() == 1 {
+            dest,
+        };
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.pool[id as usize] = packet;
+                id
+            }
+            None => {
+                self.pool.push(packet);
+                (self.pool.len() - 1) as u32
+            }
+        };
+        if self.push(r, id) {
             let rank = rank_of_role(INJECT_ROLE, topo.ports());
             self.active.insert(node * topo.move_slots() + rank);
         }
         self.in_flight += 1;
         self.stats.injected += 1;
         self.stats.in_flight_hwm = self.stats.in_flight_hwm.max(self.in_flight);
-        self.note_push(chan);
+        self.note_push(r.chan);
         Ok(())
     }
 
     fn peek_eject(&self, dst: NodeId) -> Option<&Message> {
-        self.chans[eject_chan(&self.config.topo, dst)]
-            .front()
-            .map(|p| &p.msg)
+        let id = self.front(self.eject_ring(dst)?)?;
+        Some(&self.pool[id as usize].msg)
     }
 
     fn eject(&mut self, dst: NodeId) -> Option<Message> {
-        let q = &mut self.chans[eject_chan(&self.config.topo, dst)];
-        let p = q.pop_front()?;
-        if q.is_empty() {
+        let r = self.eject_ring(dst)?;
+        let id = self.front(r)?;
+        if self.pop(r) {
             self.eject_ready.remove(dst.index());
         }
+        self.free.push(id);
         self.in_flight -= 1;
+        let p = &self.pool[id as usize];
         self.stats.record_delivery(self.now - p.injected_at);
         Some(p.msg)
     }
@@ -885,6 +1055,186 @@ mod tests {
         }
     }
 
+    /// One heterogeneous-capacity run: 20 cycles of seeded traffic (three
+    /// offers a cycle, half of them to hot-spot node 0, refused offers
+    /// dropped) drained only every fourth cycle, then drained every cycle
+    /// until empty. Returns the delivery
+    /// sequence as `cycle:node:tag` triples and the counters.
+    fn hetero_run(
+        topo: TopologyKind,
+        (inject, channel, eject): (usize, usize, usize),
+    ) -> (String, [u64; 8]) {
+        let mut net = Fabric::new(FabricConfig {
+            topo,
+            channel_capacity: channel,
+            inject_capacity: inject,
+            eject_capacity: eject,
+        });
+        let n = net.node_count() as u64;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ (inject * 100 + channel * 10 + eject) as u64;
+        let mut got = Vec::new();
+        for cycle in 1..=200u32 {
+            if cycle <= 20 {
+                for k in 0..3u32 {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let src = ((x >> 33) % n) as u16;
+                    let dst = if x >> 63 == 1 {
+                        0
+                    } else {
+                        ((x >> 13) % n) as u16
+                    };
+                    let _ = net.inject(NodeId::new(src), msg(dst, cycle * 3 + k));
+                }
+            }
+            net.tick();
+            net.check_invariants().unwrap();
+            if cycle > 20 || cycle % 4 == 0 {
+                for d in 0..n as u16 {
+                    while let Some(m) = net.eject(NodeId::new(d)) {
+                        got.push(format!("{cycle}:{d}:{}", m.words[1]));
+                    }
+                }
+            }
+            if cycle > 20 && net.in_flight() == 0 {
+                break;
+            }
+        }
+        assert_eq!(net.in_flight(), 0, "{} drains", topo.name());
+        let s = net.stats();
+        let counters = [
+            s.injected,
+            s.delivered,
+            s.inject_refusals,
+            s.blocked_hops,
+            s.total_latency,
+            s.in_flight_hwm as u64,
+            s.scan.scanned_channels,
+            s.scan.skipped_work,
+        ];
+        (got.join(" "), counters)
+    }
+
+    /// Buffer depths that differ per role — injection, link and ejection
+    /// FIFOs of 1/3/2 and 5/2/7 packets — on every topology, with enough
+    /// blocking that each capacity binds. The delivery sequence and the
+    /// counters are pinned, so any change to how a channel's capacity is
+    /// laid out or enforced shows here.
+    #[test]
+    fn heterogeneous_capacities_pin_delivery_and_stats() {
+        // (topology, (inject, channel, eject) capacities, deliveries,
+        // [injected, delivered, inject_refusals, blocked_hops,
+        // total_latency, in_flight_hwm, scanned_channels, skipped_work]).
+        #[rustfmt::skip]
+        let pinned = [
+        (
+            "mesh",
+            (1, 3, 2),
+            "4:0:3 4:0:8 4:2:5 4:2:4 4:3:6 8:0:12 8:0:13 8:2:22 8:3:7 8:5:15 \
+             12:0:25 12:0:17 12:1:24 12:2:35 16:0:33 16:0:21 16:4:45 20:0:42 \
+             20:0:20 20:1:59 20:4:53 21:0:29 21:0:11 22:0:34 22:0:10 23:0:26 \
+             23:0:19 24:0:28 24:0:23 25:0:31 25:0:14 26:0:41 26:0:9 27:0:54 \
+             27:0:18 28:0:30 29:0:36 30:0:50 31:0:61",
+            [39, 39, 21, 107, 411, 22, 205, 725],
+        ),
+        (
+            "mesh",
+            (5, 2, 7),
+            "4:0:6 4:0:4 4:0:5 4:0:3 4:0:10 4:1:8 4:2:11 4:4:7 8:0:19 8:0:20 \
+             8:0:17 8:0:14 8:1:12 8:1:15 8:3:16 8:5:9 8:5:13 12:0:27 12:0:22 \
+             12:0:24 12:0:23 12:0:25 12:0:29 12:0:35 12:1:33 12:2:26 12:2:28 \
+             16:0:36 16:0:30 16:0:18 16:0:37 16:0:32 16:0:21 16:0:42 16:1:40 \
+             16:3:31 16:4:46 16:5:38 20:0:44 20:0:34 20:0:52 20:0:39 20:0:48 \
+             20:0:51 20:0:58 20:2:41 20:3:50 20:3:55 20:4:47 20:4:53 21:0:62 \
+             21:0:54 21:0:43 22:0:49 22:0:45 23:0:60 23:0:61 24:0:57 25:0:56 \
+             26:0:59",
+            [60, 60, 0, 19, 298, 22, 165, 615],
+        ),
+        (
+            "torus",
+            (1, 3, 2),
+            "4:0:3 4:0:8 4:2:5 4:2:4 4:3:6 4:3:7 8:0:12 8:0:13 8:2:22 8:5:15 \
+             12:0:25 12:0:21 12:1:24 12:2:35 16:0:33 16:0:29 16:4:45 16:5:37 \
+             20:0:42 20:0:34 20:1:59 20:4:53 21:0:17 21:0:11 22:0:20 22:0:10 \
+             23:0:26 23:0:9 24:0:28 24:0:19 25:0:14 26:0:18 27:0:30 28:0:44 \
+             29:0:36 30:0:50 31:0:61",
+            [37, 37, 23, 111, 365, 20, 192, 1482],
+        ),
+        (
+            "torus",
+            (5, 2, 7),
+            "4:0:6 4:0:4 4:0:5 4:0:3 4:0:10 4:1:8 4:2:11 4:4:7 8:0:17 8:0:14 \
+             8:0:19 8:0:20 8:0:22 8:1:12 8:1:15 8:3:16 8:5:9 8:5:13 12:0:27 \
+             12:0:24 12:0:18 12:0:25 12:0:23 12:0:30 12:0:29 12:1:33 12:2:26 \
+             12:2:28 12:3:31 16:0:35 16:0:32 16:0:21 16:0:36 16:0:34 16:0:37 \
+             16:0:42 16:1:40 16:4:46 16:5:38 20:0:44 20:0:48 20:0:39 20:0:52 \
+             20:0:49 20:0:43 20:0:54 20:2:41 20:3:50 20:3:55 20:4:47 20:4:53 \
+             21:0:58 21:0:60 21:0:51 22:0:62 22:0:45 23:0:61 24:0:57 25:0:59 \
+             26:0:56",
+            [60, 60, 0, 20, 279, 21, 147, 1257],
+        ),
+        (
+            "ring",
+            (1, 3, 2),
+            "4:0:8 4:0:12 4:2:5 4:2:4 4:3:6 4:3:7 8:0:13 8:0:3 8:2:22 8:5:15 \
+             12:0:25 12:0:17 12:4:27 16:0:33 16:0:21 20:0:42 20:0:20 20:1:59 \
+             20:4:45 20:4:53 20:5:56 21:0:29 21:0:9 22:0:34 22:0:10 23:0:26 \
+             23:0:11 24:0:28 25:0:31 25:0:14 25:1:24 25:1:38 26:0:41 26:0:18 \
+             27:0:54 27:0:19 28:0:30 29:0:23 30:0:39 31:0:43",
+            [40, 40, 20, 122, 439, 25, 237, 693],
+        ),
+        (
+            "ring",
+            (5, 2, 7),
+            "4:0:6 4:0:4 4:0:5 4:0:3 4:1:8 4:2:11 4:4:7 4:5:9 8:0:14 8:0:10 \
+             8:0:19 8:0:18 8:0:17 8:0:21 8:1:12 8:1:15 8:3:16 8:5:13 12:0:27 \
+             12:0:20 12:0:24 12:0:25 12:0:22 12:0:35 12:0:30 12:1:33 12:2:28 \
+             12:2:26 12:3:31 16:0:36 16:0:32 16:0:23 16:0:37 16:0:29 16:0:42 \
+             16:0:34 16:4:46 16:5:38 20:0:44 20:0:39 20:0:52 20:0:45 20:0:48 \
+             20:0:58 20:0:54 20:2:41 20:4:47 20:4:53 21:0:62 21:0:49 21:0:56 \
+             21:1:40 21:3:50 22:0:60 22:0:43 22:3:55 23:0:51 24:0:57 25:0:59 \
+             26:0:61",
+            [60, 60, 0, 18, 287, 22, 179, 601],
+        ),
+        (
+            "full",
+            (1, 3, 2),
+            "4:0:3 4:0:8 4:2:5 4:2:4 4:3:6 4:3:7 8:0:12 8:0:13 8:2:22 8:5:15 \
+             12:0:25 12:0:21 12:1:24 12:2:35 12:4:27 16:0:33 16:0:29 16:1:38 \
+             16:4:45 20:0:42 20:0:34 20:1:59 20:4:53 21:0:17 21:0:11 22:0:20 \
+             22:0:19 23:0:26 23:0:23 24:0:28 24:0:39 25:0:10 25:0:9 26:0:14 \
+             26:0:36 27:0:18 27:0:50 28:0:30 28:0:61",
+            [39, 39, 21, 128, 380, 22, 201, 975],
+        ),
+        (
+            "full",
+            (5, 2, 7),
+            "4:0:6 4:0:4 4:0:5 4:0:3 4:0:10 4:1:8 4:2:11 4:4:7 4:5:9 8:0:14 \
+             8:0:17 8:0:19 8:0:20 8:0:18 8:0:22 8:0:21 8:1:12 8:1:15 8:3:16 \
+             8:5:13 12:0:27 12:0:24 12:0:23 12:0:25 12:0:29 12:0:30 12:0:35 \
+             12:1:33 12:2:26 12:2:28 12:3:31 16:0:36 16:0:32 16:0:34 16:0:37 \
+             16:0:39 16:0:42 16:0:44 16:1:40 16:2:41 16:4:46 16:5:38 20:0:48 \
+             20:0:43 20:0:45 20:0:52 20:0:49 20:0:51 20:0:58 20:3:50 20:3:55 \
+             20:4:47 20:4:53 21:0:62 21:0:54 21:0:61 21:0:57 21:0:56 22:0:60 \
+             22:0:59",
+            [60, 60, 0, 10, 231, 18, 120, 804],
+        ),
+        ];
+        for (name, mix, seq, counters) in pinned {
+            let topo = match name {
+                "mesh" => TopologyKind::mesh(3, 2),
+                "torus" => TopologyKind::torus(3, 2),
+                "ring" => TopologyKind::ring(6),
+                _ => TopologyKind::full(6),
+            };
+            let (got_seq, got_counters) = hetero_run(topo, mix);
+            assert_eq!(got_seq, seq, "{name} {mix:?}: delivery sequence");
+            assert_eq!(got_counters, counters, "{name} {mix:?}: counters");
+            assert!(counters[3] > 0, "{name} {mix:?}: some head blocked");
+        }
+    }
+
     /// Ticks of an empty fabric cost (and count) nothing — the property
     /// that keeps scan counters identical under the quiescence fast-forward.
     #[test]
@@ -939,6 +1289,29 @@ mod tests {
         ] {
             assert_eq!(Fabric::try_new(cfg).err(), Some(FabricError::ZeroCapacity));
         }
+        let max = u32::MAX as usize;
+        let deep = FabricConfig {
+            channel_capacity: max,
+            ..FabricConfig::new(2, 2)
+        };
+        assert_eq!(
+            Fabric::try_new(deep).err(),
+            Some(FabricError::TooDeep {
+                slots: 4 * (4 * max + 8),
+                max
+            })
+        );
+        let overflowing = FabricConfig {
+            eject_capacity: usize::MAX,
+            ..FabricConfig::new(2, 2)
+        };
+        assert_eq!(
+            Fabric::try_new(overflowing).err(),
+            Some(FabricError::TooDeep {
+                slots: usize::MAX,
+                max
+            })
+        );
         assert!(Fabric::try_new(FabricConfig::new(2, 2)).is_ok());
     }
 
@@ -954,7 +1327,31 @@ mod tests {
         net.stats.injected += 1;
         assert!(net.check_invariants().unwrap_err().contains("injected"));
         net.stats.injected -= 1;
-        net.chans[0].front_mut().unwrap().moved_at = 5;
+        net.pool[0].moved_at = 5;
         assert!(net.check_invariants().unwrap_err().contains("moved at"));
+        net.pool[0].moved_at = 0;
+        net.pool[0].dest = 2;
+        assert!(net
+            .check_invariants()
+            .unwrap_err()
+            .contains("caches destination"));
+        net.pool[0].dest = 3;
+        // Node 0's injection ring starts the store; a second packet's slot
+        // naming the first's id duplicates it.
+        net.inject(NodeId::new(0), msg(3, 2)).unwrap();
+        let second = net.ring[1];
+        net.ring[1] = net.ring[0];
+        assert!(net
+            .check_invariants()
+            .unwrap_err()
+            .contains("two ring slots"));
+        net.ring[1] = second;
+        assert_eq!(drain(&mut net, 3, 16), vec![1, 2]);
+        net.check_invariants().unwrap();
+        // A freed id taken off the free list but never placed has leaked.
+        let id = net.free.pop().unwrap();
+        assert!(net.check_invariants().unwrap_err().contains("leaked"));
+        net.free.extend([id, id]);
+        assert!(net.check_invariants().unwrap_err().contains("twice"));
     }
 }

@@ -170,9 +170,12 @@ impl FaultyFabric {
     }
 
     /// The eject gate: whether `dst`'s eject port is open this cycle (a
-    /// stalled port hides deliverable messages from peek and eject).
+    /// stalled port hides deliverable messages from peek and eject; a node
+    /// the fabric does not have has no port).
     fn eject_open(&self, dst: NodeId) -> bool {
-        self.now >= self.eject_stall[dst.index()]
+        self.eject_stall
+            .get(dst.index())
+            .is_some_and(|&until| self.now >= until)
     }
 
     /// Ends a cycle of the base fabric: advances fabric time and rolls the
@@ -213,6 +216,11 @@ impl Network for FaultyFabric {
     /// source node's private stream, and the possibly-corrupted wire copy
     /// enters the base fabric.
     fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
+        // A source the fabric does not have has no port to stall or stream
+        // to draw from: the base fabric rejects it as `bad_dest`.
+        if src.index() >= self.inject_stall.len() {
+            return self.inner.inject(src, msg);
+        }
         if self.now < self.inject_stall[src.index()] {
             self.stall_refusals += 1;
             return Err(InjectError::Refused(msg));

@@ -63,8 +63,9 @@ impl IdealNetwork {
     }
 
     fn deliverable(&self, dst: NodeId) -> bool {
-        self.queues[dst.index()]
-            .front()
+        self.queues
+            .get(dst.index())
+            .and_then(VecDeque::front)
             .is_some_and(|p| p.arrives_at <= self.now)
     }
 }
@@ -74,9 +75,9 @@ impl Network for IdealNetwork {
         self.queues.len()
     }
 
-    fn inject(&mut self, _src: NodeId, msg: Message) -> Result<(), InjectError> {
+    fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError> {
         let dst = msg.dest();
-        if dst.index() >= self.queues.len() {
+        if src.index() >= self.queues.len() || dst.index() >= self.queues.len() {
             self.stats.bad_dest += 1;
             return Err(InjectError::BadDest(msg));
         }

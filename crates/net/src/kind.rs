@@ -196,6 +196,43 @@ mod tests {
             .is_none());
     }
 
+    /// A node past the end of the fabric is a typed rejection on all three
+    /// networks: injecting from it or to it is `BadDest`, counted in
+    /// `bad_dest` before any stall gate or fault draw, and peeking or
+    /// ejecting there finds nothing.
+    #[test]
+    fn out_of_range_nodes_are_rejected_without_a_panic() {
+        use crate::{FabricConfig, FaultConfig, FaultyFabric};
+        let nets: [NetworkKind; 3] = [
+            IdealNetwork::new(4, 1).into(),
+            Fabric::new(FabricConfig::new(2, 2)).into(),
+            FaultyFabric::new(
+                Fabric::new(FabricConfig::new(2, 2)).into(),
+                FaultConfig::uniform(3, 1000),
+            )
+            .into(),
+        ];
+        for mut net in nets {
+            let name = net.base_name();
+            let to = |dst| Message::to(NodeId::new(dst), [0; 5], MsgType::new(2).unwrap());
+            for (src, dst) in [(4, 1), (1, 4), (255, 255)] {
+                let m = to(dst);
+                match net.inject(NodeId::new(src), m) {
+                    Err(InjectError::BadDest(back)) => assert_eq!(back, m, "{name}"),
+                    other => panic!("{name}: {src}->{dst} gave {other:?}"),
+                }
+            }
+            for dst in [4, 255] {
+                assert!(net.peek_eject(NodeId::new(dst)).is_none(), "{name}");
+                assert!(net.eject(NodeId::new(dst)).is_none(), "{name}");
+            }
+            let s = net.stats();
+            assert_eq!((s.bad_dest, s.injected), (3, 0), "{name}");
+            assert!(!s.faults.any(), "{name}: no fault was drawn");
+            assert_eq!(net.in_flight(), 0, "{name}");
+        }
+    }
+
     #[test]
     fn base_name_reports_the_topology() {
         use crate::{FaultConfig, FaultyFabric};

@@ -56,9 +56,9 @@ pub enum InjectError {
     /// is the boundary where congestion backs up into the sender's output
     /// queue (§2.1.1).
     Refused(Message),
-    /// The destination node does not exist on this fabric. The message can
-    /// never be delivered; retrying is futile. The machine simulator drops
-    /// such messages (counted in [`NetStats::bad_dest`]).
+    /// The source or destination node does not exist on this fabric. The
+    /// message can never be delivered; retrying is futile. The machine
+    /// simulator drops such messages (counted in [`NetStats::bad_dest`]).
     BadDest(Message),
     /// A collective message was started on a node outside the collective's
     /// member set (the combining tree does not span it). Retrying is
@@ -97,14 +97,17 @@ pub trait Network {
     /// [`InjectError::Refused`] when the injection buffer is full (keep the
     /// message queued and retry — this is the boundary where congestion
     /// backs up into the sender's output queue);
-    /// [`InjectError::BadDest`] when the destination is not a node of this
-    /// fabric (retrying cannot help; the caller decides whether to drop).
+    /// [`InjectError::BadDest`] when the source or destination is not a
+    /// node of this fabric (retrying cannot help; the caller decides whether
+    /// to drop).
     fn inject(&mut self, src: NodeId, msg: Message) -> Result<(), InjectError>;
 
-    /// The message ready for delivery at `dst` this cycle, if any.
+    /// The message ready for delivery at `dst` this cycle, if any (`None`
+    /// when `dst` is not a node of this fabric).
     fn peek_eject(&self, dst: NodeId) -> Option<&Message>;
 
-    /// Removes and returns the message ready at `dst`.
+    /// Removes and returns the message ready at `dst` (`None` when `dst` is
+    /// not a node of this fabric).
     fn eject(&mut self, dst: NodeId) -> Option<Message>;
 
     /// Advances the fabric by one cycle.

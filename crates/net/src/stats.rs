@@ -244,8 +244,8 @@ pub struct NetStats {
     pub delivered: u64,
     /// Injections refused because the entry buffer was full.
     pub inject_refusals: u64,
-    /// Injections rejected because the destination does not exist on this
-    /// fabric (counted per attempt; see [`crate::InjectError::BadDest`]).
+    /// Injections rejected because the source or destination does not
+    /// exist on this fabric (counted per attempt; see [`crate::InjectError::BadDest`]).
     pub bad_dest: u64,
     /// Sum of per-message latencies, in cycles.
     ///

@@ -71,6 +71,15 @@ pub enum BuildError {
     /// The configured fabric has a zero channel, injection or ejection
     /// capacity: no packet could ever pass that buffer.
     ZeroCapacity,
+    /// The configured fabric's buffers hold more packets in all than a
+    /// fabric can index (`u32::MAX`).
+    FabricTooDeep {
+        /// Packets the buffers would hold in all (`usize::MAX` if that
+        /// overflows).
+        slots: usize,
+        /// The ceiling.
+        max: usize,
+    },
     /// The delivery protocol was configured with a zero-message window
     /// ([`DeliveryConfig::window`]): no sender could ever have a message
     /// in flight.
@@ -143,6 +152,10 @@ impl fmt::Display for BuildError {
                 )
             }
             BuildError::ZeroCapacity => write!(f, "fabric buffer capacities must be non-zero"),
+            BuildError::FabricTooDeep { slots, max } => write!(
+                f,
+                "fabric buffers hold {slots} packets in all, more than the {max} a fabric indexes"
+            ),
             BuildError::ZeroDeliveryWindow => write!(f, "delivery window must be at least 1"),
             BuildError::CollectiveTreeMismatch(TreeMismatch::Size { tree_nodes, nodes }) => {
                 write!(
@@ -1385,6 +1398,8 @@ impl MachineBuilder {
     /// when a fully-connected fabric exceeds its scaling ceiling or any
     /// fabric exceeds the [`NodeId`] address space;
     /// [`BuildError::ZeroCapacity`] when a fabric buffer capacity is zero;
+    /// [`BuildError::FabricTooDeep`] when its buffers hold more than
+    /// `u32::MAX` packets in all;
     /// [`BuildError::ZeroDeliveryWindow`] when the delivery protocol's
     /// window is zero; [`BuildError::FormatTooSmall`] when a pinned wire format cannot
     /// address the node count;
@@ -1435,6 +1450,9 @@ impl MachineBuilder {
                             max,
                         },
                         FabricError::ZeroCapacity => BuildError::ZeroCapacity,
+                        FabricError::TooDeep { slots, max } => {
+                            BuildError::FabricTooDeep { slots, max }
+                        }
                     })?
                     .into()
             }

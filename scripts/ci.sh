@@ -29,6 +29,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== tests (offline, all crates) =="
 cargo test --workspace --release --offline -q
 
+echo "== fabric tests in debug mode (overflow checks and debug assertions on) =="
+# Every other step builds --release, where integer overflow wraps silently
+# and debug_assert! compiles away. The fabric's ring-index arithmetic and
+# the drawn-capacity properties run here with both checked.
+cargo test --offline -q -p tcni-net
+cargo test --offline -q --test prop_network
+
 echo "== benchmark package tests (its own workspace, quick schedules) =="
 # The benchmark is a separate package that builds the simulator crates from
 # source; `--workspace` above does not reach its tests.

@@ -251,6 +251,25 @@ fn a_zero_capacity_fabric_is_a_typed_error() {
 }
 
 #[test]
+fn a_fabric_too_deep_to_index_is_a_typed_error() {
+    let cfg = FabricConfig {
+        channel_capacity: u32::MAX as usize,
+        ..FabricConfig::new(2, 2)
+    };
+    let err = MachineBuilder::try_new(4)
+        .expect("4 nodes are fine")
+        .network_fabric(cfg)
+        .try_build()
+        .err()
+        .expect("buffers past u32::MAX packets are rejected");
+    assert!(
+        matches!(err, BuildError::FabricTooDeep { slots, .. } if slots > u32::MAX as usize),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("a fabric indexes"), "{err}");
+}
+
+#[test]
 fn a_grid_tree_on_a_ring_fabric_is_a_typed_shape_error() {
     // A mesh-shaped combining tree assumes row/column links a ring does
     // not have; mounting it used to be representable (and silently wrong),

@@ -1,10 +1,13 @@
-//! Randomized tests (tcni-check) across crates: the mesh and the ideal
-//! network agree on *what* is delivered (the mesh only changes *when*),
-//! point-to-point order survives both fabrics, and the interface's queueing
-//! is loss-free under arbitrary traffic.
+//! Randomized tests (tcni-check) across crates: a switched fabric and the
+//! ideal network agree on *what* is delivered (the fabric only changes
+//! *when*), point-to-point order survives the fabric, the fabric's hot-set
+//! scan moves exactly what the dense scan moves, and the interface's
+//! queueing is loss-free under arbitrary traffic. The fabrics are drawn:
+//! any of the four topologies, with each buffer role's depth drawn in
+//! 1..=6, and their invariants are checked after every tick.
 
 use tcni::core::{Message, MsgType, NetworkInterface, NiConfig, NodeId};
-use tcni::net::{Fabric, FabricConfig, IdealNetwork, Network};
+use tcni::net::{Fabric, FabricConfig, IdealNetwork, Network, Topology, TopologyKind};
 use tcni_check::{check, Rng};
 
 const CASES: u64 = 64;
@@ -26,10 +29,44 @@ fn arb_traffic(rng: &mut Rng, nodes: u16, len: usize) -> Vec<Traffic> {
         .collect()
 }
 
-fn push_through(net: &mut dyn Network, traffic: &[Traffic]) -> Vec<(u16, u32)> {
+/// A switched fabric of six or nine nodes on a drawn topology, with the
+/// injection, link and ejection buffer depths each drawn in 1..=6.
+fn arb_fabric(rng: &mut Rng) -> FabricConfig {
+    let rows = rng.range(2, 4) as usize;
+    let topo = match rng.below(4) {
+        0 => TopologyKind::mesh(3, rows),
+        1 => TopologyKind::torus(3, rows),
+        2 => TopologyKind::ring(3 * rows),
+        _ => TopologyKind::full(3 * rows),
+    };
+    let mut depth = || rng.range(1, 7) as usize;
+    FabricConfig {
+        topo,
+        inject_capacity: depth(),
+        channel_capacity: depth(),
+        eject_capacity: depth(),
+    }
+}
+
+/// A fabric whose invariants are checked after every tick.
+fn checked(net: &Fabric) {
+    if let Err(e) = net.check_invariants() {
+        panic!("{:?}: {e}", net.config());
+    }
+}
+
+/// Offers `traffic` in order, retrying each refused message after a tick,
+/// then ticks until the network drains; every node is drained after every
+/// tick, and `check` runs after every tick too. Returns the deliveries as
+/// `(node, tag)` in the order they left the network.
+fn push_through<N: Network>(
+    net: &mut N,
+    traffic: &[Traffic],
+    check: impl Fn(&N),
+) -> Vec<(u16, u32)> {
     let nodes = net.node_count() as u16;
     let mut delivered = Vec::new();
-    let drain = |net: &mut dyn Network, delivered: &mut Vec<(u16, u32)>| {
+    let drain = |net: &mut N, delivered: &mut Vec<(u16, u32)>| {
         for n in 0..nodes {
             while let Some(m) = net.eject(NodeId::new(n)) {
                 delivered.push((n, m.words[1]));
@@ -48,6 +85,7 @@ fn push_through(net: &mut dyn Network, traffic: &[Traffic]) -> Vec<(u16, u32)> {
                 Err(e) => {
                     msg = e.into_message();
                     net.tick();
+                    check(net);
                     drain(net, &mut delivered);
                 }
             }
@@ -58,44 +96,76 @@ fn push_through(net: &mut dyn Network, traffic: &[Traffic]) -> Vec<(u16, u32)> {
             break;
         }
         net.tick();
+        check(net);
         drain(net, &mut delivered);
     }
     delivered
 }
 
-/// Both fabrics deliver exactly the same multiset of (destination, tag).
+/// A drawn fabric and the ideal network deliver exactly the same multiset
+/// of (destination, tag).
 #[test]
 fn mesh_and_ideal_deliver_the_same_messages() {
     check("mesh_and_ideal_deliver_the_same_messages", CASES, |rng| {
-        let traffic = arb_traffic(rng, 9, 60);
-        let mut mesh = Fabric::new(FabricConfig::new(3, 3));
-        let mut ideal = IdealNetwork::new(9, 2);
-        let mut got_mesh = push_through(&mut mesh, &traffic);
-        let mut got_ideal = push_through(&mut ideal, &traffic);
-        assert_eq!(mesh.in_flight(), 0, "mesh must drain");
-        got_mesh.sort_unstable();
+        let cfg = arb_fabric(rng);
+        let nodes = cfg.topo.nodes();
+        let traffic = arb_traffic(rng, nodes as u16, 60);
+        let mut fabric = Fabric::new(cfg);
+        let mut ideal = IdealNetwork::new(nodes, 2);
+        let mut got_fabric = push_through(&mut fabric, &traffic, checked);
+        let mut got_ideal = push_through(&mut ideal, &traffic, |_| {});
+        assert_eq!(fabric.in_flight(), 0, "{cfg:?} must drain");
+        got_fabric.sort_unstable();
         got_ideal.sort_unstable();
-        assert_eq!(got_mesh, got_ideal);
+        assert_eq!(got_fabric, got_ideal, "{cfg:?}");
     });
 }
 
 /// Point-to-point order: tags from one source to one destination arrive in
-/// injection order over the mesh (the SCROLL flit requirement).
+/// injection order over a drawn fabric (the SCROLL flit requirement).
 #[test]
 fn mesh_preserves_pairwise_order() {
     check("mesh_preserves_pairwise_order", CASES, |rng| {
+        let cfg = arb_fabric(rng);
         let count = rng.range(1, 24) as u32;
-        let mut mesh = Fabric::new(FabricConfig::new(3, 2));
+        let mut fabric = Fabric::new(cfg);
         let traffic: Vec<Traffic> = (0..count)
             .map(|i| Traffic {
                 src: 0,
-                dst: 5,
+                dst: cfg.topo.nodes() as u16 - 1,
                 tag: i,
             })
             .collect();
-        let got = push_through(&mut mesh, &traffic);
+        let got = push_through(&mut fabric, &traffic, checked);
         let order: Vec<u32> = got.into_iter().map(|(_, tag)| tag).collect();
-        assert_eq!(order, (0..count).collect::<Vec<_>>());
+        assert_eq!(order, (0..count).collect::<Vec<_>>(), "{cfg:?}");
+    });
+}
+
+/// On the same drawn fabric and traffic, the hot-set frontier and the dense
+/// scan deliver the same messages in the same order with the same
+/// counters; only the scan meters differ, and they account for the same
+/// dense cost.
+#[test]
+fn hot_and_dense_scans_agree_on_drawn_fabrics() {
+    check("hot_and_dense_scans_agree_on_drawn_fabrics", CASES, |rng| {
+        let cfg = arb_fabric(rng);
+        let traffic = arb_traffic(rng, cfg.topo.nodes() as u16, 80);
+        let run = |dense: bool| {
+            let mut fabric = Fabric::new(cfg);
+            fabric.set_dense_scan(dense);
+            let got = push_through(&mut fabric, &traffic, checked);
+            (got, fabric.stats())
+        };
+        let (hot, hot_stats) = run(false);
+        let (dense, dense_stats) = run(true);
+        assert_eq!(hot, dense, "{cfg:?}: delivery order");
+        assert_eq!(hot_stats, dense_stats, "{cfg:?}: counters");
+        assert_eq!(
+            hot_stats.scan.scanned_channels + hot_stats.scan.skipped_work,
+            dense_stats.scan.scanned_channels + dense_stats.scan.skipped_work,
+            "{cfg:?}: both scans account for the same dense cost"
+        );
     });
 }
 
