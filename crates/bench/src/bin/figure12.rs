@@ -94,7 +94,7 @@ fn main() {
         let report = obs_run::run_instrumented(obs_run::ring_machine(4, 4, 8), 4096, 200_000);
         print!("{report}");
         let path = "TRACE_figure12.json";
-        std::fs::write(path, report.to_json()).expect("write trace artifact");
+        tcni_bench::write_artifact(path, &report.to_json());
         println!("wrote {path} (schema tcni-trace/1)");
     }
 }

@@ -234,7 +234,7 @@ fn main() {
             points,
         };
         let out_path = out_path.unwrap_or_else(|| "BENCH_collective.json".into());
-        std::fs::write(&out_path, report.to_json()).expect("write collective artifact");
+        tcni_bench::write_artifact(&out_path, &report.to_json());
         println!("wrote {out_path} (schema tcni-coll/1)");
         return;
     }
@@ -287,6 +287,6 @@ fn main() {
         print!("{}", summarize(&report));
     }
     let out_path = out_path.unwrap_or_else(|| "BENCH_loadgen.json".into());
-    std::fs::write(&out_path, report.to_json()).expect("write load artifact");
+    tcni_bench::write_artifact(&out_path, &report.to_json());
     println!("wrote {out_path} (schema tcni-load/1)");
 }

@@ -62,6 +62,6 @@ fn main() {
     }
     // The artifact's internal consistency is part of the contract.
     assert_eq!(report.net.latency_hist.total(), report.net.delivered);
-    std::fs::write(&out_path, report.to_json()).expect("write trace artifact");
+    tcni_bench::write_artifact(&out_path, &report.to_json());
     println!("wrote {out_path} (schema tcni-trace/1)");
 }

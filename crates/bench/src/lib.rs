@@ -16,22 +16,28 @@
 //! * `loadgen` — the synthetic load generator: offered-load/latency sweeps
 //!   over {model × fabric × pattern} cells with saturation detection,
 //!   written as the `tcni-load/1` artifact (see [`load`] and
-//!   EXPERIMENTS.md);
-//! * `perf` — the in-tree performance benches of the simulators themselves
-//!   (see [`perf`]): machine-step throughput, mesh delivery rate, and the
-//!   serial-vs-parallel evaluation pipeline, written to
-//!   `BENCH_simulator.json`. This replaces the former Criterion benches so
-//!   the workspace builds with zero external dependencies.
+//!   EXPERIMENTS.md).
+//!
+//! Host-time performance is measured by the repo benchmark in `benchmark/`
+//! (`BENCHMARK.json`), not by this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod load;
 pub mod obs_run;
-pub mod perf;
 
 use tcni_eval::table1::{ModelCosts, Table1};
 use tcni_sim::Model;
+
+/// Writes a binary's artifact to `path`. On failure it prints the path and
+/// the OS error to stderr and exits with code 1, rather than panicking.
+pub fn write_artifact(path: &str, contents: &str) {
+    if let Err(err) = std::fs::write(path, contents) {
+        eprintln!("cannot write {path}: {err}");
+        std::process::exit(1);
+    }
+}
 
 /// Renders a per-cell comparison of the measured table against the paper's
 /// published numbers (measured − published; ranges compared by midpoint).

@@ -237,8 +237,4 @@ echo "== golden artifacts under TCNI_THREADS=4 (byte-exact, unblessed) =="
 # snapshot is re-proved at 1 worker (above) and 4 workers (here).
 TCNI_THREADS=4 cargo test --release --offline -q --test golden_artifacts
 
-echo "== smoke: perf harness (quick) =="
-TCNI_BENCH_OUT=target/BENCH_simulator.ci.json \
-    cargo run --release --offline -p tcni-bench --bin perf -- --quick
-
 echo "ci.sh: all green"
