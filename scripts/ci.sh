@@ -105,7 +105,7 @@ echo "== smoke: topology axis (torus/ring/full at 1 and 4 workers, ring/full sch
 # full 16×16 points must export the same tcni-load/1 bytes at one and at
 # four workers, like the mesh one; ring and full also
 # get 4×4 schema smokes; the faulty torus collective proves the
-# wrap-embedded tree computes correctly.
+# wrap-embedded tree computes correctly (its golden has "wrong_results": 0).
 run_torus_16x16() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \
         --width 16 --height 16 --models opt-reg --topology torus \
@@ -142,11 +142,17 @@ cargo run --release --offline -p tcni-bench --bin loadgen -- \
     --rates 100 --windows none --warmup 500 --measure 1500 --quiet \
     --out target/BENCH_loadgen_full.ci.json
 grep -q '"fabric": "full"' target/BENCH_loadgen_full.ci.json
-cargo run --release --offline -p tcni-bench --bin loadgen -- \
-    --collective --topology torus --width 8 --height 8 --ops barrier,sum \
-    --rounds 4 --fault 25 --quiet --out target/BENCH_collective_torus.ci.json
-grep -q '"fabric": "torus"' target/BENCH_collective_torus.ci.json
-grep -q '"wrong_results": 0' target/BENCH_collective_torus.ci.json
+# The faulty torus collective is pinned byte-for-byte against its golden
+# snapshot at 1 and 4 workers.
+run_coll_torus() {
+    TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \
+        --collective --topology torus --width 8 --height 8 --ops barrier,sum \
+        --rounds 4 --fault 25 --quiet --out "$2"
+}
+run_coll_torus 1 target/BENCH_collective_torus.serial.json
+run_coll_torus 4 target/BENCH_collective_torus.par4.json
+cmp tests/golden/collective_torus_8x8_faulty.json target/BENCH_collective_torus.serial.json
+cmp tests/golden/collective_torus_8x8_faulty.json target/BENCH_collective_torus.par4.json
 
 echo "== smoke: wide-format 64x64 sweep (TCNI_THREADS=4) matches the committed snapshot =="
 # 4096 nodes sits past the compact format's 256-node ceiling, so this run

@@ -8,6 +8,11 @@
 //! fault-injection layer and the delivery protocol are invisible when
 //! disabled; `loadgen_e2e_faulty_16x16.json` pins the protocol itself, and
 //! `netstats_ring_4x4.json` pins a `tcni-trace/1` run whose CPUs execute.
+//! Three more pin the serializer branches the others leave dark: the
+//! `delivery` block and fault counters of a `tcni-trace/1` run over a
+//! faulty fabric, the empty `"links": []` of one on the ideal network, and
+//! the `fabric`/`fault_pm`/`delivery` keys of a faulty torus `tcni-coll/1`
+//! storm.
 //!
 //! ## Updating a snapshot (the bless workflow)
 //!
@@ -25,11 +30,12 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use tcni::core::CollectiveOp;
+use tcni::core::{CollectiveOp, NodeId, WireFormat};
 use tcni::eval::figure12::Figure12;
 use tcni::eval::paper;
 use tcni::eval::table1::Table1;
-use tcni::sim::Model;
+use tcni::net::{FabricConfig, FaultConfig};
+use tcni::sim::{DeliveryConfig, MachineBuilder, Model};
 use tcni::tam::programs;
 use tcni::workload::{
     run_coll_sweep, run_open_curve, CollReport, CollStormConfig, Fabric, LoadReport, Pattern,
@@ -296,4 +302,65 @@ fn golden_collective() {
 fn golden_netstats_ring_4x4() {
     let report = obs_run::run_instrumented(obs_run::ring_machine(4, 4, 8), 16, 200_000);
     assert_golden("netstats_ring_4x4.json", &report.to_json());
+}
+
+/// The instrumented ring of [`golden_netstats_ring_4x4`] with the delivery
+/// protocol over a 30/1000 faulty fabric: pins the `tcni-trace/1` export's
+/// `delivery` block and non-zero `faults` counters, which no fault-free run
+/// writes.
+#[test]
+fn golden_netstats_ring_4x4_faulty() {
+    let (width, height, k) = (4, 4, 8);
+    let n = width * height;
+    let format = WireFormat::for_nodes(n).expect("a mesh fits the wide format");
+    let mut b = MachineBuilder::new(n)
+        .model(Model::ALL_SIX[1])
+        .ni_queues(16, 16)
+        .network_fabric(FabricConfig::new(width, height))
+        .network_fault(FaultConfig::uniform(7, 30))
+        .delivery(DeliveryConfig::default());
+    for i in 0..n {
+        let dest = NodeId::from_index((i + 1) % n);
+        b = b.program(i, obs_run::ring_program(dest, k, format));
+    }
+    let report = obs_run::run_instrumented(b.build(), 16, 200_000);
+    assert!(report.delivery.is_some() && report.net.faults.dropped > 0);
+    assert_golden("netstats_ring_4x4_faulty.json", &report.to_json());
+}
+
+/// The two-node remote-read run that `table1 --obs` reports, on the ideal
+/// network: pins the `tcni-trace/1` export with no per-link counters, whose
+/// `links` array serializes as `[]`.
+#[test]
+fn golden_remote_read_ideal() {
+    let report = obs_run::run_instrumented(
+        obs_run::remote_read_machine(Model::ALL_SIX[0], 2),
+        64,
+        50_000,
+    );
+    assert!(report.links.is_empty());
+    assert_golden("remote_read_ideal.json", &report.to_json());
+}
+
+/// The faulty 8×8 torus collective storm that `scripts/ci.sh` runs
+/// (`loadgen --collective --topology torus --width 8 --height 8 --ops
+/// barrier,sum --rounds 4 --fault 25`): pins the `tcni-coll/1` keys only a
+/// non-mesh, faulted run writes (`fabric`, `fault_pm`, `delivery`). ci.sh
+/// compares the binary's output with this snapshot at 1 and 4 workers.
+#[test]
+fn golden_collective_torus_8x8_faulty() {
+    let mut cfg = CollStormConfig::new(Topology::new(8, 8));
+    cfg.fabric = Fabric::Torus;
+    cfg.rounds = 4;
+    cfg.fault_pm = 25;
+    cfg.delivery = true;
+    let ops = [CollectiveOp::Barrier, CollectiveOp::Sum];
+    let rates = vec![0];
+    let points = run_coll_sweep(&ops, &rates, &cfg);
+    let report = CollReport {
+        config: cfg,
+        rates_pm: rates,
+        points,
+    };
+    assert_golden("collective_torus_8x8_faulty.json", &report.to_json());
 }
