@@ -21,6 +21,7 @@ mod collective;
 mod delivery;
 mod driver;
 mod env;
+pub mod json;
 mod machine;
 mod model;
 mod node;

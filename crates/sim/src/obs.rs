@@ -28,9 +28,10 @@ use std::fmt;
 
 use tcni_core::NiStats;
 use tcni_cpu::CpuStats;
-use tcni_net::{LinkReport, NetStats};
+use tcni_net::{LatencyHist, LinkReport, NetStats};
 
 use crate::delivery::DeliveryStats;
+use crate::json;
 
 /// The lifecycle of one message, all stamps in global machine cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,7 +340,8 @@ pub struct NodeRollup {
 pub struct ObsReport {
     /// Elapsed global cycles at snapshot time.
     pub cycles: u64,
-    /// Fabric kind: `"ideal"` or `"mesh"`.
+    /// Fabric kind, as [`NetworkKind::base_name`](tcni_net::NetworkKind::base_name)
+    /// names it: `"ideal"`, `"mesh"`, `"torus"`, `"ring"` or `"full"`.
     pub fabric: &'static str,
     /// Aggregate network statistics (histogram included).
     pub net: NetStats,
@@ -363,217 +365,112 @@ pub struct ObsReport {
 /// The schema identifier embedded in the JSON export.
 pub const TRACE_SCHEMA: &str = "tcni-trace/1";
 
-fn push_num(out: &mut String, v: u64) {
-    out.push_str(&v.to_string());
-}
-
 impl ObsReport {
-    /// Serializes the snapshot as a `tcni-trace/1` JSON document.
-    ///
-    /// Hand-rolled (the workspace is dependency-free); the format is stable:
-    /// consumers should check the `schema` field first.
+    /// Serializes the snapshot as a `tcni-trace/1` JSON document (layout
+    /// per [`json`](crate::json)).
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(4096 + self.spans.len() * 96);
-        o.push_str("{\n  \"schema\": \"");
-        o.push_str(TRACE_SCHEMA);
-        o.push_str("\",\n  \"cycles\": ");
-        push_num(&mut o, self.cycles);
-        o.push_str(",\n  \"fabric\": \"");
-        o.push_str(self.fabric);
-        o.push_str("\",\n  \"net\": {");
-        o.push_str("\"injected\": ");
-        push_num(&mut o, self.net.injected);
-        o.push_str(", \"delivered\": ");
-        push_num(&mut o, self.net.delivered);
-        o.push_str(", \"inject_refusals\": ");
-        push_num(&mut o, self.net.inject_refusals);
-        o.push_str(", \"bad_dest\": ");
-        push_num(&mut o, self.net.bad_dest);
-        o.push_str(", \"total_latency\": ");
-        push_num(&mut o, self.net.total_latency);
-        o.push_str(", \"blocked_hops\": ");
-        push_num(&mut o, self.net.blocked_hops);
-        o.push_str(", \"in_flight_hwm\": ");
-        push_num(&mut o, self.net.in_flight_hwm as u64);
-        // Injected fault counts, distinct from `bad_dest`: a fault drop is a
-        // deliverable message the fabric lost, not an unroutable one.
-        o.push_str(", \"faults\": {\"dropped\": ");
-        push_num(&mut o, self.net.faults.dropped);
-        o.push_str(", \"duplicated\": ");
-        push_num(&mut o, self.net.faults.duplicated);
-        o.push_str(", \"corrupted\": ");
-        push_num(&mut o, self.net.faults.corrupted);
-        o.push_str(", \"stalls\": ");
-        push_num(&mut o, self.net.faults.stalls);
-        o.push_str("}, \"latency_hist\": {\"bucket_lo\": [");
-        for i in 0..tcni_net::LatencyHist::BUCKETS {
-            if i > 0 {
-                o.push_str(", ");
+        let net = &self.net;
+        json::document(TRACE_SCHEMA, |d| {
+            d.num("cycles", self.cycles).str("fabric", self.fabric);
+            d.obj("net", |o| {
+                o.num("injected", net.injected)
+                    .num("delivered", net.delivered)
+                    .num("inject_refusals", net.inject_refusals)
+                    .num("bad_dest", net.bad_dest)
+                    .num("total_latency", net.total_latency)
+                    .num("blocked_hops", net.blocked_hops)
+                    .num("in_flight_hwm", net.in_flight_hwm);
+                // Injected fault counts, distinct from `bad_dest`: a fault
+                // drop is a deliverable message the fabric lost, not an
+                // unroutable one.
+                o.obj("faults", |f| {
+                    f.num("dropped", net.faults.dropped)
+                        .num("duplicated", net.faults.duplicated)
+                        .num("corrupted", net.faults.corrupted)
+                        .num("stalls", net.faults.stalls);
+                });
+                o.obj("latency_hist", |h| {
+                    let lo = (0..LatencyHist::BUCKETS).map(|i| LatencyHist::bounds(i).0);
+                    h.nums("bucket_lo", lo)
+                        .nums("counts", net.latency_hist.buckets().iter().copied());
+                    for (label, pct) in [("p50", 50), ("p95", 95), ("p99", 99)] {
+                        h.opt(label, net.latency_hist.percentile(pct));
+                    }
+                });
+                // Hot-set scheduler effort meters (channel + flow scans merged).
+                o.obj("scan", |c| {
+                    c.num("scanned_channels", net.scan.scanned_channels)
+                        .num("scanned_flows", net.scan.scanned_flows)
+                        .num("skipped_work", net.scan.skipped_work)
+                        .num("active_flows", net.scan.active_flows)
+                        .num("peak_flows", net.scan.peak_flows)
+                        .num("flow_probes", net.scan.flow_probes);
+                });
+            });
+            d.records("links", &self.links, |o, l| {
+                o.num("node", l.node)
+                    .str("dir", l.dir)
+                    .num("hwm", l.stats.hwm)
+                    .num("blocked", l.stats.blocked);
+            });
+            d.records("nodes", &self.nodes, |o, n| {
+                o.num("node", n.node);
+                o.obj("cpu", |c| {
+                    c.num("cycles", n.cpu.cycles)
+                        .num("instructions", n.cpu.instructions)
+                        .num("operand_stalls", n.cpu.operand_stalls)
+                        .num("env_stalls", n.cpu.env_stalls);
+                });
+                o.obj("ni", |c| {
+                    c.num("sends", n.ni.sends)
+                        .num("scroll_outs", n.ni.scroll_outs)
+                        .num("receives", n.ni.receives)
+                        .num("send_stalls", n.ni.send_stalls)
+                        .num("overflows", n.ni.overflows)
+                        .num("diverted", n.ni.diverted)
+                        .num("input_hwm", n.ni.input_hwm)
+                        .num("output_hwm", n.ni.output_hwm);
+                });
+                o.obj("msgs", |c| {
+                    c.num("sent", n.msgs.sent)
+                        .num("received", n.msgs.received)
+                        .num("dispatched", n.msgs.dispatched)
+                        .num("diverted", n.msgs.diverted)
+                        .num("bad_dest", n.msgs.bad_dest)
+                        .num("out_queue_cycles", n.msgs.out_queue_cycles)
+                        .num("transit_cycles", n.msgs.transit_cycles)
+                        .num("in_queue_cycles", n.msgs.in_queue_cycles);
+                });
+            });
+            d.records("spans", &self.spans, |o, s| {
+                o.num("seq", s.seq)
+                    .num("src", s.src)
+                    .num("dst", s.dst)
+                    .num("enqueued", s.enqueued)
+                    .num("injected", s.injected)
+                    .num("delivered", s.delivered)
+                    .opt("dispatched", s.dispatched)
+                    .bool("diverted", s.diverted);
+            });
+            d.num("spans_dropped", self.spans_dropped)
+                .num("spans_open", self.spans_open)
+                .num("trace_dropped", self.trace_dropped);
+            if let Some(v) = &self.delivery {
+                d.obj("delivery", |o| {
+                    o.num("accepted", v.accepted)
+                        .num("retransmits", v.retransmits)
+                        .num("timeout_rounds", v.timeout_rounds)
+                        .num("acks_sent", v.acks_sent)
+                        .num("acks_coalesced", v.acks_coalesced)
+                        .num("acks_received", v.acks_received)
+                        .num("delivered_unique", v.delivered_unique)
+                        .num("dup_suppressed", v.dup_suppressed)
+                        .num("out_of_order_dropped", v.out_of_order_dropped)
+                        .num("corrupt_dropped", v.corrupt_dropped)
+                        .num("abandoned", v.abandoned);
+                });
             }
-            push_num(&mut o, tcni_net::LatencyHist::bounds(i).0);
-        }
-        o.push_str("], \"counts\": [");
-        for (i, &c) in self.net.latency_hist.buckets().iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            push_num(&mut o, c);
-        }
-        o.push(']');
-        for (label, pct) in [("p50", 50), ("p95", 95), ("p99", 99)] {
-            o.push_str(", \"");
-            o.push_str(label);
-            o.push_str("\": ");
-            match self.net.latency_hist.percentile(pct) {
-                Some(v) => push_num(&mut o, v),
-                None => o.push_str("null"),
-            }
-        }
-        // Hot-set scheduler effort meters (channel + flow scans merged).
-        o.push_str("}, \"scan\": {\"scanned_channels\": ");
-        push_num(&mut o, self.net.scan.scanned_channels);
-        o.push_str(", \"scanned_flows\": ");
-        push_num(&mut o, self.net.scan.scanned_flows);
-        o.push_str(", \"skipped_work\": ");
-        push_num(&mut o, self.net.scan.skipped_work);
-        o.push_str(", \"active_flows\": ");
-        push_num(&mut o, self.net.scan.active_flows);
-        o.push_str(", \"peak_flows\": ");
-        push_num(&mut o, self.net.scan.peak_flows);
-        o.push_str(", \"flow_probes\": ");
-        push_num(&mut o, self.net.scan.flow_probes);
-        o.push_str("}},\n  \"links\": [");
-        for (i, l) in self.links.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("\n    {\"node\": ");
-            push_num(&mut o, l.node as u64);
-            o.push_str(", \"dir\": \"");
-            o.push_str(l.dir);
-            o.push_str("\", \"hwm\": ");
-            push_num(&mut o, l.stats.hwm as u64);
-            o.push_str(", \"blocked\": ");
-            push_num(&mut o, l.stats.blocked);
-            o.push('}');
-        }
-        if !self.links.is_empty() {
-            o.push_str("\n  ");
-        }
-        o.push_str("],\n  \"nodes\": [");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("\n    {\"node\": ");
-            push_num(&mut o, n.node as u64);
-            o.push_str(", \"cpu\": {\"cycles\": ");
-            push_num(&mut o, n.cpu.cycles);
-            o.push_str(", \"instructions\": ");
-            push_num(&mut o, n.cpu.instructions);
-            o.push_str(", \"operand_stalls\": ");
-            push_num(&mut o, n.cpu.operand_stalls);
-            o.push_str(", \"env_stalls\": ");
-            push_num(&mut o, n.cpu.env_stalls);
-            o.push_str("}, \"ni\": {\"sends\": ");
-            push_num(&mut o, n.ni.sends);
-            o.push_str(", \"scroll_outs\": ");
-            push_num(&mut o, n.ni.scroll_outs);
-            o.push_str(", \"receives\": ");
-            push_num(&mut o, n.ni.receives);
-            o.push_str(", \"send_stalls\": ");
-            push_num(&mut o, n.ni.send_stalls);
-            o.push_str(", \"overflows\": ");
-            push_num(&mut o, n.ni.overflows);
-            o.push_str(", \"diverted\": ");
-            push_num(&mut o, n.ni.diverted);
-            o.push_str(", \"input_hwm\": ");
-            push_num(&mut o, n.ni.input_hwm as u64);
-            o.push_str(", \"output_hwm\": ");
-            push_num(&mut o, n.ni.output_hwm as u64);
-            o.push_str("}, \"msgs\": {\"sent\": ");
-            push_num(&mut o, n.msgs.sent);
-            o.push_str(", \"received\": ");
-            push_num(&mut o, n.msgs.received);
-            o.push_str(", \"dispatched\": ");
-            push_num(&mut o, n.msgs.dispatched);
-            o.push_str(", \"diverted\": ");
-            push_num(&mut o, n.msgs.diverted);
-            o.push_str(", \"bad_dest\": ");
-            push_num(&mut o, n.msgs.bad_dest);
-            o.push_str(", \"out_queue_cycles\": ");
-            push_num(&mut o, n.msgs.out_queue_cycles);
-            o.push_str(", \"transit_cycles\": ");
-            push_num(&mut o, n.msgs.transit_cycles);
-            o.push_str(", \"in_queue_cycles\": ");
-            push_num(&mut o, n.msgs.in_queue_cycles);
-            o.push_str("}}");
-        }
-        if !self.nodes.is_empty() {
-            o.push_str("\n  ");
-        }
-        o.push_str("],\n  \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("\n    {\"seq\": ");
-            push_num(&mut o, u64::from(s.seq));
-            o.push_str(", \"src\": ");
-            push_num(&mut o, s.src as u64);
-            o.push_str(", \"dst\": ");
-            push_num(&mut o, s.dst as u64);
-            o.push_str(", \"enqueued\": ");
-            push_num(&mut o, s.enqueued);
-            o.push_str(", \"injected\": ");
-            push_num(&mut o, s.injected);
-            o.push_str(", \"delivered\": ");
-            push_num(&mut o, s.delivered);
-            o.push_str(", \"dispatched\": ");
-            match s.dispatched {
-                Some(d) => push_num(&mut o, d),
-                None => o.push_str("null"),
-            }
-            o.push_str(", \"diverted\": ");
-            o.push_str(if s.diverted { "true" } else { "false" });
-            o.push('}');
-        }
-        if !self.spans.is_empty() {
-            o.push_str("\n  ");
-        }
-        o.push_str("],\n  \"spans_dropped\": ");
-        push_num(&mut o, self.spans_dropped);
-        o.push_str(",\n  \"spans_open\": ");
-        push_num(&mut o, self.spans_open);
-        o.push_str(",\n  \"trace_dropped\": ");
-        push_num(&mut o, self.trace_dropped);
-        if let Some(d) = &self.delivery {
-            o.push_str(",\n  \"delivery\": {\"accepted\": ");
-            push_num(&mut o, d.accepted);
-            o.push_str(", \"retransmits\": ");
-            push_num(&mut o, d.retransmits);
-            o.push_str(", \"timeout_rounds\": ");
-            push_num(&mut o, d.timeout_rounds);
-            o.push_str(", \"acks_sent\": ");
-            push_num(&mut o, d.acks_sent);
-            o.push_str(", \"acks_coalesced\": ");
-            push_num(&mut o, d.acks_coalesced);
-            o.push_str(", \"acks_received\": ");
-            push_num(&mut o, d.acks_received);
-            o.push_str(", \"delivered_unique\": ");
-            push_num(&mut o, d.delivered_unique);
-            o.push_str(", \"dup_suppressed\": ");
-            push_num(&mut o, d.dup_suppressed);
-            o.push_str(", \"out_of_order_dropped\": ");
-            push_num(&mut o, d.out_of_order_dropped);
-            o.push_str(", \"corrupt_dropped\": ");
-            push_num(&mut o, d.corrupt_dropped);
-            o.push_str(", \"abandoned\": ");
-            push_num(&mut o, d.abandoned);
-            o.push('}');
-        }
-        o.push_str("\n}\n");
-        o
+        })
     }
 }
 

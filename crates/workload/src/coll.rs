@@ -29,12 +29,12 @@
 use std::collections::VecDeque;
 
 use tcni_core::{CollectiveOp, InterfaceReg, MsgType, NetworkInterface, NodeId, SendMode};
-use tcni_net::{CombiningTree, FabricConfig, FaultConfig};
-use tcni_sim::{Activity, CycleDriver, DeliveryConfig, Machine, MachineBuilder, Node, RunOutcome};
+use tcni_net::CombiningTree;
+use tcni_sim::{json, Activity, CycleDriver, Machine, MachineBuilder, Node, RunOutcome};
 
 use crate::inject::VisitSet;
 use crate::pattern::Topology;
-use crate::sweep::Fabric;
+use crate::sweep::{with_network, Fabric};
 
 /// Which implementation of the collective a point measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -525,24 +525,10 @@ impl CycleDriver for SoftDriver {
 const COLL_FAULT_SALT: u64 = 0x5851_F42D_4C95_7F2D;
 
 fn build_machine(mode: CollMode, cfg: &CollStormConfig) -> Machine {
-    let topo = &cfg.topo;
-    let mut b = MachineBuilder::new(topo.nodes());
-    b = match cfg.fabric {
-        Fabric::Ideal { latency } => b.network_ideal(latency),
-        Fabric::Mesh => b.network_fabric(FabricConfig::new(topo.width, topo.height)),
-        Fabric::Torus => b.network_fabric(FabricConfig::torus(topo.width, topo.height)),
-        Fabric::Ring => b.network_fabric(FabricConfig::ring(topo.nodes())),
-        Fabric::Full => b.network_fabric(FabricConfig::full(topo.nodes())),
-    };
-    if cfg.fault_pm > 0 {
-        b = b.network_fault(FaultConfig::uniform(
-            cfg.seed ^ COLL_FAULT_SALT,
-            cfg.fault_pm,
-        ));
-    }
-    if cfg.delivery {
-        b = b.delivery(DeliveryConfig::default());
-    }
+    let topo = cfg.topo;
+    let seed = cfg.seed ^ COLL_FAULT_SALT;
+    let b = MachineBuilder::new(topo.nodes());
+    let mut b = with_network(b, topo, cfg.fabric, cfg.fault_pm, seed, cfg.delivery);
     if mode == CollMode::Nic {
         // The tree that actually embeds in the chosen fabric: grid trees
         // follow the grid links (wrap-aware on the torus); topologies with
@@ -701,98 +687,44 @@ pub struct CollReport {
 impl CollReport {
     /// Serializes the report (see the type docs for the schema).
     pub fn to_json(&self) -> String {
-        fn num(o: &mut String, v: u64) {
-            o.push_str(&v.to_string());
-        }
-        fn opt(o: &mut String, v: Option<u64>) {
-            match v {
-                Some(v) => num(o, v),
-                None => o.push_str("null"),
-            }
-        }
-        let mut o = String::with_capacity(512 + self.points.len() * 256);
-        o.push_str("{\n  \"schema\": \"");
-        o.push_str(COLL_SCHEMA);
-        o.push_str("\",\n  \"topology\": {\"width\": ");
-        num(&mut o, self.config.topo.width as u64);
-        o.push_str(", \"height\": ");
-        num(&mut o, self.config.topo.height as u64);
-        o.push_str(", \"nodes\": ");
-        num(&mut o, self.config.topo.nodes() as u64);
-        o.push_str("},\n  \"seed\": ");
-        num(&mut o, self.config.seed);
-        o.push_str(",\n  \"rounds\": ");
-        num(&mut o, u64::from(self.config.rounds));
-        o.push_str(",\n  \"radix\": ");
-        num(&mut o, self.config.radix as u64);
-        o.push_str(",\n  \"max_cycles\": ");
-        num(&mut o, self.config.max_cycles);
-        if self.config.fabric != Fabric::Mesh {
-            o.push_str(",\n  \"fabric\": \"");
-            o.push_str(self.config.fabric.key());
-            o.push('"');
-        }
-        if self.config.fault_pm > 0 {
-            o.push_str(",\n  \"fault_pm\": ");
-            num(&mut o, u64::from(self.config.fault_pm));
-            o.push_str(",\n  \"delivery\": ");
-            o.push_str(if self.config.delivery {
-                "true"
-            } else {
-                "false"
+        let cfg = &self.config;
+        json::document(COLL_SCHEMA, |d| {
+            d.obj("topology", |o| {
+                o.num("width", cfg.topo.width)
+                    .num("height", cfg.topo.height)
+                    .num("nodes", cfg.topo.nodes());
             });
-        }
-        o.push_str(",\n  \"rates_pm\": [");
-        for (i, &r) in self.rates_pm.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
+            d.num("seed", cfg.seed)
+                .num("rounds", cfg.rounds)
+                .num("radix", cfg.radix)
+                .num("max_cycles", cfg.max_cycles);
+            if cfg.fabric != Fabric::Mesh {
+                d.str("fabric", cfg.fabric.key());
             }
-            num(&mut o, u64::from(r));
-        }
-        o.push_str("],\n  \"points\": [");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
+            if cfg.fault_pm > 0 {
+                d.num("fault_pm", cfg.fault_pm)
+                    .bool("delivery", cfg.delivery);
             }
-            o.push_str("\n    {\"mode\": \"");
-            o.push_str(p.mode.key());
-            o.push_str("\", \"op\": \"");
-            o.push_str(p.op.key());
-            o.push_str("\", \"rate_pm\": ");
-            num(&mut o, u64::from(p.rate_pm));
-            o.push_str(", \"rounds_done\": ");
-            num(&mut o, u64::from(p.rounds_done));
-            o.push_str(", \"cycles\": ");
-            num(&mut o, p.cycles);
-            o.push_str(", \"lat_mean_x100\": ");
-            opt(&mut o, p.lat_mean_x100);
-            o.push_str(", \"lat_min\": ");
-            opt(&mut o, p.lat_min);
-            o.push_str(", \"lat_max\": ");
-            opt(&mut o, p.lat_max);
-            o.push_str(", \"fabric_delivered\": ");
-            num(&mut o, p.fabric_delivered);
-            o.push_str(", \"inflight_mean_x100\": ");
-            num(&mut o, p.inflight_mean_x100);
-            o.push_str(", \"inflight_max\": ");
-            num(&mut o, p.inflight_max);
-            o.push_str(", \"deferred\": ");
-            num(&mut o, p.deferred);
-            o.push_str(", \"wrong_results\": ");
-            num(&mut o, p.wrong_results);
-            o.push_str(", \"combined\": ");
-            num(&mut o, p.combined);
-            o.push_str(", \"forwarded_up\": ");
-            num(&mut o, p.forwarded_up);
-            o.push_str(", \"fanned_down\": ");
-            num(&mut o, p.fanned_down);
-            o.push('}');
-        }
-        if !self.points.is_empty() {
-            o.push_str("\n  ");
-        }
-        o.push_str("]\n}\n");
-        o
+            d.nums("rates_pm", self.rates_pm.iter().copied());
+            d.records("points", &self.points, |o, p| {
+                o.str("mode", p.mode.key())
+                    .str("op", p.op.key())
+                    .num("rate_pm", p.rate_pm)
+                    .num("rounds_done", p.rounds_done)
+                    .num("cycles", p.cycles)
+                    .opt("lat_mean_x100", p.lat_mean_x100)
+                    .opt("lat_min", p.lat_min)
+                    .opt("lat_max", p.lat_max)
+                    .num("fabric_delivered", p.fabric_delivered)
+                    .num("inflight_mean_x100", p.inflight_mean_x100)
+                    .num("inflight_max", p.inflight_max)
+                    .num("deferred", p.deferred)
+                    .num("wrong_results", p.wrong_results)
+                    .num("combined", p.combined)
+                    .num("forwarded_up", p.forwarded_up)
+                    .num("fanned_down", p.fanned_down);
+            });
+        })
     }
 }
 

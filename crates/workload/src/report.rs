@@ -1,9 +1,9 @@
 //! The versioned `tcni-load/1` artifact: throughput–latency curves as JSON.
 //!
-//! Hand-rolled like the simulator's `tcni-trace/1` (the workspace is
-//! dependency-free). Every numeric field is an integer (fixed-point where a
-//! fraction is needed), so two same-seed runs — at any `TCNI_THREADS` —
-//! serialize byte-identically.
+//! Written through [`tcni_sim::json`], the layout shared with
+//! `tcni-trace/1` and `tcni-coll/1`. Every numeric field is an integer
+//! (fixed-point where a fraction is needed), so two same-seed runs — at
+//! any `TCNI_THREADS` — serialize byte-identically.
 //!
 //! Schema (`tcni-load/1`):
 //!
@@ -38,6 +38,8 @@
 //! point. A run without a fault axis omits all of them, so legacy artifacts
 //! are byte-identical (enforced by the golden-artifact tests).
 
+use tcni_sim::json;
+
 use crate::pattern::Topology;
 use crate::sweep::Curve;
 
@@ -70,144 +72,64 @@ pub struct LoadReport {
     pub curves: Vec<Curve>,
 }
 
-fn push_num(out: &mut String, v: u64) {
-    out.push_str(&v.to_string());
-}
-
-fn push_opt(out: &mut String, v: Option<u64>) {
-    match v {
-        Some(v) => push_num(out, v),
-        None => out.push_str("null"),
-    }
-}
-
-fn push_axis(out: &mut String, axis: &[u32]) {
-    out.push('[');
-    for (i, &v) in axis.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        push_num(out, u64::from(v));
-    }
-    out.push(']');
-}
-
 impl LoadReport {
     /// Serializes the report (see the module docs for the schema).
     pub fn to_json(&self) -> String {
-        let points: usize = self.curves.iter().map(|c| c.points.len()).sum();
-        let mut o = String::with_capacity(1024 + self.curves.len() * 128 + points * 224);
-        o.push_str("{\n  \"schema\": \"");
-        o.push_str(LOAD_SCHEMA);
-        o.push_str("\",\n  \"topology\": {\"width\": ");
-        push_num(&mut o, self.topo.width as u64);
-        o.push_str(", \"height\": ");
-        push_num(&mut o, self.topo.height as u64);
-        o.push_str(", \"nodes\": ");
-        push_num(&mut o, self.topo.nodes() as u64);
-        o.push_str("},\n  \"seed\": ");
-        push_num(&mut o, self.seed);
-        o.push_str(",\n  \"warmup_cycles\": ");
-        push_num(&mut o, self.warmup);
-        o.push_str(",\n  \"measure_cycles\": ");
-        push_num(&mut o, self.measure);
-        o.push_str(",\n  \"rates_pm\": ");
-        push_axis(&mut o, &self.rates_pm);
-        o.push_str(",\n  \"windows\": ");
-        push_axis(&mut o, &self.windows);
         // The fault axis and its per-curve/per-point fields appear only on
         // faulted runs, keeping fault-free artifacts byte-identical to the
         // original schema (golden-enforced).
         let faulted = !self.fault_rates_pm.is_empty();
-        if faulted {
-            o.push_str(",\n  \"fault_rates_pm\": ");
-            push_axis(&mut o, &self.fault_rates_pm);
-        }
-        o.push_str(",\n  \"curves\": [");
-        for (ci, c) in self.curves.iter().enumerate() {
-            if ci > 0 {
-                o.push(',');
-            }
-            o.push_str("\n    {\"model\": \"");
-            o.push_str(c.model.key());
-            o.push_str("\", \"fabric\": \"");
-            o.push_str(c.fabric.key());
-            o.push_str("\", \"pattern\": \"");
-            o.push_str(c.pattern.key());
-            o.push_str("\", \"mode\": \"");
-            o.push_str(c.mode);
-            o.push('"');
+        json::document(LOAD_SCHEMA, |d| {
+            d.obj("topology", |o| {
+                o.num("width", self.topo.width)
+                    .num("height", self.topo.height)
+                    .num("nodes", self.topo.nodes());
+            });
+            d.num("seed", self.seed)
+                .num("warmup_cycles", self.warmup)
+                .num("measure_cycles", self.measure)
+                .nums("rates_pm", self.rates_pm.iter().copied())
+                .nums("windows", self.windows.iter().copied());
             if faulted {
-                o.push_str(", \"fault_pm\": ");
-                push_num(&mut o, u64::from(c.fault_pm));
-                o.push_str(", \"delivery\": ");
-                o.push_str(if c.delivery { "true" } else { "false" });
+                d.nums("fault_rates_pm", self.fault_rates_pm.iter().copied());
             }
-            o.push_str(", \"saturation_index\": ");
-            push_opt(&mut o, c.saturation.map(|i| i as u64));
-            o.push_str(", \"points\": [");
-            for (pi, p) in c.points.iter().enumerate() {
-                if pi > 0 {
-                    o.push(',');
-                }
-                o.push_str("\n      {\"load\": ");
-                push_num(&mut o, u64::from(p.load));
-                o.push_str(", \"cycles\": ");
-                push_num(&mut o, p.cycles);
-                o.push_str(", \"offered\": ");
-                push_num(&mut o, p.offered);
-                o.push_str(", \"shed\": ");
-                push_num(&mut o, p.shed);
-                o.push_str(", \"issued\": ");
-                push_num(&mut o, p.issued);
-                o.push_str(", \"delivered\": ");
-                push_num(&mut o, p.delivered);
-                o.push_str(", \"consumed\": ");
-                push_num(&mut o, p.consumed);
-                o.push_str(", \"completed\": ");
-                push_num(&mut o, p.completed);
-                o.push_str(", \"delivered_pm\": ");
-                push_num(&mut o, p.delivered_pm);
-                o.push_str(", \"mean_latency_x100\": ");
-                push_opt(&mut o, p.mean_latency_x100);
-                o.push_str(", \"p50\": ");
-                push_opt(&mut o, p.p50);
-                o.push_str(", \"p95\": ");
-                push_opt(&mut o, p.p95);
-                o.push_str(", \"p99\": ");
-                push_opt(&mut o, p.p99);
-                o.push_str(", \"residency_mean_x100\": ");
-                push_num(&mut o, p.residency_mean_x100);
-                o.push_str(", \"residency_max\": ");
-                push_num(&mut o, p.residency_max);
+            d.records("curves", &self.curves, |o, c| {
+                o.str("model", c.model.key())
+                    .str("fabric", c.fabric.key())
+                    .str("pattern", c.pattern.key())
+                    .str("mode", c.mode);
                 if faulted {
-                    o.push_str(", \"fault_dropped\": ");
-                    push_num(&mut o, p.fault_dropped);
-                    o.push_str(", \"fault_duplicated\": ");
-                    push_num(&mut o, p.fault_duplicated);
-                    o.push_str(", \"fault_corrupted\": ");
-                    push_num(&mut o, p.fault_corrupted);
-                    o.push_str(", \"fault_stalls\": ");
-                    push_num(&mut o, p.fault_stalls);
-                    o.push_str(", \"retransmits\": ");
-                    push_num(&mut o, p.retransmits);
-                    o.push_str(", \"abandoned\": ");
-                    push_num(&mut o, p.abandoned);
-                    o.push_str(", \"goodput_pm\": ");
-                    push_num(&mut o, p.goodput_pm);
+                    o.num("fault_pm", c.fault_pm).bool("delivery", c.delivery);
                 }
-                o.push('}');
-            }
-            if !c.points.is_empty() {
-                o.push_str("\n    ");
-            }
-            o.push_str("]}");
-        }
-        if !self.curves.is_empty() {
-            o.push_str("\n  ");
-        }
-        o.push_str("]\n}\n");
-        o
+                o.opt("saturation_index", c.saturation);
+                o.records("points", &c.points, |o, p| {
+                    o.num("load", p.load)
+                        .num("cycles", p.cycles)
+                        .num("offered", p.offered)
+                        .num("shed", p.shed)
+                        .num("issued", p.issued)
+                        .num("delivered", p.delivered)
+                        .num("consumed", p.consumed)
+                        .num("completed", p.completed)
+                        .num("delivered_pm", p.delivered_pm)
+                        .opt("mean_latency_x100", p.mean_latency_x100)
+                        .opt("p50", p.p50)
+                        .opt("p95", p.p95)
+                        .opt("p99", p.p99)
+                        .num("residency_mean_x100", p.residency_mean_x100)
+                        .num("residency_max", p.residency_max);
+                    if faulted {
+                        o.num("fault_dropped", p.fault_dropped)
+                            .num("fault_duplicated", p.fault_duplicated)
+                            .num("fault_corrupted", p.fault_corrupted)
+                            .num("fault_stalls", p.fault_stalls)
+                            .num("retransmits", p.retransmits)
+                            .num("abandoned", p.abandoned)
+                            .num("goodput_pm", p.goodput_pm);
+                    }
+                });
+            });
+        })
     }
 }
 

@@ -248,29 +248,32 @@ fn residency(machine: &Machine, injector: &Injector) -> u64 {
 /// destination draws (both derive from the sweep's master seed).
 const FAULT_SEED_SALT: u64 = 0x6C62_272E_07BB_0142;
 
-/// Builds the cell's machine: CPUs halt immediately (the injector is the
-/// only actor), fabric per `fabric`, queue sizing per the paper's example,
-/// fault layer and delivery protocol per the sweep config.
-fn build_machine(model: Model, fabric: Fabric, sweep: &SweepConfig) -> Machine {
-    let topo = &sweep.topo;
-    let mut b = MachineBuilder::new(topo.nodes()).model(model);
-    b = match fabric {
+/// Adds a workload machine's network to `b`: `fabric` over `topo`, then a
+/// uniform `fault_pm` fault layer seeded `fault_seed` when `fault_pm > 0`,
+/// then the delivery protocol when `delivery` is set. The load sweeps and
+/// the collective storms both build through here.
+pub(crate) fn with_network(
+    b: MachineBuilder,
+    topo: Topology,
+    fabric: Fabric,
+    fault_pm: u32,
+    fault_seed: u64,
+    delivery: bool,
+) -> MachineBuilder {
+    let mut b = match fabric {
         Fabric::Ideal { latency } => b.network_ideal(latency),
         Fabric::Mesh => b.network_fabric(FabricConfig::new(topo.width, topo.height)),
         Fabric::Torus => b.network_fabric(FabricConfig::torus(topo.width, topo.height)),
         Fabric::Ring => b.network_fabric(FabricConfig::ring(topo.nodes())),
         Fabric::Full => b.network_fabric(FabricConfig::full(topo.nodes())),
     };
-    if sweep.fault_pm > 0 {
-        b = b.network_fault(FaultConfig::uniform(
-            sweep.seed ^ FAULT_SEED_SALT,
-            sweep.fault_pm,
-        ));
+    if fault_pm > 0 {
+        b = b.network_fault(FaultConfig::uniform(fault_seed, fault_pm));
     }
-    if sweep.delivery {
+    if delivery {
         b = b.delivery(DeliveryConfig::default());
     }
-    b.build()
+    b
 }
 
 /// Runs one steady-state point.
@@ -286,7 +289,10 @@ pub fn run_point(
         "a faulty fabric needs the delivery protocol (corrupted or dropped \
          messages break the injector's request/reply bookkeeping)"
     );
-    let mut machine = build_machine(model, fabric, sweep);
+    // CPUs halt at once: the injector is the machine's only actor.
+    let b = MachineBuilder::new(sweep.topo.nodes()).model(model);
+    let (pm, seed) = (sweep.fault_pm, sweep.seed ^ FAULT_SEED_SALT);
+    let mut machine = with_network(b, sweep.topo, fabric, pm, seed, sweep.delivery).build();
     let mut injector = Injector::new(InjectorConfig {
         pattern,
         topo: sweep.topo,
