@@ -9,7 +9,9 @@ use crate::message::Message;
 /// The input and output queues of Figure 1 are both instances of this type.
 /// Capacity is fixed at construction (the paper's example sizing is 16
 /// messages per queue, ≈ 3/4 KiB of on-chip memory); the threshold comes
-/// from the CONTROL register and may change at any time.
+/// from the CONTROL register and may change at any time. The buffer is
+/// allocated, at exactly that capacity, by the first push, so a machine's
+/// queues that never carry traffic cost no memory.
 ///
 /// # Example
 ///
@@ -38,7 +40,7 @@ impl MsgQueue {
     pub fn new(capacity: usize) -> MsgQueue {
         assert!(capacity > 0, "queue capacity must be non-zero");
         MsgQueue {
-            items: VecDeque::with_capacity(capacity),
+            items: VecDeque::new(),
             capacity,
         }
     }
@@ -78,6 +80,11 @@ impl MsgQueue {
     pub fn push(&mut self, msg: Message) -> Result<(), Message> {
         if self.is_full() {
             return Err(msg);
+        }
+        if self.items.len() == self.items.capacity() {
+            // Unallocated (or cloned short): size the buffer to the queue's
+            // capacity once, never past it.
+            self.items.reserve_exact(self.capacity - self.items.len());
         }
         self.items.push_back(msg);
         Ok(())
@@ -145,6 +152,19 @@ mod tests {
         q.push(msg(1)).unwrap();
         assert!(q.over_threshold(2));
         assert!(!q.over_threshold(0)); // still disabled at any occupancy
+    }
+
+    #[test]
+    fn the_buffer_is_allocated_by_the_first_push_at_capacity() {
+        let mut q = MsgQueue::new(16);
+        assert_eq!(q.items.capacity(), 0);
+        q.push(msg(0)).unwrap();
+        assert_eq!(q.items.capacity(), q.capacity());
+        for i in 1..16 {
+            q.push(msg(i)).unwrap();
+        }
+        assert!(q.push(msg(16)).is_err());
+        assert_eq!(q.items.capacity(), q.capacity());
     }
 
     #[test]

@@ -13,19 +13,28 @@
 //!
 //! The channels are stored flat, in four arrays:
 //!
-//! * `chans` — one `(head, len)` cursor per channel, indexed as above;
-//! * `ring` — one `u32` array of packet ids. Node `n` owns the block of
-//!   `inject + ports × channel + eject` slots starting at `n × block`, and
-//!   its channels' rings sit in it in role order, so each role keeps its own
-//!   capacity. Slot `i` of a channel's FIFO is `start + (head + i) % cap`;
-//! * `pool` — the packets in flight, each caching its destination node
-//!   (decoded once at injection), and `free`, a LIFO of reusable pool ids.
-//!   The pool grows on demand, so it tracks the peak number of packets in
-//!   flight rather than the channel count.
+//! * `chans` — one `(head, len, filled_at)` cursor per channel, indexed as
+//!   above, where `filled_at` is the cycle a push last filled the channel
+//!   from empty;
+//! * `ring` — one `u64` array of entries, each a packet id in the low half
+//!   and its destination node (decoded once at injection) in the high half.
+//!   Node `n` owns the block of `inject + ports × channel + eject` slots
+//!   starting at `n × block`, and its channels' rings sit in it in role
+//!   order, so each role keeps its own capacity. Slot `i` of a channel's FIFO
+//!   is `start + (head + i) % cap`;
+//! * `pool` — the packets in flight, and `free`, a LIFO of reusable pool
+//!   ids. The pool grows on demand, so it tracks the peak number of packets
+//!   in flight rather than the channel count.
 //!
-//! A head-of-line move copies one id from one ring to another; a packet
-//! never moves in memory from injection to ejection. Building a fabric
-//! allocates the zeroed ring and the cursors and nothing per channel.
+//! A head-of-line move reads the source and target cursors and copies one
+//! entry from one ring to another: it routes on the entry's destination and
+//! never touches the pool, which only `inject`, `peek_eject` and `eject`
+//! read. A packet moves at most one hop a cycle: a head whose channel was
+//! filled from empty this cycle arrived this cycle and waits. That is exact,
+//! because a packet that lands behind a head is never visited again in the
+//! same scan — both the frontier walk and the dense scan visit each slot
+//! once. Building a fabric allocates the zeroed ring and the cursors and
+//! nothing per channel.
 //!
 //! Each tick walks the active-channel frontier (or every slot, under the
 //! dense cross-check) in ascending slot order and attempts one head-of-line
@@ -156,24 +165,37 @@ pub struct LinkReport {
     pub stats: LinkStats,
 }
 
-/// A packet in flight: its message, the cycle its injection was accepted,
-/// the cycle it last moved (it moves at most one hop per cycle), and its
-/// destination node, decoded from the message once at injection so no hop
-/// decodes `m0` again.
+/// A packet in flight: its message and the cycle its injection was accepted.
 #[derive(Debug)]
 struct Packet {
     msg: Message,
     injected_at: u64,
-    moved_at: u64,
-    dest: usize,
 }
 
-/// One channel's FIFO state: the ring slot of its head packet and how many
-/// packets it holds.
+/// One channel's FIFO state: the ring slot of its head packet, how many
+/// packets it holds, and the cycle a push last filled it from empty (its
+/// head cannot move on that cycle).
 #[derive(Debug, Clone, Copy, Default)]
 struct Chan {
     head: u32,
     len: u32,
+    filled_at: u64,
+}
+
+/// A ring entry for packet `id` bound for node `dest`: the destination rides
+/// with the id, so no hop reads the packet.
+fn entry(id: u32, dest: usize) -> u64 {
+    (dest as u64) << 32 | u64::from(id)
+}
+
+/// The pool id of ring entry `e`.
+fn entry_id(e: u64) -> u32 {
+    e as u32
+}
+
+/// The destination node of ring entry `e`.
+fn entry_dest(e: u64) -> usize {
+    (e >> 32) as usize
 }
 
 /// Where one channel lives in the store: its index in `Fabric::chans`, the
@@ -272,9 +294,9 @@ fn next_hop(config: &FabricConfig, node: usize, role: usize, dst: usize) -> (usi
 ///
 /// The channels are stored flat. Packets live in one pool, recycled through
 /// a free list, so the pool grows to the peak number in flight. Each channel
-/// is a fixed-capacity ring of packet ids inside one shared `u32` array,
-/// plus a `(head, len)` cursor; a head-of-line move copies one id between
-/// two rings and never moves a packet.
+/// is a fixed-capacity ring of `u64` `(id, dest)` entries inside one shared
+/// array, plus a `(head, len, filled_at)` cursor; a head-of-line move copies
+/// one entry between two rings and never reads or moves a packet.
 ///
 /// # Example
 ///
@@ -293,8 +315,9 @@ pub struct Fabric {
     config: FabricConfig,
     /// Every channel's cursor, indexed `node * stride + role`.
     chans: Vec<Chan>,
-    /// Every channel's ring of packet ids (see `ring_of` for the layout).
-    ring: Vec<u32>,
+    /// Every channel's ring of `(id, dest)` entries (see `entry` for the
+    /// packing and `ring_of` for the layout).
+    ring: Vec<u64>,
     /// The packets, indexed by id; slots listed in `free` hold stale packets.
     pool: Vec<Packet>,
     /// Pool slots free for reuse, most recently freed last.
@@ -399,8 +422,8 @@ impl Fabric {
     /// * every live packet id sits in exactly one ring slot, the free list
     ///   holds no id twice and no live id, and the live ids number
     ///   `pool.len() − free.len()`, which is the in-flight count;
-    /// * every live packet's cached destination is its message's, and no
-    ///   packet has moved later than the current cycle;
+    /// * every ring entry's destination is its packet's message's, and no
+    ///   occupied channel was filled later than the current cycle;
     /// * every injected packet is either delivered or in flight.
     ///
     /// # Errors
@@ -441,8 +464,15 @@ impl Fabric {
                     r.cap
                 ));
             }
+            if len > 0 && c.filled_at > self.now {
+                return Err(format!(
+                    "channel {i} was filled at cycle {} after now={}",
+                    c.filled_at, self.now
+                ));
+            }
             for k in 0..len {
-                let id = self.ring[r.start + (head + k) % r.cap] as usize;
+                let e = self.ring[r.start + (head + k) % r.cap];
+                let id = entry_id(e) as usize;
                 let Some(p) = self.pool.get(id) else {
                     return Err(format!("channel {i} holds id {id}, past the pool"));
                 };
@@ -452,17 +482,12 @@ impl Fabric {
                 if std::mem::replace(&mut placed[id], true) {
                     return Err(format!("packet id {id} sits in two ring slots"));
                 }
-                if p.dest != p.msg.dest().index() {
+                if entry_dest(e) != p.msg.dest().index() {
                     return Err(format!(
-                        "packet id {id} caches destination {} but its message is bound for {}",
-                        p.dest,
+                        "the ring entry of packet id {id} carries destination {} but its \
+                         message is bound for {}",
+                        entry_dest(e),
                         p.msg.dest().index()
-                    ));
-                }
-                if p.moved_at > self.now {
-                    return Err(format!(
-                        "channel {i}: a packet moved at cycle {} after now={}",
-                        p.moved_at, self.now
                     ));
                 }
             }
@@ -549,10 +574,10 @@ impl Fabric {
         self.config
     }
 
-    /// The id of the packet at the head of `r`, if it holds one.
+    /// The pool id of the packet at the head of `r`, if it holds one.
     fn front(&self, r: Ring) -> Option<u32> {
         let c = self.chans[r.chan];
-        (c.len > 0).then(|| self.ring[r.start + c.head as usize])
+        (c.len > 0).then(|| entry_id(self.ring[r.start + c.head as usize]))
     }
 
     /// Removes the head of non-empty `r`; returns whether `r` is now empty.
@@ -567,35 +592,38 @@ impl Fabric {
         c.len == 0
     }
 
-    /// Appends packet `id` to `r`, which has room; returns whether `r` was
-    /// empty before.
-    fn push(&mut self, r: Ring, id: u32) -> bool {
+    /// Appends ring entry `e` to `r`, which has room; returns whether `r`
+    /// was empty before, in which case `e` is its head and the channel is
+    /// stamped filled now.
+    fn push(&mut self, r: Ring, e: u64) -> bool {
         let c = &mut self.chans[r.chan];
         let mut at = c.head as usize + c.len as usize;
         if at >= r.cap {
             at -= r.cap;
         }
-        self.ring[r.start + at] = id;
+        self.ring[r.start + at] = e;
         c.len += 1;
-        c.len == 1
+        let filled = c.len == 1;
+        if filled {
+            c.filled_at = self.now;
+        }
+        filled
     }
 
     /// The one head-of-line move attempt, for frontier slot `slot`: the
-    /// frontier walk and the dense cross-check both call it. Packets stamped
-    /// `moved_at == now` have already hopped this cycle.
+    /// frontier walk and the dense cross-check both call it. A head whose
+    /// channel was filled from empty this cycle has already hopped.
     fn move_head(&mut self, slot: usize) {
         let config = self.config;
         let (node, role, src) = slot_ring(&config, slot);
+        let c = self.chans[src.chan];
         // Only the dense scan visits empty channels; the frontier guarantees
         // occupancy.
-        let Some(id) = self.front(src) else {
-            return;
-        };
-        let head = &self.pool[id as usize];
-        if head.moved_at >= self.now {
+        if c.len == 0 || c.filled_at >= self.now {
             return;
         }
-        let (loc, tgt_role, tgt) = next_hop(&config, node, role, head.dest);
+        let e = self.ring[src.start + c.head as usize];
+        let (loc, tgt_role, tgt) = next_hop(&config, node, role, entry_dest(e));
         if self.chans[tgt.chan].len as usize >= tgt.cap {
             self.stats.blocked_hops += 1;
             if self.observe {
@@ -603,11 +631,10 @@ impl Fabric {
             }
             return;
         }
-        self.pool[id as usize].moved_at = self.now;
         if self.pop(src) {
             self.active.remove(slot);
         }
-        if self.push(tgt, id) {
+        if self.push(tgt, e) {
             let topo = config.topo;
             if tgt_role == topo.stride() - 1 {
                 self.eject_ready.insert(loc);
@@ -656,8 +683,6 @@ impl Network for Fabric {
         let packet = Packet {
             msg,
             injected_at: self.now,
-            moved_at: self.now,
-            dest,
         };
         let id = match self.free.pop() {
             Some(id) => {
@@ -669,7 +694,7 @@ impl Network for Fabric {
                 (self.pool.len() - 1) as u32
             }
         };
-        if self.push(r, id) {
+        if self.push(r, entry(id, dest)) {
             let rank = rank_of_role(INJECT_ROLE, topo.ports());
             self.active.insert(node * topo.move_slots() + rank);
         }
@@ -1055,6 +1080,97 @@ mod tests {
         }
     }
 
+    /// Every live packet's channel and its message's destination, by pool id
+    /// (`None` for a free id).
+    fn placement(net: &Fabric) -> Vec<Option<(usize, usize)>> {
+        let stride = net.config.topo.stride();
+        let mut at = vec![None; net.pool.len()];
+        for (i, c) in net.chans.iter().enumerate() {
+            let r = ring_of(&net.config, i / stride, i % stride);
+            for k in 0..c.len as usize {
+                let id = entry_id(net.ring[r.start + (c.head as usize + k) % r.cap]) as usize;
+                at[id] = Some((i, net.pool[id].msg.dest().index()));
+            }
+        }
+        at
+    }
+
+    /// One hop per cycle, checked against the route rather than against the
+    /// channel stamp: over drawn topologies, buffer depths and traffic, on
+    /// both scans, a packet that sat in channel `c` before a tick and the
+    /// ejections after it either sits in `c` still, sits in the channel its
+    /// route takes out of `c`, or was ejected from the ejection channel it
+    /// sat in or moved into.
+    #[test]
+    fn a_tick_moves_each_packet_at_most_one_hop() {
+        tcni_check::check("a_tick_moves_each_packet_at_most_one_hop", 64, |rng| {
+            let rows = rng.range(2, 4) as usize;
+            let topo = match rng.below(4) {
+                0 => TopologyKind::mesh(3, rows),
+                1 => TopologyKind::torus(3, rows),
+                2 => TopologyKind::ring(3 * rows),
+                _ => TopologyKind::full(3 * rows),
+            };
+            let mut depth = || rng.range(1, 7) as usize;
+            let config = FabricConfig {
+                topo,
+                inject_capacity: depth(),
+                channel_capacity: depth(),
+                eject_capacity: depth(),
+            };
+            let (n, eject_role) = (topo.nodes() as u64, topo.stride() - 1);
+            for dense in [false, true] {
+                let mut net = Fabric::new(config);
+                net.set_dense_scan(dense);
+                for _ in 0..60 {
+                    for _ in 0..rng.below(2 * n) {
+                        let (src, dst) = (rng.below(n) as u16, rng.below(n) as u16);
+                        let _ = net.inject(NodeId::new(src), msg(dst, 0));
+                    }
+                    let before = placement(&net);
+                    net.tick();
+                    // Drain a drawn half of the nodes, so ejection channels
+                    // back up and block the links feeding them.
+                    let mut ejected = 0;
+                    for d in 0..n as u16 {
+                        if rng.bool() {
+                            while net.eject(NodeId::new(d)).is_some() {
+                                ejected += 1;
+                            }
+                        }
+                    }
+                    let after = placement(&net);
+                    assert_eq!(after.len(), before.len(), "no packet enters");
+                    let mut gone = 0;
+                    for (id, (&was, &now)) in before.iter().zip(&after).enumerate() {
+                        let Some((c, dest)) = was else {
+                            assert_eq!(now, None, "id {id} appeared during a tick");
+                            continue;
+                        };
+                        let (node, role) = (c / topo.stride(), c % topo.stride());
+                        let hop = (role != eject_role).then(|| next_hop(&config, node, role, dest));
+                        match now {
+                            Some((a, _)) => assert!(
+                                a == c || hop.is_some_and(|(_, _, r)| r.chan == a),
+                                "{config:?} dense={dense}: id {id} went from channel {c} to {a}"
+                            ),
+                            None => {
+                                assert!(
+                                    hop.is_none_or(|(_, r, _)| r == eject_role),
+                                    "{config:?} dense={dense}: id {id} left channel {c} \
+                                     for no ejection channel"
+                                );
+                                gone += 1;
+                            }
+                        }
+                    }
+                    assert_eq!(gone, ejected, "every missing packet was ejected");
+                    net.check_invariants().unwrap();
+                }
+            }
+        });
+    }
+
     /// One heterogeneous-capacity run: 20 cycles of seeded traffic (three
     /// offers a cycle, half of them to hot-spot node 0, refused offers
     /// dropped) drained only every fourth cycle, then drained every cycle
@@ -1327,17 +1443,18 @@ mod tests {
         net.stats.injected += 1;
         assert!(net.check_invariants().unwrap_err().contains("injected"));
         net.stats.injected -= 1;
-        net.pool[0].moved_at = 5;
-        assert!(net.check_invariants().unwrap_err().contains("moved at"));
-        net.pool[0].moved_at = 0;
-        net.pool[0].dest = 2;
+        // Node 0's injection channel is channel 0 and its ring starts the
+        // store.
+        net.chans[0].filled_at = 5;
+        assert!(net.check_invariants().unwrap_err().contains("filled at"));
+        net.chans[0].filled_at = 0;
+        net.ring[0] = entry(0, 2);
         assert!(net
             .check_invariants()
             .unwrap_err()
-            .contains("caches destination"));
-        net.pool[0].dest = 3;
-        // Node 0's injection ring starts the store; a second packet's slot
-        // naming the first's id duplicates it.
+            .contains("carries destination 2"));
+        net.ring[0] = entry(0, 3);
+        // A second packet's slot naming the first's entry duplicates it.
         net.inject(NodeId::new(0), msg(3, 2)).unwrap();
         let second = net.ring[1];
         net.ring[1] = net.ring[0];

@@ -35,6 +35,9 @@ echo "== fabric tests in debug mode (overflow checks and debug assertions on) ==
 # the drawn-capacity properties run here with both checked.
 cargo test --offline -q -p tcni-net
 cargo test --offline -q --test prop_network
+# The NI queues allocate their buffer on first push; their length and
+# capacity arithmetic runs checked here too.
+cargo test --offline -q -p tcni-core
 
 echo "== benchmark package tests (its own workspace, quick schedules) =="
 # The benchmark is a separate package that builds the simulator crates from
