@@ -22,25 +22,25 @@
 //! size costs. Two facts make that possible, and they travel through
 //! [`CycleDriver::on_cycle_active`] as an [`Activity`]:
 //!
-//! * **What the machine tells the driver:** [`Activity::pending`], the
-//!   ascending list of nodes whose input registers may hold a message
-//!   (every node with [`msg_valid`](tcni_core::NetworkInterface::msg_valid)
-//!   set is on it; a few extras may be). `None` means the machine does not
-//!   know — the first driven cycle, or after [`Machine::node_mut`], `step`
-//!   or `run` — and the driver must look at every node.
+//! * **What the machine tells the driver:** [`Activity::pending`], the set
+//!   of nodes whose input registers may hold a message: every node with
+//!   [`msg_valid`](tcni_core::NetworkInterface::msg_valid) set is in it,
+//!   and others may be too. The machine keeps it valid on every cycle,
+//!   driven or not, so a driver never has to look at every node to find
+//!   its input.
 //! * **What the driver tells the machine:** [`Activity::touch`] for every
 //!   node whose interface it queued an outgoing message on or whose
-//!   [`coll_request`](Node::coll_request) latch it set. The machine then
-//!   merges those nodes into its injection lists instead of re-deriving
-//!   the lists from every node. A driver that cannot name its nodes, or
-//!   that changed a processor's run state, calls [`Activity::touch_all`].
+//!   [`coll_request`](Node::coll_request) latch it set. The machine adds
+//!   those nodes to its outgoing set instead of re-deriving its sets from
+//!   every node. A driver that cannot name its nodes, or that changed a
+//!   processor's run state, calls [`Activity::touch_all`].
 //!
 //! The provided [`on_cycle_active`](CycleDriver::on_cycle_active) calls
-//! [`on_cycle`](CycleDriver::on_cycle) and then `touch_all`: a driver that
+//! `touch_all` and then [`on_cycle`](CycleDriver::on_cycle): a driver that
 //! implements only `on_cycle` (closures, wrappers) keeps working unchanged
-//! and pays the old per-cycle O(nodes) refresh.
-//!
-//! [`Machine::node_mut`]: crate::Machine::node_mut
+//! and pays an O(nodes) refresh of the machine's sets each cycle.
+
+use tcni_util::bits::Bitmap;
 
 use crate::node::Node;
 
@@ -68,7 +68,7 @@ pub trait CycleDriver {
     /// [`Machine::run_driven`](crate::Machine::run_driven) calls this, not
     /// [`on_cycle`](Self::on_cycle).
     ///
-    /// The default runs `on_cycle` and reports every node touched.
+    /// The default reports every node touched and runs `on_cycle`.
     fn on_cycle_active(
         &mut self,
         cycle: u64,
@@ -90,50 +90,60 @@ impl<F: FnMut(u64, &mut [Node]) -> bool> CycleDriver for F {
 /// One driven cycle's activity, exchanged between the machine and a
 /// [`CycleDriver`] — the activity contract.
 ///
-/// The machine fills in [`pending`](Self::pending): every node whose input
-/// registers hold a message is on it, or it is `None` and the driver must
-/// look at every node. The driver reports with [`touch`](Self::touch) every
-/// node it queued an outgoing message on or latched a collective request
-/// at; a driver that cannot name them, or that changed a processor's run
+/// The machine hands over its [`pending`](Self::pending) set: every node
+/// whose input registers hold a message is in it. The driver reports with
+/// [`touch`](Self::touch) every node it queued an outgoing message on or
+/// latched a collective request at, which joins the machine's outgoing
+/// set; a driver that cannot name them, or that changed a processor's run
 /// state, calls [`touch_all`](Self::touch_all), and the machine re-derives
-/// its lists from every node.
+/// its sets from every node.
 #[derive(Debug)]
 pub struct Activity<'a> {
-    pending: Option<&'a [usize]>,
-    touched: &'a mut Vec<usize>,
+    pending: &'a Bitmap,
+    outgoing: &'a mut Bitmap,
+    touched: bool,
     all: bool,
 }
 
 impl<'a> Activity<'a> {
-    /// An activity record over the machine's pending-input list (`None`:
-    /// unknown) that collects touched nodes into `touched`.
-    pub(crate) fn new(pending: Option<&'a [usize]>, touched: &'a mut Vec<usize>) -> Activity<'a> {
-        touched.clear();
+    /// An activity record over the machine's pending-input set that adds
+    /// touched nodes to its outgoing set.
+    pub(crate) fn new(pending: &'a Bitmap, outgoing: &'a mut Bitmap) -> Activity<'a> {
         Activity {
             pending,
-            touched,
+            outgoing,
+            touched: false,
             all: false,
         }
     }
 
-    /// The nodes whose input registers may hold a message, ascending — a
-    /// superset of the nodes with `msg_valid` set — or `None` when the
-    /// machine does not know and the driver must look at every node.
-    pub fn pending(&self) -> Option<&[usize]> {
+    /// The nodes whose input registers may hold a message: a superset of
+    /// the nodes with `msg_valid` set.
+    pub fn pending(&self) -> &Bitmap {
         self.pending
     }
 
     /// Reports that the driver queued an outgoing message on `node`'s
     /// interface or latched a collective request there. Repeats and any
     /// order are fine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node of the machine.
     pub fn touch(&mut self, node: usize) {
-        self.touched.push(node);
+        self.outgoing.insert(node);
+        self.touched = true;
     }
 
     /// Reports that the driver may have changed any node (the fallback: the
-    /// machine re-derives its lists from every node).
+    /// machine re-derives its sets from every node).
     pub fn touch_all(&mut self) {
         self.all = true;
+    }
+
+    /// Whether [`touch`](Self::touch) was called.
+    pub(crate) fn touched(&self) -> bool {
+        self.touched
     }
 
     /// Whether [`touch_all`](Self::touch_all) was called.

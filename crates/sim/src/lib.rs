@@ -37,4 +37,5 @@ pub use machine::{BuildError, Machine, MachineBuilder, RunOutcome, TreeMismatch}
 pub use model::{Model, NiMapping};
 pub use node::Node;
 pub use obs::{MsgCounters, MsgSpan, NodeRollup, Obs, ObsReport, TRACE_SCHEMA};
+pub use tcni_util::bits::Bitmap;
 pub use trace::{Trace, TraceEvent};

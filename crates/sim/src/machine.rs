@@ -10,6 +10,7 @@ use tcni_net::{
     CombiningTree, Fabric, FabricConfig, FabricError, FaultConfig, FaultyFabric, FullyConnected,
     IdealNetwork, InjectError, NetStats, Network, NetworkKind, Topology as _, TopologyKind,
 };
+use tcni_util::bits::Bitmap;
 
 use crate::collective::{Collective, CollectiveStats};
 use crate::delivery::{Delivery, DeliveryConfig, DeliveryStats, RxAction};
@@ -200,8 +201,10 @@ pub enum RunOutcome {
 /// optimizations, none of which change observable behaviour:
 ///
 /// * the fabric is a [`NetworkKind`] enum (static dispatch, inlinable);
-/// * stopped processors leave the active list and are never re-scanned —
-///   only their interfaces keep draining until empty;
+/// * the machine keeps three node sets — running processors, interfaces
+///   with an outgoing message, interfaces with input waiting — so a
+///   stopped processor is never re-scanned, and injection visits only the
+///   interfaces with traffic;
 /// * when every running processor is environment-stalled and a network
 ///   phase changes no interface state, [`run`](Machine::run) *fast-forwards*:
 ///   network-only cycles (or, on a predictive fabric, one arithmetic jump)
@@ -244,43 +247,31 @@ pub struct Machine {
     /// The optional in-network collective engine (combining-tree barrier /
     /// broadcast / reduce; see [`Collective`]).
     collective: Option<Collective>,
-    /// Indices of nodes whose processor is still running, ascending. The
-    /// ascending order matters: the injection step injects in node order,
-    /// which is the fabric's arbitration order for same-destination
-    /// traffic.
-    running: Vec<usize>,
-    /// Of the running nodes, those whose interface held an outgoing message
-    /// after this cycle's processor step, ascending.
-    sending: Vec<usize>,
-    /// The processor step's scratch: it rebuilds `running` into this list,
-    /// measured faster than compacting in place on a 256-CPU ring.
-    spare: Vec<usize>,
-    /// Stopped nodes whose interface still holds outgoing messages,
-    /// ascending. Only a processor that stops while holding traffic, or a
-    /// driver queuing on a stopped node, adds to it.
-    draining: Vec<usize>,
+    /// The nodes whose processor is still running: the processor step
+    /// walks it and removes a processor that stops.
+    running: Bitmap,
+    /// The nodes whose interface holds an outgoing message, running or
+    /// stopped: the processor step and [`Activity::touch`] add to it, and
+    /// injection removes a node once its interface is empty. Injection
+    /// walks it in ascending order, the fabric's arbitration order for
+    /// same-destination traffic.
+    outgoing: Bitmap,
+    /// The nodes whose input registers may hold a message: a superset of
+    /// the nodes with `msg_valid` on every cycle. Ejection adds every node
+    /// it delivers to; after a driver, the set is filtered on `msg_valid`
+    /// and handed to the next one.
+    pending: Bitmap,
     /// Set by [`node_mut`](Machine::node_mut): external mutation may have
-    /// restarted or stopped a processor, so the lists must be rebuilt.
+    /// restarted or stopped a processor, queued a message or consumed
+    /// one, so the three sets must be rebuilt.
     lists_dirty: bool,
-    /// Nodes whose input registers may hold a message, ascending: a
-    /// superset of the nodes with `msg_valid` while `pending_known`. Driven
-    /// cycles keep it (ejection adds every node it delivered to; after the
-    /// driver it is re-filtered on `msg_valid`) and hand it to the driver;
-    /// any other cycle, and [`node_mut`](Machine::node_mut), make it
-    /// unknown until the next driven cycle rebuilds it.
-    pending: Vec<usize>,
-    pending_known: bool,
-    /// The nodes ejection delivered to this cycle, ascending.
-    arrived: Vec<usize>,
-    /// The nodes a driver reported touching this cycle.
-    touched: Vec<usize>,
     /// The reference mode (see [`set_reference`](Machine::set_reference)).
     reference: bool,
     skipped_cycles: u64,
     /// Whether node [`CollPort`](Node::coll_request) latches may hold
-    /// requests. Set wherever external code could have latched one (list
-    /// refresh after `node_mut`, every driven cycle); the injection phase
-    /// only pays the O(nodes) latch scan while this is set.
+    /// requests. Set wherever external code could have latched one (set
+    /// refresh after `node_mut`, a driver that touched a node); the
+    /// injection phase only pays the O(nodes) latch scan while this is set.
     coll_poll: bool,
 }
 
@@ -317,7 +308,6 @@ impl Machine {
     /// Panics if `i` is out of range.
     pub fn node_mut(&mut self, i: usize) -> &mut Node {
         self.lists_dirty = true;
-        self.pending_known = false;
         &mut self.nodes[i]
     }
 
@@ -493,24 +483,23 @@ impl Machine {
         self.skipped_cycles
     }
 
-    /// Re-derives the running, draining and pending-input lists from every
-    /// node.
+    /// Re-derives the running, outgoing and pending sets from every node.
     fn refresh_lists(&mut self) {
         self.running.clear();
-        self.draining.clear();
+        self.outgoing.clear();
         self.pending.clear();
         for (i, n) in self.nodes.iter().enumerate() {
             if !n.is_stopped() {
-                self.running.push(i);
-            } else if n.ni().peek_outgoing().is_some() {
-                self.draining.push(i);
+                self.running.insert(i);
+            }
+            if n.ni().peek_outgoing().is_some() {
+                self.outgoing.insert(i);
             }
             if n.ni().msg_valid() {
-                self.pending.push(i);
+                self.pending.insert(i);
             }
         }
         self.lists_dirty = false;
-        self.pending_known = true;
         // External code had node access (`node_mut`, a driver's cycle): it
         // may have latched collective requests.
         self.coll_poll = true;
@@ -521,7 +510,6 @@ impl Machine {
         if self.lists_dirty {
             self.refresh_lists();
         }
-        self.pending_known = false;
         self.cycle_one(CpuPhase::Step);
     }
 
@@ -530,9 +518,9 @@ impl Machine {
     /// conservation law `injected − faults.dropped == delivered +
     /// in_flight` (see [`tcni_net::FaultCounters`]); in a switched fabric,
     /// the frontier and the eject-ready set against the channels; in the
-    /// machine, the running and draining lists against what
-    /// `refresh_lists()` would derive, and the pending-input list (when
-    /// known) against every `msg_valid`; in the delivery protocol and the
+    /// machine, the running set against the running processors, the
+    /// outgoing set against the interfaces holding an outgoing message, and
+    /// the pending set against every `msg_valid`; in the delivery protocol and the
     /// collective engine, the timer set against the unacked windows, the
     /// outbox sets and totals against the queues, and the per-flow copy and
     /// ack bookkeeping. Meant for property tests: it walks every node,
@@ -555,25 +543,24 @@ impl Machine {
             fabric.check_invariants()?;
         }
         if !self.lists_dirty {
-            let nodes = &self.nodes;
-            let running: Vec<usize> = (0..nodes.len())
-                .filter(|&i| !nodes[i].is_stopped())
-                .collect();
-            let draining: Vec<usize> = (0..nodes.len())
-                .filter(|&i| nodes[i].is_stopped() && nodes[i].ni().peek_outgoing().is_some())
-                .collect();
-            if (&running, &draining) != (&self.running, &self.draining) {
-                return Err(format!(
-                    "running/draining lists {:?}/{:?} but nodes {running:?}/{draining:?}",
-                    self.running, self.draining
-                ));
-            }
-        }
-        if self.pending_known {
-            if let Some(i) = (0..self.nodes.len()).find(|&i| {
-                self.nodes[i].ni().msg_valid() && self.pending.binary_search(&i).is_err()
-            }) {
-                return Err(format!("node {i} has input waiting but is not pending"));
+            for (i, n) in self.nodes.iter().enumerate() {
+                if self.running.contains(i) == n.is_stopped() {
+                    return Err(format!(
+                        "node {i}: running set {} but processor stopped {}",
+                        self.running.contains(i),
+                        n.is_stopped()
+                    ));
+                }
+                let sends = n.ni().peek_outgoing().is_some();
+                if self.outgoing.contains(i) != sends {
+                    return Err(format!(
+                        "node {i}: outgoing set {} but interface sending {sends}",
+                        self.outgoing.contains(i)
+                    ));
+                }
+                if n.ni().msg_valid() && !self.pending.contains(i) {
+                    return Err(format!("node {i} has input waiting but is not pending"));
+                }
             }
         }
         if let Some(del) = &self.delivery {
@@ -623,7 +610,6 @@ impl Machine {
         let all_stalled = self.step_cpus(cpus);
         let mut changed = self.inject();
         self.net.tick();
-        self.arrived.clear();
         if self.net.in_flight() > 0 {
             changed |= self.eject();
         }
@@ -631,53 +617,38 @@ impl Machine {
         (all_stalled, changed)
     }
 
-    /// The processor step: one ascending pass over the running list that
+    /// The processor step: one ascending pass over the running set that
     /// steps each processor, mirrors its queue depths for observability,
-    /// traces a stop, and sorts every node onto the list it now belongs to:
-    /// still running (and onto `sending` if its interface holds an outgoing
-    /// message), or stopped, joining `draining` if it still holds one.
-    /// Returns whether every stepped processor was environment-stalled.
+    /// adds the node to `outgoing` if its interface holds an outgoing
+    /// message, and removes and traces a processor that stopped. A
+    /// network-only cycle steps nothing, so it changes no set. Returns
+    /// whether every stepped processor was environment-stalled.
     fn step_cpus(&mut self, cpus: CpuPhase) -> bool {
-        let cycle = self.cycle;
-        self.sending.clear();
-        let mut all_stalled = true;
-        let mut stopped_sending = false;
-        let running = std::mem::take(&mut self.running);
-        let mut kept = std::mem::take(&mut self.spare);
-        kept.clear();
-        for &i in &running {
-            let node = &mut self.nodes[i];
-            if cpus != CpuPhase::Skip {
-                all_stalled &= node.step() == StepOutcome::StalledEnv;
-                if let Some(o) = self.obs.as_mut() {
-                    // Output-depth increases are enqueues; input-depth
-                    // decreases are dispatches. Both only happen while the
-                    // CPU executes.
-                    mirror_depths(o, i, node, cycle);
-                }
-            }
-            let sends = node.ni().peek_outgoing().is_some();
-            if !node.is_stopped() {
-                kept.push(i);
-                if sends {
-                    self.sending.push(i);
-                }
-                continue;
-            }
-            if sends {
-                self.draining.push(i);
-                stopped_sending = true;
-            }
-            if let Some(t) = self.trace.as_mut() {
-                trace_stop(t, node, i, cycle);
-            }
+        if cpus == CpuPhase::Skip {
+            return true;
         }
-        self.spare = running;
-        self.running = kept;
-        if stopped_sending {
-            // A processor stopped holding traffic: rare, so a sort beats a
-            // merge.
-            self.draining.sort_unstable();
+        let cycle = self.cycle;
+        let mut all_stalled = true;
+        let mut from = 0;
+        while let Some(i) = self.running.next(from) {
+            from = i + 1;
+            let node = &mut self.nodes[i];
+            all_stalled &= node.step() == StepOutcome::StalledEnv;
+            if let Some(o) = self.obs.as_mut() {
+                // Output-depth increases are enqueues; input-depth
+                // decreases are dispatches. Both only happen while the
+                // CPU executes.
+                mirror_depths(o, i, node, cycle);
+            }
+            if node.ni().peek_outgoing().is_some() {
+                self.outgoing.insert(i);
+            }
+            if node.is_stopped() {
+                self.running.remove(i);
+                if let Some(t) = self.trace.as_mut() {
+                    trace_stop(t, node, i, cycle);
+                }
+            }
         }
         if let (CpuPhase::Driven, Some(o)) = (cpus, self.obs.as_mut()) {
             // The driver's interface operations bypass the mirroring above
@@ -694,25 +665,26 @@ impl Machine {
 
     /// The injection step: one attempt per node with possible traffic, in
     /// ascending node order (the fabric's arbitration order). Protocol
-    /// traffic can come from stopped nodes the lists no longer hold, but
-    /// exactly those are on the outboxes, so merging `sending`, `draining`
-    /// and the live outbox sets visits what a full scan would; an injection
-    /// only ever empties the outbox of the node it serves, so no snapshot is
-    /// needed. Returns whether anything changed.
+    /// traffic can come from nodes whose interface is empty, but exactly
+    /// those are on the outboxes, so merging `outgoing` and the live outbox
+    /// sets visits what a full scan would; an injection only ever changes
+    /// the sets at the node it serves, so no snapshot is needed. A node
+    /// leaves `outgoing` once its interface is empty. Returns whether
+    /// anything changed.
     fn inject(&mut self) -> bool {
         let next_del = |m: &Machine, from| m.delivery.as_ref()?.next_outbox_node(from);
         let next_coll = |m: &Machine, from| m.collective.as_ref()?.next_outbox_node(from);
-        let (mut r, mut d) = (0, 0);
-        let (mut del, mut coll) = (next_del(self, 0), next_coll(self, 0));
+        let (mut out, mut del, mut coll) =
+            (self.outgoing.next(0), next_del(self, 0), next_coll(self, 0));
         let mut changed = false;
-        loop {
-            let (run, drain) = (self.sending.get(r).copied(), self.draining.get(d).copied());
-            let Some(i) = [run, drain, del, coll].into_iter().flatten().min() else {
-                break;
-            };
+        while let Some(i) = [out, del, coll].into_iter().flatten().min() {
             changed |= self.inject_one(i);
-            r += usize::from(run == Some(i));
-            d += usize::from(drain == Some(i));
+            if out == Some(i) {
+                if self.nodes[i].ni().peek_outgoing().is_none() {
+                    self.outgoing.remove(i);
+                }
+                out = self.outgoing.next(i + 1);
+            }
             if del == Some(i) {
                 del = next_del(self, i + 1);
             }
@@ -720,9 +692,6 @@ impl Machine {
                 coll = next_coll(self, i + 1);
             }
         }
-        let nodes = &self.nodes;
-        self.draining
-            .retain(|&i| nodes[i].ni().peek_outgoing().is_some());
         changed
     }
 
@@ -804,9 +773,9 @@ impl Machine {
     }
 
     /// The ejection step: network → interfaces, visiting only the nodes
-    /// the fabric reports eject-ready. Appends every node whose interface
-    /// received a message to `arrived` (ascending). Returns whether any
-    /// interface state changed.
+    /// the fabric reports eject-ready. Adds every node whose interface
+    /// received a message to `pending`. Returns whether any interface
+    /// state changed.
     fn eject(&mut self) -> bool {
         let cycle = self.cycle;
         let observed = self.obs.is_some();
@@ -880,9 +849,7 @@ impl Machine {
                     0
                 };
                 ni.push_incoming(msg).expect("can_accept checked");
-                if self.arrived.last() != Some(&i) {
-                    self.arrived.push(i);
-                }
+                self.pending.insert(i);
                 if let Some(o) = self.obs.as_mut() {
                     // An unchanged input depth means the interface diverted
                     // the message to the privileged queue.
@@ -894,14 +861,10 @@ impl Machine {
         changed
     }
 
-    /// Whether any node (running or draining) holds outgoing messages.
+    /// Whether any interface or the collective engine holds outgoing
+    /// messages.
     fn any_outgoing(&self) -> bool {
-        !self.draining.is_empty()
-            || self.collective.as_ref().is_some_and(|c| c.outgoing() > 0)
-            || self
-                .running
-                .iter()
-                .any(|&i| self.nodes[i].ni().peek_outgoing().is_some())
+        !self.outgoing.is_empty() || self.collective.as_ref().is_some_and(|c| c.outgoing() > 0)
     }
 
     /// The quiescence fast-forward. Entry condition (established by the
@@ -950,7 +913,7 @@ impl Machine {
             }
         }
         self.skipped_cycles += skipped;
-        for &i in &self.running {
+        for i in self.running.iter() {
             self.nodes[i].skip_env_stall(skipped);
         }
     }
@@ -970,7 +933,6 @@ impl Machine {
         if self.lists_dirty {
             self.refresh_lists();
         }
-        self.pending_known = false;
         let limit = self.cycle.saturating_add(max_cycles);
         while self.cycle < limit {
             if self.running.is_empty() {
@@ -988,7 +950,7 @@ impl Machine {
                 // to `StoppedWithTraffic` rather than spinning forever.
                 if (self.delivery.is_some() || self.collective.is_some())
                     && (self.net.in_flight() > 0
-                        || !self.draining.is_empty()
+                        || !self.outgoing.is_empty()
                         || self.delivery.as_ref().is_some_and(Delivery::active)
                         || self.collective.as_ref().is_some_and(|c| c.outgoing() > 0))
                 {
@@ -1021,8 +983,8 @@ impl Machine {
     ///
     /// The driver is called through [`CycleDriver::on_cycle_active`], the
     /// activity contract (see [`Activity`]): it receives the nodes with
-    /// input waiting and reports the nodes it queued traffic on, which the
-    /// machine merges into its injection lists. Per-cycle machine work outside the
+    /// input waiting and reports the nodes it queued traffic on, which join
+    /// the machine's outgoing set. Per-cycle machine work outside the
     /// fabric then tracks the traffic, not the node count. A driver that
     /// reports [`touch_all`](Activity::touch_all) (the default for one that
     /// implements only `on_cycle`) costs one sweep over every node per
@@ -1035,7 +997,6 @@ impl Machine {
         while self.cycle < limit {
             let go_on = self.drive(driver);
             self.cycle_one(CpuPhase::Driven);
-            merge_sorted(&mut self.pending, &self.arrived);
             if !go_on {
                 return RunOutcome::DriverStopped;
             }
@@ -1043,34 +1004,24 @@ impl Machine {
         RunOutcome::CycleLimit
     }
 
-    /// The driver step of a driven cycle, with the list upkeep of the
-    /// activity contract around it.
+    /// The driver step of a driven cycle, with the set upkeep of the
+    /// activity contract after it: touched nodes are already in
+    /// `outgoing`, and `pending` drops the nodes the driver consumed.
     fn drive<D: CycleDriver>(&mut self, driver: &mut D) -> bool {
-        let pending = self.pending_known.then_some(self.pending.as_slice());
-        let mut act = Activity::new(pending, &mut self.touched);
+        let mut act = Activity::new(&self.pending, &mut self.outgoing);
         let go_on = driver.on_cycle_active(self.cycle, &mut self.nodes, &mut act);
         if act.all() {
             self.refresh_lists();
             return go_on;
         }
-        if !self.touched.is_empty() {
-            // A touched node may have latched a collective request; a
-            // stopped one that now holds traffic joins the draining list.
-            self.coll_poll = true;
-            let nodes = &self.nodes;
-            self.touched
-                .retain(|&i| nodes[i].is_stopped() && nodes[i].ni().peek_outgoing().is_some());
-            merge_sorted(&mut self.draining, &self.touched);
-        }
-        if self.pending_known {
-            let nodes = &self.nodes;
-            self.pending.retain(|&i| nodes[i].ni().msg_valid());
-        } else {
-            let nodes = &self.nodes;
-            self.pending.clear();
-            self.pending
-                .extend((0..nodes.len()).filter(|&i| nodes[i].ni().msg_valid()));
-            self.pending_known = true;
+        // A touched node may have latched a collective request.
+        self.coll_poll |= act.touched();
+        let mut from = 0;
+        while let Some(i) = self.pending.next(from) {
+            from = i + 1;
+            if !self.nodes[i].ni().msg_valid() {
+                self.pending.remove(i);
+            }
         }
         go_on
     }
@@ -1158,17 +1109,6 @@ fn drop_bad_dest(node: &mut Node, obs: Option<&mut Obs>, i: usize) {
     node.ni_mut().pop_outgoing();
     if let Some(o) = obs {
         o.on_bad_dest(i);
-    }
-}
-
-/// Adds the nodes of `add` to the ascending, duplicate-free list `into`,
-/// keeping it so (`add` may repeat nodes). Both lists are usually sorted
-/// runs, which the stable sort merges in linear time.
-fn merge_sorted(into: &mut Vec<usize>, add: &[usize]) {
-    if !add.is_empty() {
-        into.extend_from_slice(add);
-        into.sort();
-        into.dedup();
     }
 }
 
@@ -1516,15 +1456,10 @@ impl MachineBuilder {
             obs: None,
             delivery,
             collective,
-            running: Vec::new(),
-            sending: Vec::new(),
-            spare: Vec::new(),
-            draining: Vec::new(),
+            running: Bitmap::new(self.node_count),
+            outgoing: Bitmap::new(self.node_count),
+            pending: Bitmap::new(self.node_count),
             lists_dirty: true,
-            pending: Vec::new(),
-            pending_known: false,
-            arrived: Vec::new(),
-            touched: Vec::new(),
             reference: false,
             skipped_cycles: 0,
             coll_poll: false,

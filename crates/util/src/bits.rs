@@ -1,9 +1,11 @@
 //! A set of small indices kept as `u64` words and walked from the lowest
-//! set bit: the fabric's frontier and eject-ready set, the outbox sets.
+//! set bit: the fabric's frontier and eject-ready set, the outbox sets,
+//! the machine's running, outgoing and pending node sets, and the load
+//! drivers' visit sets.
 
 /// A set of indices below a fixed bound, one bit each: O(1) insertion and
 /// removal, and an ascending walk at one word read per 64 positions.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Bitmap {
     words: Vec<u64>,
 }
@@ -46,6 +48,21 @@ impl Bitmap {
         }
         Some(w * 64 + bits.trailing_zeros() as usize)
     }
+
+    /// The members in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next(0), |&i| self.next(i + 1))
+    }
+
+    /// Whether the set has no member.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Removes every member.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
 }
 
 #[cfg(test)]
@@ -53,7 +70,8 @@ mod tests {
     use super::*;
 
     /// Members spread across word boundaries walk back in ascending order,
-    /// and a walk from past the last member or past the end finds nothing.
+    /// and a walk from past the last member or past the end finds nothing;
+    /// a cleared set is empty.
     #[test]
     fn the_walk_crosses_words_and_stops_at_the_end() {
         let members = [0, 1, 63, 64, 65, 127, 128, 191, 199];
@@ -68,6 +86,8 @@ mod tests {
             from = i + 1;
         }
         assert_eq!(walked, members);
+        assert!(set.iter().eq(members));
+        assert!(!set.is_empty());
         assert!((0..200).all(|i| set.contains(i) == members.contains(&i)));
         assert_eq!(set.next(2), Some(63));
         assert_eq!(set.next(129), Some(191));
@@ -79,6 +99,10 @@ mod tests {
         assert_eq!(set.next(192), None);
         assert_eq!(set.next(64), Some(65));
         assert!(!set.contains(64));
+        set.clear();
+        assert!(set.is_empty() && set.iter().next().is_none());
+        assert_eq!(set.next(0), None);
         assert_eq!(Bitmap::new(0).next(0), None, "the empty bound");
+        assert!(Bitmap::new(0).is_empty());
     }
 }

@@ -30,9 +30,8 @@ use std::collections::VecDeque;
 
 use tcni_core::{CollectiveOp, InterfaceReg, MsgType, NetworkInterface, NodeId, SendMode};
 use tcni_net::CombiningTree;
-use tcni_sim::{json, Activity, CycleDriver, Machine, MachineBuilder, Node, RunOutcome};
+use tcni_sim::{json, Activity, Bitmap, CycleDriver, Machine, MachineBuilder, Node, RunOutcome};
 
-use crate::inject::VisitSet;
 use crate::pattern::Topology;
 use crate::sweep::{with_network, Fabric};
 
@@ -358,7 +357,7 @@ struct SoftDriver {
     /// The nodes with a non-empty backlog, ascending.
     backlogged: Vec<usize>,
     /// The nodes to visit this cycle.
-    visit: VisitSet,
+    visit: Bitmap,
 }
 
 impl SoftDriver {
@@ -372,7 +371,7 @@ impl SoftDriver {
             acc: 0,
             gathered: 0,
             backlogged: Vec::new(),
-            visit: VisitSet::new(nodes),
+            visit: Bitmap::new(nodes),
         }
     }
 
@@ -498,17 +497,15 @@ impl CycleDriver for SoftDriver {
         nodes: &mut [Node],
         activity: &mut Activity<'_>,
     ) -> bool {
-        let fired = self.fire(cycle);
-        let Some(pending) = activity.pending().filter(|_| !fired) else {
+        if self.fire(cycle) {
             self.visit_all(cycle, nodes, Some(activity));
             return !self.storm.finished();
-        };
+        }
         let mut visit = std::mem::take(&mut self.visit);
-        for &i in pending.iter().chain(&self.backlogged) {
+        for i in activity.pending().iter().chain(self.backlogged.drain(..)) {
             visit.insert(i);
         }
-        self.backlogged.clear();
-        for i in visit.drain() {
+        for i in visit.iter() {
             if self.node_cycle(i, cycle, &mut nodes[i]) {
                 activity.touch(i);
             }
@@ -516,6 +513,7 @@ impl CycleDriver for SoftDriver {
                 self.backlogged.push(i);
             }
         }
+        visit.clear();
         self.visit = visit;
         !self.storm.finished()
     }
@@ -560,29 +558,17 @@ pub fn run_coll_point(
     let mut machine = build_machine(mode, cfg);
     let storm = Storm::new(op, cfg.seed, rate_pm, cfg.rounds, cfg.topo.nodes());
     let chunk = (cfg.max_cycles / u64::from(cfg.samples.max(1))).max(1);
-    let (mut inflight_sum, mut inflight_max, mut samples) = (0u64, 0u64, 0u64);
-    let mut run_chunks = |machine: &mut Machine, driver: &mut dyn DynDriver| loop {
-        let left = cfg.max_cycles - machine.cycle();
-        let outcome = driver.drive(machine, chunk.min(left));
-        let inflight = machine.net_in_flight() as u64;
-        inflight_sum += inflight;
-        inflight_max = inflight_max.max(inflight);
-        samples += 1;
-        if outcome == RunOutcome::DriverStopped || machine.cycle() >= cfg.max_cycles {
-            break;
-        }
-    };
-    let storm = match mode {
+    let (storm, (inflight_sum, inflight_max, samples)) = match mode {
         CollMode::Nic => {
             let mut driver = NicDriver { storm };
-            run_chunks(&mut machine, &mut driver);
-            driver.storm
+            let sampled = run_chunks(&mut machine, &mut driver, chunk, cfg.max_cycles);
+            (driver.storm, sampled)
         }
         CollMode::Soft => {
             let format = machine.wire_format();
             let mut driver = SoftDriver::new(storm, format);
-            run_chunks(&mut machine, &mut driver);
-            driver.storm
+            let sampled = run_chunks(&mut machine, &mut driver, chunk, cfg.max_cycles);
+            (driver.storm, sampled)
         }
     };
     let coll_stats = machine.collective_stats().unwrap_or_default();
@@ -607,21 +593,26 @@ pub fn run_coll_point(
     }
 }
 
-/// Object-safe shim so [`run_coll_point`] can share its chunked run loop
-/// across the two concrete driver types.
-trait DynDriver {
-    fn drive(&mut self, machine: &mut Machine, cycles: u64) -> RunOutcome;
-}
-
-impl DynDriver for NicDriver {
-    fn drive(&mut self, machine: &mut Machine, cycles: u64) -> RunOutcome {
-        machine.run_driven(self, cycles)
-    }
-}
-
-impl DynDriver for SoftDriver {
-    fn drive(&mut self, machine: &mut Machine, cycles: u64) -> RunOutcome {
-        machine.run_driven(self, cycles)
+/// Drives `machine` in chunks of `chunk` cycles until the driver stops or
+/// the machine reaches `max_cycles`, sampling the fabric's in-flight count
+/// after each chunk. Returns the samples' (sum, maximum, count).
+fn run_chunks<D: CycleDriver>(
+    machine: &mut Machine,
+    driver: &mut D,
+    chunk: u64,
+    max_cycles: u64,
+) -> (u64, u64, u64) {
+    let (mut sum, mut max, mut samples) = (0u64, 0u64, 0u64);
+    loop {
+        let left = max_cycles - machine.cycle();
+        let outcome = machine.run_driven(driver, chunk.min(left));
+        let inflight = machine.net_in_flight() as u64;
+        sum += inflight;
+        max = max.max(inflight);
+        samples += 1;
+        if outcome == RunOutcome::DriverStopped || machine.cycle() >= max_cycles {
+            return (sum, max, samples);
+        }
     }
 }
 

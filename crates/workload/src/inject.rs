@@ -31,7 +31,7 @@
 //!
 //! Under [`Machine::run_driven`](tcni_sim::Machine::run_driven) the injector
 //! follows the [activity contract](tcni_sim::Activity): each cycle it visits
-//! the nodes with input waiting (the machine's pending list) plus the nodes
+//! the nodes with input waiting (the machine's pending set) plus the nodes
 //! a due-cycle calendar names, and reports the nodes it sent on. A node
 //! needs a visit only when its state can change:
 //!
@@ -57,7 +57,7 @@ use std::fmt;
 use tcni_check::Rng;
 use tcni_core::{InterfaceReg, MsgType, NetworkInterface, NodeId, SendMode, WireFormat};
 use tcni_eval::paper;
-use tcni_sim::{Activity, CycleDriver, Model, Node};
+use tcni_sim::{Activity, Bitmap, CycleDriver, Model, Node};
 
 use crate::pattern::{Pattern, Topology};
 
@@ -282,7 +282,7 @@ pub struct Injector {
     /// through plain `on_cycle`, which keeps no calendar).
     wheel_valid: bool,
     /// The nodes to visit this cycle.
-    visit: VisitSet,
+    visit: Bitmap,
 }
 
 impl Injector {
@@ -348,7 +348,7 @@ impl Injector {
             last_cycle: None,
             wheel: vec![Vec::new(); WHEEL],
             wheel_valid: false,
-            visit: VisitSet::new(nodes),
+            visit: Bitmap::new(nodes),
         })
     }
 
@@ -476,7 +476,7 @@ impl Injector {
     /// The next cycle after `cycle` at which node `i`'s state can change
     /// without input arriving ([`NEVER`] if none): its next offer, its
     /// backlog's next chance to send, or a closed-loop window with room.
-    /// Input is the machine's pending list's business.
+    /// Input is the machine's pending set's business.
     fn next_due(&self, i: usize, cycle: u64) -> u64 {
         let st = &self.state[i];
         let mut due = match self.config.mode {
@@ -558,17 +558,13 @@ impl CycleDriver for Injector {
         nodes: &mut [Node],
         activity: &mut Activity<'_>,
     ) -> bool {
-        let contiguous = self.tick_call(cycle);
-        let pending = match activity.pending() {
-            Some(p) if contiguous && self.wheel_valid => p,
-            _ => {
-                self.visit_all(cycle, nodes, Some(activity));
-                return true;
-            }
-        };
+        if !(self.tick_call(cycle) && self.wheel_valid) {
+            self.visit_all(cycle, nodes, Some(activity));
+            return true;
+        }
         let count = self.state.len().min(nodes.len());
         let mut visit = std::mem::take(&mut self.visit);
-        for &i in pending.iter().take_while(|&&i| i < count) {
+        for i in activity.pending().iter().take_while(|&i| i < count) {
             visit.insert(i);
         }
         let state = &self.state;
@@ -583,45 +579,15 @@ impl CycleDriver for Injector {
                 due != NEVER && due > cycle && due as usize % WHEEL == cycle as usize % WHEEL
             }
         });
-        for i in visit.drain() {
+        for i in visit.iter() {
             if self.node_cycle(i, cycle, &mut nodes[i]) {
                 activity.touch(i);
             }
             self.schedule(i, cycle);
         }
+        visit.clear();
         self.visit = visit;
         true
-    }
-}
-
-/// A set of node indices as a bitmap, drained in ascending order: the
-/// drivers' per-cycle visit list, deduplicated and sorted for one word
-/// per 64 nodes.
-#[derive(Debug, Default)]
-pub(crate) struct VisitSet(Vec<u64>);
-
-impl VisitSet {
-    /// An empty set over `nodes` nodes.
-    pub(crate) fn new(nodes: usize) -> VisitSet {
-        VisitSet(vec![0; nodes.div_ceil(64)])
-    }
-
-    pub(crate) fn insert(&mut self, node: usize) {
-        self.0[node / 64] |= 1 << (node % 64);
-    }
-
-    /// Yields the members in ascending order, leaving the set empty.
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = usize> + '_ {
-        self.0.iter_mut().enumerate().flat_map(|(w, word)| {
-            let mut bits = std::mem::take(word);
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    w * 64 + b
-                })
-            })
-        })
     }
 }
 

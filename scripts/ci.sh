@@ -38,6 +38,12 @@ cargo test --offline -q --test prop_network
 # The NI queues allocate their buffer on first push; their length and
 # capacity arithmetic runs checked here too.
 cargo test --offline -q -p tcni-core
+# The machine's node-set upkeep, the bitmap arithmetic and the load
+# drivers' debug assertions (an injector visit that missed an offer, a
+# reply without a request) run checked, and the activity path against its
+# full-visit oracle.
+cargo test --offline -q -p tcni-util -p tcni-sim -p tcni-workload
+cargo test --offline -q --test prop_activity
 
 echo "== benchmark package tests (its own workspace, quick schedules) =="
 # The benchmark is a separate package that builds the simulator crates from
@@ -91,7 +97,7 @@ cmp target/BENCH_loadgen_16x16.serial.json target/BENCH_loadgen_16x16.par4.json
 
 echo "== smoke: closed-loop 16x16 (reply-driven wakeups) matches serial under TCNI_THREADS=4 =="
 # Closed-loop injectors reopen their window only when a reply arrives, so
-# this export exercises the pending-input list and the calendar's window
+# this export exercises the pending-input set and the calendar's window
 # reopenings; the 4-worker run must match the serial one byte for byte.
 run_16x16_closed() {
     TCNI_THREADS="$1" cargo run --release --offline -p tcni-bench --bin loadgen -- \

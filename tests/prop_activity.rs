@@ -2,23 +2,25 @@
 //!
 //! [`Machine::run_driven`] calls a driver through
 //! [`CycleDriver::on_cycle_active`]: the [`Injector`] then visits only the
-//! nodes with input waiting plus the nodes its due-cycle calendar names,
-//! and the machine merges the nodes it sent on into its injection lists
-//! instead of re-deriving them from every node. The oracle is the same
-//! injector behind a closure, `|c, n| inj.on_cycle(c, n)`: a closure
-//! implements only `on_cycle`, so it takes the provided fallback — every
-//! node visited, every list rebuilt, each cycle. No switch in the product
-//! selects either path.
+//! nodes in the machine's pending set plus the nodes its due-cycle
+//! calendar names, and the nodes it sent on join the machine's outgoing
+//! set instead of the machine re-deriving its sets from every node. The
+//! oracle is the same injector behind a closure,
+//! `|c, n| inj.on_cycle(c, n)`: a closure implements only `on_cycle`, so
+//! it takes the provided fallback — every node visited, every set rebuilt,
+//! each cycle. No switch in the product selects either path.
 //!
 //! Both machines run the same random schedule of driven chunks (1–50
 //! cycles), `run`, `step`, and `node_mut` calls; the activity machine also
 //! runs some chunks one cycle at a time and checks
 //! [`Machine::check_invariants`] after every one of them (eject-ready set,
-//! frontier, running/draining lists, pending-input list, delivery and
-//! collective bookkeeping). The injector counters, network statistics with
-//! their scan meters, delivery counters and trace must match byte for
-//! byte, across all five patterns, open and closed loop, every fabric,
-//! faults with delivery, and unit and Table-1 costs.
+//! frontier, the running, outgoing and pending sets against every node,
+//! delivery and collective bookkeeping). The pending set stays valid
+//! across `run` and `step`, so a driven chunk after them starts from it.
+//! The injector counters, network statistics with their scan meters,
+//! delivery counters and trace must match byte for byte, across all five
+//! patterns, open and closed loop, every fabric, faults with delivery, and
+//! unit and Table-1 costs.
 //!
 //! [`Machine::run_driven`]: tcni::sim::Machine::run_driven
 //! [`Machine::check_invariants`]: tcni::sim::Machine::check_invariants
